@@ -38,8 +38,10 @@ from .normalform import (
 )
 from .singular import (
     LaplaceProfile,
+    Obstruction,
     SingularSolution,
     build_expliouville_J,
+    build_obstruction,
     build_product,
     build_prop51,
     build_prop52,
@@ -49,7 +51,6 @@ from .singular import (
 )
 from .solver import (
     FourierField,
-    LaplaceKernel,
     apply_tube_operator,
     decay_report,
     residual,

@@ -12,7 +12,11 @@ singular    build a certified slow-decay solution family for a non-regular syste
 Every command prints one deterministic report (see ``report.py``) to stdout;
 ``--out`` writes the same bytes to a file.  ``solve`` and ``singular``
 additionally write their artifact (solution field / certified family) to a
-positional output path.
+positional output path.  ``--precision`` belongs to ``solve`` alone: the
+significant digits of the averaged constants in its division route.
+
+Each command parses its inputs, calls one library pipeline and renders the
+result; ``singular`` calls :func:`torus_hypo.singular.build_obstruction`.
 
 Exit codes
 ----------
@@ -59,9 +63,6 @@ from .errors import (
 from .report import Report, input_digest
 
 VERDICT_EXITS = {"Hypoelliptic": 0, "NotHypoelliptic": 10, "Unknown": 20}
-
-# Complex samples allowed in a singular solution's materialized blocks.
-_DENSE_SAMPLE_BUDGET = 1 << 19
 
 _ERROR_EXITS = (
     (MalformedInput, 2),
@@ -113,6 +114,13 @@ def _read_json(path):
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _parse_s(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"--s: cannot parse {text!r} as a rational ({exc})") from exc
+
+
 def _parse_order(args, default=None):
     """Resolve the regularity scale: --mode smooth > --s > spec default."""
     from .system import Order
@@ -122,7 +130,7 @@ def _parse_order(args, default=None):
         return Order.smooth()
     s = getattr(args, "s", None)
     if s is not None:
-        return Order.gevrey(s)
+        return Order.gevrey(_parse_s(s))
     if mode == "gevrey" and default is not None and not default.is_gevrey:
         raise MalformedInput("--mode gevrey needs --s (spec declares no Gevrey order)")
     return default
@@ -164,6 +172,30 @@ def _write_field(field, path) -> None:
         field.save_binary(path)
     else:
         field.save_json(path)
+
+
+def _write_json(obj, fh) -> None:
+    """Write ``json.dumps(obj)`` to ``fh`` piece by piece.
+
+    Dicts and lists of containers are written item by item, everything else
+    by the C encoder: the bytes are those of ``json.dumps``, but only one
+    piece of the text is held at a time (a RationalJ certificate is 18 MB of
+    text) and the pure-Python encoder of ``json.dump`` is never used.
+    """
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(value, fh)
+        fh.write("}")
+    elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
+        fh.write("[")
+        for i, value in enumerate(obj):
+            fh.write(", " if i else "")
+            _write_json(value, fh)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj))
 
 
 def _emit(report: Report, args) -> None:
@@ -216,7 +248,11 @@ def cmd_classify(args, verbose: bool = False) -> int:
 def cmd_cf(args) -> int:
     from . import diophantine as dio
 
-    cf = dio.ContinuedFraction(dio.digit_stream_from_json(args.digits))
+    try:
+        stream = dio.digit_stream_from_json(args.digits)
+    except ValueError as exc:
+        raise MalformedInput(f"digits: {exc}") from exc
+    cf = dio.ContinuedFraction(stream)
     body = {"digits": args.digits, "subcommand": args.cf_command}
     n = args.n
     if args.cf_command == "convergents":
@@ -231,10 +267,10 @@ def cmd_cf(args) -> int:
     elif args.cf_command == "bounds":
         iv = dio.approx_interval(cf, n)
         body["n"] = n
-        body["lower"] = str(iv.lower)
-        body["upper"] = str(iv.upper)
+        body["lower"] = iv.lower
+        body["upper"] = iv.upper
     elif args.cf_command == "classify":
-        s = float(Fraction(args.s)) if args.s is not None else None
+        s = float(_parse_s(args.s)) if args.s is not None else None
         verdict = dio.classify(cf, s=s, n_max=n)
         body["verdict"] = verdict.to_json()
         if n >= 2:
@@ -248,7 +284,7 @@ def cmd_cf(args) -> int:
     elif args.cf_command == "condition-b":
         if args.s is None:
             raise MalformedInput("condition-b needs --s")
-        s = float(Fraction(args.s))
+        s = float(_parse_s(args.s))
         rows = dio.condition_B_check(cf, s, args.epsilon, args.big_n, n)
         body["rows"] = [
             {"n": args.big_n + i, "certified": bool(ok)} for i, ok in enumerate(rows)
@@ -405,178 +441,28 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lcm(values) -> int:
-    import math
-
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def cmd_singular(args) -> int:
-    from .diophantine import LiouvilleWitness, scale_witness
-    from .singular import (
-        build_expliouville_J,
-        build_product,
-        build_prop51,
-        build_prop52,
-        build_rational_J,
-        fit_lower_bound_power,
-    )
-    from .system import SystemSpec, classify_system
+    from .singular import build_obstruction, fit_lower_bound_power
 
     spec = _load_spec(args)
-    analysis, dio_verdict, verdict = classify_system(spec)
-    if verdict.decision != "NotHypoelliptic":
-        raise RefusedHypoelliptic(
-            f"the system is not certified irregular (verdict: {verdict.decision}); "
-            f"{verdict.explanation}"
-        )
-    order = spec.order
-    s = order.s if order.is_gevrey else 2.0
-
-    J = list(analysis.J)
-    rest = [j for j in range(1, spec.n + 1) if j not in J]
-
-    # Common ladder multiple: clear every rational denominator in sight.
-    denoms = []
-    for j in range(1, spec.n + 1):
-        a0 = analysis.a0[j - 1]
-        if a0.is_rational:
-            denoms.append(a0.approx_fraction().denominator)
-    q = _lcm(denoms) if denoms else 1
-    k_max = max(1, args.xi_max // q)
-    xi_top = q * k_max
-
-    # Materialized n-dimensional blocks are limited two ways (the scalar
-    # certificate tables are grid-free and always cover the full ladder):
-    # every integer phase written to the field must stay below the grid
-    # Nyquist limit, and the total sample count must fit a fixed budget.
-    # The field may live on a coarser divisor grid — grid data are pointwise
-    # samples, so striding is exact — picked to maximize the dense rungs.
-    rate = max(
-        (abs(float(analysis.a0[j - 1].mpf())) for j in range(1, spec.n + 1)),
-        default=0.0,
+    ob = build_obstruction(
+        spec, xi_max=args.xi_max, grid=args.grid, field_cap=args.field_cap
     )
-
-    def _cap_for(g: int) -> int:
-        safe = g // 2 - max(8, g // 8)
-        cap = min(args.field_cap, xi_top)
-        if rate > 0:
-            cap = min(cap, int(safe / rate))
-        return max(cap, 0)
-
-    choices = []
-    g = args.grid
-    while True:
-        cap = _cap_for(g)
-        count = sum(1 for k in range(1, k_max + 1) if q * k <= cap)
-        count = min(count, _DENSE_SAMPLE_BUDGET // (g**spec.n))
-        choices.append((count, g, cap))
-        if g % 2 or g // 2 < 32:
-            break
-        g //= 2
-    n_dense, field_grid, field_cap = max(choices)
-    dense = [q * k for k in range(1, k_max + 1) if q * k <= field_cap][:n_dense]
-
-    all_rational_J = bool(J) and all(analysis.a0[j - 1].is_rational for j in J)
-    witness_rungs: list = []
-    wuse = None
-    if J and not all_rational_J:
-        if spec.vector_witness is None:
-            raise WitnessMismatch(
-                "the averaged vector over the real tubes is irrational: the "
-                "construction needs an explicit approximation witness "
-                "(vector_witness) and none was supplied"
-            )
-        if not order.is_gevrey:
-            raise WitnessMismatch(
-                "the witness-driven construction is defined on the Gevrey "
-                "scale; rerun with --s"
-            )
-        wsc = scale_witness(spec.vector_witness, q, s)
-        rows = [(r, s_k) for r, s_k in wsc.pairs if s_k <= xi_top]
-        if not rows:
-            raise WitnessMismatch(
-                f"no witness row has denominator <= {xi_top}; raise --xi-max"
-            )
-        wuse = LiouvilleWitness(
-            delta=wsc.delta, pairs=rows, bound_scale=wsc.bound_scale
-        )
-        witness_rungs = [s_k for _, s_k in rows]
-
-    dense_all = sorted(set(dense) | set(witness_rungs))
-    per_tube_cap = max(dense_all, default=0)
-
-    per_tube = []
-    chain = []
-    for j in rest:
-        a0 = analysis.a0[j - 1]
-        b = spec.tubes[j - 1].b
-        b0 = analysis.b0[j - 1]
-        b0_zero = b0.is_rational and b0.approx_fraction() == 0
-        if a0.is_rational and b0_zero:
-            frac = a0.approx_fraction()
-            qj = frac.denominator
-            sol = build_prop51(
-                frac,
-                b,
-                0,
-                grid_size=args.grid,
-                ladder=[(q * k) // qj for k in range(1, k_max + 1)],
-            )
-        else:
-            sol = build_prop52(
-                a0,
-                b,
-                s,
-                xi_top,
-                grid_size=args.grid,
-                field_xi_cap=per_tube_cap,
-                fit_window=(max(8, xi_top // 8), xi_top),
-            )
-        per_tube.append(sol)
-        chain.append({"tube": j, "construction": sol.construction})
-
-    solution = None
-    if rest:
-        sub = SystemSpec(
-            n=len(rest), tubes=[spec.tubes[j - 1] for j in rest], order=order
-        )
-        solution = build_product(
-            sub, per_tube, q, k_max,
-            dense_rungs=dense_all,
-            field_grid=field_grid,
-        )
-
-    if J:
-        if all_rational_J:
-            solution = build_rational_J(
-                spec, solution, q, k_max=k_max, dense_rungs=dense,
-                grid_size=field_grid,
-            )
-            chain.append({"tubes": J, "construction": "RationalJ"})
-        else:
-            solution = build_expliouville_J(
-                spec, wuse, solution, q, grid_size=field_grid
-            )
-            chain.append({"tubes": J, "construction": "ExpLiouvilleJ"})
-
+    solution = ob.solution
     table = solution.certificates["lower_bound_table"]
     body = {
         "construction": solution.construction,
-        "chain": chain,
-        "q": q,
-        "k_max": k_max,
-        "field_cap": field_cap,
+        "chain": ob.chain,
+        "q": ob.q,
+        "k_max": ob.k_max,
+        "field_cap": ob.field_cap,
         "field_grid": solution.coefficients.grid_size,
         "dense_rungs": len(solution.coefficients.xi_values),
         "m": solution.certificates.get("m", 0),
         "ladder_head": solution.ladder[:8],
         "ladder_size": len(solution.ladder),
         "lower_bound_head": table[:8],
-        "verdict": verdict.to_json(),
+        "verdict": ob.verdict.to_json(),
     }
     if len(table) >= 8:
         body["table_power_fit"] = fit_lower_bound_power(solution)
@@ -586,7 +472,7 @@ def cmd_singular(args) -> int:
         body["row_checks"] = solution.certificates["row_checks"]
 
     with open(args.out_solution, "w", encoding="utf-8") as fh:
-        json.dump(solution.to_json_obj(), fh)
+        _write_json(solution.to_json_obj(), fh)
     body["output"] = args.out_solution
 
     report = Report(
@@ -615,12 +501,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_arg=True):
-        if spec_arg:
-            p.add_argument("spec", help="system spec JSON path")
+    def common(p):
+        p.add_argument("spec", help="system spec JSON path")
         p.add_argument("--s", default=None, help="Gevrey order (decimal or rational, e.g. 2 or 3/2)")
         p.add_argument("--mode", choices=("gevrey", "smooth"), default=None)
-        p.add_argument("--precision", type=int, default=60, help="digits for constant evaluation")
         p.add_argument("--out", default=None, help="also write the report to this path")
 
     p = sub.add_parser("classify", help="decide global regularity")
@@ -645,6 +529,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("rhs", help="right-hand side field (JSON, or binary .bin/.tff)")
     p.add_argument("out_field", help="output path for the solution field")
     p.add_argument("--modes", type=int, default=None, help="internal mode count override")
+    p.add_argument(
+        "--precision",
+        type=int,
+        default=60,
+        help="significant digits of the averaged constants in the division route",
+    )
 
     p = sub.add_parser("normalform", help="averaging gauge and normalized system")
     common(p)

@@ -33,15 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-import mpmath
 from mpmath import mp, workdps
 
 from .errors import (
     DigitCapExceeded,
     DigitStreamExhausted,
-    InsufficientData,
     MalformedInput,
     NonPositiveDigit,
     OrderError,
@@ -358,10 +356,6 @@ class ContinuedFraction:
         self._ensure(n)
         return self._ln_q[n]
 
-    def log_p(self, n: int):
-        self._ensure(n)
-        return self._ln_p[n]
-
     def q_decimal_digits(self, n: int) -> int:
         with workdps(LOG_DPS):
             return int(self.log_q(n) / mp.log(10)) + 1
@@ -409,7 +403,16 @@ class ContinuedFraction:
 
 
 def _decimal_size(x: int) -> int:
-    return len(str(abs(x)))
+    """Decimal digit count of |x| (1 for 0), without an int→str conversion
+    (which CPython refuses past 4300 digits).
+
+    With b = bit_length, |x| has floor(b·log10 2) + 1 digits or one fewer,
+    and one comparison decides.  The float product is exact enough below a
+    million digits: there b·log10 2 stays over 1e-7 away from any integer.
+    """
+    x = abs(x) or 1
+    d = int(x.bit_length() * math.log10(2)) + 1
+    return d if x >= 10 ** (d - 1) else d - 1
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +848,8 @@ class RealConstant:
         if isinstance(obj, int):
             return cls.from_fraction(obj)
         if isinstance(obj, float):
+            if not math.isfinite(obj):
+                raise MalformedInput(f"non-finite real constant {obj!r}")
             return cls.from_float(obj)
         if isinstance(obj, dict) and "cf" in obj:
             return cls.from_cf(ContinuedFraction(digit_stream_from_json(obj["cf"])))

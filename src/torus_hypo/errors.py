@@ -54,10 +54,6 @@ class OrderError(TorusHypoError):
 
 # --- system analysis -------------------------------------------------------
 
-class UncertifiableSign(TorusHypoError):
-    """No sign profile could be certified at maximal grid refinement."""
-
-
 class MissingClassification(TorusHypoError):
     """A Diophantine classification is required but was not supplied."""
 

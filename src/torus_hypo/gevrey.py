@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import GeometryError, InsufficientData, OrderError, OutOfRange
+from .errors import GeometryError, InsufficientData, MalformedInput, OrderError, OutOfRange
 
 Coeff = Union[Fraction, int, float]
 
@@ -271,7 +271,7 @@ class TrigPoly:
         if isinstance(obj, (int, float, str)):
             return cls(const=_parse_coeff(obj))
         if not isinstance(obj, dict):
-            raise TypeError(f"cannot parse TrigPoly from {obj!r}")
+            raise MalformedInput(f"cannot parse TrigPoly from {obj!r}")
         return cls(
             const=_parse_coeff(obj.get("const", 0)),
             cos=tuple(_parse_coeff(c) for c in obj.get("cos", ())),
@@ -288,12 +288,14 @@ def _parse_coeff(x) -> Coeff:
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, bool):
-        raise TypeError("boolean is not a coefficient")
+        raise MalformedInput("boolean is not a coefficient")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise MalformedInput(f"non-finite coefficient {x!r}")
         return x
-    raise TypeError(f"unsupported coefficient {x!r}")
+    raise MalformedInput(f"unsupported coefficient {x!r}")
 
 
 def _div(x: Coeff, k: int) -> Coeff:
@@ -469,6 +471,16 @@ class GevreyWitness:
         }
 
 
+def least_squares(design: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares coefficients of ``design @ coef ≈ y`` and the fit's R²
+    (1 when ``y`` is constant)."""
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    pred = design @ coef
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum((y - pred) ** 2)) / ss_tot
+    return coef, r2
+
+
 def _coeff_items(coeffs) -> Iterable:
     if isinstance(coeffs, Mapping):
         return coeffs.items()
@@ -524,7 +536,7 @@ def estimate_decay(
     design = np.column_stack([np.ones_like(x), np.log(x), x ** (1.0 / s)])
 
     keep = np.ones(len(x), dtype=bool)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coef, r2 = least_squares(design, y)
     if envelope:
         # Iterative one-sided trim toward the upper envelope.  Clean
         # monotone data is never trimmed (all residuals stay small).
@@ -536,11 +548,7 @@ def estimate_decay(
             if bool(np.all(new_keep == keep)):
                 break
             keep = new_keep
-            coef, *_ = np.linalg.lstsq(design[keep], y[keep], rcond=None)
-    pred = design[keep] @ coef
-    ss_res = float(np.sum((y[keep] - pred) ** 2))
-    ss_tot = float(np.sum((y[keep] - np.mean(y[keep])) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+            coef, r2 = least_squares(design[keep], y[keep])
     eps_hat = -float(coef[2])
     return GevreyWitness(
         s=s,
@@ -552,16 +560,6 @@ def estimate_decay(
         h_fitted=False,
         n_points=int(keep.sum()),
     )
-
-
-def log_magnitude_table(values: Mapping[int, float]) -> dict:
-    """Convenience: keep only positive finite magnitudes, as ln-values."""
-    out = {}
-    for xi, mag in values.items():
-        mag = float(mag)
-        if mag > 0 and math.isfinite(mag):
-            out[int(xi)] = math.log(mag)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +700,6 @@ def make_cutoff(
     support: tuple,
     plateau: tuple,
     verify: bool = True,
-    fit_window: tuple = (32, 2048),
 ) -> GevreyCutoff:
     """Build the order-s cutoff for plateau strictly inside support inside (0, 2pi).
 
@@ -710,8 +707,8 @@ def make_cutoff(
     psi(x) = exp(-x^{-1/(s-1)}):  phi(t) = h((t-l)/(l'-l)) * h((r-t)/(r-r')).
     With ``verify`` the Fourier coefficients are computed in extended
     precision (the true tail lies below the float64 FFT noise floor), fitted
-    at order s over ``fit_window``, and the witness stored on the returned
-    object.
+    at order s over frequencies 32..2048, and the witness stored on the
+    returned object.
     """
     if s <= 1:
         raise OrderError(f"order-s cutoffs require s > 1, got s={s}")
@@ -731,7 +728,5 @@ def make_cutoff(
     cut = GevreyCutoff(s=float(s), support=(l, r), plateau=(l2, r2), evaluator=evaluator)
     if verify:
         mags = cut.fourier_magnitudes_hiprec()
-        cut.witness = estimate_decay(
-            mags, s, xi_min=fit_window[0], xi_max=fit_window[1], envelope=True
-        )
+        cut.witness = estimate_decay(mags, s, xi_min=32, xi_max=2048, envelope=True)
     return cut

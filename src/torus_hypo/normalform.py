@@ -25,7 +25,7 @@ import numpy as np
 
 from .diophantine import RealConstant
 from .errors import GridMismatch, MalformedInput, OutOfRange
-from .gevrey import TrigPoly, exp_composition_derivatives
+from .gevrey import TrigPoly, exp_composition_derivatives, least_squares
 from .solver import FourierField, apply_tube_operator
 from .system import SystemSpec, Tube, average
 
@@ -210,11 +210,7 @@ def gauge_derivative_growth(
 
     alphas = np.arange(1, alpha_max + 1, dtype=float)
     ln_m = np.log(np.maximum(M[1:], 1e-300))
-    design = np.column_stack([np.ones_like(alphas), alphas])
-    coef, *_ = np.linalg.lstsq(design, ln_m, rcond=None)
-    pred = design @ coef
-    ss_tot = float(np.sum((ln_m - ln_m.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum((ln_m - pred) ** 2)) / ss_tot
+    coef, r2 = least_squares(np.column_stack([np.ones_like(alphas), alphas]), ln_m)
     return {
         "orders": list(range(alpha_max + 1)),
         "bounds": M.tolist(),

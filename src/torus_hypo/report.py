@@ -15,6 +15,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,35 +41,42 @@ def _canon_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _canon(obj) -> str:
+def _int_text(n: int) -> str:
+    """Decimal text of an int of any size (``str`` refuses past 4300 digits)."""
+    return str(Decimal(n))
+
+
+def canonical_json(obj) -> str:
+    """Canonical rendering: sorted keys, fixed 17-digit floats, no spaces."""
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
     if isinstance(obj, (np.bool_,)):
         return json.dumps(bool(obj))
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return _int_text(int(obj))
+    if isinstance(obj, Fraction):
+        # the string str(Fraction) gives: "p/q", or "p" when q = 1
+        text = _int_text(obj.numerator)
+        if obj.denominator != 1:
+            text += "/" + _int_text(obj.denominator)
+        return json.dumps(text)
     if isinstance(obj, (float, np.floating)):
         return _canon_float(float(obj))
     if isinstance(obj, complex):
-        return _canon({"im": obj.imag, "re": obj.real})
+        return canonical_json({"im": obj.imag, "re": obj.real})
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        inner = ",".join(f"{json.dumps(str(k))}:{_canon(v)}" for k, v in items)
+        inner = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in items)
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canon(v) for v in obj) + "]"
+        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        return _canon(obj.tolist())
+        return canonical_json(obj.tolist())
     if hasattr(obj, "to_json"):
-        return _canon(obj.to_json())
+        return canonical_json(obj.to_json())
     raise MalformedInput(f"cannot serialize {type(obj).__name__} canonically")
-
-
-def canonical_json(obj) -> str:
-    """Canonical rendering: sorted keys, fixed 17-digit floats, no spaces."""
-    return _canon(obj)
 
 
 def input_digest(path) -> str:
@@ -105,10 +114,3 @@ class Report:
 
     def to_text(self) -> str:
         return canonical_json(self.to_obj()) + "\n"
-
-    def to_bytes(self) -> bytes:
-        return self.to_text().encode("utf-8")
-
-    def write(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())

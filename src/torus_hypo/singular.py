@@ -17,6 +17,11 @@ certificate of the defining lower bounds.  Two single-tube mechanisms exist:
 Products over tubes (:func:`build_product`) and the two lifts to systems with
 identically-real tubes (:func:`build_rational_J`, :func:`build_expliouville_J`)
 assemble the single-tube families into full obstructions.
+
+:func:`build_obstruction` is the pipeline entry point: it refuses systems
+that are not certified irregular, chooses the ladder and the materialized
+field, dispatches each tube to Prop51 or Prop52, and chains the product and
+the lift over the identically-real tubes.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diophantine import LiouvilleWitness, RealConstant, verify_witness_rows
+from .diophantine import LiouvilleWitness, RealConstant, scale_witness, verify_witness_rows
 from .errors import (
     GridMismatch,
     IntegralityError,
@@ -37,15 +42,26 @@ from .errors import (
     MeanNotZero,
     OrderError,
     ProfileError,
+    RefusedHypoelliptic,
     WitnessMismatch,
 )
-from .gevrey import GevreyCutoff, TrigPoly, estimate_decay, make_cutoff
+from .gevrey import GevreyCutoff, TrigPoly, estimate_decay, least_squares, make_cutoff
 from .solver import FourierField, apply_tube_operator
-from .system import CHANGES_SIGN, SystemSpec, Tube, analyze, sign_analysis
+from .system import (
+    CHANGES_SIGN,
+    NOT_HYPOELLIPTIC,
+    SystemAnalysis,
+    SystemSpec,
+    Verdict,
+    classify_system,
+    sign_analysis,
+)
 
 __all__ = [
     "LaplaceProfile",
+    "Obstruction",
     "SingularSolution",
+    "build_obstruction",
     "build_prop51",
     "locate_laplace_profile",
     "build_prop52",
@@ -57,9 +73,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-#: Ladder rungs up to this frequency also get dense t-grid coefficient
-#: blocks in build_prop52 (certificate tables always cover the full range).
-DEFAULT_FIELD_XI_CAP = 64
+#: Complex samples allowed in a singular solution's materialized blocks.
+_DENSE_SAMPLE_BUDGET = 1 << 19
 
 
 def _integer_phase(m: int, grid: int) -> np.ndarray:
@@ -134,18 +149,14 @@ class SingularSolution:
                 return float(row[1])
         raise LadderMismatch(f"no certified lower bound at xi={xi}")
 
-    def certificate_block(self) -> dict:
-        block = {
-            "construction": self.construction,
-            "ladder": self.ladder,
-        }
-        block.update(self.certificates)
-        return block
-
     def to_json_obj(self) -> dict:
         return {
             "field": self.coefficients.to_json_obj(),
-            "certificate": self.certificate_block(),
+            "certificate": {
+                "construction": self.construction,
+                "ladder": self.ladder,
+                **self.certificates,
+            },
             "rhs": {str(j): f.to_json_obj() for j, f in self.rhs.items()},
         }
 
@@ -153,18 +164,6 @@ class SingularSolution:
 # ---------------------------------------------------------------------------
 # Rational-average single tube
 # ---------------------------------------------------------------------------
-
-
-def _as_fraction(a0) -> Fraction:
-    if isinstance(a0, RealConstant):
-        if not a0.is_rational:
-            raise MalformedInput("this construction requires a rational average")
-        return a0.approx_fraction()
-    if isinstance(a0, (Fraction, int)):
-        return Fraction(a0)
-    if isinstance(a0, str):
-        return Fraction(a0)
-    raise MalformedInput(f"cannot interpret {a0!r} as an exact rational")
 
 
 def _argmax_trigpoly(p: TrigPoly, n_grid: int = 8192) -> float:
@@ -191,12 +190,11 @@ def _argmax_trigpoly(p: TrigPoly, n_grid: int = 8192) -> float:
 
 
 def build_prop51(
-    a0,
+    a0: Fraction,
     b: TrigPoly,
-    k_max: int,
     *,
-    grid_size: int = 256,
-    ladder: Sequence[int] | None = None,
+    ladder: Sequence[int],
+    grid_size: int,
 ) -> SingularSolution:
     """Homogeneous ladder solutions for a rational average p/q.
 
@@ -205,17 +203,16 @@ def build_prop51(
     Every rung kills the tube operator exactly, ``|û(t_0, qk)| = 1`` for all
     k (the certified lower bound), and ``|û(t, qk)| ≤ 1`` everywhere.
 
-    ``ladder`` optionally selects the multipliers k explicitly (sparse
-    ladders for the resampling constructions); default is 1..k_max.
+    ``ladder`` lists the multipliers k.
     """
     if not isinstance(b, TrigPoly):
         raise MalformedInput("b must be a TrigPoly")
     mean = b.mean()
     if not (mean == 0 if b.is_exact else abs(float(mean)) < 1e-14):
         raise MeanNotZero(f"b must have zero mean, got {mean}")
-    frac = _as_fraction(a0)
+    frac = Fraction(a0)
     q = frac.denominator
-    ks = [int(k) for k in (ladder if ladder is not None else range(1, k_max + 1))]
+    ks = [int(k) for k in ladder]
     if not ks or any(k < 1 for k in ks):
         raise MalformedInput("ladder multipliers must be positive")
 
@@ -256,8 +253,16 @@ def build_prop51(
 # ---------------------------------------------------------------------------
 
 
-def _locate_forward(b: TrigPoly) -> LaplaceProfile:
-    """Maximize G(t, r) = ∫_{t−r}^{t} b over [0, 2π]²."""
+def locate_laplace_profile(b: TrigPoly) -> LaplaceProfile:
+    """Peak of the kernel exponent G(t, r) = ∫_{t−r}^{t} b for a certified
+    sign-changing ``b``.
+
+    Grid search on a 1024² lattice over [0, 2π]² (deterministic
+    lexicographic tie-break) followed by Newton refinement of the
+    critical-point system ``b(t) = b(t−r) = 0`` to ~1e−12.
+    """
+    if sign_analysis(b) != CHANGES_SIGN:
+        raise ProfileError("profile location requires a certified sign-changing b")
     b0 = float(b.mean())
     Bper = b.primitive_from_zero()
     n = 1024
@@ -313,35 +318,6 @@ def _locate_forward(b: TrigPoly) -> LaplaceProfile:
     )
 
 
-def locate_laplace_profile(b: TrigPoly, a0, mirror: bool = False) -> LaplaceProfile:
-    """Peak of the kernel exponent for a certified sign-changing ``b``.
-
-    Grid search on a 1024² lattice (deterministic lexicographic tie-break)
-    followed by Newton refinement of the critical-point system
-    ``b(t) = b(t−r) = 0`` to ~1e−12.  With ``mirror=True`` the quantity
-    minimized is ``∫_t^{t+r} b`` (the ``b_0 > 0`` branch): computed by
-    reflecting ``b(t) ↦ −b(−t)``, reusing the forward path, and mapping the
-    peak back (``B0`` and the curvature change sign, ``t0 ↦ −t0``).
-
-    ``a0`` does not enter the landscape; it is accepted for interface
-    symmetry with the builders.
-    """
-    del a0
-    if sign_analysis(b) != CHANGES_SIGN:
-        raise ProfileError("profile location requires a certified sign-changing b")
-    if not mirror:
-        return _locate_forward(b)
-    reflected = b.reflect().scale(-1)  # c(t) = -b(-t)
-    p = _locate_forward(reflected)
-    return LaplaceProfile(
-        B0=-p.B0,
-        t0=(-p.t0) % TWO_PI,
-        r0=p.r0,
-        psi_curvature=-p.psi_curvature,
-        mirror=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Irrational-average single tube (Laplace construction)
 # ---------------------------------------------------------------------------
@@ -359,11 +335,7 @@ def _power_fit(table: dict, lo: int, hi: int) -> dict:
         raise MalformedInput("power fit needs at least 4 usable rows")
     x = np.log(np.asarray(xs, dtype=float))
     y = np.log(np.asarray([table[k] for k in xs], dtype=float))
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    pred = design @ coef
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum((y - pred) ** 2)) / ss_tot
+    coef, r2 = least_squares(np.column_stack([np.ones_like(x), x]), y)
     return {
         "power": float(coef[1]),
         "C": math.exp(float(coef[0])),
@@ -372,23 +344,16 @@ def _power_fit(table: dict, lo: int, hi: int) -> dict:
     }
 
 
-def fit_lower_bound_power(
-    solution: SingularSolution, lo: int | None = None, hi: int | None = None
-) -> dict:
-    """Power-law fit of a solution's certified lower-bound table.
-
-    Defaults: fit over [max(16, 4·min rung), max rung].  A product of m
-    Laplace-type tubes should fit power ≈ −m/2.
+def fit_lower_bound_power(solution: SingularSolution) -> dict:
+    """Power-law fit of a solution's certified lower-bound table over
+    [max(16, 4·min rung), max rung].  A product of m Laplace-type tubes
+    should fit power ≈ −m/2.
     """
     table = {int(xi): float(v) for xi, v in solution.certificates["lower_bound_table"]}
     rungs = sorted(table)
     if not rungs:
         raise MalformedInput("solution carries no certified lower bounds")
-    if lo is None:
-        lo = max(16, 4 * rungs[0])
-    if hi is None:
-        hi = rungs[-1]
-    return _power_fit(table, int(lo), int(hi))
+    return _power_fit(table, max(16, 4 * rungs[0]), rungs[-1])
 
 
 def _build_prop52_forward(
@@ -400,7 +365,7 @@ def _build_prop52_forward(
     grid_size: int,
 ) -> tuple:
     """Core construction for the b0 ≤ 0 branch; returns (field, rhs, cert)."""
-    profile = locate_laplace_profile(b, a0_value, mirror=False)
+    profile = locate_laplace_profile(b)
     b0 = float(b.mean())
     Bper = b.primitive_from_zero()
 
@@ -500,14 +465,13 @@ def _build_prop52_forward(
 
 
 def build_prop52(
-    a0,
+    a0: RealConstant,
     b: TrigPoly,
     s: float,
     xi_max: int,
     *,
-    grid_size: int = 128,
-    field_xi_cap: int = DEFAULT_FIELD_XI_CAP,
-    fit_window: tuple = (64, None),
+    grid_size: int,
+    field_xi_cap: int,
 ) -> SingularSolution:
     """Laplace-peak solutions: Gevrey right-hand side, non-Gevrey solution.
 
@@ -520,8 +484,10 @@ def build_prop52(
     with φ a Gevrey-s cutoff at the peak foot; the matching right-hand side
     is ``f̂(t, ξ) = (1 − e^{−i2πξc_0}) e^{−B_0 ξ} e^{−iξa_0(t−t_0)} φ(t)``.
     Certificates store |û(t_0, ξ)| for ξ ≤ xi_max (the ``C·ξ^{−1/2}`` table),
-    the closed-form |f̂| table, the fitted peak power / stretched-exponential
-    rates, and the proof-side constant √(π/A) for comparison.
+    the closed-form |f̂| table, the peak power / stretched-exponential rates
+    fitted over [max(8, xi_max/8), xi_max], and the proof-side constant
+    √(π/A) for comparison.  Coefficient blocks are materialized for
+    ξ ≤ field_xi_cap.
 
     The solution rows are produced by the exact periodic solution operator
     (holonomy-phased wrap of the bump), so the stored pair satisfies the tube
@@ -533,12 +499,7 @@ def build_prop52(
         raise OrderError(f"Gevrey order must exceed 1, got s={s}")
     if xi_max < 8:
         raise MalformedInput("xi_max must be at least 8")
-    if isinstance(a0, RealConstant):
-        a0_value = float(a0)
-        a0_json = a0.to_json()
-    else:
-        a0_value = float(a0)
-        a0_json = a0_value
+    a0_value = float(a0)
     b0 = float(b.mean())
     mirror = b0 > 0
 
@@ -570,8 +531,7 @@ def build_prop52(
         cert["t0"] = profile.t0
         cert["mirror_mapped"] = True
 
-    lo = int(fit_window[0])
-    hi = int(fit_window[1]) if fit_window[1] is not None else xi_max
+    lo, hi = max(8, xi_max // 8), xi_max
     peak_fit = _power_fit(u_table, lo, hi)
     u_decay = estimate_decay(u_table, s, xi_min=lo, xi_max=hi)
     f_decay = estimate_decay(f_table, s, xi_min=lo, xi_max=hi)
@@ -583,7 +543,7 @@ def build_prop52(
         "fit_window": [lo, hi],
         "order": s,
     }
-    cert["a0"] = a0_json
+    cert["a0"] = a0.to_json()
 
     sol = SingularSolution(
         construction="Prop52",
@@ -601,43 +561,36 @@ def build_prop52(
 
 
 def build_product(
-    spec: SystemSpec,
     per_tube: Sequence[SingularSolution],
     q: int,
     k_max: int,
     *,
-    ladder: Sequence[int] | None = None,
-    dense_rungs: Sequence[int] | None = None,
-    field_grid: int | None = None,
+    dense_rungs: Sequence[int],
+    field_grid: int,
 ) -> SingularSolution:
-    """Tensor the per-tube ladders: û(t, qk) = ∏_j û_j(t_j, qk).
+    """Tensor the per-tube ladders: û(t, qk) = ∏_j û_j(t_j, qk), one
+    t-variable per tube solution.
 
     The certified lower bound per rung is the product of the stored per-tube
-    bounds, exactly as stored, for the whole ladder qk (k = 1..k_max, or the
-    explicit ``ladder`` of multipliers).  The n-dimensional coefficient
-    blocks are materialized only on ``dense_rungs`` (default: every rung);
-    the bound table is grid-free and covers the full ladder either way.
-    Every per-tube solution must carry a coefficient block at each dense
-    rung; missing rungs raise :class:`LadderMismatch`.  ``m`` counts the
-    Laplace-type factors (fitted decay ``(C/√ξ)^m``).
+    bounds, exactly as stored, for the whole ladder qk (k = 1..k_max).  The
+    n-dimensional coefficient blocks are materialized only on the rungs in
+    ``dense_rungs``; the bound table is grid-free and covers the full ladder
+    either way.  Every per-tube solution must carry a coefficient block at
+    each dense rung; missing rungs raise :class:`LadderMismatch`.  ``m``
+    counts the Laplace-type factors (fitted decay ``(C/√ξ)^m``).
 
-    ``field_grid`` materializes the blocks on a coarser grid (a divisor of
-    the per-tube grid): grid data are pointwise samples, so striding them is
-    exact and keeps n-dimensional blocks small.
+    ``field_grid`` materializes the blocks on a grid dividing the per-tube
+    grid: grid data are pointwise samples, so striding them is exact and
+    keeps n-dimensional blocks small.
     """
-    n = spec.n
-    if len(per_tube) != n:
-        raise LadderMismatch(f"need one tube solution per variable ({n}), got {len(per_tube)}")
+    n = len(per_tube)
     q = int(q)
     if q < 1:
         raise MalformedInput("q must be a positive integer")
-    ks = [int(k) for k in (ladder if ladder is not None else range(1, k_max + 1))]
-    rungs = [q * k for k in ks]
-    dense = rungs if dense_rungs is None else sorted(
-        {int(xi) for xi in dense_rungs} & set(rungs)
-    )
+    rungs = [q * k for k in range(1, k_max + 1)]
+    dense = sorted({int(xi) for xi in dense_rungs} & set(rungs))
     grid = per_tube[0].coefficients.grid_size
-    out_grid = grid if field_grid is None else int(field_grid)
+    out_grid = int(field_grid)
     if out_grid < 1 or grid % out_grid:
         raise GridMismatch(
             f"field grid {out_grid} must divide the per-tube grid {grid}"
@@ -689,13 +642,12 @@ def build_product(
 # ---------------------------------------------------------------------------
 
 
-def _j_partition(spec: SystemSpec):
-    analysis = analyze(spec)
+def _j_partition(spec: SystemSpec, analysis: SystemAnalysis):
     J = list(analysis.J)
     if not J:
         raise MalformedInput("system has no identically-real tubes")
     rest = [j for j in range(1, spec.n + 1) if j not in J]
-    return analysis, J, rest
+    return J, rest
 
 
 def _embed_factors(n: int, grid: int, axis_vectors: dict, block, block_axes: list):
@@ -717,12 +669,13 @@ def _embed_factors(n: int, grid: int, axis_vectors: dict, block, block_axes: lis
 
 def build_rational_J(
     spec: SystemSpec,
+    analysis: SystemAnalysis,
     v: SingularSolution | None,
     q: int,
     *,
-    k_max: int | None = None,
-    dense_rungs: Sequence[int] | None = None,
-    grid_size: int | None = None,
+    k_max: int,
+    dense_rungs: Sequence[int],
+    grid_size: int,
 ) -> SingularSolution:
     """Lift a product solution across rational-average real tubes.
 
@@ -730,15 +683,16 @@ def build_rational_J(
     ``e^{−iqk a_{j0} t_j}`` (integral frequencies because q·a_{j0} ∈ ℤ —
     :class:`IntegralityError` otherwise), so ``L_j u = 0`` exactly for j in
     the real set; the other tubes keep v's certificates.  When every tube is
-    real (ℓ = n), ``v`` may be None and the rungs are pure phase products
-    with certified bound 1.
+    real (ℓ = n), ``v`` is None and the rungs are pure phase products with
+    certified bound 1.  ``analysis`` is the spec's :class:`SystemAnalysis`.
 
-    Coefficient blocks are materialized where v has them (all-real case: on
-    ``dense_rungs``, default everywhere); the bound table covers the full
-    ladder.  A materialized phase must stay below the grid Nyquist limit so
-    the stored samples determine the mode — :class:`GridMismatch` otherwise.
+    The ladder is qk for k = 1..k_max.  Coefficient blocks are materialized
+    where v has them (all-real case: on ``dense_rungs``, on a ``grid_size``
+    grid); the bound table covers the full ladder.  A materialized phase
+    must stay below the grid Nyquist limit so the stored samples determine
+    the mode — :class:`GridMismatch` otherwise.
     """
-    analysis, J, rest = _j_partition(spec)
+    J, rest = _j_partition(spec, analysis)
     q = int(q)
     if q < 1:
         raise MalformedInput("q must be a positive integer")
@@ -756,6 +710,7 @@ def build_rational_J(
             )
         fracs[j] = frac
 
+    rungs = [q * k for k in range(1, k_max + 1)]
     if rest:
         if v is None:
             raise MalformedInput("v is required when some tubes are not identically real")
@@ -764,18 +719,10 @@ def build_rational_J(
                 f"v covers {v.coefficients.n} variables but {len(rest)} tubes are not real"
             )
         grid = v.coefficients.grid_size
-        rungs = [q * k for k in range(1, k_max + 1)] if k_max is not None else list(v.ladder)
-        if any(xi % q for xi in rungs):
-            raise LadderMismatch("v's ladder is not supported on multiples of q")
         dense = [xi for xi in rungs if v.coefficients.has_xi(xi)]
     else:
-        if k_max is None:
-            raise MalformedInput("k_max is required when all tubes are real")
-        grid = grid_size if grid_size is not None else 128
-        rungs = [q * k for k in range(1, k_max + 1)]
-        dense = rungs if dense_rungs is None else sorted(
-            {int(xi) for xi in dense_rungs} & set(rungs)
-        )
+        grid = grid_size
+        dense = sorted({int(xi) for xi in dense_rungs} & set(rungs))
 
     out = FourierField(n=n, grid_size=grid)
     for xi in dense:
@@ -845,11 +792,12 @@ def _ln_abs_fraction(x: Fraction) -> float:
 
 def build_expliouville_J(
     spec: SystemSpec,
+    analysis: SystemAnalysis,
     witness: LiouvilleWitness,
     v: SingularSolution | None,
     q: int,
     *,
-    grid_size: int | None = None,
+    grid_size: int,
 ) -> SingularSolution:
     """Lift across irrational real tubes along a fast-approximation ladder.
 
@@ -861,14 +809,15 @@ def build_expliouville_J(
     decay at the witness rate — the certificate verifies the row bounds in
     exact arithmetic and stores the per-row divisors.  When every tube is
     real (ℓ = n), ``v`` is None and the rungs are pure phase products with
-    certified bound 1.
+    certified bound 1, on a ``grid_size`` grid.  ``analysis`` is the spec's
+    :class:`SystemAnalysis`.
 
     Witness frequencies may exceed the grid Nyquist limit: the stored grid
     samples are pointwise-exact values of the phases, but spectral reads of
     such a block (FFT, grid derivatives) need a grid larger than twice the
     largest phase frequency.  The certificate rows are grid-free.
     """
-    analysis, J, rest = _j_partition(spec)
+    J, rest = _j_partition(spec, analysis)
     q = int(q)
     ell = len(J)
     order = spec.order
@@ -906,10 +855,7 @@ def build_expliouville_J(
         raise WitnessMismatch("every tube is identically real; v must be None")
 
     n = spec.n
-    if v is not None:
-        grid = v.coefficients.grid_size
-    else:
-        grid = grid_size if grid_size is not None else 128
+    grid = v.coefficients.grid_size if v is not None else grid_size
     out = FourierField(n=n, grid_size=grid)
     rhs = {j: FourierField(n=n, grid_size=grid) for j in J}
 
@@ -983,3 +929,145 @@ def build_expliouville_J(
     )
     sol.rhs = rhs
     return sol
+
+
+# ---------------------------------------------------------------------------
+# The obstruction pipeline
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Obstruction:
+    """A certified obstruction with the verdict that licenses it and the
+    choices that shaped it: the per-tube and lift constructions in order
+    (``chain``), the ladder factor ``q``, the top multiplier ``k_max`` and
+    the highest materialized rung ``field_cap``."""
+
+    solution: SingularSolution
+    verdict: Verdict
+    chain: list
+    q: int
+    k_max: int
+    field_cap: int
+
+
+def build_obstruction(
+    spec: SystemSpec, *, xi_max: int, grid: int, field_cap: int
+) -> Obstruction:
+    """Build the slow-decay family of a system certified not regular.
+
+    Raises :class:`RefusedHypoelliptic` unless the verdict is
+    NotHypoelliptic.  The ladder is qk for k = 1..max(1, xi_max // q), with
+    q the least common multiple of the rational averages' denominators.
+    Each tube with nonvanishing b gets Prop51 (rational average, zero-mean
+    b) or Prop52 on ``grid``; their product is lifted across the
+    identically-real tubes (RationalJ, or ExpLiouvilleJ along the spec's
+    rescaled ``vector_witness``).  Coefficient blocks are materialized up to
+    ``field_cap`` only, within a fixed sample budget; the certified bound
+    table always covers the full ladder.
+    """
+    analysis, _, verdict = classify_system(spec)
+    if verdict.decision != NOT_HYPOELLIPTIC:
+        raise RefusedHypoelliptic(
+            f"the system is not certified irregular (verdict: {verdict.decision}); "
+            f"{verdict.explanation}"
+        )
+    order = spec.order
+    s = order.s if order.is_gevrey else 2.0
+    J = list(analysis.J)
+    rest = [j for j in range(1, spec.n + 1) if j not in J]
+
+    # Common ladder multiple: clear every rational denominator in sight.
+    q = math.lcm(*(a.approx_fraction().denominator for a in analysis.a0 if a.is_rational))
+    k_max = max(1, xi_max // q)
+    xi_top = q * k_max
+
+    # Materialized n-dimensional blocks are limited two ways (the scalar
+    # certificate tables are grid-free and always cover the full ladder):
+    # every integer phase written to the field must stay below the grid
+    # Nyquist limit, and the total sample count must fit a fixed budget.
+    # The field may live on a coarser divisor grid — grid data are pointwise
+    # samples, so striding is exact — picked to maximize the dense rungs.
+    rate = max(abs(float(a.mpf())) for a in analysis.a0)
+    choices = []
+    g = grid
+    while True:
+        cap = min(field_cap, xi_top)
+        if rate > 0:
+            cap = min(cap, int((g // 2 - max(8, g // 8)) / rate))
+        cap = max(cap, 0)
+        count = min(k_max, cap // q, _DENSE_SAMPLE_BUDGET // (g**spec.n))
+        choices.append((count, g, cap))
+        if g % 2 or g // 2 < 32:
+            break
+        g //= 2
+    n_dense, field_grid, cap = max(choices)
+    dense = [q * k for k in range(1, n_dense + 1)]
+
+    all_rational_J = bool(J) and all(analysis.a0[j - 1].is_rational for j in J)
+    witness = None
+    witness_rungs: list = []
+    if J and not all_rational_J:
+        if spec.vector_witness is None:
+            raise WitnessMismatch(
+                "the averaged vector over the real tubes is irrational: the "
+                "construction needs an explicit approximation witness "
+                "(vector_witness) and none was supplied"
+            )
+        if not order.is_gevrey:
+            raise WitnessMismatch(
+                "the witness-driven construction is defined on the Gevrey "
+                "scale; rerun with --s"
+            )
+        scaled = scale_witness(spec.vector_witness, q, s)
+        rows = [(r, s_k) for r, s_k in scaled.pairs if s_k <= xi_top]
+        if not rows:
+            raise WitnessMismatch(
+                f"no witness row has denominator <= {xi_top}; raise --xi-max"
+            )
+        witness = LiouvilleWitness(
+            delta=scaled.delta, pairs=rows, bound_scale=scaled.bound_scale
+        )
+        witness_rungs = [s_k for _, s_k in rows]
+    dense_all = sorted(set(dense) | set(witness_rungs))
+
+    per_tube = []
+    chain = []
+    for j in rest:
+        a0 = analysis.a0[j - 1]
+        b0 = analysis.b0[j - 1]
+        b = spec.tubes[j - 1].b
+        if a0.is_rational and b0.is_rational and b0.approx_fraction() == 0:
+            frac = a0.approx_fraction()
+            sol = build_prop51(
+                frac,
+                b,
+                ladder=[(q * k) // frac.denominator for k in range(1, k_max + 1)],
+                grid_size=grid,
+            )
+        else:
+            sol = build_prop52(
+                a0, b, s, xi_top, grid_size=grid, field_xi_cap=max(dense_all, default=0)
+            )
+        per_tube.append(sol)
+        chain.append({"tube": j, "construction": sol.construction})
+
+    solution = None
+    if rest:
+        solution = build_product(
+            per_tube, q, k_max, dense_rungs=dense_all, field_grid=field_grid
+        )
+    if J:
+        if all_rational_J:
+            solution = build_rational_J(
+                spec, analysis, solution, q,
+                k_max=k_max, dense_rungs=dense, grid_size=field_grid,
+            )
+        else:
+            solution = build_expliouville_J(
+                spec, analysis, witness, solution, q, grid_size=field_grid
+            )
+        chain.append({"tubes": J, "construction": solution.construction})
+    return Obstruction(
+        solution=solution, verdict=verdict, chain=chain, q=q, k_max=k_max, field_cap=cap
+    )

@@ -36,7 +36,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -63,7 +63,6 @@ from .system import (
 
 __all__ = [
     "FourierField",
-    "LaplaceKernel",
     "solve_single_tube",
     "solve_by_division",
     "residual",
@@ -130,12 +129,6 @@ class FourierField:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def zeros(cls, n: int, grid_size: int, xi_values: Iterable[int]) -> "FourierField":
-        shape = (int(grid_size),) * int(n)
-        data = {int(xi): np.zeros(shape, dtype=complex) for xi in xi_values}
-        return cls(n=n, grid_size=grid_size, data=data)
-
-    @classmethod
     def from_modes(cls, n: int, grid_size: int, modes: Mapping) -> "FourierField":
         """Exact synthesis from {(η, ξ): coefficient} (η an int when n = 1).
 
@@ -162,23 +155,6 @@ class FourierField:
                 idx = tuple(e % out.grid_size for e in eta)
                 tensor[idx] = coeff
             out.data[xi] = np.fft.ifftn(tensor) * out.grid_size**out.n
-        return out
-
-    @classmethod
-    def from_function(
-        cls,
-        n: int,
-        grid_size: int,
-        xi_values: Iterable[int],
-        func: Callable,
-    ) -> "FourierField":
-        """Sample ``func(xi, *t_mesh)`` on the tensor grid for each ξ."""
-        out = cls(n=n, grid_size=grid_size)
-        t = out.t_grid()
-        mesh = np.meshgrid(*([t] * out.n), indexing="ij")
-        for xi in xi_values:
-            vals = np.asarray(func(int(xi), *mesh), dtype=complex)
-            out.data[int(xi)] = np.broadcast_to(vals, (out.grid_size,) * out.n).copy()
         return out
 
     def _conform(self, arr) -> np.ndarray:
@@ -413,91 +389,6 @@ class FourierField:
     def load_binary(cls, path) -> "FourierField":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# LaplaceKernel — the closed-form integral-representation data
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaplaceKernel:
-    """Closed-form kernel data of the single-tube solution operator.
-
-    ``H(t, τ) = a0·τ + i∫_{t−τ}^{t} b`` and
-    ``H̃(t, τ) = a0·τ + i∫_{t}^{t+τ} b`` are evaluated analytically through
-    the periodic primitive ``B(t) = ∫_0^t (b − b0)``, never by quadrature:
-
-        ∫_{t−τ}^{t} b = b0·τ + B(t) − B(t−τ).
-
-    When ``b ≤ 0`` this gives Im H ≤ 0, so the forward-frequency kernel
-    ``e^{−iξH}`` is damped for ξ ≥ 1, and the holonomy prefactor
-    ``(1 − e^{−i2πξc0})^{−1}`` is bounded uniformly in ξ ≥ 1 by
-    ``(1 − e^{2πb0})^{−1}``.
-    """
-
-    a0: float
-    b: TrigPoly
-    b0: float
-    B: TrigPoly  # periodic primitive of (b - b0), vanishing at t = 0
-
-    @classmethod
-    def from_coefficients(cls, a0, b: TrigPoly) -> "LaplaceKernel":
-        if not isinstance(b, TrigPoly):
-            raise MalformedInput("imaginary-part profile must be a TrigPoly")
-        return cls(a0=float(a0), b=b, b0=float(b.mean()), B=b.primitive_from_zero())
-
-    @classmethod
-    def from_tube(cls, spec: SystemSpec, tube_index: int) -> "LaplaceKernel":
-        a0, b = _constant_tube_coefficients(spec, tube_index)
-        return cls.from_coefficients(a0, b)
-
-    @property
-    def c0(self) -> complex:
-        return complex(self.a0, self.b0)
-
-    def int_b(self, lower, upper):
-        """∫_lower^upper b(s) ds, vectorized, exact in the trig coefficients."""
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        return self.b0 * (upper - lower) + self.B(upper) - self.B(lower)
-
-    def H(self, t, tau):
-        """Kernel phase for the ξ ≥ 1 route."""
-        t = np.asarray(t, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        return self.a0 * tau + 1j * self.int_b(t - tau, t)
-
-    def H_tilde(self, t, tau):
-        """Kernel phase for the ξ ≤ −1 route."""
-        t = np.asarray(t, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        return self.a0 * tau + 1j * self.int_b(t, t + tau)
-
-    def im_H(self, t, tau):
-        return np.imag(self.H(t, tau))
-
-    def im_H_max(self, ngrid: int = 256) -> float:
-        """max Im H over [0,2π]² — ≤ 0 (to roundoff) whenever b ≤ 0."""
-        u = 2.0 * np.pi * np.arange(ngrid) / ngrid
-        t, tau = np.meshgrid(u, u, indexing="ij")
-        return float(self.im_H(t, tau).max())
-
-    def prefactor(self, xi: int) -> complex:
-        """Holonomy prefactor of the solution integral at frequency ξ ≠ 0."""
-        xi = int(xi)
-        if xi == 0:
-            raise MalformedInput("prefactor undefined at xi = 0")
-        z = np.exp(-2j * np.pi * xi * self.c0)
-        if xi >= 1:
-            return 1.0 / (1.0 - z)
-        return 1.0 / (1.0 / z - 1.0)
-
-    def prefactor_bound(self) -> float:
-        """Uniform bound for |prefactor| on the damped side (ξ·b0-favourable)."""
-        if self.b0 == 0:
-            return math.inf
-        return 1.0 / (1.0 - math.exp(-2.0 * math.pi * abs(self.b0)))
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +798,6 @@ def decay_report(
     *,
     xi_min: int = 16,
     xi_max: int | None = None,
-    envelope: bool = False,
 ) -> GevreyWitness:
     """Fit the Gevrey-s decay of ξ ↦ max_t |û(t, ξ)|."""
     mags = u.magnitudes()
@@ -915,4 +805,4 @@ def decay_report(
         raise InsufficientData(
             f"decay report needs at least 8 frequencies, field has {len(mags)}"
         )
-    return estimate_decay(mags, s, xi_min=xi_min, xi_max=xi_max, envelope=envelope)
+    return estimate_decay(mags, s, xi_min=xi_min, xi_max=xi_max)

@@ -26,7 +26,7 @@ available evidence cannot certify either direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -49,7 +49,6 @@ from .errors import (
     MalformedInput,
     MissingClassification,
     OrderError,
-    UncertifiableSign,
 )
 from .gevrey import TrigPoly
 
@@ -93,6 +92,8 @@ class Order:
         if isinstance(s, (int, Fraction)):
             exact = Fraction(s)
             return cls(kind="gevrey", s=float(exact), s_exact=exact)
+        if not math.isfinite(s):
+            raise MalformedInput(f"non-finite Gevrey order {s!r}")
         return cls(kind="gevrey", s=float(s), s_exact=None)
 
     @classmethod
@@ -117,10 +118,6 @@ class Order:
     @property
     def is_gevrey(self) -> bool:
         return self.kind == "gevrey"
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.kind == "smooth"
 
     def validate_for_decision(self) -> None:
         if self.kind == "analytic":
@@ -159,13 +156,24 @@ class Tube:
         if not isinstance(obj, dict):
             raise MalformedInput(f"tube must be an object, got {obj!r}")
         return cls(
-            a=_coefficient_from_json(obj.get("a", 0)),
-            b=TrigPoly.from_json(obj.get("b")),
+            a=_parse_field("a", _coefficient_from_json, obj.get("a", 0)),
+            b=_parse_field("b", TrigPoly.from_json, obj.get("b")),
         )
 
     def to_json(self) -> dict:
         a = self.a.to_json() if isinstance(self.a, (TrigPoly, RealConstant)) else self.a
         return {"a": a, "b": self.b.to_json()}
+
+
+def _parse_field(name: str, parse, value):
+    """``parse(value)``; a value it cannot parse raises MalformedInput naming
+    the field."""
+    try:
+        return parse(value)
+    except MalformedInput as exc:
+        raise MalformedInput(f"{name}: {exc}") from exc
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"{name}: {type(exc).__name__}: {exc}") from exc
 
 
 def _coefficient_from_json(obj) -> object:
@@ -207,19 +215,28 @@ class SystemSpec:
     def from_json(cls, obj: dict) -> "SystemSpec":
         if not isinstance(obj, dict):
             raise MalformedInput("system spec must be a JSON object")
-        try:
-            tubes = [Tube.from_json(t) for t in obj["tubes"]]
-            n = int(obj.get("n", len(tubes)))
-            order = Order.from_json(obj.get("s", obj.get("order", "smooth")))
-        except KeyError as exc:
-            raise MalformedInput(f"system spec missing field {exc}") from exc
+        if "tubes" not in obj:
+            raise MalformedInput("system spec missing field 'tubes'")
+        if not isinstance(obj["tubes"], list):
+            raise MalformedInput("tubes: expected a list of tube objects")
+        tubes = [
+            _parse_field(f"tubes[{i}]", Tube.from_json, t)
+            for i, t in enumerate(obj["tubes"])
+        ]
+        n = _parse_field("n", int, obj.get("n", len(tubes)))
+        order_key = "s" if "s" in obj else "order"
+        order = _parse_field(order_key, Order.from_json, obj.get(order_key, "smooth"))
         witness = obj.get("vector_witness")
         assertion = obj.get("vector_assertion")
         return cls(
             n=n,
             tubes=tubes,
             order=order,
-            vector_witness=LiouvilleWitness.from_json(witness) if witness else None,
+            vector_witness=(
+                _parse_field("vector_witness", LiouvilleWitness.from_json, witness)
+                if witness
+                else None
+            ),
             vector_assertion=str(assertion) if assertion else None,
         )
 
@@ -249,10 +266,6 @@ class SystemAnalysis:
     @property
     def ell(self) -> int:
         return len(self.J)
-
-    def c0(self, j: int) -> complex:
-        """Averaged complex coefficient of tube j (1-based), as floats."""
-        return complex(float(self.a0[j - 1]), float(self.b0[j - 1]))
 
     def a_J0(self) -> list:
         """The averaged vector over J, in J order."""

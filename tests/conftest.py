@@ -1,4 +1,4 @@
-"""Shared test helpers: fixture paths, CLI runner, acceptance summary hook."""
+"""Shared test helpers: fixture loading and a subprocess CLI runner."""
 
 from __future__ import annotations
 
@@ -7,19 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 PKG_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = PKG_ROOT / "fixtures"
-
-# Populated by tests/test_acceptance.py; echoed after the run so every
-# criterion's pass/fail line is visible in the terminal summary.
-ACCEPTANCE_LINES: list[str] = []
-
-
-@pytest.fixture(scope="session")
-def fixtures_dir() -> Path:
-    return FIXTURES
 
 
 def load_fixture(name: str) -> dict:
@@ -33,10 +22,3 @@ def run_cli(*args: str, timeout: float = 600.0) -> subprocess.CompletedProcess:
     return subprocess.run(
         cmd, capture_output=True, text=True, timeout=timeout, cwd=PKG_ROOT
     )
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if ACCEPTANCE_LINES:
-        terminalreporter.write_sep("=", "acceptance criteria")
-        for line in ACCEPTANCE_LINES:
-            terminalreporter.write_line(line)

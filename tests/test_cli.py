@@ -1,0 +1,201 @@
+"""End-to-end CLI runs, checked byte for byte against golden outputs.
+
+Each case calls ``cli.main`` in-process with a temporary working directory,
+so the artifact paths that ``solve`` and ``singular`` echo are fixed relative
+names.  ``tests/golden/<case>.json`` holds the report the case prints, and
+``tests/golden/manifest.json`` its exit code and the sha256 of its artifact.
+After a deliberate change to the output, regenerate both with
+``PYTHONPATH=src python tests/test_cli.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from torus_hypo import cli
+from torus_hypo.solver import FourierField
+
+TESTS = Path(__file__).resolve().parent
+FIXTURES = TESTS.parent / "fixtures"
+GOLDEN = TESTS / "golden"
+
+SPECS = (
+    "cond1",
+    "crit9_three_tube",
+    "ex63",
+    "ex64_factorial",
+    "ex64_lemmaA_order_s",
+    "ex64_lemmaA_order_sprime",
+    "remark64_pair",
+    "singular_allsign",
+    "singular_expL",
+    "singular_rationalJ",
+    "solve_spec",
+)
+
+#: case name -> argv; "@name" stands for fixtures/name.json
+CASES = {
+    f"{command}-{stem}": [command, f"@{stem}"]
+    for command in ("classify", "diagnose", "normalform")
+    for stem in SPECS
+}
+CASES.update(
+    {
+        "cf-convergents-constant2": ["cf", "convergents", "constant:2", "--n", "8"],
+        "cf-convergents-explicit": ["cf", "convergents", "1,2,3,4,5", "--n", "5"],
+        "cf-bounds-factorial": ["cf", "bounds", "factorial_pow10", "--n", "5"],
+        "cf-classify-factorial": ["cf", "classify", "factorial_pow10", "--s", "2", "--n", "6"],
+        "cf-condition-b-constant3": ["cf", "condition-b", "constant:3", "--s", "2", "--n", "6"],
+    }
+)
+for rhs in ("solve_rhs", "solve_rhs_zero", "solve_rhs_badmean"):
+    CASES[f"solve-{rhs}"] = ["solve", "@solve_spec", f"@{rhs}", "u.json"]
+for stem in ("singular_expL", "singular_rationalJ", "crit9_three_tube", "singular_allsign"):
+    CASES[f"singular-{stem}"] = ["singular", f"@{stem}", "out.json"]
+
+#: the artifact a command writes, relative to the working directory
+ARTIFACTS = {"solve": "u.json", "singular": "out.json"}
+
+
+def _argv(case: str) -> list:
+    return [str(FIXTURES / f"{a[1:]}.json") if a.startswith("@") else a for a in CASES[case]]
+
+
+def run_case(case: str, workdir: Path, keep_artifact: bool = False):
+    """(exit code, report text, artifact sha256 or None) of one case."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(_argv(case))
+    finally:
+        os.chdir(cwd)
+    digest = None
+    artifact = workdir / ARTIFACTS.get(CASES[case][0], "")
+    if artifact.is_file():
+        digest = hashlib.sha256(artifact.read_bytes()).hexdigest()
+        if not keep_artifact:
+            artifact.unlink()
+    return code, out.getvalue(), digest
+
+
+def _manifest() -> dict:
+    with open(GOLDEN / "manifest.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden(case, tmp_path):
+    want = _manifest()[case]
+    code, report, digest = run_case(case, tmp_path)
+    assert code == want["exit"]
+    assert report.encode("utf-8") == (GOLDEN / f"{case}.json").read_bytes()
+    assert digest == want["artifact_sha256"]
+
+
+def test_solve_recovers_manufactured_solution(tmp_path):
+    code, _, _ = run_case("solve-solve_rhs", tmp_path, keep_artifact=True)
+    assert code == 0
+    u = FourierField.load_json(tmp_path / "u.json")
+    u_true = FourierField.load_json(FIXTURES / "solve_u_true.json")
+    assert u.xi_values == u_true.xi_values
+    err = max(float(np.abs(u.values(xi) - u_true.values(xi)).max()) for xi in u.xi_values)
+    assert err < 1e-14
+
+
+def test_subprocess_smoke():
+    from conftest import run_cli
+
+    proc = run_cli("classify", "fixtures/cond1.json")
+    assert proc.returncode == _manifest()["classify-cond1"]["exit"]
+    assert proc.stdout == (GOLDEN / "classify-cond1.json").read_text(encoding="utf-8")
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{}, [], [[], {}], {1: "int key"}, {"t": [[1, 2.5], [3, float("nan")]], "r": [{"x": "é"}, 1]}],
+)
+def test_piecewise_certificate_write_matches_json_dumps(obj):
+    fh = io.StringIO()
+    cli._write_json(obj, fh)
+    assert fh.getvalue() == json.dumps(obj)
+
+
+#: case -> (spec fields over {"n": 1, "s": "2"}, or an argv; the named field)
+MALFORMED = {
+    "a-not-a-number": ({"tubes": [{"a": "abc", "b": "0"}]}, "tubes[0]: a:"),
+    "s-zero-denominator": ({"s": "1/0", "tubes": [{"a": "1/2", "b": "0"}]}, "s:"),
+    "b-list": ({"tubes": [{"a": "1/2", "b": [1, 2]}]}, "tubes[0]: b:"),
+    "a-boolean": ({"tubes": [{"a": True, "b": "0"}]}, "tubes[0]: a:"),
+    "b-boolean": ({"tubes": [{"a": "1/2", "b": {"cos": [True]}}]}, "tubes[0]: b:"),
+    "a-nan": ({"tubes": [{"a": float("nan"), "b": "0"}]}, "tubes[0]: a:"),
+    "b-inf": ({"tubes": [{"a": "1/2", "b": {"const": float("inf")}}]}, "tubes[0]: b:"),
+    "s-inf": ({"s": float("inf"), "tubes": [{"a": "1/2", "b": "0"}]}, "s:"),
+    "cf-s-zero-denominator": (["cf", "classify", "constant:2", "--s", "1/0"], "--s:"),
+    "cf-digits-not-integers": (["cf", "convergents", "1,x"], "digits:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys):
+    given, field = MALFORMED[case]
+    argv = given
+    if isinstance(given, dict):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 1, "s": "2", **given}), encoding="utf-8")
+        argv = ["classify", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} ")
+    assert captured.err.count("\n") == 1
+
+
+def test_convergents_past_the_int_str_limit(capsys):
+    """Integers over 4300 digits are sized and rendered exactly."""
+    from torus_hypo import diophantine as dio
+
+    assert cli.main(["cf", "bounds", "factorial_pow10", "--n", "6"]) == 0
+    lower = json.loads(capsys.readouterr().out)["body"]["lower"]
+    cf = dio.ContinuedFraction(dio.digit_stream_from_json("factorial_pow10"))
+    den = (cf.digit(7) + 2) * cf.exact_pair(6)[1]
+    head, digits = lower.split("/")
+    assert head == "1"
+    assert 10 ** (len(digits) - 1) <= den < 10 ** len(digits)
+    assert len(digits) > 4300
+    assert int(digits[-18:]) == den % 10**18
+
+    assert cli.main(["cf", "classify", "factorial_pow10", "--s", "2", "--n", "8"]) == 0
+    # The verdict itself may drop to Unknown at this horizon (beta rows are
+    # compared as floats); the run must still end with a verdict exit code.
+    assert cli.main(["classify", str(FIXTURES / "ex64_factorial.json"), "--horizon", "7"]) in (0, 10, 20)
+
+
+def _regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    manifest = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            code, report, digest = run_case(case, Path(tmp))
+            (GOLDEN / f"{case}.json").write_bytes(report.encode("utf-8"))
+            manifest[case] = {"exit": code, "artifact_sha256": digest}
+            sys.stderr.write(f"{case}: exit {code}\n")
+    with open(GOLDEN / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    _regenerate()

@@ -20,7 +20,6 @@ from torus_hypo.errors import (
 from torus_hypo.gevrey import estimate_decay
 from torus_hypo.solver import (
     FourierField,
-    LaplaceKernel,
     decay_report,
     residual,
     solve_by_division,
@@ -125,48 +124,6 @@ def test_field_layout_guards():
 
 
 # ---------------------------------------------------------------------------
-# Laplace kernel closed forms
-# ---------------------------------------------------------------------------
-
-
-def test_kernel_closed_form_for_sine():
-    spec = spec_from(1, [{"a": "1/3", "b": {"sin": ["-1"]}}])
-    K = LaplaceKernel.from_tube(spec, 1)
-    for t in (0.2, 1.7, 4.4):
-        for tau in (0.1, 2.0, 5.9):
-            # int_{t-tau}^{t} (-sin) = cos t - cos(t - tau)
-            want = tau / 3 + 1j * (math.cos(t) - math.cos(t - tau))
-            assert complex(K.H(t, tau)) == pytest.approx(want, abs=1e-12)
-            # int_t^{t+tau} (-sin) = cos(t + tau) - cos t
-            want_m = tau / 3 + 1j * (math.cos(t + tau) - math.cos(t))
-            assert complex(K.H_tilde(t, tau)) == pytest.approx(want_m, abs=1e-12)
-
-
-def test_kernel_im_H_nonpositive_for_nonpositive_b():
-    spec = spec_from(1, [{"a": "0", "b": HALF_DAMPED}])
-    K = LaplaceKernel.from_tube(spec, 1)
-    ts = np.linspace(0, 2 * math.pi, 41)
-    taus = np.linspace(0, 2 * math.pi, 41)
-    worst = max(K.im_H(t, tau) for t in ts for tau in taus)
-    assert worst <= 1e-12
-    assert K.im_H_max() <= 1e-12
-
-
-def test_kernel_prefactor_bound_over_frequencies():
-    spec = spec_from(1, [{"a": "2/7", "b": HALF_DAMPED}])
-    K = LaplaceKernel.from_tube(spec, 1)
-    bound = K.prefactor_bound()
-    want = 1.0 / (1.0 - math.exp(2 * math.pi * K.b0))
-    assert bound == pytest.approx(want, rel=1e-12)
-    xi = np.arange(1, 100001)
-    c0 = K.a0 + 1j * K.b0
-    mags = np.abs(1.0 / (1.0 - np.exp(-1j * 2 * math.pi * xi * c0)))
-    assert mags.max() <= bound * (1 + 1e-12)
-    for x in (1, 3, 17, 100000):
-        assert abs(K.prefactor(x)) <= bound * (1 + 1e-12)
-
-
-# ---------------------------------------------------------------------------
 # Single-tube solves
 # ---------------------------------------------------------------------------
 
@@ -242,10 +199,14 @@ def test_solve_linearity():
 def test_solve_matches_direct_quadrature_of_integral_formula():
     # Dual route: the mode-space solve must agree with high-precision
     # quadrature of  u(t,xi) = prefactor(xi) * int_0^{2pi} e^{-i xi H(t,tau)}
-    # f(t-tau, xi) dtau  at sample points.
+    # f(t-tau, xi) dtau  at sample points, where for b = -(1 + cos)/2
+    # H(t,tau) = tau/2 + i int_{t-tau}^{t} b = tau/2 - i(tau + sin t - sin(t-tau))/2
+    # and prefactor(xi) = 1/(1 - e^{-i 2 pi xi c0}) with c0 = (1 - i)/2.
     spec = spec_from(1, [{"a": "1/2", "b": HALF_DAMPED}])
-    K = LaplaceKernel.from_tube(spec, 1)
     xi = 3
+
+    def H(t: float, tau: float) -> complex:
+        return tau / 2 - 0.5j * (tau + math.sin(t) - math.sin(t - tau))
 
     def f_hat(t: float) -> complex:
         b = -(1 + math.cos(t)) / 2
@@ -255,11 +216,11 @@ def test_solve_matches_direct_quadrature_of_integral_formula():
     tg = f.t_grid()
     f.set_values(xi, np.array([f_hat(float(t)) for t in tg]))
     u = solve_single_tube(1, spec, f)
-    pref = complex(K.prefactor(xi))
+    pref = 1 / (1 - cmath.exp(-2j * math.pi * xi * (0.5 - 0.5j)))
     for idx in (0, 17, 63, 100):
         t0 = float(tg[idx])
         quad = mpmath.quad(
-            lambda tau: cmath.exp(-1j * xi * complex(K.H(t0, float(tau)))) * f_hat(t0 - float(tau)),
+            lambda tau: cmath.exp(-1j * xi * H(t0, float(tau))) * f_hat(t0 - float(tau)),
             [0, 2 * math.pi],
         )
         assert abs(u.values(xi)[idx] - pref * complex(quad)) <= 1e-10
