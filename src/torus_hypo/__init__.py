@@ -56,6 +56,7 @@ from .solver import (
     residual,
     solve_by_division,
     solve_single_tube,
+    solve_system,
 )
 from .system import (
     Order,

@@ -15,15 +15,21 @@ additionally write their artifact (solution field / certified family) to a
 positional output path.  ``--precision`` belongs to ``solve`` alone: the
 significant digits of the averaged constants in its division route.
 
-Each command parses its inputs, calls one library pipeline and renders the
-result; ``singular`` calls :func:`torus_hypo.singular.build_obstruction`.
+Each command loads its inputs, calls the library and renders the result.
+``classify``/``diagnose``, ``solve`` and ``singular`` each call one pipeline:
+:func:`torus_hypo.system.classify_system`, :func:`torus_hypo.solver.solve_system`
+and :func:`torus_hypo.singular.build_obstruction`.
 
 Exit codes
 ----------
 0    success (classify/diagnose: verdict Hypoelliptic)
 10   classify/diagnose: verdict NotHypoelliptic
 20   classify/diagnose: verdict Unknown
-2    malformed input: bad JSON/flags/paths, unusable parameters
+
+A failure prints ``error: <message>`` to stderr and exits with the
+``exit_code`` of its error class (see :mod:`torus_hypo.errors`):
+
+2    malformed input: bad JSON/flags/paths/fields, unusable parameters
 30   SolvabilityError          31   CompatibilityError
 32   ZeroDivisorError          33   ProfileError / GeometryError / GridMismatch
 34   MeanNotZero               40   RefusedHypoelliptic
@@ -37,58 +43,16 @@ modules load); reports are byte-deterministic regardless of thread count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from fractions import Fraction
 
-from .errors import (
-    CompatibilityError,
-    DigitCapExceeded,
-    DigitStreamExhausted,
-    GeometryError,
-    GridMismatch,
-    IntegralityError,
-    LadderMismatch,
-    MalformedInput,
-    MeanNotZero,
-    OrderError,
-    ProfileError,
-    RefusedHypoelliptic,
-    SolvabilityError,
-    TorusHypoError,
-    WitnessMismatch,
-    ZeroDivisorError,
-)
+from .errors import MalformedInput, TorusHypoError
 from .report import Report, input_digest
 
 VERDICT_EXITS = {"Hypoelliptic": 0, "NotHypoelliptic": 10, "Unknown": 20}
-
-_ERROR_EXITS = (
-    (MalformedInput, 2),
-    (OrderError, 2),
-    (DigitStreamExhausted, 2),
-    (DigitCapExceeded, 2),
-    (SolvabilityError, 30),
-    (CompatibilityError, 31),
-    (ZeroDivisorError, 32),
-    (ProfileError, 33),
-    (GeometryError, 33),
-    (GridMismatch, 33),
-    (MeanNotZero, 34),
-    (RefusedHypoelliptic, 40),
-    (WitnessMismatch, 41),
-    (LadderMismatch, 41),
-    (IntegralityError, 41),
-    (TorusHypoError, 50),
-)
-
-
-def _exit_code_for(exc: Exception) -> int:
-    for cls, code in _ERROR_EXITS:
-        if isinstance(exc, cls):
-            return code
-    raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +85,7 @@ def _parse_s(text: str) -> Fraction:
         raise MalformedInput(f"--s: cannot parse {text!r} as a rational ({exc})") from exc
 
 
-def _parse_order(args, default=None):
+def _parse_order(args, default):
     """Resolve the regularity scale: --mode smooth > --s > spec default."""
     from .system import Order
 
@@ -131,7 +95,7 @@ def _parse_order(args, default=None):
     s = getattr(args, "s", None)
     if s is not None:
         return Order.gevrey(_parse_s(s))
-    if mode == "gevrey" and default is not None and not default.is_gevrey:
+    if mode == "gevrey" and not default.is_gevrey:
         raise MalformedInput("--mode gevrey needs --s (spec declares no Gevrey order)")
     return default
 
@@ -139,32 +103,32 @@ def _parse_order(args, default=None):
 def _load_spec(args):
     from .system import SystemSpec
 
-    obj = _read_json(args.spec)
-    spec = SystemSpec.from_json(obj)
-    order = _parse_order(args, default=spec.order)
-    if order is not spec.order and order is not None:
-        spec = SystemSpec(
-            n=spec.n,
-            tubes=spec.tubes,
-            order=order,
-            vector_witness=spec.vector_witness,
-            vector_assertion=spec.vector_assertion,
-        )
-    return spec
+    spec = SystemSpec.from_json(_read_json(args.spec))
+    order = _parse_order(args, spec.order)
+    return spec if order is spec.order else dataclasses.replace(spec, order=order)
 
 
-def _load_field(path):
+def _load_field(path) -> list:
+    """The right-hand side fields: one, or a JSON ``{"fields": [...]}``."""
     from .solver import FourierField
+    from .system import _parse_field
 
-    if path.endswith((".bin", ".tff")):
-        try:
-            return FourierField.load_binary(path)
-        except OSError as exc:
-            raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    obj = _read_json(path)
-    if isinstance(obj, dict) and "fields" in obj:
-        return [FourierField.from_json_obj(x) for x in obj["fields"]]
-    return FourierField.from_json_obj(obj)
+    try:
+        if path.endswith((".bin", ".tff")):
+            try:
+                return [FourierField.load_binary(path)]
+            except OSError as exc:
+                raise MalformedInput(f"cannot read {path}: {exc}") from exc
+        obj = _read_json(path)
+        if not (isinstance(obj, dict) and "fields" in obj):
+            return [FourierField.from_json_obj(obj)]
+        fields = _parse_field("fields", list, obj["fields"])
+        return [
+            _parse_field(f"fields[{i}]", FourierField.from_json_obj, x)
+            for i, x in enumerate(fields)
+        ]
+    except MalformedInput as exc:
+        raise MalformedInput(f"rhs: {exc}") from exc
 
 
 def _write_field(field, path) -> None:
@@ -250,7 +214,7 @@ def cmd_cf(args) -> int:
 
     try:
         stream = dio.digit_stream_from_json(args.digits)
-    except ValueError as exc:
+    except (MalformedInput, ValueError) as exc:
         raise MalformedInput(f"digits: {exc}") from exc
     cf = dio.ContinuedFraction(stream)
     body = {"digits": args.digits, "subcommand": args.cf_command}
@@ -347,81 +311,13 @@ def cmd_normalform(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .normalform import apply_gauge, build_normal_form
-    from .solver import (
-        apply_tube_operator,
-        decay_report,
-        residual,
-        solve_by_division,
-        solve_single_tube,
-    )
-    from .system import (
-        NON_NEGATIVE_NOT_ZERO,
-        NON_POSITIVE_NOT_ZERO,
-        analyze,
-    )
-    from .errors import InsufficientData
+    from .solver import solve_system
 
     spec = _load_spec(args)
-    nf = build_normal_form(spec)
-    nspec = nf.normalized
-    analysis = analyze(nspec)
-
-    loaded = _load_field(args.rhs)
-    f_list = loaded if isinstance(loaded, list) else [loaded]
-    gauged = [
-        f if nf.is_trivial() else apply_gauge(f, nf.A, "forward") for f in f_list
-    ]
-
-    body = {"normalized": not nf.is_trivial()}
-    if not nf.is_trivial():
-        body["primitives"] = [p.to_json() for p in nf.A]
-
-    if analysis.ell == nspec.n:
-        if len(gauged) != nspec.n:
-            raise MalformedInput(
-                f"the all-real route needs {nspec.n} right-hand sides "
-                f'(rhs file with {{"fields": [...]}}), got {len(gauged)}'
-            )
-        u_n = solve_by_division(nspec, gauged, digits=args.precision)
-        body["route"] = "division"
-        u = u_n if nf.is_trivial() else apply_gauge(u_n, nf.A, "inverse")
-        res = residual(spec, u, f_list)
-        body["residual"] = [
-            {"tube": j + 1, "max_abs": r} for j, r in enumerate(res)
-        ]
-        body["meta"] = {
-            k: v for k, v in u_n.meta.items() if k in ("zero_mode_normalized", "min_divisor")
-        }
-    else:
-        one_signed = [
-            j
-            for j, p in enumerate(analysis.profiles, start=1)
-            if p in (NON_NEGATIVE_NOT_ZERO, NON_POSITIVE_NOT_ZERO)
-        ]
-        if not one_signed:
-            raise ProfileError(
-                "no tube is one-signed with b not identically zero and not all "
-                "tubes are real: no direct solve route exists for this system"
-            )
-        tube = one_signed[0]
-        f = gauged[tube - 1] if len(gauged) == nspec.n else gauged[0]
-        f_orig = f_list[tube - 1] if len(f_list) == nspec.n else f_list[0]
-        u_n = solve_single_tube(tube, nspec, f, internal_modes=args.modes)
-        body["route"] = "single-tube"
-        body["tube"] = tube
-        u = u_n if nf.is_trivial() else apply_gauge(u_n, nf.A, "inverse")
-        r = (apply_tube_operator(spec, tube, u) - f_orig).max_abs()
-        body["residual"] = [{"tube": tube, "max_abs": r}]
-
-    if spec.order.is_gevrey:
-        try:
-            body["decay_fit"] = decay_report(u, spec.order.s).to_json()
-        except InsufficientData as exc:
-            body["decay_fit"] = {"skipped": str(exc)}
+    f_list = _load_field(args.rhs)
+    u, body = solve_system(spec, f_list, internal_modes=args.modes, digits=args.precision)
     _write_field(u, args.out_field)
     body["output"] = args.out_field
-
     report = Report(
         command=["solve"],
         body=body,
@@ -560,23 +456,19 @@ def main(argv=None) -> int:
     _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {
+        "classify": cmd_classify,
+        "diagnose": lambda a: cmd_classify(a, verbose=True),
+        "cf": cmd_cf,
+        "normalform": cmd_normalform,
+        "solve": cmd_solve,
+        "singular": cmd_singular,
+    }
     try:
-        if args.command == "classify":
-            return cmd_classify(args, verbose=False)
-        if args.command == "diagnose":
-            return cmd_classify(args, verbose=True)
-        if args.command == "cf":
-            return cmd_cf(args)
-        if args.command == "normalform":
-            return cmd_normalform(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "singular":
-            return cmd_singular(args)
-        raise MalformedInput(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except TorusHypoError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return _exit_code_for(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

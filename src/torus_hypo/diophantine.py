@@ -258,7 +258,6 @@ class ContinuedFraction:
         self._ln_q: list = [mp.mpf(0)]
         self._a: list = [None]
         self._ln_a: list = [None]
-        self._exact_upto = 0  # largest n with exact p_n, q_n materialized
 
     # -- table maintenance --------------------------------------------------
 
@@ -312,8 +311,6 @@ class ContinuedFraction:
                 p = q = None
             self._p.append(p)
             self._q.append(q)
-            if q is not None:
-                self._exact_upto = i
 
     # -- public accessors -----------------------------------------------------
 
@@ -573,6 +570,12 @@ def exp_liouville_score(cf: ContinuedFraction, s: float, n_max: int) -> list:
     |p_n - alpha*q_n| <= exp(-eps * q_n^{1/s}) is certified at level n.
     beta_n bounded below by a positive margin indicates stretched-exponential
     approximability at order s; beta_n -> 0 indicates its failure."""
+    return [(n, float(beta)) for n, beta in _beta_rows(cf, s, n_max)]
+
+
+def _beta_rows(cf: ContinuedFraction, s: float, n_max: int) -> list:
+    """The rows of :func:`exp_liouville_score` as mp numbers: a beta_n far
+    below the float range (1e-400 for ``factorial_pow10``) stays nonzero."""
     s = float(s)
     if s < 1:
         raise OrderError(f"order s={s} must be >= 1")
@@ -586,8 +589,7 @@ def exp_liouville_score(cf: ContinuedFraction, s: float, n_max: int) -> list:
                     f"beta_{n} needs digit a_{n + 1}, stream ended"
                 )
             ln_q = cf.log_q(n)
-            beta = (cf.ln_digit(n + 1) + ln_q) / mp.e ** (ln_q / s)
-            rows.append((n, float(beta)))
+            rows.append((n, (cf.ln_digit(n + 1) + ln_q) / mp.e ** (ln_q / s)))
     return rows
 
 
@@ -753,13 +755,15 @@ def classify(
     between NotExpLiouvilleTrend and ExpLiouvilleTrend; with ``s=None``
     (smooth setting) the power-law exponent mu_n decides between
     NotLiouvilleTrend and LiouvilleTrend.  Fewer than 3 usable rows, or an
-    inconclusive tail, give Unknown.
+    inconclusive tail, give Unknown.  The tail is tested on the mp values of
+    beta_n, so a longer horizon cannot lose a trend to float underflow; the
+    evidence rows hold their floats.
     """
     rows = []
     mode = "beta" if s is not None else "mu"
     try:
         if mode == "beta":
-            rows = exp_liouville_score(cf, float(s), n_max)
+            rows = _beta_rows(cf, float(s), n_max)
         else:
             rows = liouville_exponent_trend(cf, n_max)
     except DigitStreamExhausted:
@@ -769,12 +773,12 @@ def classify(
             last += 1
         try:
             if mode == "beta":
-                rows = exp_liouville_score(cf, float(s), last)
+                rows = _beta_rows(cf, float(s), last)
             elif last >= 2:
                 rows = liouville_exponent_trend(cf, last)
         except (DigitStreamExhausted, MalformedInput):
             rows = []
-    evidence = [{"n": n, mode: val} for n, val in rows]
+    evidence = [{"n": n, mode: float(val)} for n, val in rows]
     verdict = DiophantineVerdict(
         kind=UNKNOWN,
         s=float(s) if s is not None else None,

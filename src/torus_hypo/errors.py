@@ -1,8 +1,10 @@
 """Exception types shared across the torus_hypo package.
 
 Every failure mode that callers are expected to branch on gets its own class;
-all of them derive from :class:`TorusHypoError` so CLI code can catch the whole
-family and translate it into an exit code (see :mod:`torus_hypo.cli`).
+all of them derive from :class:`TorusHypoError`.  Each class carries the CLI's
+exit status for it as the class attribute ``exit_code`` (2 for unusable input,
+30-41 for the solver and construction failures, 50 for any other domain
+error), so the CLI catches the whole family and returns ``exc.exit_code``.
 """
 
 from __future__ import annotations
@@ -10,28 +12,33 @@ from __future__ import annotations
 
 class TorusHypoError(Exception):
     """Base class for all torus_hypo errors."""
+    exit_code = 50
 
 
 class MalformedInput(TorusHypoError):
     """Input file or inline specification could not be parsed."""
+    exit_code = 2
 
 
 # --- continued fractions / Diophantine -----------------------------------
 
-class NonPositiveDigit(TorusHypoError):
+class NonPositiveDigit(MalformedInput):
     """A continued-fraction digit was not a positive integer."""
 
 
 class DigitStreamExhausted(TorusHypoError):
     """The digit source ran out before the requested index."""
+    exit_code = 2
 
 
 class DigitCapExceeded(TorusHypoError):
     """An exact big-integer convergent was requested past the digit cap."""
+    exit_code = 2
 
 
 class WitnessMismatch(TorusHypoError):
     """An approximation witness is empty or inconsistent with its ladder."""
+    exit_code = 41
 
 
 # --- combinatorics / fitting ----------------------------------------------
@@ -46,10 +53,12 @@ class InsufficientData(TorusHypoError):
 
 class GeometryError(TorusHypoError):
     """Cutoff intervals are not properly nested inside (0, 2*pi)."""
+    exit_code = 33
 
 
 class OrderError(TorusHypoError):
     """A regularity-order argument is outside the admissible range (s <= 1)."""
+    exit_code = 2
 
 
 # --- system analysis -------------------------------------------------------
@@ -62,37 +71,46 @@ class MissingClassification(TorusHypoError):
 
 class GridMismatch(TorusHypoError):
     """Two fields (or a field and a gauge) live on incompatible grids."""
+    exit_code = 33
 
 
 class SolvabilityError(TorusHypoError):
     """The zero-frequency equation is obstructed (nonzero mean data)."""
+    exit_code = 30
 
 
 class ProfileError(TorusHypoError):
     """A coefficient's sign profile is incompatible with the requested step."""
+    exit_code = 33
 
 
 class ZeroDivisorError(TorusHypoError):
     """A division denominator vanished (rational resonance)."""
+    exit_code = 32
 
 
 class CompatibilityError(TorusHypoError):
     """Right-hand sides fail the cross-derivative compatibility relations."""
+    exit_code = 31
 
 
 class MeanNotZero(TorusHypoError):
     """A coefficient that must have zero average does not."""
+    exit_code = 34
 
 
 # --- singular constructions -------------------------------------------------
 
 class LadderMismatch(TorusHypoError):
     """Factor solutions do not share the required frequency ladder."""
+    exit_code = 41
 
 
 class IntegralityError(TorusHypoError):
     """q times a tube average is not an integer where it must be."""
+    exit_code = 41
 
 
 class RefusedHypoelliptic(TorusHypoError):
     """A singular solution was requested for a system that is hypoelliptic."""
+    exit_code = 40

@@ -11,14 +11,13 @@ so the gauge is an automorphism of the periodic setting and its inverse is
 the conjugate multiplication.
 
 ``A`` is represented as one single-variable :class:`~.gevrey.TrigPoly` per
-t-variable (the separable sum above); a bare ``TrigPoly`` is accepted
-anywhere and treated as the n = 1 case.
+t-variable (the separable sum above).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -54,13 +53,6 @@ class NormalFormData:
             "normalized": self.normalized.to_json(),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "NormalFormData":
-        return cls(
-            A=tuple(TrigPoly.from_json(p) for p in obj["A"]),
-            normalized=SystemSpec.from_json(obj["normalized"]),
-        )
-
 
 def build_normal_form(spec: SystemSpec) -> NormalFormData:
     """Split each real part into average plus periodic primitive.
@@ -83,33 +75,18 @@ def build_normal_form(spec: SystemSpec) -> NormalFormData:
             raise MalformedInput("tube real part must be a TrigPoly or RealConstant")
         primitives.append(a.primitive_from_zero())
         tubes.append(Tube(a=average(a), b=tube.b))
-    normalized = SystemSpec(
-        n=spec.n,
-        tubes=tubes,
-        order=spec.order,
-        vector_witness=spec.vector_witness,
-        vector_assertion=spec.vector_assertion,
-    )
+    normalized = replace(spec, tubes=tubes)
     return NormalFormData(A=tuple(primitives), normalized=normalized)
 
 
-def _as_primitive_list(A, n: int) -> Sequence[TrigPoly]:
-    if isinstance(A, TrigPoly):
-        A = [A]
-    if isinstance(A, NormalFormData):
-        A = A.A
-    if len(A) != n:
-        raise GridMismatch(f"gauge has {len(A)} components but field has n={n}")
-    for p in A:
-        if not isinstance(p, TrigPoly):
-            raise MalformedInput("gauge components must be TrigPolys")
-    return list(A)
-
-
 def _total_gauge_on_grid(A: Sequence[TrigPoly], field: FourierField) -> np.ndarray:
+    if len(A) != field.n:
+        raise GridMismatch(f"gauge has {len(A)} components but field has n={field.n}")
     t = field.t_grid()
     total = np.zeros((field.grid_size,) * field.n)
     for axis, p in enumerate(A):
+        if not isinstance(p, TrigPoly):
+            raise MalformedInput("gauge components must be TrigPolys")
         shape = [1] * field.n
         shape[axis] = field.grid_size
         total = total + np.asarray(p(t), dtype=float).reshape(shape)
@@ -119,16 +96,14 @@ def _total_gauge_on_grid(A: Sequence[TrigPoly], field: FourierField) -> np.ndarr
 def apply_gauge(field: FourierField, A, direction: str) -> FourierField:
     """Multiply each û(·, ξ) by e^{+iξA} (forward) or e^{−iξA} (inverse).
 
-    ``A`` may be a single TrigPoly (n = 1), a sequence of per-variable
-    TrigPolys, or a :class:`NormalFormData`.  The multiplication is pointwise
-    on the t-grid; since A is real the per-frequency magnitude |û(t, ξ)| is
-    preserved exactly.
+    ``A`` is the sequence of per-variable TrigPolys (``NormalFormData.A``).
+    The multiplication is pointwise on the t-grid; since A is real the
+    per-frequency magnitude |û(t, ξ)| is preserved exactly.
     """
     if direction not in ("forward", "inverse"):
         raise MalformedInput(f"direction must be 'forward' or 'inverse', got {direction!r}")
     sign = 1.0 if direction == "forward" else -1.0
-    primitives = _as_primitive_list(A, field.n)
-    total = _total_gauge_on_grid(primitives, field)
+    total = _total_gauge_on_grid(A, field)
     data = {
         xi: np.exp(1j * sign * xi * total) * arr for xi, arr in field.data.items()
     }

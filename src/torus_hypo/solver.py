@@ -24,6 +24,9 @@ Two solution regimes are implemented:
   through high-precision rational approximations so that near-resonant
   divisors are evaluated exactly rather than in float64.
 
+:func:`solve_system` is the whole-system pipeline behind ``torus-hypo solve``:
+the averaging gauge, the choice between the two routes above, and the checks.
+
 :class:`FourierField` is the shared container: per-ξ complex grid data over
 the n-dimensional t-torus, with JSON and binary serialization storing the
 trigonometric coefficient tensors.
@@ -55,20 +58,26 @@ from .gevrey import GevreyWitness, TrigPoly, estimate_decay
 from .system import (
     CHANGES_SIGN,
     IDENTICALLY_ZERO,
+    NON_NEGATIVE_NOT_ZERO,
+    NON_POSITIVE_NOT_ZERO,
     UNCERTIFIABLE,
     SystemSpec,
+    _parse_field,
     analyze,
     sign_analysis,
 )
 
 __all__ = [
     "FourierField",
+    "solve_system",
     "solve_single_tube",
     "solve_by_division",
     "residual",
     "decay_report",
     "MIN_INTERNAL_MODES",
     "ZERO_DIVISOR_FLOOR",
+    "MEAN_TOL",
+    "COMPAT_TOL",
 ]
 
 
@@ -80,6 +89,14 @@ MIN_INTERNAL_MODES = 1024
 #: Divisors smaller than this signal a rational resonance in the division
 #: solver (unreachable for exactly-evaluated irrational averages).
 ZERO_DIVISOR_FLOOR = 1e-300
+
+#: Relative size above which the ξ = 0 data of the single-tube solver has a
+#: nonzero t_j-mean (:class:`SolvabilityError`).
+MEAN_TOL = 1e-10
+
+#: Relative tolerance of the division solver's compatibility and zero-mode
+#: solvability checks.
+COMPAT_TOL = 1e-8
 
 _BINARY_MAGIC = b"TFF1"
 _BINARY_VERSION = 1
@@ -306,17 +323,27 @@ class FourierField:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FourierField":
-        if obj.get("format") != "tff":
+        """Parse :meth:`to_json_obj`'s form; a bad field raises
+        :class:`MalformedInput` naming it."""
+        if not isinstance(obj, dict) or obj.get("format") != "tff":
             raise MalformedInput("not a Fourier-field JSON object")
-        out = cls(n=int(obj["n"]), grid_size=int(obj["grid_size"]))
-        out.meta = dict(obj.get("meta", {}))
+        out = cls(
+            n=_parse_field("n", int, obj.get("n")),
+            grid_size=_parse_field("grid_size", int, obj.get("grid_size")),
+        )
+        out.meta = _parse_field("meta", dict, obj.get("meta", {}))
+        blocks = _parse_field("blocks", list, obj.get("blocks"))
         shape = (out.grid_size,) * out.n
-        for block in obj["blocks"]:
+
+        def set_block(block):
             tensor = (
                 np.asarray(block["re"], dtype=float)
                 + 1j * np.asarray(block["im"], dtype=float)
             ).reshape(shape, order="C")
             out.set_coeffs(int(block["xi"]), tensor)
+
+        for i, block in enumerate(blocks):
+            _parse_field(f"blocks[{i}]", set_block, block)
         return out
 
     def save_json(self, path) -> None:
@@ -367,13 +394,11 @@ class FourierField:
         if version != _BINARY_VERSION:
             raise MalformedInput(f"unsupported field format version {version}")
         out = cls(n=int(n), grid_size=int(grid))
-        pos = head
-        xi = np.frombuffer(raw, dtype="<i8", count=num, offset=pos)
-        pos += 8 * num
         block = out.grid_size**out.n
-        want = pos + 16 * block * num
-        if len(raw) < want:
-            raise MalformedInput("binary field data truncated (short blocks)")
+        if num < 0 or len(raw) < head + (8 + 16 * block) * num:
+            raise MalformedInput(f"binary field data truncated: the header counts {num} blocks")
+        xi = np.frombuffer(raw, dtype="<i8", count=num, offset=head)
+        pos = head + 8 * num
         shape = (out.grid_size,) * out.n
         for k in xi:
             tensor = np.frombuffer(raw, dtype="<c16", count=block, offset=pos).reshape(shape)
@@ -416,12 +441,12 @@ def _constant_tube_coefficients(spec: SystemSpec, tube_index: int):
     return a0, tube.b
 
 
-def _solve_zero_frequency(block: np.ndarray, grid_size: int, mean_tol: float) -> np.ndarray:
+def _solve_zero_frequency(block: np.ndarray, grid_size: int) -> np.ndarray:
     """Spectral antidifferentiation along axis 0; mean must vanish."""
     hat = np.fft.fft(block, axis=0) / grid_size
     scale = float(np.abs(hat).max())
     mean_size = float(np.abs(hat[0]).max()) if hat.size else 0.0
-    if mean_size > mean_tol * (1.0 + scale):
+    if mean_size > MEAN_TOL * (1.0 + scale):
         raise SolvabilityError(
             f"xi=0 data has nonzero tube-mean (|mean| = {mean_size:.3e}); "
             "the equation d/dt u = f is unsolvable on the torus"
@@ -483,7 +508,6 @@ def solve_single_tube(
     f: FourierField,
     *,
     internal_modes: int | None = None,
-    mean_tol: float = 1e-10,
 ) -> FourierField:
     """Solve L_j u = f along tube ``tube_index`` (1-based).
 
@@ -523,7 +547,7 @@ def solve_single_tube(
         lead_shape = block.shape
         cols = block.reshape(N, -1)
         if xi == 0:
-            u_cols = _solve_zero_frequency(cols, N, mean_tol)
+            u_cols = _solve_zero_frequency(cols, N)
         else:
             modes = internal_modes if internal_modes is not None else max(
                 MIN_INTERNAL_MODES, 4 * abs(xi)
@@ -579,7 +603,6 @@ def solve_by_division(
     f_list: Sequence[FourierField],
     *,
     digits: int = 60,
-    compat_tol: float = 1e-8,
 ) -> FourierField:
     """Invert the all-real tubes by mode-wise division.
 
@@ -636,7 +659,7 @@ def solve_by_division(
                 rhs = D_full[k] * fhat[j]
                 scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
                 gap = float(np.abs(lhs - rhs).max())
-                if gap > compat_tol * (1.0 + scale):
+                if gap > COMPAT_TOL * (1.0 + scale):
                     raise CompatibilityError(
                         f"tubes {j + 1} and {k + 1} are inconsistent at xi={xi}: "
                         f"cross-derivative gap {gap:.3e} exceeds tolerance"
@@ -678,7 +701,7 @@ def solve_by_division(
             u_hat = np.where(mask[pad], contrib, u_hat)
 
         if zero_mode:
-            u_hat[(0,) * ell] = _recover_zero_mode(spec, f_list, analysis, compat_tol)
+            u_hat[(0,) * ell] = _recover_zero_mode(spec, f_list, analysis)
         out.data[xi] = np.fft.ifftn(u_hat * N**ell, axes=j_axes)
 
     out.meta["zero_mode_normalized"] = True
@@ -690,7 +713,6 @@ def _recover_zero_mode(
     spec: SystemSpec,
     f_list: Sequence[FourierField],
     analysis,
-    compat_tol: float,
 ):
     """û(t'', 0, 0): gradient integration over the spectator axes, mean 0.
 
@@ -732,14 +754,14 @@ def _recover_zero_mode(
     # remaining tubes' means must vanish.
     for r, g in enumerate(g_hats):
         mean_mag = float(np.abs(g[(0,) * (n - ell)]))
-        if mean_mag > compat_tol * (1.0 + scale):
+        if mean_mag > COMPAT_TOL * (1.0 + scale):
             raise SolvabilityError(
                 f"tube {ell + r + 1} has nonzero mean at (eta, xi) = (0, 0) "
                 f"({mean_mag:.3e}); the zero mode is unsolvable"
             )
         # consistency of the gradient system across tubes
         gap = float(np.abs(1j * kappa[r] * w_hat - g).max())
-        if gap > 1e4 * compat_tol * (1.0 + scale):
+        if gap > 1e4 * COMPAT_TOL * (1.0 + scale):
             raise CompatibilityError(
                 f"zero-mode gradient data of tube {ell + r + 1} is inconsistent "
                 f"(gap {gap:.3e})"
@@ -806,3 +828,83 @@ def decay_report(
             f"decay report needs at least 8 frequencies, field has {len(mags)}"
         )
     return estimate_decay(mags, s, xi_min=xi_min, xi_max=xi_max)
+
+
+# ---------------------------------------------------------------------------
+# Whole-system solve
+# ---------------------------------------------------------------------------
+
+
+def solve_system(
+    spec: SystemSpec,
+    f_list: Sequence[FourierField],
+    *,
+    internal_modes: int | None = None,
+    digits: int = 60,
+) -> tuple[FourierField, dict]:
+    """Solve L_j u = f_j for the system ``spec``, one x-frequency at a time.
+
+    Each a_j is gauged to its average first.  When every tube is identically
+    real (ℓ = n) the normalized system is solved by division from one field
+    per tube; otherwise along the first tube whose b_j is one-signed and not
+    identically zero, from one field or one per tube (:class:`ProfileError`
+    when no tube qualifies).  Returns u in the original frame and a summary:
+    ``normalized`` (and the gauge ``primitives``), ``route``, the ``tube``
+    solved along, ``residual`` rows of ‖L_j u − f_j‖_∞, the division
+    ``meta`` and, for a Gevrey order, the ``decay_fit`` of u.
+    """
+    # normalform imports this module, so its names are bound at call time
+    from .normalform import apply_gauge, build_normal_form
+
+    nf = build_normal_form(spec)
+    normalized = not nf.is_trivial()
+    summary = {"normalized": normalized}
+    if normalized:
+        summary["primitives"] = [p.to_json() for p in nf.A]
+
+    def gauged(field, direction):
+        return apply_gauge(field, nf.A, direction) if normalized else field
+
+    analysis = analyze(nf.normalized)
+    n = spec.n
+    if analysis.ell == n:
+        if len(f_list) != n:
+            raise MalformedInput(
+                f"the all-real route needs {n} right-hand sides "
+                f'(rhs file with {{"fields": [...]}}), got {len(f_list)}'
+            )
+        fg = [gauged(f, "forward") for f in f_list]
+        u_n = solve_by_division(nf.normalized, fg, digits=digits)
+        u = gauged(u_n, "inverse")
+        rows = enumerate(residual(spec, u, f_list), start=1)
+        summary["route"] = "division"
+        summary["residual"] = [{"tube": j, "max_abs": r} for j, r in rows]
+        keep = ("zero_mode_normalized", "min_divisor")
+        summary["meta"] = {k: v for k, v in u_n.meta.items() if k in keep}
+    else:
+        one_signed = (NON_NEGATIVE_NOT_ZERO, NON_POSITIVE_NOT_ZERO)
+        tube = next((j for j, p in enumerate(analysis.profiles, 1) if p in one_signed), 0)
+        if not tube:
+            raise ProfileError(
+                "no tube is one-signed with b not identically zero and not all "
+                "tubes are real: no direct solve route exists for this system"
+            )
+        if len(f_list) not in (1, n):
+            raise MalformedInput(
+                f"the single-tube route needs 1 or {n} right-hand sides, got {len(f_list)}"
+            )
+        f = f_list[tube - 1 if len(f_list) == n else 0]
+        fg = gauged(f, "forward")
+        u_n = solve_single_tube(tube, nf.normalized, fg, internal_modes=internal_modes)
+        u = gauged(u_n, "inverse")
+        r = (apply_tube_operator(spec, tube, u) - f).max_abs()
+        summary["route"] = "single-tube"
+        summary["tube"] = tube
+        summary["residual"] = [{"tube": tube, "max_abs": r}]
+
+    if spec.order.is_gevrey:
+        try:
+            summary["decay_fit"] = decay_report(u, spec.order.s).to_json()
+        except InsufficientData as exc:
+            summary["decay_fit"] = {"skipped": str(exc)}
+    return u, summary

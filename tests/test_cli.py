@@ -28,6 +28,7 @@ from torus_hypo.solver import FourierField
 TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS.parent / "fixtures"
 GOLDEN = TESTS / "golden"
+INPUTS = GOLDEN / "inputs"
 
 SPECS = (
     "cond1",
@@ -43,7 +44,8 @@ SPECS = (
     "solve_spec",
 )
 
-#: case name -> argv; "@name" stands for fixtures/name.json
+#: case name -> argv; "@name" stands for fixtures/name.json and "%name" for
+#: tests/golden/inputs/name.json
 CASES = {
     f"{command}-{stem}": [command, f"@{stem}"]
     for command in ("classify", "diagnose", "normalform")
@@ -60,6 +62,9 @@ CASES.update(
 )
 for rhs in ("solve_rhs", "solve_rhs_zero", "solve_rhs_badmean"):
     CASES[f"solve-{rhs}"] = ["solve", "@solve_spec", f"@{rhs}", "u.json"]
+# the gauged single-tube route and the division route over two real tubes
+for route in ("gauged", "division"):
+    CASES[f"solve-{route}"] = ["solve", f"%{route}_spec", f"%{route}_rhs", "u.json"]
 for stem in ("singular_expL", "singular_rationalJ", "crit9_three_tube", "singular_allsign"):
     CASES[f"singular-{stem}"] = ["singular", f"@{stem}", "out.json"]
 
@@ -68,7 +73,8 @@ ARTIFACTS = {"solve": "u.json", "singular": "out.json"}
 
 
 def _argv(case: str) -> list:
-    return [str(FIXTURES / f"{a[1:]}.json") if a.startswith("@") else a for a in CASES[case]]
+    where = {"@": FIXTURES, "%": INPUTS}
+    return [str(where[a[0]] / f"{a[1:]}.json") if a[:1] in where else a for a in CASES[case]]
 
 
 def run_case(case: str, workdir: Path, keep_artifact: bool = False):
@@ -133,29 +139,47 @@ def test_piecewise_certificate_write_matches_json_dumps(obj):
     assert fh.getvalue() == json.dumps(obj)
 
 
-#: case -> (spec fields over {"n": 1, "s": "2"}, or an argv; the named field)
+#: one 8-point block of the rhs field (solve_spec has n = 1)
+_BLOCK = {"xi": 1, "re": [0.0] * 8, "im": [0.0] * 8}
+_RHS = {"format": "tff", "n": 1, "grid_size": 8, "blocks": [_BLOCK]}
+
+#: case -> (what is malformed, the named field).  What is malformed is spec
+#: fields over {"n": 1, "s": "2"} (run by classify), an rhs object (run by
+#: solve on fixtures/solve_spec.json) or an argv.
 MALFORMED = {
-    "a-not-a-number": ({"tubes": [{"a": "abc", "b": "0"}]}, "tubes[0]: a:"),
-    "s-zero-denominator": ({"s": "1/0", "tubes": [{"a": "1/2", "b": "0"}]}, "s:"),
-    "b-list": ({"tubes": [{"a": "1/2", "b": [1, 2]}]}, "tubes[0]: b:"),
-    "a-boolean": ({"tubes": [{"a": True, "b": "0"}]}, "tubes[0]: a:"),
-    "b-boolean": ({"tubes": [{"a": "1/2", "b": {"cos": [True]}}]}, "tubes[0]: b:"),
-    "a-nan": ({"tubes": [{"a": float("nan"), "b": "0"}]}, "tubes[0]: a:"),
-    "b-inf": ({"tubes": [{"a": "1/2", "b": {"const": float("inf")}}]}, "tubes[0]: b:"),
-    "s-inf": ({"s": float("inf"), "tubes": [{"a": "1/2", "b": "0"}]}, "s:"),
-    "cf-s-zero-denominator": (["cf", "classify", "constant:2", "--s", "1/0"], "--s:"),
-    "cf-digits-not-integers": (["cf", "convergents", "1,x"], "digits:"),
+    "a-not-a-number": (("spec", {"tubes": [{"a": "abc", "b": "0"}]}), "tubes[0]: a:"),
+    "s-zero-denominator": (("spec", {"s": "1/0", "tubes": [{"a": "1/2", "b": "0"}]}), "s:"),
+    "b-list": (("spec", {"tubes": [{"a": "1/2", "b": [1, 2]}]}), "tubes[0]: b:"),
+    "a-boolean": (("spec", {"tubes": [{"a": True, "b": "0"}]}), "tubes[0]: a:"),
+    "b-boolean": (("spec", {"tubes": [{"a": "1/2", "b": {"cos": [True]}}]}), "tubes[0]: b:"),
+    "a-nan": (("spec", {"tubes": [{"a": float("nan"), "b": "0"}]}), "tubes[0]: a:"),
+    "b-inf": (("spec", {"tubes": [{"a": "1/2", "b": {"const": float("inf")}}]}), "tubes[0]: b:"),
+    "s-inf": (("spec", {"s": float("inf"), "tubes": [{"a": "1/2", "b": "0"}]}), "s:"),
+    "a-zero-digit": (("spec", {"tubes": [{"a": {"cf": "1,0,3"}, "b": "0"}]}), "tubes[0]: a:"),
+    "cf-s-zero-denominator": (("argv", ["cf", "classify", "constant:2", "--s", "1/0"]), "--s:"),
+    "cf-digits-not-integers": (("argv", ["cf", "convergents", "1,x"]), "digits:"),
+    "cf-zero-digit": (("argv", ["cf", "convergents", "1,0,3"]), "digits:"),
+    "rhs-no-n": (("rhs", {"format": "tff"}), "rhs: n:"),
+    "rhs-short-block": (
+        ("rhs", {**_RHS, "blocks": [{**_BLOCK, "re": [0.0, 1.0]}]}),
+        "rhs: blocks[0]:",
+    ),
+    "rhs-fields-not-a-list": (("rhs", {"fields": 3}), "rhs: fields:"),
+    "rhs-grid-not-a-number": (("rhs", {**_RHS, "grid_size": "x"}), "rhs: grid_size:"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys):
-    given, field = MALFORMED[case]
+    (kind, given), field = MALFORMED[case]
+    path = tmp_path / f"{kind}.json"
     argv = given
-    if isinstance(given, dict):
-        path = tmp_path / "spec.json"
+    if kind == "spec":
         path.write_text(json.dumps({"n": 1, "s": "2", **given}), encoding="utf-8")
         argv = ["classify", str(path)]
+    elif kind == "rhs":
+        path.write_text(json.dumps(given), encoding="utf-8")
+        argv = ["solve", str(FIXTURES / "solve_spec.json"), str(path), str(tmp_path / "u.json")]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -178,9 +202,29 @@ def test_convergents_past_the_int_str_limit(capsys):
     assert int(digits[-18:]) == den % 10**18
 
     assert cli.main(["cf", "classify", "factorial_pow10", "--s", "2", "--n", "8"]) == 0
-    # The verdict itself may drop to Unknown at this horizon (beta rows are
-    # compared as floats); the run must still end with a verdict exit code.
-    assert cli.main(["classify", str(FIXTURES / "ex64_factorial.json"), "--horizon", "7"]) in (0, 10, 20)
+    assert cli.main(["classify", str(FIXTURES / "ex64_factorial.json"), "--horizon", "7"]) == 0
+
+
+def test_single_tube_route_checks_the_rhs_field_count(tmp_path, capsys):
+    """Two fields for three tubes are neither one field nor one per tube."""
+    spec = {
+        "n": 3,
+        "s": "2",
+        "tubes": [
+            {"a": "1/2", "b": {"const": "1", "cos": ["1"]}},
+            {"a": "1/3", "b": {"sin": ["1"]}},
+            {"a": "1/5", "b": {"cos": ["1"]}},
+        ],
+    }
+    block = {"xi": 1, "re": [0.0] * 64, "im": [0.0] * 64}
+    field = {"format": "tff", "n": 3, "grid_size": 4, "blocks": [block]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    (tmp_path / "rhs.json").write_text(json.dumps({"fields": [field, field]}), encoding="utf-8")
+    argv = ["solve", *(str(tmp_path / name) for name in ("spec.json", "rhs.json", "u.json"))]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the single-tube route needs 1 or 3 right-hand sides, got 2")
+    assert not (tmp_path / "u.json").exists()
 
 
 def _regenerate() -> None:

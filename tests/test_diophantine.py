@@ -208,6 +208,16 @@ def test_exp_liouville_score_factorial_collapses():
     assert len(D.exp_liouville_score(cf_from(CONST_ONE), 1.0, 1)) == 1
 
 
+@pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 5.0])
+def test_longer_horizon_never_loses_a_definite_trend(s):
+    """beta_n of factorial_pow10 drops below the float range from n = 6 or 7
+    on; the tail test must still see it decrease."""
+    kinds = [D.classify(cf_from(FACTORIAL), s=s, n_max=h).kind for h in range(4, 12)]
+    for shorter, longer in zip(kinds, kinds[1:]):
+        assert shorter == D.UNKNOWN or longer != D.UNKNOWN, kinds
+    assert kinds[-1] == D.NOT_EXP_LIOUVILLE_TREND
+
+
 def test_exp_liouville_score_matches_direct_formula():
     cf = explicit(3, 11, 5, 7, 2)
     pairs = D.convergents(cf, 4)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import struct
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from torus_hypo.errors import (
     CompatibilityError,
     GridMismatch,
+    MalformedInput,
     ProfileError,
     SolvabilityError,
     ZeroDivisorError,
@@ -102,6 +104,16 @@ def test_field_binary_round_trip(tmp_path):
     # Stable from the first round trip on: bytes(load(bytes(f))) == bytes once
     # the grid values have been snapped to the stored spectral coefficients.
     assert again.to_bytes() == back.to_bytes()
+
+
+def test_field_binary_rejects_data_shorter_than_its_header_says():
+    """A file cut inside the ξ list or a block, or a header whose block count
+    is negative, is malformed input, not a numpy error or an empty field."""
+    raw = FourierField.from_modes(1, 8, {(1, 2): 1.0, (0, 3): 2.0}).to_bytes()
+    negative = raw[:40] + struct.pack("<q", -1) + raw[48:]
+    for bad in (raw[:56], raw[:100], negative):
+        with pytest.raises(MalformedInput, match="truncated"):
+            FourierField.from_bytes(bad)
 
 
 def test_field_spectral_derivatives():
