@@ -340,6 +340,8 @@ def cmd_solve(args) -> int:
 def cmd_singular(args) -> int:
     from .singular import build_obstruction, fit_lower_bound_power
 
+    if args.grid < 4 or args.grid & (args.grid - 1):
+        raise MalformedInput(f"--grid: {args.grid} is not a power of two >= 4")
     spec = _load_spec(args)
     ob = build_obstruction(
         spec, xi_max=args.xi_max, grid=args.grid, field_cap=args.field_cap

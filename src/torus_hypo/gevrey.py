@@ -22,10 +22,11 @@ multiple threads.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -432,7 +433,7 @@ def exp_composition_derivatives(g_derivs: Sequence, m: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GevreyWitness:
     """Fitted stretched-exponential decay model  |c_xi| ~ C |xi|^power e^{-epsilon |xi|^{1/s}}.
 
@@ -587,43 +588,7 @@ def shoulder(x, s: float):
     return out
 
 
-def _bit_reverse_permute(a: list) -> None:
-    n = len(a)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
-
-
-def _fft_pow2_inplace(a: list, roots: list) -> None:
-    """Iterative radix-2 FFT over arbitrary-precision complex entries.
-
-    ``roots[k]`` must hold e^{-2*pi*i*k/n} for k < n/2.  Used only where
-    float64 FFT noise (~1e-16 relative) would swamp genuinely tiny
-    coefficients.
-    """
-    n = len(a)
-    _bit_reverse_permute(a)
-    size = 2
-    while size <= n:
-        half = size // 2
-        step = n // size
-        for start in range(0, n, size):
-            for k in range(half):
-                w = roots[k * step]
-                u = a[start + k]
-                v = a[start + k + half] * w
-                a[start + k] = u + v
-                a[start + k + half] = u - v
-        size *= 2
-
-
-@dataclass
+@dataclass(frozen=True)
 class GevreyCutoff:
     """Compactly supported order-s cutoff on (0, 2*pi).
 
@@ -636,11 +601,12 @@ class GevreyCutoff:
     s: float
     support: tuple
     plateau: tuple
-    evaluator: Callable = field(repr=False)
     witness: GevreyWitness | None = None
 
     def __call__(self, t):
-        return self.evaluator(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        (l, r), (l2, r2) = self.support, self.plateau
+        return shoulder((t - l) / (l2 - l), self.s) * shoulder((r - t) / (r - r2), self.s)
 
     def value_mp(self, t, mp):
         """Evaluate at one point in mpmath arithmetic (t an mpf)."""
@@ -671,28 +637,58 @@ class GevreyCutoff:
         spec = np.fft.rfft(vals) / n_grid
         return {k: float(abs(spec[k])) for k in range(1, n_grid // 2)}
 
-    def fourier_magnitudes_hiprec(self, n_grid: int = 8192, dps: int = 40) -> dict:
-        """|Fourier coefficient| via an FFT in ``dps``-digit arithmetic.
+    def fourier_magnitudes_hiprec(self) -> dict:
+        """|Fourier coefficient| at frequencies 1..4095 of 8192 samples, to about 1e-40.
 
-        Resolves magnitudes down to roughly 10**(-dps) in absolute terms,
-        far below the float64 roundoff floor; needed to fit decay windows
-        whose tail coefficients are genuinely below 1e-16.
+        Only the samples in or next to a shoulder are evaluated, in 40-digit
+        mpmath (:meth:`value_mp`): the others are exactly 1 or 0.  Samples and
+        roots of unity become Python ints at scale 2**160 (finer than the 133
+        bits of 40 digits), a radix-2 FFT runs on them with a 160-bit shift
+        after each product, and each magnitude isqrt(re² + im²) / 2**160 / 8192
+        is rounded to a float once.  The tail of the witness's fit window lies
+        far below the float64 FFT roundoff floor.
         """
         from mpmath import mp, workdps
 
-        if n_grid & (n_grid - 1):
-            raise OutOfRange(f"n_grid={n_grid} must be a power of two")
-        with workdps(dps):
-            two_pi = 2 * mp.pi
-            vals = [
-                mp.mpc(self.value_mp(two_pi * k / n_grid, mp))
-                for k in range(n_grid)
-            ]
-            roots = [mp.expjpi(mp.mpf(-2 * k) / n_grid) for k in range(n_grid // 2)]
-            _fft_pow2_inplace(vals, roots)
-            return {
-                k: float(abs(vals[k]) / n_grid) for k in range(1, n_grid // 2)
-            }
+        n, bits = 8192, 160
+        one, h = 1 << bits, 2.0 * math.pi / n
+        (l, r), (l2, r2) = self.support, self.plateau
+        # a one-sample margin keeps float rounding of t out of the split
+        flat = range(math.ceil(l2 / h) + 1, math.floor(r2 / h))
+        re = [0] * n
+        with workdps(40):
+            for k in range(max(0, math.floor(l / h) - 1), min(n, math.ceil(r / h) + 2)):
+                value = 1 if k in flat else self.value_mp(2 * mp.pi * k / n, mp)
+                re[k] = int(mp.ldexp(value, bits))
+            # (cos, sin) of 2*pi*k/n on the first octant; the rest by symmetry
+            octant = [mp.expjpi(mp.mpf(2 * k) / n) for k in range(n // 8 + 1)]
+            octant = [(int(mp.ldexp(w.real, bits)), int(mp.ldexp(w.imag, bits))) for w in octant]
+        quarter = octant + [(s, c) for c, s in reversed(octant[:-1])]
+        roots = [(c, -s) for c, s in quarter[:-1]] + [(-s, -c) for c, s in quarter[:-1]]
+        width = n.bit_length() - 1
+        re = [re[int(f"{k:0{width}b}"[::-1], 2)] for k in range(n)]
+        im = [0] * n
+        size = 2
+        while size <= n:
+            half, step = size // 2, n // size
+            for start in range(0, n, size):
+                for k in range(half):
+                    wr, wi = roots[k * step]
+                    p, q = start + k, start + k + half
+                    vr = (re[q] * wr - im[q] * wi) >> bits
+                    vi = (re[q] * wi + im[q] * wr) >> bits
+                    re[p], re[q] = re[p] + vr, re[p] - vr
+                    im[p], im[q] = im[p] + vi, im[p] - vi
+            size *= 2
+        return {k: math.isqrt(re[k] ** 2 + im[k] ** 2) / one / n for k in range(1, n // 2)}
+
+
+@functools.lru_cache(maxsize=64)
+def _cutoff_witness(s: float, support: tuple, plateau: tuple) -> GevreyWitness:
+    """Decay witness of one cutoff geometry, computed once per process (for
+    the 64 geometries used last)."""
+    mags = GevreyCutoff(s, support, plateau).fourier_magnitudes_hiprec()
+    return estimate_decay(mags, s, xi_min=32, xi_max=2048, envelope=True)
 
 
 def make_cutoff(
@@ -705,10 +701,12 @@ def make_cutoff(
 
     The construction composes two shoulders of the mollifier
     psi(x) = exp(-x^{-1/(s-1)}):  phi(t) = h((t-l)/(l'-l)) * h((r-t)/(r-r')).
-    With ``verify`` the Fourier coefficients are computed in extended
-    precision (the true tail lies below the float64 FFT noise floor), fitted
-    at order s over frequencies 32..2048, and the witness stored on the
-    returned object.
+    With ``verify`` the returned cutoff carries a decay witness: the Fourier
+    magnitudes from :meth:`GevreyCutoff.fourier_magnitudes_hiprec` (the true
+    tail lies below the float64 FFT noise floor), fitted at order s over
+    frequencies 32..2048.  The witness depends only on (s, support, plateau)
+    and is memoized on them, so every cutoff of one geometry shares one
+    frozen witness and the transform runs once per geometry and process.
     """
     if s <= 1:
         raise OrderError(f"order-s cutoffs require s > 1, got s={s}")
@@ -718,15 +716,5 @@ def make_cutoff(
         raise GeometryError(
             f"need 0 < {l} < {l2} < {r2} < {r} < 2*pi with plateau inside support"
         )
-
-    def evaluator(t, _l=l, _r=r, _l2=l2, _r2=r2, _s=float(s)):
-        t = np.asarray(t, dtype=float)
-        left = shoulder((t - _l) / (_l2 - _l), _s)
-        right = shoulder((_r - t) / (_r - _r2), _s)
-        return left * right
-
-    cut = GevreyCutoff(s=float(s), support=(l, r), plateau=(l2, r2), evaluator=evaluator)
-    if verify:
-        mags = cut.fourier_magnitudes_hiprec()
-        cut.witness = estimate_decay(mags, s, xi_min=32, xi_max=2048, envelope=True)
-    return cut
+    geometry = (float(s), (l, r), (l2, r2))
+    return GevreyCutoff(*geometry, witness=_cutoff_witness(*geometry) if verify else None)

@@ -45,7 +45,7 @@ from .errors import (
     RefusedHypoelliptic,
     WitnessMismatch,
 )
-from .gevrey import GevreyCutoff, TrigPoly, estimate_decay, least_squares, make_cutoff
+from .gevrey import TrigPoly, estimate_decay, least_squares, make_cutoff
 from .solver import FourierField, apply_tube_operator
 from .system import (
     CHANGES_SIGN,
@@ -323,10 +323,6 @@ def locate_laplace_profile(b: TrigPoly) -> LaplaceProfile:
 # ---------------------------------------------------------------------------
 
 
-def _periodic_cutoff_eval(cutoff: GevreyCutoff, x: np.ndarray) -> np.ndarray:
-    return np.asarray(cutoff(np.mod(x, TWO_PI)), dtype=float)
-
-
 def _power_fit(table: dict, lo: int, hi: int) -> dict:
     """ln|v| ≈ ln C + p ln ξ over [lo, hi]; returns {power, C, fit_r2, n}."""
     xs = [xi for xi, v in table.items() if lo <= xi <= hi and v > 0]
@@ -398,33 +394,37 @@ def _build_prop52_forward(
             - np.asarray(Bper_sh(t_arr - r_arr), dtype=float)
         )
 
-    def u_row(t_points: np.ndarray, xi: int) -> np.ndarray:
-        """û'(t', ξ) on given t' points by trapezoid over r.
+    c0 = complex(a0_value, b0)
+
+    def u_rows(t_points: np.ndarray, xis):
+        """(ξ, û'(t', ξ)) on the given t' points for each ξ, by trapezoid over r.
 
         This is the exact periodic solution operator applied to f̂: where the
         bump argument t' − r wraps below 0 the data picks up the holonomy
         phase e^{−i2πξa₀} (the cutoff vanishes near the seam, so the phase
         switch multiplies zero and the integrand stays smooth and periodic).
+        The ξ-free Laplace tables depend only on n_r = max(1024, 4ξ); they
+        are rebuilt only when n_r changes.
         """
-        n_r = max(1024, 4 * xi)
-        r = TWO_PI * np.arange(n_r) / n_r
-        w = t_points[:, None] - r[None, :]
-        expo = im_H_sh(t_points[:, None], r[None, :]) - profile.B0
-        bump = _periodic_cutoff_eval(cutoff, w)
-        holonomy = np.where(w < 0, np.exp(-2j * math.pi * xi * a0_value), 1.0)
-        integral = np.exp(np.minimum(expo * xi, 0.0)) * bump * holonomy
-        vals = integral.sum(axis=1) * (TWO_PI / n_r)
-        phase = np.exp(-1j * xi * a0_value * (t_points - t0_sh))
-        return phase * vals
+        n_r = None
+        for xi in xis:
+            if n_r != max(1024, 4 * xi):
+                n_r = max(1024, 4 * xi)
+                r = TWO_PI * np.arange(n_r) / n_r
+                wrapped = t_points[:, None] < r[None, :]  # t' − r < 0
+                bump = cutoff(np.mod(t_points[:, None] - r[None, :], TWO_PI))
+                expo = im_H_sh(t_points[:, None], r[None, :]) - profile.B0
+            holonomy = np.where(wrapped, np.exp(-2j * math.pi * xi * a0_value), 1.0)
+            integral = np.exp(np.minimum(expo * xi, 0.0)) * bump * holonomy
+            vals = integral.sum(axis=1) * (TWO_PI / n_r)
+            yield xi, np.exp(-1j * xi * a0_value * (t_points - t0_sh)) * vals
 
     # Certificate tables over the full frequency range (peak value is the
     # integral at t' = t0'; the phase there is 1).
     u_table = {}
     f_table = {}
-    t0_arr = np.array([t0_sh])
-    for xi in range(1, xi_max + 1):
-        u_table[xi] = float(np.abs(u_row(t0_arr, xi))[0])
-        c0 = complex(a0_value, b0)
+    for xi, u_peak in u_rows(np.array([t0_sh]), range(1, xi_max + 1)):
+        u_table[xi] = float(np.abs(u_peak)[0])
         pref = abs(1.0 - np.exp(-2j * math.pi * xi * c0))
         ln_f = -profile.B0 * xi
         f_table[xi] = float(pref * math.exp(max(ln_f, -745.0)) if ln_f > -745.0 else 0.0)
@@ -436,15 +436,13 @@ def _build_prop52_forward(
     rhs_out = FourierField(n=1, grid_size=grid_size)
     t_grid = field_out.t_grid()
     t_sh_grid = t_grid  # uniform grid is translation-invariant; roll below
-    for xi in range(1, min(xi_max, field_xi_cap) + 1):
-        u_sh = u_row(t_sh_grid, xi)
-        c0 = complex(a0_value, b0)
+    for xi, u_sh in u_rows(t_sh_grid, range(1, min(xi_max, field_xi_cap) + 1)):
         pref = 1.0 - np.exp(-2j * math.pi * xi * c0)
         f_sh = (
             pref
             * math.exp(max(-profile.B0 * xi, -745.0))
             * np.exp(-1j * xi * a0_value * (t_sh_grid - t0_sh))
-            * _periodic_cutoff_eval(cutoff, t_sh_grid)
+            * cutoff(np.mod(t_sh_grid, TWO_PI))
         )
         # u(t_k) = u'(t_k + sigma): sample u' at shifted grid = roll by steps
         field_out.data[xi] = np.roll(u_sh, -shift_steps)

@@ -145,7 +145,7 @@ _RHS = {"format": "tff", "n": 1, "grid_size": 8, "blocks": [_BLOCK]}
 
 #: case -> (what is malformed, the named field).  What is malformed is spec
 #: fields over {"n": 1, "s": "2"} (run by classify), an rhs object (run by
-#: solve on fixtures/solve_spec.json) or an argv.
+#: solve on fixtures/solve_spec.json) or an argv ("@name" as in CASES).
 MALFORMED = {
     "a-not-a-number": (("spec", {"tubes": [{"a": "abc", "b": "0"}]}), "tubes[0]: a:"),
     "s-zero-denominator": (("spec", {"s": "1/0", "tubes": [{"a": "1/2", "b": "0"}]}), "s:"),
@@ -166,15 +166,22 @@ MALFORMED = {
     ),
     "rhs-fields-not-a-list": (("rhs", {"fields": 3}), "rhs: fields:"),
     "rhs-grid-not-a-number": (("rhs", {**_RHS, "grid_size": "x"}), "rhs: grid_size:"),
+    "singular-grid-zero": (("argv", ["singular", "@singular_expL", "out.json", "--grid", "0"]), "--grid: 0"),
+    "singular-grid-not-a-power-of-two": (
+        ("argv", ["singular", "@singular_expL", "out.json", "--grid", "100000"]),
+        "--grid: 100000",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys):
+def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys, monkeypatch):
     (kind, given), field = MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / f"{kind}.json"
-    argv = given
-    if kind == "spec":
+    if kind == "argv":
+        argv = [str(FIXTURES / f"{a[1:]}.json") if a[:1] == "@" else a for a in given]
+    elif kind == "spec":
         path.write_text(json.dumps({"n": 1, "s": "2", **given}), encoding="utf-8")
         argv = ["classify", str(path)]
     elif kind == "rhs":

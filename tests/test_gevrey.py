@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torus_hypo import gevrey
 from torus_hypo.errors import GeometryError, InsufficientData, OrderError, OutOfRange
 from torus_hypo.gevrey import (
+    GevreyCutoff,
     TrigPoly,
     check_lemma_product_bound,
     enumerate_delta,
@@ -340,3 +345,76 @@ def test_make_cutoff_fourier_magnitudes_decay():
     low = max(mags[xi] for xi in range(1, 8))
     high = max(mags[xi] for xi in range(256, 512))
     assert high < 1e-6 * low
+
+
+#: the cutoff geometry every singular fixture uses: support π ± 0.5, plateau π ± 0.25
+_SUPPORT = (math.pi - 0.5, math.pi + 0.5)
+_PLATEAU = (math.pi - 0.25, math.pi + 0.25)
+_WITNESS_GOLDEN = Path(__file__).resolve().parent / "golden" / "cutoff_witness.json"
+
+
+@pytest.mark.parametrize("s", ["5/4", "3/2", "2", "5/2", "3", "5"])
+def test_cutoff_witness_matches_golden(s):
+    """The decay witness of the high-precision transform, pinned field by field."""
+    want = json.loads(_WITNESS_GOLDEN.read_text(encoding="utf-8"))[s]
+    got = make_cutoff(float(Fraction(s)), _SUPPORT, _PLATEAU).witness.to_json()
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        if isinstance(value, bool):
+            assert got[key] is value
+        else:
+            assert math.isclose(got[key], value, rel_tol=1e-9), key
+
+
+@pytest.fixture
+def empty_witness_cache():
+    """The process-wide witness memo, empty before and after the test."""
+    gevrey._cutoff_witness.cache_clear()
+    yield
+    gevrey._cutoff_witness.cache_clear()
+
+
+def test_cutoff_witness_is_memoized_per_geometry(monkeypatch, empty_witness_cache):
+    """One transform per (s, support, plateau); the shared witness is frozen."""
+    transforms = []
+
+    def stretched_exponential(cut):
+        # a cheap stand-in for the transform, different for each geometry
+        transforms.append(cut)
+        width = cut.support[1] - cut.support[0]
+        return {k: math.exp(-width * k ** (1 / cut.s)) for k in range(1, 4096)}
+
+    monkeypatch.setattr(GevreyCutoff, "fourier_magnitudes_hiprec", stretched_exponential)
+    first = make_cutoff(2.0, _SUPPORT, _PLATEAU)
+    again = make_cutoff(2.0, _SUPPORT, _PLATEAU)
+    assert again.witness is first.witness and len(transforms) == 1
+    other_s = make_cutoff(3.0, _SUPPORT, _PLATEAU)
+    other_support = make_cutoff(2.0, (math.pi - 0.6, math.pi + 0.5), _PLATEAU)
+    assert len(transforms) == 3
+    assert other_s.witness.s == 3.0
+    assert len({first.witness, other_s.witness, other_support.witness}) == 3
+    assert make_cutoff(2.0, _SUPPORT, _PLATEAU, verify=False).witness is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.witness.epsilon = 0.0
+
+
+def test_hiprec_magnitudes_match_direct_dft():
+    """A direct mp DFT over the nonzero samples, at a few window frequencies."""
+    n_grid = 8192
+    phi = make_cutoff(2.0, _SUPPORT, _PLATEAU, verify=False)
+    mags = phi.fourier_magnitudes_hiprec()
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        # every nonzero sample lies in the support, |t - pi| < 0.5
+        near = [j for j in range(n_grid) if abs(2 * math.pi * j / n_grid - math.pi) < 0.51]
+        values = [phi.value_mp(2 * mp.pi * j / n_grid, mp) for j in near]
+        assert values[0] == values[-1] == 0 and 0 < len(near) < n_grid // 4
+        for xi in (32, 57, 128, 333, 512, 1000, 1531, 2048):
+            # Horner in z = e^{-2 pi i xi / n}; the dropped factor z^near[0]
+            # has modulus 1
+            z = mp.expjpi(mp.mpf(-2 * xi) / n_grid)
+            coeff = mp.mpc(0)
+            for value in reversed(values):
+                coeff = coeff * z + value
+            direct = float(abs(coeff) / n_grid)
+            assert math.isclose(mags[xi], direct, rel_tol=1e-12), xi

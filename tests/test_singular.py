@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from torus_hypo import singular
-from torus_hypo.gevrey import make_cutoff
+from torus_hypo import gevrey
+from torus_hypo.gevrey import GevreyCutoff
 from torus_hypo.singular import build_prop52
 from torus_hypo.solver import apply_tube_operator
 from torus_hypo.system import SystemSpec, analyze
@@ -29,9 +28,12 @@ def _prop52(b_const: str):
 
 
 def test_prop52_mirror_branch_matches_forward_branch(monkeypatch):
-    # The cutoff's decay witness (an extended-precision FFT) takes no part in
-    # the mirror mapping; skip it to keep the test fast.
-    monkeypatch.setattr(singular, "make_cutoff", functools.partial(make_cutoff, verify=False))
+    transforms = []
+    hiprec = GevreyCutoff.fourier_magnitudes_hiprec
+    monkeypatch.setattr(
+        GevreyCutoff, "fourier_magnitudes_hiprec", lambda cut: transforms.append(cut) or hiprec(cut)
+    )
+    gevrey._cutoff_witness.cache_clear()
     # b = 1/2 + sin t (b0 > 0) is built through the reflection c(t) = -b(-t)
     # = -1/2 + sin t and mapped back by u(t) = conj(v(-t)): it has the same
     # certified table as the forward build for -1/2 + sin t, and the mapped
@@ -41,6 +43,10 @@ def test_prop52_mirror_branch_matches_forward_branch(monkeypatch):
     assert mirror.certificates["mirror_mapped"] is True
     assert "mirror_mapped" not in forward.certificates
     assert mirror.certificates["lower_bound_table"] == forward.certificates["lower_bound_table"]
+    # both builds put their cutoff on one geometry: one transform, one witness
+    assert len(transforms) == 1
+    assert mirror.certificates["cutoff_witness"] == forward.certificates["cutoff_witness"]
+    assert mirror.certificates["cutoff_witness"]["s"] == 2.0
 
     pm, pf = mirror.certificates["profile"], forward.certificates["profile"]
     assert (pm["mirror"], pf["mirror"]) == (True, False)
