@@ -36,8 +36,12 @@ A failure prints ``error: <message>`` to stderr and exits with the
 41   WitnessMismatch / LadderMismatch / IntegralityError
 50   any other domain error
 
-``TORUS_HYPO_THREADS`` caps BLAS/OpenMP parallelism (set before numeric
-modules load); reports are byte-deterministic regardless of thread count.
+``TORUS_HYPO_THREADS`` caps BLAS/OpenMP parallelism: ``main`` copies it into
+``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` (unless
+they are set) before any command imports numpy.  That takes effect because
+this module and the package root load no numpy; a process that imported
+numpy before ``main`` keeps its threads.  Reports are byte-deterministic
+regardless of thread count.
 """
 
 from __future__ import annotations
@@ -76,6 +80,11 @@ def _read_json(path):
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _check_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise MalformedInput(f"{flag}: {value} is not a positive integer")
 
 
 def _parse_s(text: str) -> Fraction:
@@ -179,6 +188,7 @@ def _emit(report: Report, args) -> None:
 def cmd_classify(args, verbose: bool = False) -> int:
     from .system import classify_system
 
+    _check_positive("--horizon", args.horizon)
     spec = _load_spec(args)
     analysis, dio_verdict, verdict = classify_system(spec, n_max=args.horizon)
     body = {
@@ -212,6 +222,7 @@ def cmd_classify(args, verbose: bool = False) -> int:
 def cmd_cf(args) -> int:
     from . import diophantine as dio
 
+    _check_positive("--n", args.n)
     try:
         stream = dio.digit_stream_from_json(args.digits)
     except (MalformedInput, ValueError) as exc:

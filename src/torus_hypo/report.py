@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import MalformedInput
 
 FORMAT_VERSION = "torus-hypo-report/1"
@@ -50,9 +48,7 @@ def canonical_json(obj) -> str:
     """Canonical rendering: sorted keys, fixed 17-digit floats, no spaces."""
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
-    if isinstance(obj, (np.bool_,)):
-        return json.dumps(bool(obj))
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return _int_text(int(obj))
     if isinstance(obj, Fraction):
         # the string str(Fraction) gives: "p/q", or "p" when q = 1
@@ -60,7 +56,7 @@ def canonical_json(obj) -> str:
         if obj.denominator != 1:
             text += "/" + _int_text(obj.denominator)
         return json.dumps(text)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _canon_float(float(obj))
     if isinstance(obj, complex):
         return canonical_json({"im": obj.imag, "re": obj.real})
@@ -72,7 +68,7 @@ def canonical_json(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars
         return canonical_json(obj.tolist())
     if hasattr(obj, "to_json"):
         return canonical_json(obj.to_json())

@@ -42,7 +42,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .diophantine import RealConstant
 from .errors import (
@@ -480,6 +479,8 @@ def _banded_tube_solve(
     possible singular direction (m + ξa0 = 0 together with ξ b̂_0 = 0) is
     excluded since b0 ≠ 0, so the banded LU is well posed for every ξ ≠ 0.
     """
+    from scipy.linalg import solve_banded  # scipy loads only for this solve
+
     d = (b_exp.size - 1) // 2
     half = max(total_modes // 2, grid_size // 2 + d + 1)
     size = 2 * half + 1

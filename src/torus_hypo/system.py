@@ -25,13 +25,13 @@ available evidence cannot certify either direction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import sympy
 
 from . import diophantine as dio
 from .diophantine import (
@@ -407,21 +407,75 @@ def _halfangle_polynomial(b: TrigPoly) -> list:
 
 
 def _exact_profile(b: TrigPoly) -> str:
-    coeffs = _halfangle_polynomial(b)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = _poly_trim(_halfangle_polynomial(b))
     if not coeffs:
         return IDENTICALLY_ZERO
     if (len(coeffs) - 1) % 2 == 1:
         # odd degree: opposite signs as u -> +-infinity, i.e. across t = pi
         return CHANGES_SIGN
-    u = sympy.Symbol("u")
-    poly = sympy.Poly(list(reversed([sympy.Rational(c) for c in coeffs])), u, domain="QQ")
-    for factor, mult in poly.sqf_list()[1]:
-        if mult % 2 == 1 and factor.degree() >= 1 and factor.count_roots() > 0:
+    for factor, mult in _squarefree_factors(coeffs):
+        if mult % 2 == 1 and len(factor) > 1 and _real_root_count(factor) > 0:
             return CHANGES_SIGN
     lc = coeffs[-1]
     return NON_NEGATIVE_NOT_ZERO if lc > 0 else NON_POSITIVE_NOT_ZERO
+
+
+# Exact polynomials: ascending Fraction coefficient lists without trailing
+# zeros ([] is the zero polynomial).
+
+
+def _poly_trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod(num: list, den: list):
+    rem, quo = list(num), [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = rem[i + len(den) - 1] / den[-1]
+        for j, d in enumerate(den):
+            rem[i + j] -= c * d
+    return quo, _poly_trim(rem[: len(den) - 1])
+
+
+def _poly_derivative(p: list) -> list:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _poly_gcd(p: list, q: list) -> list:
+    """Monic greatest common divisor of p != 0 and q (Euclid)."""
+    while q:
+        p, q = q, _poly_divmod(p, q)[1]
+    return [c / p[-1] for c in p]
+
+
+def _squarefree_factors(f: list) -> list:
+    """Yun's square-free decomposition (Yun, SYMSAC 1976): pairs (a_i, i)
+    with f = lc(f) * prod a_i^i, the a_i monic, square-free and coprime."""
+    df = _poly_derivative(f)
+    g = _poly_gcd(f, df)
+    b, c = _poly_divmod(f, g)[0], _poly_divmod(df, g)[0]
+    out = []
+    while len(b) > 1:
+        db = _poly_derivative(b)
+        d = _poly_trim([x - y for x, y in itertools.zip_longest(c, db, fillvalue=0)])
+        a = _poly_gcd(b, d)
+        out.append((a, len(out) + 1))
+        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+    return out
+
+
+def _real_root_count(p: list) -> int:
+    """Distinct real roots of p (degree >= 1) by Sturm's theorem (Sturm
+    1829): sign changes of the Sturm sequence at -inf minus those at +inf."""
+    seq = [p, _poly_derivative(p)]
+    while rem := _poly_divmod(seq[-2], seq[-1])[1]:
+        seq.append([-c for c in rem])
+    at_minus = [(q[-1] > 0) == (len(q) % 2 == 1) for q in seq]
+    at_plus = [q[-1] > 0 for q in seq]
+    minus, plus = (sum(x != y for x, y in zip(s, s[1:])) for s in (at_minus, at_plus))
+    return minus - plus
 
 
 def _grid_profile(b: TrigPoly, max_refinements: int = 6) -> str:

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -129,6 +130,120 @@ def test_subprocess_smoke():
     assert proc.stderr == ""
 
 
+# ---------------------------------------------------------------------------
+# Cold start: what a fresh interpreter loads, and the thread cap
+# ---------------------------------------------------------------------------
+
+THREAD_VARS = ("TORUS_HYPO_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: the names the package root exported when it imported every module eagerly
+EXPORTS = """
+    ApproxInterval ContinuedFraction DiophantineVerdict LiouvilleWitness RealConstant
+    approx_interval condition_B_check convergents digit_stream_from_json exp_liouville_score
+    liouville_exponent_trend scale_witness verify_witness_rows GevreyCutoff GevreyWitness
+    TrigPoly check_lemma_product_bound estimate_decay exp_composition_derivatives make_cutoff
+    sum_over_delta NormalFormData apply_gauge build_normal_form conjugation_residual
+    gauge_derivative_growth LaplaceProfile Obstruction SingularSolution build_expliouville_J
+    build_obstruction build_product build_prop51 build_prop52 build_rational_J
+    fit_lower_bound_power locate_laplace_profile FourierField apply_tube_operator decay_report
+    residual solve_by_division solve_single_tube solve_system Order SystemAnalysis SystemSpec
+    Tube Verdict analyze average classify_system classify_vector decide sign_analysis
+    TorusHypoError MalformedInput __version__
+""".split()
+
+
+def _fresh(args: list, cwd=TESTS, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter on this checkout's src/, with
+    no thread variables inherited."""
+    full = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    paths = [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")]
+    full.update(PYTHONPATH=os.pathsep.join(filter(None, paths)), **env)
+    cmd = [sys.executable, *args]
+    return subprocess.run(cmd, capture_output=True, env=full, cwd=cwd, timeout=300)
+
+
+def _fresh_python(code: str, **env) -> str:
+    proc = _fresh(["-c", code], **env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.decode()
+
+
+def _loaded_after(cases: list) -> list:
+    """The heavy packages in sys.modules after the cases ran in-process, one
+    after the other, in a fresh interpreter; each exits as its golden does."""
+    code = f"""if True:
+        import contextlib, io, json, sys
+        from torus_hypo import cli
+        codes = []
+        for argv in {[_argv(case) for case in cases]!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(argv))
+        heavy = ("numpy", "scipy", "sympy", "mpmath")
+        print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))
+    """
+    codes, loaded = json.loads(_fresh_python(code))
+    assert codes == [_manifest()[case]["exit"] for case in cases]
+    return loaded
+
+
+def test_cli_import_loads_no_numeric_package():
+    code = "import json, sys, torus_hypo.cli; print(json.dumps(sorted(sys.modules)))"
+    loaded = set(json.loads(_fresh_python(code)))
+    assert loaded.isdisjoint({"numpy", "scipy", "sympy", "mpmath"})
+    assert "torus_hypo.system" not in loaded
+
+
+def test_verdict_commands_load_neither_scipy_nor_sympy():
+    cases = [case for case in CASES if case.split("-")[0] in ("classify", "diagnose", "normalform")]
+    assert len(cases) == 3 * len(SPECS)
+    loaded = _loaded_after(cases)
+    assert "scipy" not in loaded and "sympy" not in loaded
+
+
+def test_cf_loads_no_numpy():
+    assert _loaded_after([case for case in CASES if case.startswith("cf-")]) == ["mpmath"]
+
+
+def test_package_root_exports_resolve():
+    code = f"""if True:
+        import torus_hypo
+        names = {EXPORTS!r}
+        missing = [n for n in names if not hasattr(torus_hypo, n) or n not in dir(torus_hypo)]
+        star = dict()
+        exec("from torus_hypo import *", star)
+        print(missing + [n for n in names if n[0] != "_" and n not in star])
+    """
+    assert _fresh_python(code).strip() == "[]"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_thread_cap_applies_before_numpy_loads():
+    """Under TORUS_HYPO_THREADS=1 a command that loads numpy runs on one thread."""
+    argv = ["classify", str(FIXTURES / "cond1.json")]
+    code = f"""if True:
+        import contextlib, io, sys
+        from torus_hypo import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main({argv!r})
+        with open("/proc/self/status") as fh:
+            threads = [line.split()[1] for line in fh if line.startswith("Threads:")]
+        print("numpy" in sys.modules, threads[0])
+    """
+    assert _fresh_python(code, TORUS_HYPO_THREADS="1").split() == ["True", "1"]
+
+
+@pytest.mark.parametrize("case", ["solve-solve_rhs", "singular-singular_expL"])
+def test_reports_do_not_depend_on_the_thread_count(case, tmp_path):
+    want = _manifest()[case]
+    for threads in ("1", "2"):
+        proc = _fresh(["-m", "torus_hypo.cli", *_argv(case)], tmp_path, TORUS_HYPO_THREADS=threads)
+        assert proc.returncode == want["exit"], proc.stderr
+        assert proc.stdout == (GOLDEN / f"{case}.json").read_bytes()
+        artifact = tmp_path / ARTIFACTS[CASES[case][0]]
+        assert hashlib.sha256(artifact.read_bytes()).hexdigest() == want["artifact_sha256"]
+
+
+
 @pytest.mark.parametrize(
     "obj",
     [{}, [], [[], {}], {1: "int key"}, {"t": [[1, 2.5], [3, float("nan")]], "r": [{"x": "é"}, 1]}],
@@ -137,6 +252,15 @@ def test_piecewise_certificate_write_matches_json_dumps(obj):
     fh = io.StringIO()
     cli._write_json(obj, fh)
     assert fh.getvalue() == json.dumps(obj)
+
+
+def test_canonical_json_renders_numpy_values_as_python_values():
+    from torus_hypo.report import canonical_json
+
+    values = [np.bool_(False), np.int64(-7), np.float64(0.1), np.float32(0.1), np.complex128(1j)]
+    assert canonical_json(values) == canonical_json([v.item() for v in values])
+    array = np.array([[1.5, np.nan], [-np.inf, 2.0]])
+    assert canonical_json({"a": array}) == canonical_json({"a": array.tolist()})
 
 
 #: one 8-point block of the rhs field (solve_spec has n = 1)
@@ -166,6 +290,10 @@ MALFORMED = {
     ),
     "rhs-fields-not-a-list": (("rhs", {"fields": 3}), "rhs: fields:"),
     "rhs-grid-not-a-number": (("rhs", {**_RHS, "grid_size": "x"}), "rhs: grid_size:"),
+    "horizon-negative": (("argv", ["classify", "@cond1", "--horizon", "-3"]), "--horizon: -3"),
+    "horizon-zero": (("argv", ["diagnose", "@ex63", "--horizon", "0"]), "--horizon: 0"),
+    "cf-n-zero": (("argv", ["cf", "convergents", "constant:2", "--n", "0"]), "--n: 0"),
+    "cf-n-negative": (("argv", ["cf", "convergents", "constant:2", "--n", "-1"]), "--n: -1"),
     "singular-grid-zero": (("argv", ["singular", "@singular_expL", "out.json", "--grid", "0"]), "--grid: 0"),
     "singular-grid-not-a-power-of-two": (
         ("argv", ["singular", "@singular_expL", "out.json", "--grid", "100000"]),

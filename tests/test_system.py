@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,105 @@ def test_sign_analysis_touching_zero_is_one_signed():
     # 1 + cos t vanishes at t = pi but never changes sign.
     prof = S.sign_analysis(TrigPoly.from_json(ONE_PLUS_COS))
     assert prof == S.NON_NEGATIVE_NOT_ZERO
+
+
+def _trig_product(p: TrigPoly, q: TrigPoly) -> TrigPoly:
+    """Exact product of two trig polynomials by the product-to-sum formulas."""
+    terms = {}  # ("cos" | "sin", k >= 0) -> coefficient; ("cos", 0) is the constant
+
+    def add(kind, k, c):
+        if k < 0:
+            k, c = -k, (c if kind == "cos" else -c)
+        if k or kind == "cos":
+            terms[kind, k] = terms.get((kind, k), Fraction(0)) + c
+
+    def parts(b):
+        yield "cos", 0, Fraction(b.const)
+        for k in range(1, b.degree + 1):
+            yield "cos", k, Fraction(b.coefficient("cos", k))
+            yield "sin", k, Fraction(b.coefficient("sin", k))
+
+    for k1, j, c1 in parts(p):
+        for k2, m, c2 in parts(q):
+            c = c1 * c2 / 2
+            if k1 == k2 == "cos":  # cos cos = (cos(j-m) + cos(j+m)) / 2
+                add("cos", j - m, c), add("cos", j + m, c)
+            elif k1 == k2 == "sin":  # sin sin = (cos(j-m) - cos(j+m)) / 2
+                add("cos", j - m, c), add("cos", j + m, -c)
+            else:  # sin(x) cos(y) = (sin(x+y) + sin(x-y)) / 2
+                x, y = (j, m) if k1 == "sin" else (m, j)
+                add("sin", x + y, c), add("sin", x - y, c)
+    D = max(k for _, k in terms)
+    return TrigPoly(
+        const=terms["cos", 0],
+        cos=[terms.get(("cos", k), Fraction(0)) for k in range(1, D + 1)],
+        sin=[terms.get(("sin", k), Fraction(0)) for k in range(1, D + 1)],
+    )
+
+
+def _sympy_profile(b: TrigPoly) -> str:
+    """The reference rule, in sympy: b changes sign exactly when its
+    half-angle polynomial has odd degree or a real root of odd multiplicity."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = S._halfangle_polynomial(b)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return S.IDENTICALLY_ZERO
+    if (len(coeffs) - 1) % 2 == 1:
+        return S.CHANGES_SIGN
+    u = sympy.Symbol("u")
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], u, domain="QQ")
+    for factor, mult in poly.sqf_list()[1]:
+        if mult % 2 == 1 and factor.degree() >= 1 and factor.count_roots() > 0:
+            return S.CHANGES_SIGN
+    return S.NON_NEGATIVE_NOT_ZERO if coeffs[-1] > 0 else S.NON_POSITIVE_NOT_ZERO
+
+
+def _random_factor(rng) -> TrigPoly:
+    """One factor: generic, touching zero, or a Pythagorean r + p cos kt + q sin kt."""
+    k = rng.randint(1, 3)
+    m = Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 4))
+    kind = rng.randrange(4)
+    if kind == 0:  # m (1 - cos kt)^2
+        one_minus_cos = TrigPoly(const=1, cos=[0] * (k - 1) + [-1])
+        return _trig_product(one_minus_cos, one_minus_cos).scale(m)
+    if kind == 1:  # m (r + p cos kt + q sin kt) with p^2 + q^2 = r^2: touches zero
+        p, q, r = rng.choice([(3, 4, 5), (5, 12, 13), (8, 15, 17), (1, 0, 1), (0, 1, 1)])
+        p, q = rng.choice([1, -1]) * p, rng.choice([1, -1]) * q
+        return TrigPoly(const=r, cos=[0] * (k - 1) + [p], sin=[0] * (k - 1) + [q]).scale(m)
+    frac = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 5))  # noqa: E731
+    return TrigPoly(const=frac(), cos=[frac() for _ in range(k)], sin=[frac() for _ in range(k)])
+
+
+def test_exact_profile_matches_sympy_rule():
+    """The exact sign certificate equals the sympy rule on random products of
+    factors that change sign, touch zero, or repeat."""
+    cases = [
+        TrigPoly(const=1, cos=[-1]),
+        _trig_product(TrigPoly(const=1, cos=[0, -1]), TrigPoly(const=1, cos=[0, -1])),
+        TrigPoly(const=5, cos=[0, 3], sin=[0, -4]),
+        TrigPoly(const=0, sin=[1]),
+        TrigPoly(const=Fraction(-1, 2), cos=[0, 0, 1]),
+    ]
+    rng = random.Random(20261018)
+    for _ in range(200):
+        b = _random_factor(rng)
+        for _ in range(rng.randint(0, 2)):
+            f = _random_factor(rng)
+            for _ in range(rng.choice([1, 1, 2, 3])):  # repeated factors
+                if b.degree + f.degree <= 6:
+                    t = rng.uniform(0, 2 * math.pi)
+                    product = _trig_product(b, f)
+                    assert math.isclose(product(t), b(t) * f(t), rel_tol=1e-9, abs_tol=1e-9)
+                    b = product
+        cases.append(b)
+    profiles = set()
+    for b in cases:
+        want = _sympy_profile(b)
+        assert S._exact_profile(b) == want, b
+        profiles.add(want)
+    assert profiles == {S.CHANGES_SIGN, S.NON_NEGATIVE_NOT_ZERO, S.NON_POSITIVE_NOT_ZERO}
 
 
 def test_sign_analysis_translation_invariance():
