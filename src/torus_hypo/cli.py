@@ -87,6 +87,11 @@ def _check_positive(flag: str, value: int) -> None:
         raise MalformedInput(f"{flag}: {value} is not a positive integer")
 
 
+#: largest ``singular --grid``: the Laplace tables take grid x max(1024, 4 xi)
+#: entries, and 2048 already peaks near 300 MB
+MAX_SINGULAR_GRID = 2048
+
+
 def _parse_s(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -223,6 +228,11 @@ def cmd_cf(args) -> int:
     from . import diophantine as dio
 
     _check_positive("--n", args.n)
+    if args.cf_command == "condition-b":
+        if not 1 <= args.big_n <= args.n:
+            raise MalformedInput(f"--big-n: {args.big_n} is not in 1..{args.n} (--n)")
+        if not 0 < args.epsilon < float("inf"):
+            raise MalformedInput(f"--epsilon: {args.epsilon} is not a positive number")
     try:
         stream = dio.digit_stream_from_json(args.digits)
     except (MalformedInput, ValueError) as exc:
@@ -324,6 +334,9 @@ def cmd_normalform(args) -> int:
 def cmd_solve(args) -> int:
     from .solver import solve_system
 
+    if args.modes is not None:
+        _check_positive("--modes", args.modes)
+    _check_positive("--precision", args.precision)
     spec = _load_spec(args)
     f_list = _load_field(args.rhs)
     u, body = solve_system(spec, f_list, internal_modes=args.modes, digits=args.precision)
@@ -351,8 +364,12 @@ def cmd_solve(args) -> int:
 def cmd_singular(args) -> int:
     from .singular import build_obstruction, fit_lower_bound_power
 
-    if args.grid < 4 or args.grid & (args.grid - 1):
-        raise MalformedInput(f"--grid: {args.grid} is not a power of two >= 4")
+    if not 4 <= args.grid <= MAX_SINGULAR_GRID or args.grid & (args.grid - 1):
+        raise MalformedInput(
+            f"--grid: {args.grid} is not a power of two in 4..{MAX_SINGULAR_GRID}"
+        )
+    _check_positive("--xi-max", args.xi_max)
+    _check_positive("--field-cap", args.field_cap)
     spec = _load_spec(args)
     ob = build_obstruction(
         spec, xi_max=args.xi_max, grid=args.grid, field_cap=args.field_cap
@@ -416,13 +433,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("gevrey", "smooth"), default=None)
         p.add_argument("--out", default=None, help="also write the report to this path")
 
-    p = sub.add_parser("classify", help="decide global regularity")
-    common(p)
-    p.add_argument("--horizon", type=int, default=6, help="continued-fraction depth")
-
-    p = sub.add_parser("diagnose", help="classify with the full evidence trail")
-    common(p)
-    p.add_argument("--horizon", type=int, default=6)
+    horizon_help = (
+        "rows of the continued-fraction evidence table; a verdict never "
+        "depends on it (it rests on a digit-stream certificate, a verified "
+        "vector_witness or a vector_assertion)"
+    )
+    for name, text in (
+        ("classify", "decide global regularity"),
+        ("diagnose", "classify with the full evidence trail"),
+    ):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--horizon", type=int, default=6, help=horizon_help)
 
     p = sub.add_parser("cf", help="continued-fraction tables")
     p.add_argument("cf_command", choices=("convergents", "bounds", "classify", "condition-b"))

@@ -16,7 +16,10 @@ On top of the engine it provides:
 
 * exact two-sided brackets for |p_n - alpha*q_n| in terms of the digits only;
 * growth scores mu_n (power-law approximability) and beta_n (stretched-
-  exponential approximability at order s), with trend verdicts;
+  exponential approximability at order s), kept as evidence;
+* verdicts from a tail certificate of each infinite digit stream: a bound
+  that holds for every n >= n0, so no verdict depends on how many rows were
+  computed (a finite digit list has no tail, and its verdict is Unknown);
 * a per-row certificate for the lower-bound condition
   |p_n - alpha*q_n| >= exp(-eps * q_{n-1}^{1/s});
 * witness records for simultaneously well-approximable vectors, with the
@@ -91,6 +94,12 @@ class DigitStream:
     def to_json(self) -> dict:
         raise NotImplementedError
 
+    def tail_certificate(self, s: float | None):
+        """(kind, certificate) at order ``s`` (None: the smooth scale) from
+        a bound on the whole tail of the stream, or (Unknown, None) when the
+        stream has no certified tail."""
+        return UNKNOWN, None
+
     def _require(self, n: int) -> None:
         if n < 1:
             raise MalformedInput(f"digit index {n} must be >= 1")
@@ -157,6 +166,18 @@ class ConstantDigits(DigitStream):
     def to_json(self) -> dict:
         return {"kind": "constant", "digit": str(self._d)}
 
+    def tail_certificate(self, s: float | None):
+        """Bounded partial quotients (Khinchin, *Continued Fractions*, 1935):
+        |q*alpha - p| >= 1/((d+2) q) for all integers p and q >= 1, so alpha
+        is neither Liouville nor approximable at rate exp(-eps q^{1/s})."""
+        d = self._d
+        kind = NOT_LIOUVILLE_TREND if s is None else NOT_EXP_LIOUVILLE_TREND
+        return kind, {
+            "n0": 1,
+            "bound": f"a_n <= {d} for every n, so |q*alpha - p| >= 1/({d + 2}*q)"
+            " for all integers p and q >= 1",
+        }
+
 
 class FactorialPow10Digits(DigitStream):
     """The infinite stream a_n = 10**(n!): an extremely well approximable
@@ -184,6 +205,21 @@ class FactorialPow10Digits(DigitStream):
 
     def to_json(self) -> dict:
         return {"kind": "factorial_pow10"}
+
+    def tail_certificate(self, s: float | None):
+        """From a_n q_{n-1} <= q_n <= 2 a_n q_{n-1}, with S_n = 1! + ... + n!:
+        10^{S_n} <= q_n <= 2^n 10^{S_n}.  Then mu_n >= n + 1 (Liouville, the
+        smooth scale) and beta_n <= (((n+1)! + S_n) ln 10 + n ln 2) /
+        10^{S_n/s} -> 0 (not approximable at rate exp(-eps q^{1/s}), every
+        Gevrey order s)."""
+        q_n = "10^S_n <= q_n <= 2^n*10^S_n with S_n = 1! + ... + n!"
+        if s is None:
+            return LIOUVILLE_TREND, {"n0": 2, "bound": f"{q_n}, so mu_n >= n + 1"}
+        return NOT_EXP_LIOUVILLE_TREND, {
+            "n0": 1,
+            "bound": f"{q_n}, so beta_n <= (((n+1)! + S_n)*ln 10 + n*ln 2)"
+            f"/10^(S_n/{float(s):g}), which tends to 0",
+        }
 
 
 def digit_stream_from_json(obj) -> DigitStream:
@@ -353,10 +389,6 @@ class ContinuedFraction:
         self._ensure(n)
         return self._ln_q[n]
 
-    def q_decimal_digits(self, n: int) -> int:
-        with workdps(LOG_DPS):
-            return int(self.log_q(n) / mp.log(10)) + 1
-
     # -- derived values -------------------------------------------------------
 
     def alpha_bracket(self, n: int):
@@ -486,26 +518,31 @@ class LiouvilleWitness:
 
 @dataclass
 class DiophantineVerdict:
-    """Desk-scale classification of one number (or one vector component).
+    """Classification of one number (or one vector component).
 
     ``kind`` is one of Rational, LiouvilleTrend, NotLiouvilleTrend,
-    NotExpLiouvilleTrend, ExpLiouvilleTrend, Unknown; trends are finite-
-    horizon evidence, never a certificate — the evidence table records the
-    per-n scores that produced them.
+    NotExpLiouvilleTrend, ExpLiouvilleTrend, Unknown.  For a digit-defined
+    number a definite trend kind rests on ``certificate``, the tail bound of
+    its digit stream; the evidence rows (per-n scores) are observables that
+    never decide the kind.
     """
 
     kind: str
     s: float | None = None
     evidence: list = field(default_factory=list)
     n_used: int = 0
+    certificate: dict | None = None
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "kind": self.kind,
             "s": self.s,
             "evidence": self.evidence,
             "n_used": self.n_used,
         }
+        if self.certificate is not None:
+            out["certificate"] = self.certificate
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +583,10 @@ def ln_approx_bounds(cf: ContinuedFraction, n: int):
 
 
 def liouville_exponent_trend(cf: ContinuedFraction, n_max: int) -> list:
-    """Rows (n, mu_n) for 2 <= n <= n_max with
+    """Rows (n, mu_n) for 2 <= n <= n_max (none when n_max < 2) with
     mu_n = ln(a_{n+1} q_n^2)/ln(q_n): the power-law exponent certified by the
     bracket at level n.  Unbounded mu_n along a subsequence is the signature
     of a Liouville number."""
-    if n_max < 2:
-        raise MalformedInput(f"need n_max >= 2, got {n_max}")
     rows = []
     with workdps(LOG_DPS):
         for n in range(2, n_max + 1):
@@ -570,17 +605,9 @@ def exp_liouville_score(cf: ContinuedFraction, s: float, n_max: int) -> list:
     |p_n - alpha*q_n| <= exp(-eps * q_n^{1/s}) is certified at level n.
     beta_n bounded below by a positive margin indicates stretched-exponential
     approximability at order s; beta_n -> 0 indicates its failure."""
-    return [(n, float(beta)) for n, beta in _beta_rows(cf, s, n_max)]
-
-
-def _beta_rows(cf: ContinuedFraction, s: float, n_max: int) -> list:
-    """The rows of :func:`exp_liouville_score` as mp numbers: a beta_n far
-    below the float range (1e-400 for ``factorial_pow10``) stays nonzero."""
     s = float(s)
     if s < 1:
         raise OrderError(f"order s={s} must be >= 1")
-    if n_max < 1:
-        raise MalformedInput(f"need n_max >= 1, got {n_max}")
     rows = []
     with workdps(LOG_DPS):
         for n in range(1, n_max + 1):
@@ -589,7 +616,7 @@ def _beta_rows(cf: ContinuedFraction, s: float, n_max: int) -> list:
                     f"beta_{n} needs digit a_{n + 1}, stream ended"
                 )
             ln_q = cf.log_q(n)
-            rows.append((n, (cf.ln_digit(n + 1) + ln_q) / mp.e ** (ln_q / s)))
+            rows.append((n, float((cf.ln_digit(n + 1) + ln_q) / mp.e ** (ln_q / s))))
     return rows
 
 
@@ -721,26 +748,10 @@ def _sup_ln_linear_form(comp: "RealConstant", r: int, s_k: int, target_ln):
 
 
 # ---------------------------------------------------------------------------
-# Trend classification
+# Classification
 # ---------------------------------------------------------------------------
 
-#: NotExpLiouvilleTrend: last three beta rows strictly decreasing, final < 1e-3
-BETA_SMALL = 1e-3
-#: ExpLiouvilleTrend: last three beta rows all >= 0.1 ...
-BETA_LARGE = 0.1
-#: ... and flat: a tail shrinking geometrically (ratio < this) is the
-#: signature of scores converging to 0, not of a positive lower bound
-BETA_FLAT_RATIO = 0.8
-#: ... and past the small-q bump: ln(a_{n+1} q_n)/q_n^{1/s} has an interior
-#: maximum near ln q = s for bounded digits, where any tail looks flat, so a
-#: positive trend is asserted only once ln q_n >= this multiple of s
-BETA_PEAK_LN_Q_FACTOR = 2.0
-#: LiouvilleTrend: last three mu rows strictly increasing, final >= 6
-MU_LARGE = 6.0
-#: NotLiouvilleTrend: final mu <= 4 with a non-increasing tail
-MU_SMALL = 4.0
-
-#: default classifier horizon (rows computed per number)
+#: default evidence horizon (rows computed per number)
 DEFAULT_HORIZON = 6
 
 
@@ -749,60 +760,28 @@ def classify(
     s: float | None = None,
     n_max: int = DEFAULT_HORIZON,
 ) -> DiophantineVerdict:
-    """Trend verdict for the number defined by ``cf``.
+    """Verdict for the number defined by ``cf`` at order ``s`` (``None``:
+    the smooth scale).
 
-    With an order ``s`` the stretched-exponential score beta_n decides
-    between NotExpLiouvilleTrend and ExpLiouvilleTrend; with ``s=None``
-    (smooth setting) the power-law exponent mu_n decides between
-    NotLiouvilleTrend and LiouvilleTrend.  Fewer than 3 usable rows, or an
-    inconclusive tail, give Unknown.  The tail is tested on the mp values of
-    beta_n, so a longer horizon cannot lose a trend to float underflow; the
-    evidence rows hold their floats.
+    The kind and its certificate come from the digit stream's tail bound
+    (:meth:`DigitStream.tail_certificate`), so no kind depends on
+    ``n_max``.  The evidence holds the beta_n rows (Gevrey) or mu_n rows
+    (smooth) for n <= n_max, cut at the last digit of a finite stream.
     """
-    rows = []
-    mode = "beta" if s is not None else "mu"
-    try:
-        if mode == "beta":
-            rows = _beta_rows(cf, float(s), n_max)
-        else:
-            rows = liouville_exponent_trend(cf, n_max)
-    except DigitStreamExhausted:
-        # finite stream: rebuild with the largest feasible horizon
-        last = 1
-        while cf.has_digit(last + 2):
-            last += 1
-        try:
-            if mode == "beta":
-                rows = _beta_rows(cf, float(s), last)
-            elif last >= 2:
-                rows = liouville_exponent_trend(cf, last)
-        except (DigitStreamExhausted, MalformedInput):
-            rows = []
-    evidence = [{"n": n, mode: float(val)} for n, val in rows]
-    verdict = DiophantineVerdict(
-        kind=UNKNOWN,
-        s=float(s) if s is not None else None,
-        evidence=evidence,
-        n_used=len(rows),
-    )
-    if len(rows) < 3:
-        return verdict
-    tail = [val for _, val in rows[-3:]]
-    if mode == "beta":
-        if tail[0] > tail[1] > tail[2] and tail[2] < BETA_SMALL:
-            verdict.kind = NOT_EXP_LIOUVILLE_TREND
-        elif (
-            all(v >= BETA_LARGE for v in tail)
-            and tail[2] >= BETA_FLAT_RATIO * tail[0]
-            and cf.log_q(rows[-1][0]) >= BETA_PEAK_LN_Q_FACTOR * float(s)
-        ):
-            verdict.kind = EXP_LIOUVILLE_TREND
+    if not cf.stream.is_infinite:
+        n_max = min(n_max, cf._last_index() - 1)
+    if s is None:
+        mode, rows = "mu", liouville_exponent_trend(cf, n_max)
     else:
-        if tail[0] < tail[1] < tail[2] and tail[2] >= MU_LARGE:
-            verdict.kind = LIOUVILLE_TREND
-        elif tail[0] >= tail[1] >= tail[2] and tail[2] <= MU_SMALL:
-            verdict.kind = NOT_LIOUVILLE_TREND
-    return verdict
+        mode, rows = "beta", exp_liouville_score(cf, s, n_max)
+    kind, certificate = cf.stream.tail_certificate(s)
+    return DiophantineVerdict(
+        kind=kind,
+        s=float(s) if s is not None else None,
+        evidence=[{"n": n, mode: val} for n, val in rows],
+        n_used=len(rows),
+        certificate=certificate,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -871,10 +850,6 @@ class RealConstant:
     def is_certified_irrational(self) -> bool:
         return self.kind == "cf" and self.cf.stream.is_infinite
 
-    @property
-    def is_exact(self) -> bool:
-        return self.kind in ("rational", "cf")
-
     # -- numeric access ---------------------------------------------------------
 
     def approx_fraction(self, digits: int = 60) -> Fraction:
@@ -883,15 +858,6 @@ class RealConstant:
         if self.kind == "float":
             return Fraction(self.value).limit_denominator(10**digits)
         return self.cf.approx_fraction(digits)
-
-    def bracket(self, depth: int = 8):
-        """Exact (lo, hi) containing the value; zero-width when rational."""
-        if self.kind == "rational":
-            return (self.fraction, self.fraction)
-        if self.kind == "float":
-            f = Fraction(self.value)
-            return (f, f)
-        return self.cf.alpha_bracket(depth)
 
     def mpf(self, dps: int = 60):
         with workdps(dps):
@@ -911,9 +877,9 @@ class RealConstant:
     def classify(
         self, s: float | None = None, n_max: int = DEFAULT_HORIZON
     ) -> DiophantineVerdict:
-        """Trend verdict: exact rationals are Rational; floats are Unknown
-        (nothing is certifiable from a double); digit-defined constants use
-        the continued-fraction trends."""
+        """Exact rationals are Rational; floats are Unknown (nothing is
+        certifiable from a double); digit-defined constants take the kind
+        of their stream's tail certificate (:func:`classify`)."""
         if self.kind == "rational":
             return DiophantineVerdict(kind=RATIONAL, s=s)
         if self.kind == "float":

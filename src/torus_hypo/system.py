@@ -592,6 +592,7 @@ def classify_vector(
 
     evidence = [
         {"component": i + 1, "kind": v.kind, "rows": v.evidence}
+        | ({"certificate": v.certificate} if v.certificate else {})
         for i, v in enumerate(per)
     ]
 

@@ -68,6 +68,8 @@ for route in ("gauged", "division"):
     CASES[f"solve-{route}"] = ["solve", f"%{route}_spec", f"%{route}_rhs", "u.json"]
 for stem in ("singular_expL", "singular_rationalJ", "crit9_three_tube", "singular_allsign"):
     CASES[f"singular-{stem}"] = ["singular", f"@{stem}", "out.json"]
+# alpha = [0; 1, 1, ...] is badly approximable: Hypoelliptic at any horizon
+CASES["classify-golden_ratio_s3"] = ["classify", "%golden_ratio_s3", "--horizon", "16"]
 
 #: the artifact a command writes, relative to the working directory
 ARTIFACTS = {"solve": "u.json", "singular": "out.json"}
@@ -195,7 +197,7 @@ def test_cli_import_loads_no_numeric_package():
 
 def test_verdict_commands_load_neither_scipy_nor_sympy():
     cases = [case for case in CASES if case.split("-")[0] in ("classify", "diagnose", "normalform")]
-    assert len(cases) == 3 * len(SPECS)
+    assert len(cases) == 3 * len(SPECS) + 1  # and classify-golden_ratio_s3
     loaded = _loaded_after(cases)
     assert "scipy" not in loaded and "sympy" not in loaded
 
@@ -299,6 +301,42 @@ MALFORMED = {
         ("argv", ["singular", "@singular_expL", "out.json", "--grid", "100000"]),
         "--grid: 100000",
     ),
+    "singular-grid-too-large": (
+        ("argv", ["singular", "@singular_expL", "out.json", "--grid", "65536"]),
+        "--grid: 65536",
+    ),
+    "singular-field-cap-negative": (
+        ("argv", ["singular", "@singular_expL", "out.json", "--field-cap", "-5"]),
+        "--field-cap: -5",
+    ),
+    "singular-xi-max-negative": (
+        ("argv", ["singular", "@singular_rationalJ", "out.json", "--xi-max", "-4"]),
+        "--xi-max: -4",
+    ),
+    "solve-modes-zero": (
+        ("argv", ["solve", "@solve_spec", "@solve_rhs", "u.json", "--modes", "0"]),
+        "--modes: 0",
+    ),
+    "solve-modes-negative": (
+        ("argv", ["solve", "@solve_spec", "@solve_rhs", "u.json", "--modes", "-3"]),
+        "--modes: -3",
+    ),
+    "solve-precision-zero": (
+        ("argv", ["solve", "@solve_spec", "@solve_rhs", "u.json", "--precision", "0"]),
+        "--precision: 0",
+    ),
+    "cf-big-n-zero": (
+        ("argv", ["cf", "condition-b", "constant:2", "--s", "2", "--big-n", "0"]),
+        "--big-n: 0",
+    ),
+    "cf-big-n-past-n": (
+        ("argv", ["cf", "condition-b", "constant:2", "--s", "2", "--n", "4", "--big-n", "5"]),
+        "--big-n: 5",
+    ),
+    "cf-epsilon-negative": (
+        ("argv", ["cf", "condition-b", "constant:2", "--s", "2", "--epsilon", "-1"]),
+        "--epsilon: -1.0",
+    ),
 }
 
 
@@ -338,6 +376,17 @@ def test_convergents_past_the_int_str_limit(capsys):
 
     assert cli.main(["cf", "classify", "factorial_pow10", "--s", "2", "--n", "8"]) == 0
     assert cli.main(["classify", str(FIXTURES / "ex64_factorial.json"), "--horizon", "7"]) == 0
+
+
+def test_golden_ratio_is_hypoelliptic_at_every_horizon(capsys):
+    """The verdict rests on the stream's certificate, so no horizon changes
+    it, and a horizon below the first evidence row gives an empty table."""
+    spec = str(INPUTS / "golden_ratio_s3.json")
+    for horizon in range(1, 21):
+        for extra in ([], ["--mode", "smooth"]):
+            assert cli.main(["classify", spec, "--horizon", str(horizon), *extra]) == 0
+    assert cli.main(["cf", "classify", "constant:2", "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["body"]["verdict"]["evidence"] == []
 
 
 def test_single_tube_route_checks_the_rhs_field_count(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_log_q_mirrors_exact_values():
 def test_digit_cap_switches_to_log_scale():
     cf = D.ContinuedFraction(D.digit_stream_from_json(FACTORIAL), digit_cap=50)
     # q_5 has 154 decimal digits, past the 50-digit cap
-    assert cf.q_decimal_digits(5) > 50
+    assert cf.log_q(5) > 50 * math.log(10)
     with mpmath.workdps(400):
         # the log-scale mirror still tracks ln q_n; reproduce independently
         digits = [10 ** math.factorial(k) for k in range(1, 7)]
@@ -211,7 +211,7 @@ def test_exp_liouville_score_factorial_collapses():
 @pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.0, 5.0])
 def test_longer_horizon_never_loses_a_definite_trend(s):
     """beta_n of factorial_pow10 drops below the float range from n = 6 or 7
-    on; the tail test must still see it decrease."""
+    on; the verdict must not drop with it."""
     kinds = [D.classify(cf_from(FACTORIAL), s=s, n_max=h).kind for h in range(4, 12)]
     for shorter, longer in zip(kinds, kinds[1:]):
         assert shorter == D.UNKNOWN or longer != D.UNKNOWN, kinds
@@ -238,12 +238,11 @@ def test_classify_factorial_both_scales():
 
 
 def test_classify_badly_approximable_is_never_positive():
-    # The golden-type number: honest Unknown near the score's small-q bump,
-    # NotExpLiouvilleTrend once the horizon clears it. Never ExpLiouvilleTrend.
-    for n_max in (6, 12, 50):
+    # The golden-type number has bounded partial quotients: favorable at
+    # every horizon, including those where beta_n still rises or is flat.
+    for n_max in (1, 6, 12, 14, 16, 50):
         kind = D.classify(cf_from(CONST_ONE), 2.0, n_max).kind
-        assert kind != D.EXP_LIOUVILLE_TREND, n_max
-    assert D.classify(cf_from(CONST_ONE), 2.0, 50).kind == D.NOT_EXP_LIOUVILLE_TREND
+        assert kind == D.NOT_EXP_LIOUVILLE_TREND, n_max
     assert D.classify(cf_from(CONST_ONE), None, 12).kind == D.NOT_LIOUVILLE_TREND
 
 
@@ -253,12 +252,14 @@ def test_classify_needs_three_rows():
     assert v.n_used < 3
 
 
-def test_classify_crafted_stream_certifies_trend():
+def test_classify_explicit_stream_is_unknown_with_beta_evidence():
+    # A finite digit list has no tail to certify, however its rows look.
     spec = load_fixture("singular_expL.json")
     digits = spec["tubes"][0]["a"]["cf"].split(",")
     cf = cf_from({"kind": "explicit", "digits": digits})
     v = D.classify(cf, 2.0)
-    assert v.kind == D.EXP_LIOUVILLE_TREND
+    assert v.kind == D.UNKNOWN
+    assert v.certificate is None
     betas = [row["beta"] for row in v.evidence]
     assert len(betas) >= 3
     assert all(b > 1.9 for b in betas)  # flat near 2 by construction
@@ -268,6 +269,56 @@ def test_classify_evidence_rows_monotone_in_n():
     v = D.classify(cf_from(FACTORIAL), 2.0)
     ns = [row["n"] for row in v.evidence]
     assert ns == sorted(ns)
+    assert all(set(row) == {"n", "beta"} for row in v.evidence)
+    assert v.certificate["n0"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Tail certificates
+# ---------------------------------------------------------------------------
+
+GEVREY_ORDERS = [1.5, 2.0, 2.5, 3.0, 5.0]
+
+
+@pytest.mark.parametrize("s", GEVREY_ORDERS + [None])
+@pytest.mark.parametrize("k", range(1, 12))
+def test_bounded_digits_are_favorable_at_every_horizon(k, s):
+    cf = cf_from({"kind": "constant", "digit": str(k)})
+    favorable = D.NOT_LIOUVILLE_TREND if s is None else D.NOT_EXP_LIOUVILLE_TREND
+    for n_max in range(6, 21):
+        v = D.classify(cf, s, n_max)
+        assert v.kind == favorable, n_max
+        assert f"1/({k + 2}*q)" in v.certificate["bound"]
+
+
+@pytest.mark.parametrize(
+    "stream", [CONST_ONE, {"kind": "constant", "digit": "7"}, FACTORIAL, "3,11,5,7,2"]
+)
+@pytest.mark.parametrize("s", [None, 2.0])
+def test_no_verdict_depends_on_the_horizon(stream, s):
+    cf = cf_from(stream)
+    verdicts = {(v.kind, str(v.certificate)) for v in (D.classify(cf, s, h) for h in range(1, 21))}
+    assert len(verdicts) == 1
+
+
+def test_factorial_certificate_bounds_hold_on_the_rows():
+    """mu_n >= n + 1, and beta_n <= (((n+1)! + S_n) ln 10 + n ln 2) /
+    10^{S_n/s} with S_n = 1! + ... + n!, on every evidence row."""
+    cf = cf_from(FACTORIAL)
+    smooth = D.classify(cf, None, 12)
+    assert smooth.kind == D.LIOUVILLE_TREND and smooth.certificate["n0"] == 2
+    assert [row["n"] for row in smooth.evidence] == list(range(2, 13))
+    for row in smooth.evidence:
+        assert row["mu"] >= row["n"] + 1
+    for s in GEVREY_ORDERS:
+        v = D.classify(cf, s, 12)
+        assert v.kind == D.NOT_EXP_LIOUVILLE_TREND and v.certificate["n0"] == 1
+        with mpmath.workdps(30):
+            for row in v.evidence:
+                n = row["n"]
+                S_n = sum(math.factorial(k) for k in range(1, n + 1))
+                num = (math.factorial(n + 1) + S_n) * mpmath.log(10) + n * mpmath.log(2)
+                assert mpmath.mpf(row["beta"]) <= num / mpmath.power(10, mpmath.mpf(S_n) / s)
 
 
 def test_condition_b_frozen_rows():
@@ -391,7 +442,9 @@ def test_real_constant_finite_stream_not_certified():
     c = D.RealConstant.from_json(spec["tubes"][0]["a"])
     assert c.kind == "cf"
     assert not c.is_certified_irrational  # explicit finite digit list
-    assert c.classify(2.0).kind == D.EXP_LIOUVILLE_TREND  # trend is still evidence
+    v = c.classify(2.0)
+    assert v.kind == D.UNKNOWN  # no tail, no verdict
+    assert all(row["beta"] > 1.9 for row in v.evidence)  # the rows stay evidence
 
 
 def test_real_constant_round_trips():
@@ -406,7 +459,7 @@ def test_real_constant_numeric_value():
     assert float(r.mpf(30)) == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
     fr = r.approx_fraction(30)
     assert abs(float(fr) - (math.sqrt(2) - 1)) < 1e-12
-    lo, hi = r.bracket(20)
+    lo, hi = r.cf.alpha_bracket(20)
     assert lo < hi
     with mpmath.workdps(50):
         truth = mpmath.sqrt(2) - 1

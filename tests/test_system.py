@@ -255,11 +255,11 @@ def test_decide_condition_two_example_63():
 
 
 def test_decide_unknown_only_when_dio_unknown():
-    spec = spec_from(1, [{"a": {"cf": "constant:2"}, "b": "0"}])
+    spec = spec_from(1, [{"a": {"cf": "2,2,2,2,2,2,2,2"}, "b": "0"}])
     ana = S.analyze(spec)
     order = S.Order.gevrey(2)
     dio = S.classify_vector(ana.a0, order)
-    assert dio.kind == S.UNKNOWN  # short horizon: honest Unknown
+    assert dio.kind == S.UNKNOWN  # a finite digit list: honest Unknown
     v = S.decide(ana, order, dio)
     assert v.decision == S.DECISION_UNKNOWN
     assert v.witness["kind"] == "MissingClassification"
@@ -360,7 +360,7 @@ def test_vector_two_unfavorable_never_combine_componentwise():
 
 
 def test_vector_two_unknown_irrationals():
-    v = S.classify_vector([rc({"cf": "constant:2"}), rc({"cf": "constant:6"})], S.Order.gevrey(2))
+    v = S.classify_vector([rc({"cf": "2,2,2,2,2,2"}), rc({"cf": "6,6,6,6,6,6"})], S.Order.gevrey(2))
     assert v.kind == S.UNKNOWN
 
 
