@@ -12,8 +12,12 @@ singular    build a certified slow-decay solution family for a non-regular syste
 Every command prints one deterministic report (see ``report.py``) to stdout;
 ``--out`` writes the same bytes to a file.  ``solve`` and ``singular``
 additionally write their artifact (solution field / certified family) to a
-positional output path.  ``--precision`` belongs to ``solve`` alone: the
-significant digits of the averaged constants in its division route.
+positional output path, as compact JSON with sorted keys
+(:func:`torus_hypo.report.write_json`); ``solve`` writes the binary field
+format instead when the path ends in ``.bin`` or ``.tff``.  ``solve`` has no
+tuning flags: the banded route uses K = max(1024, 4|ξ|) internal modes per ξ
+and the division route evaluates the averaged constants to 60 significant
+digits.
 
 Each command loads its inputs, calls the library and renders the result.
 ``classify``/``diagnose``, ``solve`` and ``singular`` each call one pipeline:
@@ -54,7 +58,7 @@ import sys
 from fractions import Fraction
 
 from .errors import MalformedInput, TorusHypoError
-from .report import Report, input_digest
+from .report import Report, input_digest, write_json
 
 VERDICT_EXITS = {"Hypoelliptic": 0, "NotHypoelliptic": 10, "Unknown": 20}
 
@@ -152,30 +156,6 @@ def _write_field(field, path) -> None:
         field.save_json(path)
 
 
-def _write_json(obj, fh) -> None:
-    """Write ``json.dumps(obj)`` to ``fh`` piece by piece.
-
-    Dicts and lists of containers are written item by item, everything else
-    by the C encoder: the bytes are those of ``json.dumps``, but only one
-    piece of the text is held at a time (a RationalJ certificate is 18 MB of
-    text) and the pure-Python encoder of ``json.dump`` is never used.
-    """
-    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
-        fh.write("{")
-        for i, (key, value) in enumerate(obj.items()):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _write_json(value, fh)
-        fh.write("}")
-    elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
-        fh.write("[")
-        for i, value in enumerate(obj):
-            fh.write(", " if i else "")
-            _write_json(value, fh)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(obj))
-
-
 def _emit(report: Report, args) -> None:
     text = report.to_text()
     sys.stdout.write(text)
@@ -256,16 +236,7 @@ def cmd_cf(args) -> int:
         body["upper"] = iv.upper
     elif args.cf_command == "classify":
         s = float(_parse_s(args.s)) if args.s is not None else None
-        verdict = dio.classify(cf, s=s, n_max=n)
-        body["verdict"] = verdict.to_json()
-        if n >= 2:
-            body["mu_rows"] = [
-                {"n": i, "mu": mu} for i, mu in dio.liouville_exponent_trend(cf, n)
-            ]
-        if s is not None:
-            body["beta_rows"] = [
-                {"n": i, "beta": b} for i, b in dio.exp_liouville_score(cf, s, n)
-            ]
+        body["verdict"] = dio.classify(cf, s=s, n_max=n).to_json()
     elif args.cf_command == "condition-b":
         if args.s is None:
             raise MalformedInput("condition-b needs --s")
@@ -291,14 +262,18 @@ def cmd_cf(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _probe_field(n: int, grid: int = 32, seed: int = 0):
+#: t-grid of the random field that ``normalform`` conjugates as a check
+PROBE_GRID = 32
+
+
+def _probe_field(n: int):
     import numpy as np
 
     from .solver import FourierField
 
-    rng = np.random.default_rng(seed)
-    out = FourierField(n=n, grid_size=grid)
-    shape = (grid,) * n
+    rng = np.random.default_rng(0)
+    out = FourierField(n=n, grid_size=PROBE_GRID)
+    shape = (PROBE_GRID,) * n
     for xi in (1, 2, 3):
         out.data[xi] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return out
@@ -320,7 +295,7 @@ def cmd_normalform(args) -> int:
         command=["normalform"],
         body=body,
         digest=input_digest(args.spec),
-        runtime={"tubes": spec.n, "probe_grid": 32},
+        runtime={"tubes": spec.n, "probe_grid": PROBE_GRID},
     )
     _emit(report, args)
     return 0
@@ -334,12 +309,9 @@ def cmd_normalform(args) -> int:
 def cmd_solve(args) -> int:
     from .solver import solve_system
 
-    if args.modes is not None:
-        _check_positive("--modes", args.modes)
-    _check_positive("--precision", args.precision)
     spec = _load_spec(args)
     f_list = _load_field(args.rhs)
-    u, body = solve_system(spec, f_list, internal_modes=args.modes, digits=args.precision)
+    u, body = solve_system(spec, f_list)
     _write_field(u, args.out_field)
     body["output"] = args.out_field
     report = Report(
@@ -398,7 +370,7 @@ def cmd_singular(args) -> int:
         body["row_checks"] = solution.certificates["row_checks"]
 
     with open(args.out_solution, "w", encoding="utf-8") as fh:
-        _write_json(solution.to_json_obj(), fh)
+        write_json(solution.to_json_obj(), fh)
     body["output"] = args.out_solution
 
     report = Report(
@@ -459,13 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("rhs", help="right-hand side field (JSON, or binary .bin/.tff)")
     p.add_argument("out_field", help="output path for the solution field")
-    p.add_argument("--modes", type=int, default=None, help="internal mode count override")
-    p.add_argument(
-        "--precision",
-        type=int,
-        default=60,
-        help="significant digits of the averaged constants in the division route",
-    )
 
     p = sub.add_parser("normalform", help="averaging gauge and normalized system")
     common(p)

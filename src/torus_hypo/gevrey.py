@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GeometryError, InsufficientData, MalformedInput, OrderError, OutOfRange
 
-Coeff = Union[Fraction, int, float]
+Coeff = Union[Fraction, float]
 
 #: magnitudes below this are treated as underflow noise, not signal
 UNDERFLOW_FLOOR = 1e-300
@@ -41,19 +41,21 @@ UNDERFLOW_FLOOR = 1e-300
 DEFAULT_FIT_XI_MIN = 16
 
 
-def _as_coeff(x) -> Coeff:
-    """Normalize a scalar coefficient: strings and ints become Fractions."""
-    if isinstance(x, (Fraction, float)):
+def _parse_coeff(x) -> Coeff:
+    """Normalize a scalar coefficient: Fractions, ints and strings become
+    exact Fractions, finite floats stay floats (the JSON convention: strings
+    are exact, non-integer numbers are floats)."""
+    if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, bool):
+        raise MalformedInput("boolean is not a coefficient")
+    if isinstance(x, (int, str)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"unsupported coefficient type: {type(x)!r}")
-
-
-def _is_exact(x: Coeff) -> bool:
-    return isinstance(x, (Fraction, int))
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise MalformedInput(f"non-finite coefficient {x!r}")
+        return x
+    raise MalformedInput(f"unsupported coefficient {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +67,10 @@ def _is_exact(x: Coeff) -> bool:
 class TrigPoly:
     """Real trigonometric polynomial  const + sum_k cos[k]*cos((k+1)t) + sin[k]*sin((k+1)t).
 
-    Coefficients may be exact (:class:`fractions.Fraction`) or floats; exact
-    inputs stay exact through differentiation, antidifferentiation and
-    arithmetic.  The JSON form uses string coefficients for exact values::
+    Coefficients are stored as :class:`fractions.Fraction` (exact; given as a
+    Fraction, an int or a string) or as finite floats; exact inputs stay
+    exact through differentiation, antidifferentiation and arithmetic.  The
+    JSON form uses string coefficients for exact values::
 
         {"const": "1/2", "cos": ["0", "1/3"], "sin": ["1"]}
 
@@ -80,9 +83,9 @@ class TrigPoly:
     sin: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "cos", tuple(_as_coeff(c) for c in self.cos))
-        object.__setattr__(self, "sin", tuple(_as_coeff(c) for c in self.sin))
-        object.__setattr__(self, "const", _as_coeff(self.const))
+        object.__setattr__(self, "cos", tuple(_parse_coeff(c) for c in self.cos))
+        object.__setattr__(self, "sin", tuple(_parse_coeff(c) for c in self.sin))
+        object.__setattr__(self, "const", _parse_coeff(self.const))
 
     # -- basic structure ----------------------------------------------------
 
@@ -93,11 +96,7 @@ class TrigPoly:
 
     @property
     def is_exact(self) -> bool:
-        return (
-            _is_exact(self.const)
-            and all(_is_exact(c) for c in self.cos)
-            and all(_is_exact(c) for c in self.sin)
-        )
+        return all(isinstance(c, Fraction) for c in (self.const, *self.cos, *self.sin))
 
     @property
     def is_zero(self) -> bool:
@@ -141,7 +140,7 @@ class TrigPoly:
         return TrigPoly(-self.const, tuple(-c for c in self.cos), tuple(-c for c in self.sin))
 
     def scale(self, factor: Coeff) -> "TrigPoly":
-        factor = _as_coeff(factor)
+        factor = _parse_coeff(factor)
         return TrigPoly(
             self.const * factor,
             tuple(c * factor for c in self.cos),
@@ -189,8 +188,8 @@ class TrigPoly:
         for k in range(1, self.degree + 1):
             ck = self.coefficient("cos", k)
             sk = self.coefficient("sin", k)
-            cos.append(_div(-sk, k))
-            sin.append(_div(ck, k))
+            cos.append(-sk / k)
+            sin.append(ck / k)
         return TrigPoly(0, tuple(cos), tuple(sin))
 
     def primitive_from_zero(self) -> "TrigPoly":
@@ -211,14 +210,6 @@ class TrigPoly:
                 k * (abs(self.coefficient("cos", k)) + abs(self.coefficient("sin", k)))
                 for k in range(1, self.degree + 1)
             )
-        )
-
-    def sup_bound(self) -> float:
-        """Crude upper bound on sup|self|: |const| + sum of coefficient moduli."""
-        return float(
-            abs(self.const)
-            + sum(abs(c) for c in self.cos)
-            + sum(abs(c) for c in self.sin)
         )
 
     # -- evaluation -----------------------------------------------------------
@@ -270,41 +261,10 @@ class TrigPoly:
         if isinstance(obj, dict) and obj.get("zero"):
             return cls()
         if isinstance(obj, (int, float, str)):
-            return cls(const=_parse_coeff(obj))
+            return cls(const=obj)
         if not isinstance(obj, dict):
             raise MalformedInput(f"cannot parse TrigPoly from {obj!r}")
-        return cls(
-            const=_parse_coeff(obj.get("const", 0)),
-            cos=tuple(_parse_coeff(c) for c in obj.get("cos", ())),
-            sin=tuple(_parse_coeff(c) for c in obj.get("sin", ())),
-        )
-
-    @classmethod
-    def zero(cls) -> "TrigPoly":
-        return cls()
-
-
-def _parse_coeff(x) -> Coeff:
-    """JSON coefficient convention: strings are exact, numbers are floats."""
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, bool):
-        raise MalformedInput("boolean is not a coefficient")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise MalformedInput(f"non-finite coefficient {x!r}")
-        return x
-    raise MalformedInput(f"unsupported coefficient {x!r}")
-
-
-def _div(x: Coeff, k: int) -> Coeff:
-    if isinstance(x, Fraction):
-        return x / k
-    if isinstance(x, int):
-        return Fraction(x, k)
-    return x / k
+        return cls(obj.get("const", 0), tuple(obj.get("cos", ())), tuple(obj.get("sin", ())))
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +554,29 @@ class GevreyCutoff:
 
     Identically 1 on ``plateau`` = [l', r'], identically 0 outside
     ``support`` = [l, r], monotone on each shoulder, and 0 <= phi <= 1
-    everywhere.  ``witness`` records the numeric decay verification of its
-    Fourier coefficients at order s.
+    everywhere.  Construction checks s > 1 (:class:`OrderError`) and
+    0 < l < l' < r' < r < 2*pi (:class:`GeometryError`).  ``witness`` records
+    the numeric decay verification of its Fourier coefficients at order s;
+    :func:`make_cutoff` attaches it.
     """
 
     s: float
     support: tuple
     plateau: tuple
     witness: GevreyWitness | None = None
+
+    def __post_init__(self):
+        s = float(self.s)
+        if s <= 1:
+            raise OrderError(f"order-s cutoffs require s > 1, got s={s}")
+        (l, r), (l2, r2) = map(float, self.support), map(float, self.plateau)
+        if not (0.0 < l < l2 < r2 < r < 2.0 * np.pi):
+            raise GeometryError(
+                f"need 0 < {l} < {l2} < {r2} < {r} < 2*pi with plateau inside support"
+            )
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "support", (l, r))
+        object.__setattr__(self, "plateau", (l2, r2))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -691,30 +666,18 @@ def _cutoff_witness(s: float, support: tuple, plateau: tuple) -> GevreyWitness:
     return estimate_decay(mags, s, xi_min=32, xi_max=2048, envelope=True)
 
 
-def make_cutoff(
-    s: float,
-    support: tuple,
-    plateau: tuple,
-    verify: bool = True,
-) -> GevreyCutoff:
+def make_cutoff(s: float, support: tuple, plateau: tuple) -> GevreyCutoff:
     """Build the order-s cutoff for plateau strictly inside support inside (0, 2pi).
 
     The construction composes two shoulders of the mollifier
     psi(x) = exp(-x^{-1/(s-1)}):  phi(t) = h((t-l)/(l'-l)) * h((r-t)/(r-r')).
-    With ``verify`` the returned cutoff carries a decay witness: the Fourier
-    magnitudes from :meth:`GevreyCutoff.fourier_magnitudes_hiprec` (the true
-    tail lies below the float64 FFT noise floor), fitted at order s over
-    frequencies 32..2048.  The witness depends only on (s, support, plateau)
-    and is memoized on them, so every cutoff of one geometry shares one
-    frozen witness and the transform runs once per geometry and process.
+    The returned cutoff carries a decay witness: the Fourier magnitudes from
+    :meth:`GevreyCutoff.fourier_magnitudes_hiprec` (the true tail lies below
+    the float64 FFT noise floor), fitted at order s over frequencies
+    32..2048.  The witness depends only on (s, support, plateau) and is
+    memoized on them, so every cutoff of one geometry shares one frozen
+    witness and the transform runs once per geometry and process.
     """
-    if s <= 1:
-        raise OrderError(f"order-s cutoffs require s > 1, got s={s}")
-    l, r = (float(support[0]), float(support[1]))
-    l2, r2 = (float(plateau[0]), float(plateau[1]))
-    if not (0.0 < l < l2 < r2 < r < 2.0 * np.pi):
-        raise GeometryError(
-            f"need 0 < {l} < {l2} < {r2} < {r} < 2*pi with plateau inside support"
-        )
-    geometry = (float(s), (l, r), (l2, r2))
-    return GevreyCutoff(*geometry, witness=_cutoff_witness(*geometry) if verify else None)
+    bare = GevreyCutoff(s, support, plateau)
+    geometry = (bare.s, bare.support, bare.plateau)
+    return GevreyCutoff(*geometry, witness=_cutoff_witness(*geometry))

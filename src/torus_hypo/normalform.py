@@ -68,7 +68,7 @@ def build_normal_form(spec: SystemSpec) -> NormalFormData:
     for tube in spec.tubes:
         a = tube.a
         if isinstance(a, RealConstant):
-            primitives.append(TrigPoly.zero())
+            primitives.append(TrigPoly())
             tubes.append(Tube(a=a, b=tube.b))
             continue
         if not isinstance(a, TrigPoly):

@@ -7,6 +7,9 @@ version, an echo of the command, a SHA-256 digest of the primary input file,
 the command-specific body, and *deterministic* runtime statistics (counters
 such as frequencies processed or grid sizes — never wall-clock times, which
 would break the byte-determinism contract).
+
+Artifacts (the ``solve`` field and the ``singular`` certificate) are plain
+compact JSON with sorted keys, written by :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -73,6 +76,35 @@ def canonical_json(obj) -> str:
     if hasattr(obj, "to_json"):
         return canonical_json(obj.to_json())
     raise MalformedInput(f"cannot serialize {type(obj).__name__} canonically")
+
+
+#: the encoder of every artifact leaf; ``json.dumps`` with these options
+#: would build a new encoder per call
+_ARTIFACT_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
+def write_json(obj, fh) -> None:
+    """Write ``json.dumps(obj, separators=(",", ":"), sort_keys=True)`` to ``fh``.
+
+    Dicts and lists of containers are written item by item, everything else
+    by the C encoder: only one piece of the text is held at a time (a
+    RationalJ certificate is 17 MB of text) and the pure-Python encoder of
+    ``json.dump`` is never used.
+    """
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            fh.write(f"{',' if i else ''}{_ARTIFACT_ENCODER.encode(key)}:")
+            write_json(obj[key], fh)
+        fh.write("}")
+    elif isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
+        fh.write("[")
+        for i, value in enumerate(obj):
+            fh.write("," if i else "")
+            write_json(value, fh)
+        fh.write("]")
+    else:
+        fh.write(_ARTIFACT_ENCODER.encode(obj))
 
 
 def input_digest(path) -> str:

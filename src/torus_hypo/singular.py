@@ -166,10 +166,10 @@ class SingularSolution:
 # ---------------------------------------------------------------------------
 
 
-def _argmax_trigpoly(p: TrigPoly, n_grid: int = 8192) -> float:
-    """Deterministic peak of a trig polynomial: first grid argmax, then
-    Newton on the derivative."""
-    t = TWO_PI * np.arange(n_grid) / n_grid
+def _argmax_trigpoly(p: TrigPoly) -> float:
+    """Deterministic peak of a trig polynomial: first argmax on 8192 grid
+    points, then Newton on the derivative."""
+    t = TWO_PI * np.arange(8192) / 8192
     vals = np.asarray(p(t), dtype=float)
     best = float(t[int(np.argmax(vals))])
     dp = p.derivative()
@@ -454,7 +454,7 @@ def _build_prop52_forward(
         "t0": profile.t0,
         "translation": sigma,
         "delta": delta,
-        "cutoff_witness": cutoff.witness.to_json() if cutoff.witness else None,
+        "cutoff_witness": cutoff.witness.to_json(),
         "f_table": [[xi, f_table[xi]] for xi in sorted(f_table)],
         "m": 1,
         "B_offset": B_off,

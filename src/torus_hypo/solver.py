@@ -22,7 +22,8 @@ Two solution regimes are implemented:
   ``a_j``; division by the linear form ``ξ a_{j0} + η_j`` (largest component
   first) inverts the system mode by mode.  The averaged constants are used
   through high-precision rational approximations so that near-resonant
-  divisors are evaluated exactly rather than in float64.
+  divisors are evaluated exactly rather than in float64: ``DIVISION_DIGITS``
+  significant figures.
 
 :func:`solve_system` is the whole-system pipeline behind ``torus-hypo solve``:
 the averaging gauge, the choice between the two routes above, and the checks.
@@ -54,6 +55,7 @@ from .errors import (
     ZeroDivisorError,
 )
 from .gevrey import GevreyWitness, TrigPoly, estimate_decay
+from .report import write_json
 from .system import (
     CHANGES_SIGN,
     IDENTICALLY_ZERO,
@@ -74,6 +76,7 @@ __all__ = [
     "residual",
     "decay_report",
     "MIN_INTERNAL_MODES",
+    "DIVISION_DIGITS",
     "ZERO_DIVISOR_FLOOR",
     "MEAN_TOL",
     "COMPAT_TOL",
@@ -84,6 +87,9 @@ __all__ = [
 #: actual count is max(MIN_INTERNAL_MODES, 4|ξ|) so resolution grows with the
 #: width ~ |ξ|^{1/2} concentration of the solution operator's kernel.
 MIN_INTERNAL_MODES = 1024
+
+#: Significant digits of the averaged constants in the division solver.
+DIVISION_DIGITS = 60
 
 #: Divisors smaller than this signal a rational resonance in the division
 #: solver (unreachable for exactly-evaluated irrational averages).
@@ -206,66 +212,26 @@ class FourierField:
         """Trigonometric coefficient tensor at ξ (fftfreq layout)."""
         return np.fft.fftn(self.values(xi)) / self.grid_size**self.n
 
-    def set_values(self, xi: int, arr) -> None:
-        self.data[int(xi)] = self._conform(arr)
-
     def set_coeffs(self, xi: int, tensor) -> None:
         tensor = self._conform(tensor)
         self.data[int(xi)] = np.fft.ifftn(tensor) * self.grid_size**self.n
 
-    def mode_coefficient(self, eta, xi: int):
-        """Single trig coefficient at t-frequency η (int or tuple), x-frequency ξ."""
-        if isinstance(eta, (int, np.integer)):
-            eta = (int(eta),)
-        eta = tuple(int(e) for e in eta)
-        if len(eta) != self.n:
-            raise MalformedInput(f"mode {eta} has wrong arity for n={self.n}")
-        c = self.coeffs(xi)
-        idx = tuple(e % self.grid_size for e in eta)
-        return complex(c[idx])
-
     def t_grid(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
 
-    def copy(self) -> "FourierField":
-        return FourierField(
-            n=self.n,
-            grid_size=self.grid_size,
-            data={xi: arr.copy() for xi, arr in self.data.items()},
-            meta=dict(self.meta),
-        )
+    # -- layout compatibility and arithmetic ----------------------------------
 
-    # -- layout compatibility -------------------------------------------------
-
-    def require_layout(self, other: "FourierField") -> None:
+    def require_same_frequencies(self, other: "FourierField") -> None:
         if self.n != other.n or self.grid_size != other.grid_size:
             raise GridMismatch(
                 f"layout ({self.n}, {self.grid_size}) != ({other.n}, {other.grid_size})"
             )
-
-    def require_same_frequencies(self, other: "FourierField") -> None:
-        self.require_layout(other)
         if set(self.data) != set(other.data):
             raise GridMismatch("fields carry different xi frequency sets")
 
-    # -- arithmetic ------------------------------------------------------------
-
-    def _binary(self, other: "FourierField", op) -> "FourierField":
-        self.require_same_frequencies(other)
-        data = {xi: op(arr, other.data[xi]) for xi, arr in self.data.items()}
-        return FourierField(n=self.n, grid_size=self.grid_size, data=data)
-
-    def __add__(self, other: "FourierField") -> "FourierField":
-        return self._binary(other, np.add)
-
     def __sub__(self, other: "FourierField") -> "FourierField":
-        return self._binary(other, np.subtract)
-
-    def __neg__(self) -> "FourierField":
-        return self.scale(-1.0)
-
-    def scale(self, c) -> "FourierField":
-        data = {xi: c * arr for xi, arr in self.data.items()}
+        self.require_same_frequencies(other)
+        data = {xi: arr - other.data[xi] for xi, arr in self.data.items()}
         return FourierField(n=self.n, grid_size=self.grid_size, data=data)
 
     # -- calculus ---------------------------------------------------------------
@@ -282,10 +248,6 @@ class FourierField:
         for xi, arr in self.data.items():
             hat = np.fft.fft(arr, axis=axis)
             data[xi] = np.fft.ifft(mult * hat, axis=axis)
-        return FourierField(n=self.n, grid_size=self.grid_size, data=data)
-
-    def x_derivative(self) -> "FourierField":
-        data = {xi: (1j * xi) * arr for xi, arr in self.data.items()}
         return FourierField(n=self.n, grid_size=self.grid_size, data=data)
 
     # -- norms / summaries --------------------------------------------------------
@@ -347,7 +309,7 @@ class FourierField:
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(), fh, separators=(",", ":"), sort_keys=True)
+            write_json(self.to_json_obj(), fh)
 
     @classmethod
     def load_json(cls, path) -> "FourierField":
@@ -507,8 +469,6 @@ def solve_single_tube(
     tube_index: int,
     spec: SystemSpec,
     f: FourierField,
-    *,
-    internal_modes: int | None = None,
 ) -> FourierField:
     """Solve L_j u = f along tube ``tube_index`` (1-based).
 
@@ -550,9 +510,7 @@ def solve_single_tube(
         if xi == 0:
             u_cols = _solve_zero_frequency(cols, N)
         else:
-            modes = internal_modes if internal_modes is not None else max(
-                MIN_INTERNAL_MODES, 4 * abs(xi)
-            )
+            modes = max(MIN_INTERNAL_MODES, 4 * abs(xi))
             rhs_hat = np.fft.fft(cols, axis=0) / N
             u_hat = _banded_tube_solve(xi, a0, b_exp, rhs_hat, N, modes)
             u_cols = np.fft.ifft(u_hat * N, axis=0)
@@ -565,7 +523,7 @@ def solve_single_tube(
 # ---------------------------------------------------------------------------
 
 
-def _division_constants(spec: SystemSpec, digits: int):
+def _division_constants(spec: SystemSpec):
     """J must be {1..ℓ}; return the exact Fraction approximants of a_{J0}."""
     analysis = analyze(spec)
     ell = analysis.ell
@@ -576,7 +534,7 @@ def _division_constants(spec: SystemSpec, digits: int):
             f"division solver expects the real tubes first (J = {{1..{ell}}}), "
             f"got J = {analysis.J}; reorder the system"
         )
-    fracs = [analysis.a0[j - 1].approx_fraction(digits) for j in analysis.J]
+    fracs = [analysis.a0[j - 1].approx_fraction(DIVISION_DIGITS) for j in analysis.J]
     return analysis, fracs
 
 
@@ -587,7 +545,8 @@ def _divisor_grid(
 
     Returns (abs_matrix, signed_matrix) with axes (j, η).  Entries smaller
     than 1e-6 in float64 are recomputed in exact rational arithmetic, where
-    the high-precision approximants keep ~``digits`` significant figures.
+    the high-precision approximants keep ~``DIVISION_DIGITS`` significant
+    figures.
     """
     cols = eta_freqs.astype(float)
     signed = np.empty((len(fracs), cols.size))
@@ -602,8 +561,6 @@ def _divisor_grid(
 def solve_by_division(
     spec: SystemSpec,
     f_list: Sequence[FourierField],
-    *,
-    digits: int = 60,
 ) -> FourierField:
     """Invert the all-real tubes by mode-wise division.
 
@@ -611,15 +568,16 @@ def solve_by_division(
     ``û = −i f̂_M / (ξ a_{M0} + η_M)`` with M the tube maximizing the divisor
     magnitude.  ``f_list`` supplies one field per tube (length n); fields for
     tubes outside J participate only in the (η, ξ) = (0, 0) recovery and the
-    compatibility no-op.  The averaged constants are evaluated to ``digits``
-    significant figures so near-resonant divisors are computed exactly.
+    compatibility no-op.  The averaged constants are evaluated to
+    ``DIVISION_DIGITS`` significant figures so near-resonant divisors are
+    computed exactly.
 
     The (0, 0) mode is not determined by the divided equations: when ℓ < n it
     is reconstructed by spectral integration of the remaining tubes' ξ = 0
     means, and in all cases its own mean is fixed to zero and flagged in
     ``meta["zero_mode_normalized"]``.
     """
-    analysis, fracs = _division_constants(spec, digits)
+    analysis, fracs = _division_constants(spec)
     ell = analysis.ell
     n = spec.n
     if len(f_list) != n:
@@ -635,7 +593,7 @@ def solve_by_division(
     j_axes = tuple(range(ell))
     out = FourierField(n=n, grid_size=N)
     out.meta["method"] = "division"
-    out.meta["digits"] = digits
+    out.meta["digits"] = DIVISION_DIGITS
     min_divisor = math.inf
 
     for xi in base.xi_values:
@@ -839,9 +797,6 @@ def decay_report(
 def solve_system(
     spec: SystemSpec,
     f_list: Sequence[FourierField],
-    *,
-    internal_modes: int | None = None,
-    digits: int = 60,
 ) -> tuple[FourierField, dict]:
     """Solve L_j u = f_j for the system ``spec``, one x-frequency at a time.
 
@@ -875,7 +830,7 @@ def solve_system(
                 f'(rhs file with {{"fields": [...]}}), got {len(f_list)}'
             )
         fg = [gauged(f, "forward") for f in f_list]
-        u_n = solve_by_division(nf.normalized, fg, digits=digits)
+        u_n = solve_by_division(nf.normalized, fg)
         u = gauged(u_n, "inverse")
         rows = enumerate(residual(spec, u, f_list), start=1)
         summary["route"] = "division"
@@ -896,7 +851,7 @@ def solve_system(
             )
         f = f_list[tube - 1 if len(f_list) == n else 0]
         fg = gauged(f, "forward")
-        u_n = solve_single_tube(tube, nf.normalized, fg, internal_modes=internal_modes)
+        u_n = solve_single_tube(tube, nf.normalized, fg)
         u = gauged(u_n, "inverse")
         r = (apply_tube_operator(spec, tube, u) - f).max_abs()
         summary["route"] = "single-tube"

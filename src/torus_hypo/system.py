@@ -75,13 +75,13 @@ ZERO_COEFF_TOL = 1e-14
 
 @dataclass(frozen=True)
 class Order:
-    """Regularity scale: Gevrey of order s > 1, smooth, or analytic.
+    """Regularity scale: Gevrey of order s > 1, or smooth.
 
     ``s_exact`` keeps the user-supplied rational when one was given (several
     combinatorial checks are exact for rational s).
     """
 
-    kind: str  # "gevrey" | "smooth" | "analytic"
+    kind: str  # "gevrey" | "smooth"
     s: float | None = None
     s_exact: Fraction | None = None
 
@@ -108,8 +108,6 @@ class Order:
             text = obj.strip().lower()
             if text == "smooth":
                 return cls.smooth()
-            if text == "analytic":
-                return cls(kind="analytic", s=1.0, s_exact=Fraction(1))
             return cls.gevrey(obj.strip())
         if isinstance(obj, (int, float)):
             return cls.gevrey(obj)
@@ -120,10 +118,6 @@ class Order:
         return self.kind == "gevrey"
 
     def validate_for_decision(self) -> None:
-        if self.kind == "analytic":
-            raise OrderError(
-                "the analytic scale is out of scope; use a Gevrey order s > 1 or smooth"
-            )
         if self.kind == "gevrey" and not (self.s > 1):
             raise OrderError(f"Gevrey verdicts require s > 1, got s={self.s}")
 
@@ -478,11 +472,11 @@ def _real_root_count(p: list) -> int:
     return minus - plus
 
 
-def _grid_profile(b: TrigPoly, max_refinements: int = 6) -> str:
+def _grid_profile(b: TrigPoly) -> str:
     D = max(b.degree, 1)
     M = b.lipschitz_bound()
     N0 = 64 * (D + 1)
-    for r in range(max_refinements + 1):
+    for r in range(7):  # the base grid and six doublings
         N = N0 << r
         tk = 2.0 * np.pi * np.arange(N) / N
         vals = b(tk)
@@ -667,6 +661,8 @@ def decide(
         favorable = NOT_EXP_LIOUVILLE_TREND if order.is_gevrey else NOT_LIOUVILLE_TREND
         unfavorable = EXP_LIOUVILLE_TREND if order.is_gevrey else LIOUVILLE_TREND
         if dio_verdict.kind == favorable:
+            asserted = dio_verdict.evidence[:1] == [{"source": "assertion"}]
+            source = "the vector_assertion" if asserted else "a digit-stream tail certificate"
             return Verdict(
                 decision=HYPOELLIPTIC,
                 witness={
@@ -675,9 +671,8 @@ def decide(
                     "vector": dio_verdict.to_json(),
                 },
                 explanation=(
-                    f"J={analysis.J}: averaged vector is irrational and its "
-                    f"approximation scores rule out the {scale}-breaking rate "
-                    f"({dio_verdict.kind})"
+                    f"J={analysis.J}: averaged vector is irrational and {source} "
+                    f"rules out the {scale}-breaking rate ({dio_verdict.kind})"
                 ),
             )
         if dio_verdict.kind == RATIONAL:

@@ -58,6 +58,8 @@ CASES.update(
         "cf-convergents-explicit": ["cf", "convergents", "1,2,3,4,5", "--n", "5"],
         "cf-bounds-factorial": ["cf", "bounds", "factorial_pow10", "--n", "5"],
         "cf-classify-factorial": ["cf", "classify", "factorial_pow10", "--s", "2", "--n", "6"],
+        # the evidence stops at the last digit of a finite list
+        "cf-classify-explicit": ["cf", "classify", "1,2,3", "--s", "2", "--n", "8"],
         "cf-condition-b-constant3": ["cf", "condition-b", "constant:3", "--s", "2", "--n", "6"],
     }
 )
@@ -245,15 +247,50 @@ def test_reports_do_not_depend_on_the_thread_count(case, tmp_path):
         assert hashlib.sha256(artifact.read_bytes()).hexdigest() == want["artifact_sha256"]
 
 
+def test_tracer_names_resolve():
+    """Every function coldbench's tracer wraps exists, so a traced run lists
+    no missing name."""
+    import importlib
+    import importlib.util
+    import pkgutil
+
+    import torus_hypo
+
+    spec = importlib.util.spec_from_file_location("tracer", TESTS.parent / "coldbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for info in pkgutil.iter_modules(torus_hypo.__path__, "torus_hypo."):
+        importlib.import_module(info.name)
+    names = {n for layer in tracer.LAYERS.values() for n in layer}
+    names |= {name for _, name, _ in tracer.COUNTS}
+    missing = []
+    for name in sorted(names):
+        module, qualname = name.split(":")
+        holder = sys.modules.get(module)
+        for attr in qualname.split("."):
+            holder = getattr(holder, attr, None)
+        if holder is None:
+            missing.append(name)
+    assert missing == []
+
 
 @pytest.mark.parametrize(
     "obj",
-    [{}, [], [[], {}], {1: "int key"}, {"t": [[1, 2.5], [3, float("nan")]], "r": [{"x": "é"}, 1]}],
+    [
+        {},
+        [],
+        [[], {}],
+        {1: "int key"},
+        {"t": [[1, 2.5], [3, float("nan")]], "r": [{"x": "é"}, 1]},
+        {"b": [{"z": [0.1, -2e-300], "a": []}, {"m": [[1.5], [], [[2, {"k": 1e300}]]]}], "a": 3.0},
+    ],
 )
 def test_piecewise_certificate_write_matches_json_dumps(obj):
+    from torus_hypo.report import write_json
+
     fh = io.StringIO()
-    cli._write_json(obj, fh)
-    assert fh.getvalue() == json.dumps(obj)
+    write_json(obj, fh)
+    assert fh.getvalue() == json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
 def test_canonical_json_renders_numpy_values_as_python_values():
@@ -313,18 +350,7 @@ MALFORMED = {
         ("argv", ["singular", "@singular_rationalJ", "out.json", "--xi-max", "-4"]),
         "--xi-max: -4",
     ),
-    "solve-modes-zero": (
-        ("argv", ["solve", "@solve_spec", "@solve_rhs", "u.json", "--modes", "0"]),
-        "--modes: 0",
-    ),
-    "solve-modes-negative": (
-        ("argv", ["solve", "@solve_spec", "@solve_rhs", "u.json", "--modes", "-3"]),
-        "--modes: -3",
-    ),
-    "solve-precision-zero": (
-        ("argv", ["solve", "@solve_spec", "@solve_rhs", "u.json", "--precision", "0"]),
-        "--precision: 0",
-    ),
+    "s-analytic": (("spec", {"s": "analytic", "tubes": [{"a": "1/2", "b": "0"}]}), "s:"),
     "cf-big-n-zero": (
         ("argv", ["cf", "condition-b", "constant:2", "--s", "2", "--big-n", "0"]),
         "--big-n: 0",
@@ -358,6 +384,15 @@ def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys, monkey
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field} ")
     assert captured.err.count("\n") == 1
+
+
+def test_solve_has_no_tuning_flags(capsys):
+    """K and the division digits are fixed: argparse refuses --modes."""
+    argv = ["solve", str(FIXTURES / "solve_spec.json"), str(FIXTURES / "solve_rhs.json"), "u.json"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--modes", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --modes 4" in capsys.readouterr().err
 
 
 def test_convergents_past_the_int_str_limit(capsys):

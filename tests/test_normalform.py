@@ -102,7 +102,7 @@ def test_normal_form_json_round_trip():
 
 def test_apply_gauge_identity_for_zero_A():
     f = random_field(1, 64, 8, [1, 2, 5], seed=3)
-    g = NF.apply_gauge(f, [TrigPoly.zero()], "forward")
+    g = NF.apply_gauge(f, [TrigPoly()], "forward")
     for xi in f.xi_values:
         assert np.allclose(g.values(xi), f.values(xi), atol=0, rtol=0)
 
