@@ -14,7 +14,9 @@ Every command prints one deterministic report (see ``report.py``) to stdout;
 additionally write their artifact (solution field / certified family) to a
 positional output path, as compact JSON with sorted keys
 (:func:`torus_hypo.report.write_json`); ``solve`` writes the binary field
-format instead when the path ends in ``.bin`` or ``.tff``.  ``solve`` has no
+format instead when the path ends in ``.bin`` or ``.tff``.  Fields are stored
+as trigonometric coefficients, and a stored 0.0 means |c| <= eps * max|c| of
+its block (see ``FourierField.coeffs``).  ``solve`` has no
 tuning flags: the banded route uses K = max(1024, 4|ξ|) internal modes per ξ
 and the division route evaluates the averaged constants to 60 significant
 digits.
@@ -33,7 +35,8 @@ Exit codes
 A failure prints ``error: <message>`` to stderr and exits with the
 ``exit_code`` of its error class (see :mod:`torus_hypo.errors`):
 
-2    malformed input: bad JSON/flags/paths/fields, unusable parameters
+2    malformed input: bad JSON/flags/paths/fields, unusable parameters, an
+     output path that cannot be written
 30   SolvabilityError          31   CompatibilityError
 32   ZeroDivisorError          33   ProfileError / GeometryError / GridMismatch
 34   MeanNotZero               40   RefusedHypoelliptic
@@ -51,6 +54,7 @@ regardless of thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -84,6 +88,16 @@ def _read_json(path):
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError inside the block (opening or writing ``path``) is malformed
+    input naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _check_positive(flag: str, value: int) -> None:
@@ -150,19 +164,22 @@ def _load_field(path) -> list:
 
 
 def _write_field(field, path) -> None:
-    if path.endswith((".bin", ".tff")):
-        field.save_binary(path)
-    else:
-        field.save_json(path)
+    with _writing(path):
+        if path.endswith((".bin", ".tff")):
+            field.save_binary(path)
+        else:
+            field.save_json(path)
 
 
 def _emit(report: Report, args) -> None:
+    """Write the report to ``--out`` (if given), then to stdout, so that a
+    failed write prints no report."""
     text = report.to_text()
-    sys.stdout.write(text)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "wb") as fh:
+        with _writing(out), open(out, "wb") as fh:
             fh.write(text.encode("utf-8"))
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +386,7 @@ def cmd_singular(args) -> int:
     if "row_checks" in solution.certificates:
         body["row_checks"] = solution.certificates["row_checks"]
 
-    with open(args.out_solution, "w", encoding="utf-8") as fh:
+    with _writing(args.out_solution), open(args.out_solution, "w", encoding="utf-8") as fh:
         write_json(solution.to_json_obj(), fh)
     body["output"] = args.out_solution
 

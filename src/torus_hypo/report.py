@@ -9,7 +9,10 @@ such as frequencies processed or grid sizes — never wall-clock times, which
 would break the byte-determinism contract).
 
 Artifacts (the ``solve`` field and the ``singular`` certificate) are plain
-compact JSON with sorted keys, written by :func:`write_json`.
+compact JSON with sorted keys, written by :func:`write_json`.  The fields in
+them hold trigonometric coefficients, where a stored 0.0 means |c| <= eps *
+max|c| of its block (eps = machine epsilon): below the rounding error of the
+FFT that produced it (``FourierField.coeffs``).
 """
 
 from __future__ import annotations

@@ -112,6 +112,13 @@ _BINARY_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+def _integral(value) -> int:
+    """A JSON integer: ``2.0`` passes, ``2.5``, ``True`` and ``"2"`` do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise MalformedInput(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _check_grid_size(grid_size: int) -> int:
     grid_size = int(grid_size)
     if grid_size < 4 or grid_size & (grid_size - 1):
@@ -209,8 +216,20 @@ class FourierField:
             raise GridMismatch(f"no data block at xi={xi}") from None
 
     def coeffs(self, xi: int) -> np.ndarray:
-        """Trigonometric coefficient tensor at ξ (fftfreq layout)."""
-        return np.fft.fftn(self.values(xi)) / self.grid_size**self.n
+        """Trigonometric coefficient tensor at ξ (fftfreq layout).
+
+        ``fftn(values)/N^n``, with every entry of modulus at most ε·max|c|
+        (ε = machine epsilon, the max over this block) set to exactly 0.0;
+        the other entries keep their bits, and an all-zero block stays zero.
+        By the FFT's error bound (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., Thm 24.2) such an entry cannot be
+        told from zero at the transform's precision.  Both serialized forms
+        store these coefficients, so a stored 0.0 means |c| ≤ ε·max|c|.
+        """
+        c = np.fft.fftn(self.values(xi)) / self.grid_size**self.n
+        mag = np.abs(c)
+        c[mag <= np.finfo(float).eps * mag.max()] = 0.0
+        return c
 
     def set_coeffs(self, xi: int, tensor) -> None:
         tensor = self._conform(tensor)
@@ -289,19 +308,22 @@ class FourierField:
         if not isinstance(obj, dict) or obj.get("format") != "tff":
             raise MalformedInput("not a Fourier-field JSON object")
         out = cls(
-            n=_parse_field("n", int, obj.get("n")),
-            grid_size=_parse_field("grid_size", int, obj.get("grid_size")),
+            n=_parse_field("n", _integral, obj.get("n")),
+            grid_size=_parse_field("grid_size", _integral, obj.get("grid_size")),
         )
         out.meta = _parse_field("meta", dict, obj.get("meta", {}))
         blocks = _parse_field("blocks", list, obj.get("blocks"))
         shape = (out.grid_size,) * out.n
 
         def set_block(block):
+            xi = _parse_field("xi", _integral, block["xi"])
+            if out.has_xi(xi):
+                raise MalformedInput(f"xi: {xi} repeats an earlier block")
             tensor = (
                 np.asarray(block["re"], dtype=float)
                 + 1j * np.asarray(block["im"], dtype=float)
             ).reshape(shape, order="C")
-            out.set_coeffs(int(block["xi"]), tensor)
+            out.set_coeffs(xi, tensor)
 
         for i, block in enumerate(blocks):
             _parse_field(f"blocks[{i}]", set_block, block)
@@ -362,6 +384,8 @@ class FourierField:
         pos = head + 8 * num
         shape = (out.grid_size,) * out.n
         for k in xi:
+            if out.has_xi(k):
+                raise MalformedInput(f"xi: {k} is listed twice in the header")
             tensor = np.frombuffer(raw, dtype="<c16", count=block, offset=pos).reshape(shape)
             out.set_coeffs(int(k), tensor.astype(complex))
             pos += 16 * block

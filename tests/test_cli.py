@@ -306,9 +306,17 @@ def test_canonical_json_renders_numpy_values_as_python_values():
 _BLOCK = {"xi": 1, "re": [0.0] * 8, "im": [0.0] * 8}
 _RHS = {"format": "tff", "n": 1, "grid_size": 8, "blocks": [_BLOCK]}
 
+
+def _tff_listing_xi_twice() -> bytes:
+    """A TFF file whose header lists xi = 2 for both of its blocks."""
+    raw = FourierField.from_modes(1, 8, {(1, 2): 1.0, (1, 3): 1.0}).to_bytes()
+    return raw[:56] + raw[48:56] + raw[64:]
+
+
 #: case -> (what is malformed, the named field).  What is malformed is spec
-#: fields over {"n": 1, "s": "2"} (run by classify), an rhs object (run by
-#: solve on fixtures/solve_spec.json) or an argv ("@name" as in CASES).
+#: fields over {"n": 1, "s": "2"} (run by classify), an rhs object or TFF
+#: bytes (run by solve on fixtures/solve_spec.json) or an argv ("@name" as in
+#: CASES; relative paths are inside an empty working directory).
 MALFORMED = {
     "a-not-a-number": (("spec", {"tubes": [{"a": "abc", "b": "0"}]}), "tubes[0]: a:"),
     "s-zero-denominator": (("spec", {"s": "1/0", "tubes": [{"a": "1/2", "b": "0"}]}), "s:"),
@@ -328,6 +336,26 @@ MALFORMED = {
         "rhs: blocks[0]:",
     ),
     "rhs-fields-not-a-list": (("rhs", {"fields": 3}), "rhs: fields:"),
+    "rhs-xi-not-an-integer": (("rhs", {**_RHS, "blocks": [{**_BLOCK, "xi": 2.5}]}), "rhs: blocks[0]: xi:"),
+    "rhs-xi-boolean": (("rhs", {**_RHS, "blocks": [{**_BLOCK, "xi": True}]}), "rhs: blocks[0]: xi:"),
+    "rhs-xi-repeated": (("rhs", {**_RHS, "blocks": [_BLOCK, {**_BLOCK, "re": [1.0] * 8}]}), "rhs: blocks[1]: xi:"),
+    "rhs-tff-xi-repeated": (("tff", _tff_listing_xi_twice()), "rhs: xi: 2"),
+    "singular-out-unwritable": (
+        ("argv", ["singular", "@singular_expL", "missing/out.json"]),
+        "cannot write missing/out.json:",
+    ),
+    "solve-out-unwritable-json": (
+        ("argv", ["solve", "@solve_spec", "@solve_rhs", "missing/u.json"]),
+        "cannot write missing/u.json:",
+    ),
+    "solve-out-unwritable-tff": (
+        ("argv", ["solve", "@solve_spec", "@solve_rhs", "missing/u.tff"]),
+        "cannot write missing/u.tff:",
+    ),
+    "classify-out-unwritable": (
+        ("argv", ["classify", "@cond1", "--out", "missing/r.json"]),
+        "cannot write missing/r.json:",
+    ),
     "rhs-grid-not-a-number": (("rhs", {**_RHS, "grid_size": "x"}), "rhs: grid_size:"),
     "horizon-negative": (("argv", ["classify", "@cond1", "--horizon", "-3"]), "--horizon: -3"),
     "horizon-zero": (("argv", ["diagnose", "@ex63", "--horizon", "0"]), "--horizon: 0"),
@@ -376,8 +404,12 @@ def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys, monkey
     elif kind == "spec":
         path.write_text(json.dumps({"n": 1, "s": "2", **given}), encoding="utf-8")
         argv = ["classify", str(path)]
-    elif kind == "rhs":
-        path.write_text(json.dumps(given), encoding="utf-8")
+    elif kind in ("rhs", "tff"):
+        if kind == "tff":
+            path = tmp_path / "rhs.tff"
+            path.write_bytes(given)
+        else:
+            path.write_text(json.dumps(given), encoding="utf-8")
         argv = ["solve", str(FIXTURES / "solve_spec.json"), str(path), str(tmp_path / "u.json")]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

@@ -116,6 +116,76 @@ def test_field_binary_rejects_data_shorter_than_its_header_says():
             FourierField.from_bytes(bad)
 
 
+EPS = np.finfo(float).eps
+
+
+def _stored_blocks(f: FourierField) -> tuple:
+    """{ξ: coefficients} as the JSON form and as the binary form store them."""
+    shape = (f.grid_size,) * f.n
+    from_json = {
+        b["xi"]: (np.asarray(b["re"]) + 1j * np.asarray(b["im"])).reshape(shape)
+        for b in f.to_json_obj()["blocks"]
+    }
+    raw = f.to_bytes()
+    pos = 48 + 8 * len(f.xi_values)
+    size = f.grid_size**f.n
+    from_bytes = {
+        xi: np.frombuffer(raw, dtype="<c16", count=size, offset=pos + 16 * size * i).reshape(shape)
+        for i, xi in enumerate(f.xi_values)
+    }
+    return from_json, from_bytes
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype="<c16").view("<u8")
+
+
+@pytest.mark.parametrize("n, grid", [(1, 64), (2, 16), (3, 8)])
+def test_coeffs_floor_zeroes_only_fft_rounding_noise(n, grid):
+    """Coefficients spread over 24 decades: the stored ones are the FFT's
+    bits, the zeroed ones are at most ε·max|c| of their block, and both
+    serialized forms carry the same numbers."""
+    rng = np.random.default_rng(n)
+    shape = (grid,) * n
+    f = FourierField(n=n, grid_size=grid)
+    for xi in range(-2, 3):
+        scale = 10.0 ** rng.uniform(-24, 0, shape)
+        c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        f.data[xi] = np.fft.ifftn(c) * c.size
+    zeroed = 0
+    from_json, from_bytes = _stored_blocks(f)
+    for xi in f.xi_values:
+        raw = np.fft.fftn(f.values(xi)) / grid**n
+        floor = EPS * np.abs(raw).max()
+        got = f.coeffs(xi)
+        kept = got != 0
+        assert np.array_equal(_bits(got[kept]), _bits(raw[kept]))
+        assert (np.abs(raw[~kept]) <= floor).all()
+        assert (np.abs(raw[kept]) > floor).all()
+        assert np.array_equal(_bits(from_json[xi]), _bits(got))
+        assert np.array_equal(_bits(from_bytes[xi]), _bits(got))
+        zeroed += int((~kept).sum())
+    assert zeroed > 0
+
+
+def test_all_zero_and_exact_single_mode_blocks_round_trip_exactly():
+    """A zero block stays zero; a mode with η_i ∈ {0, ±N/4} has exact samples
+    (powers of i), so it is stored as the one coefficient it was built from
+    and reloads to the same grid values through either form."""
+    zero = FourierField(n=2, grid_size=8, data={4: np.zeros((8, 8))})
+    single = FourierField.from_modes(3, 8, {((2, 0, -2), -1): 0.3 - 1.7j})
+    want = np.zeros((8, 8, 8), dtype=complex)
+    want[2, 0, 6] = 0.3 - 1.7j
+    assert np.array_equal(_bits(single.coeffs(-1)), _bits(want))
+    assert np.array_equal(_bits(zero.coeffs(4)), _bits(np.zeros((8, 8))))
+    for f in (zero, single):
+        for back in (FourierField.from_json_obj(f.to_json_obj()), FourierField.from_bytes(f.to_bytes())):
+            assert back.xi_values == f.xi_values
+            for xi in f.xi_values:
+                assert np.array_equal(back.values(xi), f.values(xi))
+            assert back.to_bytes() == f.to_bytes()
+
+
 def test_field_spectral_derivatives():
     f = FourierField.from_modes(1, 64, {(3, 2): 1.0})
     t = f.t_grid()
