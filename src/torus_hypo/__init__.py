@@ -14,10 +14,8 @@ _EXPORTS = {
     "diophantine": "ApproxInterval ContinuedFraction DiophantineVerdict LiouvilleWitness"
     " RealConstant approx_interval condition_B_check convergents digit_stream_from_json"
     " exp_liouville_score liouville_exponent_trend scale_witness verify_witness_rows",
-    "gevrey": "GevreyCutoff GevreyWitness TrigPoly check_lemma_product_bound estimate_decay"
-    " exp_composition_derivatives make_cutoff sum_over_delta",
-    "normalform": "NormalFormData apply_gauge build_normal_form conjugation_residual"
-    " gauge_derivative_growth",
+    "gevrey": "GevreyCutoff GevreyWitness TrigPoly estimate_decay make_cutoff",
+    "normalform": "NormalFormData apply_gauge build_normal_form conjugation_residual",
     "singular": "LaplaceProfile Obstruction SingularSolution build_expliouville_J"
     " build_obstruction build_product build_prop51 build_prop52 build_rational_J"
     " fit_lower_bound_power locate_laplace_profile",

@@ -36,19 +36,13 @@ A failure prints ``error: <message>`` to stderr and exits with the
 ``exit_code`` of its error class (see :mod:`torus_hypo.errors`):
 
 2    malformed input: bad JSON/flags/paths/fields, unusable parameters, an
-     output path that cannot be written
+     output path that cannot be written (a missing or read-only directory
+     is refused before any work)
 30   SolvabilityError          31   CompatibilityError
 32   ZeroDivisorError          33   ProfileError / GeometryError / GridMismatch
 34   MeanNotZero               40   RefusedHypoelliptic
 41   WitnessMismatch / LadderMismatch / IntegralityError
 50   any other domain error
-
-``TORUS_HYPO_THREADS`` caps BLAS/OpenMP parallelism: ``main`` copies it into
-``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` (unless
-they are set) before any command imports numpy.  That takes effect because
-this module and the package root load no numpy; a process that imported
-numpy before ``main`` keeps its threads.  Reports are byte-deterministic
-regardless of thread count.
 """
 
 from __future__ import annotations
@@ -72,14 +66,6 @@ VERDICT_EXITS = {"Hypoelliptic": 0, "NotHypoelliptic": 10, "Unknown": 20}
 # ---------------------------------------------------------------------------
 
 
-def _apply_thread_cap() -> str | None:
-    cap = os.environ.get("TORUS_HYPO_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-    return cap
-
-
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -88,6 +74,22 @@ def _read_json(path):
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
+
+
+#: the arguments that name a file a command writes
+OUTPUT_ARGS = ("out", "out_field", "out_solution")
+
+
+def _check_writable(path) -> None:
+    """Refuse an output path whose directory is missing or not writable.
+
+    ``main`` runs this on every output path before the command does any work,
+    so a mistyped path does not cost a full build; it creates no file."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise MalformedInput(f"cannot write {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise MalformedInput(f"cannot write {path}: directory {parent} is not writable")
 
 
 @contextlib.contextmanager
@@ -239,8 +241,7 @@ def cmd_cf(args) -> int:
     n = args.n
     if args.cf_command == "convergents":
         rows = []
-        for i in range(1, n + 1):
-            pair = cf.pair(i)
+        for i, pair in enumerate(dio.convergents(cf, n), start=1):
             if isinstance(pair, tuple):
                 rows.append({"n": i, "p": pair[0], "q": pair[1]})
             else:
@@ -470,7 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     commands = {
@@ -482,6 +482,9 @@ def main(argv=None) -> int:
         "singular": cmd_singular,
     }
     try:
+        for name in OUTPUT_ARGS:
+            if path := getattr(args, name, None):
+                _check_writable(path)
         return commands[args.command](args)
     except TorusHypoError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -41,11 +41,7 @@ class WitnessMismatch(TorusHypoError):
     exit_code = 41
 
 
-# --- combinatorics / fitting ----------------------------------------------
-
-class OutOfRange(TorusHypoError):
-    """An order/index argument is outside the supported range."""
-
+# --- fitting / cutoffs ----------------------------------------------------
 
 class InsufficientData(TorusHypoError):
     """Too few usable data points for a requested fit."""

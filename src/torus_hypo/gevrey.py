@@ -6,10 +6,6 @@ rather than about any particular equation:
 * :class:`TrigPoly` — finite real trigonometric polynomials with exact
   rational or float coefficients.  These carry the tube coefficients and all
   closed-form antiderivatives used elsewhere.
-* the weighted-composition combinatorics: the index sets Delta(m) of
-  multiplicity vectors (k_1, ..., k_m) with k_1 + 2k_2 + ... + m*k_m = m,
-  the exact product/sum identities over them, and the complete-Bell-polynomial
-  recurrence for derivatives of exp(g).
 * stretched-exponential decay diagnostics: fit ln|c_xi| against
   ln C - eps*|xi|^{1/s} and report the fitted rate as a
   :class:`GevreyWitness`.
@@ -26,11 +22,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import GeometryError, InsufficientData, MalformedInput, OrderError, OutOfRange
+from .errors import GeometryError, InsufficientData, MalformedInput, OrderError
 
 Coeff = Union[Fraction, float]
 
@@ -115,29 +111,6 @@ class TrigPoly:
         return self.const
 
     # -- arithmetic -----------------------------------------------------------
-
-    def _padded(self, n: int):
-        cos = self.cos + (Fraction(0),) * (n - len(self.cos))
-        sin = self.sin + (Fraction(0),) * (n - len(self.sin))
-        return cos, sin
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        n = max(self.degree, other.degree)
-        c1, s1 = self._padded(n)
-        c2, s2 = other._padded(n)
-        return TrigPoly(
-            self.const + other.const,
-            tuple(a + b for a, b in zip(c1, c2)),
-            tuple(a + b for a, b in zip(s1, s2)),
-        )
-
-    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "TrigPoly":
-        return TrigPoly(-self.const, tuple(-c for c in self.cos), tuple(-c for c in self.sin))
 
     def scale(self, factor: Coeff) -> "TrigPoly":
         factor = _parse_coeff(factor)
@@ -265,127 +238,6 @@ class TrigPoly:
         if not isinstance(obj, dict):
             raise MalformedInput(f"cannot parse TrigPoly from {obj!r}")
         return cls(obj.get("const", 0), tuple(obj.get("cos", ())), tuple(obj.get("sin", ())))
-
-
-# ---------------------------------------------------------------------------
-# Delta(m) combinatorics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeltaSet:
-    """All multiplicity vectors (k_1, ..., k_m) with sum_l l*k_l = m."""
-
-    m: int
-    tuples: tuple
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-
-def enumerate_delta(m: int) -> DeltaSet:
-    """Exhaustively enumerate Delta(m); the count equals the partition number p(m)."""
-    if not 1 <= m <= 30:
-        raise OutOfRange(f"m={m} outside supported range [1, 30]")
-
-    tuples: list = []
-
-    def rec(remaining: int, largest: int, counts: dict):
-        if remaining == 0:
-            vec = [0] * m
-            for part, mult in counts.items():
-                vec[part - 1] = mult
-            tuples.append(tuple(vec))
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            counts[part] = counts.get(part, 0) + 1
-            rec(remaining - part, part, counts)
-            counts[part] -= 1
-            if counts[part] == 0:
-                del counts[part]
-
-    rec(m, m, {})
-    tuples.sort(reverse=True)
-    return DeltaSet(m, tuple(tuples))
-
-
-def check_lemma_product_bound(tup: Sequence[int], s) -> bool:
-    """Check (k!)^s * prod_l (l!)^{(s-1)k_l} <= k! * m!^{s-1} for one tuple.
-
-    ``s`` may be an exact rational (checked in exact integer arithmetic) or a
-    float (checked in log space with a tiny safety margin).  ``k`` is the sum
-    of the multiplicities and ``m`` the weighted sum.
-    """
-    tup = tuple(int(x) for x in tup)
-    m = sum((i + 1) * k for i, k in enumerate(tup))
-    k = sum(tup)
-    if isinstance(s, (int, Fraction)) or isinstance(s, str):
-        s = Fraction(s)
-        p, q = s.numerator, s.denominator
-        if p <= q:
-            raise OrderError("the product bound is stated for s > 1")
-        kf = math.factorial(k)
-        lhs = kf**p
-        for ell, mult in enumerate(tup, start=1):
-            if mult:
-                lhs *= math.factorial(ell) ** ((p - q) * mult)
-        rhs = kf**q * math.factorial(m) ** (p - q)
-        return lhs <= rhs
-    s = float(s)
-    if s <= 1:
-        raise OrderError("the product bound is stated for s > 1")
-    lhs = s * math.lgamma(k + 1) + (s - 1) * sum(
-        mult * math.lgamma(ell + 1) for ell, mult in enumerate(tup, start=1)
-    )
-    rhs = math.lgamma(k + 1) + (s - 1) * math.lgamma(m + 1)
-    return lhs <= rhs + 1e-9
-
-
-def sum_over_delta(m: int, R) -> Fraction:
-    """Exact evaluation of sum over Delta(m) of k!/(k_1!...k_m!) R^k.
-
-    Equals R(1+R)^{m-1} identically; both sides are exact rationals.
-    """
-    if not 1 <= m <= 20:
-        raise OutOfRange(f"m={m} outside supported range [1, 20]")
-    R = Fraction(R)
-    total = Fraction(0)
-    for tup in enumerate_delta(m):
-        k = sum(tup)
-        coef = math.factorial(k)
-        for mult in tup:
-            coef //= math.factorial(mult)
-        total += coef * R**k
-    return total
-
-
-def exp_composition_derivatives(g_derivs: Sequence, m: int):
-    """m-th derivative of exp(g) divided by exp(g), from g', g'', ..., g^(m).
-
-    Evaluates the complete Bell polynomial B_m(g', ..., g^(m)) by the
-    convolution recurrence  B_{j+1} = sum_i C(j, i) B_{j-i} g^{(i+1)},
-    which is numerically stable at high orders.  Entries may be scalars or
-    numpy arrays (broadcast elementwise).
-    """
-    if not 1 <= m <= 30:
-        raise OutOfRange(f"m={m} outside supported range [1, 30]")
-    if len(g_derivs) < m:
-        raise OutOfRange(f"need {m} derivatives of g, got {len(g_derivs)}")
-    first = np.asarray(g_derivs[0])
-    bell = [np.ones(first.shape, dtype=complex) if first.shape else (1.0 + 0.0j)]
-    for j in range(m):
-        acc = None
-        for i in range(j + 1):
-            term = math.comb(j, i) * bell[j - i] * np.asarray(g_derivs[i], dtype=complex)
-            acc = term if acc is None else acc + term
-        bell.append(acc)
-    out = bell[m]
-    if np.ndim(out) == 0:
-        return complex(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -599,18 +451,6 @@ class GevreyCutoff:
             return a / (a + b)
 
         return sh((t - l) / (l2 - l)) * sh((r - t) / (r - r2))
-
-    def fourier_magnitudes(self, n_grid: int = 16384) -> dict:
-        """|Fourier coefficient| at each positive frequency below n_grid/2.
-
-        Float64 path: trustworthy only down to the FFT roundoff floor
-        (~1e-16 in absolute terms); see :meth:`fourier_magnitudes_hiprec`
-        for smaller magnitudes.
-        """
-        ts = 2.0 * np.pi * np.arange(n_grid) / n_grid
-        vals = self(ts)
-        spec = np.fft.rfft(vals) / n_grid
-        return {k: float(abs(spec[k])) for k in range(1, n_grid // 2)}
 
     def fourier_magnitudes_hiprec(self) -> dict:
         """|Fourier coefficient| at frequencies 1..4095 of 8192 samples, to about 1e-40.

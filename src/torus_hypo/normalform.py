@@ -16,15 +16,14 @@ t-variable (the separable sum above).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .diophantine import RealConstant
-from .errors import GridMismatch, MalformedInput, OutOfRange
-from .gevrey import TrigPoly, exp_composition_derivatives, least_squares
+from .errors import GridMismatch, MalformedInput
+from .gevrey import TrigPoly
 from .solver import FourierField, apply_tube_operator
 from .system import SystemSpec, Tube, average
 
@@ -33,7 +32,6 @@ __all__ = [
     "build_normal_form",
     "apply_gauge",
     "conjugation_residual",
-    "gauge_derivative_growth",
 ]
 
 
@@ -46,12 +44,6 @@ class NormalFormData:
 
     def is_trivial(self) -> bool:
         return all(p.is_zero for p in self.A)
-
-    def to_json(self) -> dict:
-        return {
-            "A": [p.to_json() for p in self.A],
-            "normalized": self.normalized.to_json(),
-        }
 
 
 def build_normal_form(spec: SystemSpec) -> NormalFormData:
@@ -135,62 +127,3 @@ def conjugation_residual(spec: SystemSpec, test_field: FourierField) -> float:
         scale = 1.0 + rhs.max_abs()
         worst = max(worst, (lhs - rhs).max_abs() / scale)
     return worst
-
-
-def gauge_derivative_growth(
-    A: TrigPoly,
-    s: float,
-    epsilon: float,
-    alpha_max: int = 8,
-    xi_values: Sequence[int] | None = None,
-    n_grid: int = 256,
-) -> dict:
-    """Growth diagnostic for the gauge factor's t-derivatives.
-
-    For each order α ≤ alpha_max computes
-
-        M_α = max_{ξ, t} e^{−ε|ξ|^{1/s}} |∂_t^α e^{iξA(t)}| / (α!)^s
-
-    with the derivatives obtained from the Bell-polynomial recurrence (never
-    by repeated numerical differentiation).  Returns the per-order table, the
-    fitted geometric constant C (slope of ln M_α against α), and the fit's
-    R².  The meaningful assertion is finiteness and at-most-geometric growth
-    of M_α, not any specific value of C.
-    """
-    if alpha_max < 1:
-        raise OutOfRange("alpha_max must be >= 1")
-    if epsilon <= 0:
-        raise OutOfRange("epsilon must be positive")
-    s = float(s)
-    if xi_values is None:
-        xi_values = [2**k for k in range(11)]  # 1 .. 1024
-    t = 2.0 * np.pi * np.arange(n_grid) / n_grid
-
-    # t-derivatives of A up to alpha_max, evaluated on the grid
-    derivs = []
-    current = A
-    for _ in range(alpha_max):
-        current = current.derivative()
-        derivs.append(np.asarray(current(t), dtype=complex))
-
-    M = np.zeros(alpha_max + 1)
-    M[0] = 1.0  # |e^{iξA}| = 1
-    for xi in xi_values:
-        g_derivs = [1j * xi * d for d in derivs]
-        weight = math.exp(-epsilon * abs(xi) ** (1.0 / s))
-        for alpha in range(1, alpha_max + 1):
-            bell = exp_composition_derivatives(g_derivs[:alpha], alpha)
-            mag = float(np.abs(bell).max())  # = |∂^α e^{iξA}| since |e^{iξA}| = 1
-            M[alpha] = max(M[alpha], weight * mag / math.factorial(alpha) ** s)
-
-    alphas = np.arange(1, alpha_max + 1, dtype=float)
-    ln_m = np.log(np.maximum(M[1:], 1e-300))
-    coef, r2 = least_squares(np.column_stack([np.ones_like(alphas), alphas]), ln_m)
-    return {
-        "orders": list(range(alpha_max + 1)),
-        "bounds": M.tolist(),
-        "fitted_C": math.exp(float(coef[1])),
-        "prefactor": math.exp(float(coef[0])),
-        "fit_r2": r2,
-        "finite": bool(np.all(np.isfinite(M))),
-    }

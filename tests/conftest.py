@@ -1,4 +1,5 @@
-"""Shared test helpers: fixture loading and a subprocess CLI runner."""
+"""Shared test helpers: fixture loading, a subprocess CLI runner and a
+session cache of golden CLI runs."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = PKG_ROOT / "fixtures"
@@ -25,3 +28,23 @@ def run_cli(*args: str, timeout: float = 600.0) -> subprocess.CompletedProcess:
     return subprocess.run(
         cmd, capture_output=True, text=True, timeout=timeout, cwd=PKG_ROOT, env=env
     )
+
+
+@pytest.fixture(scope="session")
+def golden_run(tmp_path_factory):
+    """Run a golden CLI case (``test_cli.CASES``) once per session.
+
+    Returns ``run(case) -> (exit code, report text, artifact sha256 or None,
+    working directory)``; the artifact stays in the working directory for
+    every test that reads it."""
+    from test_cli import run_case
+
+    runs = {}
+
+    def run(case: str):
+        if case not in runs:
+            workdir = tmp_path_factory.mktemp(case)
+            runs[case] = (*run_case(case, workdir, keep_artifact=True), workdir)
+        return runs[case]
+
+    return run

@@ -1,9 +1,11 @@
 """End-to-end CLI runs, checked byte for byte against golden outputs.
 
-Each case calls ``cli.main`` in-process with a temporary working directory,
-so the artifact paths that ``solve`` and ``singular`` echo are fixed relative
-names.  ``tests/golden/<case>.json`` holds the report the case prints, and
-``tests/golden/manifest.json`` its exit code and the sha256 of its artifact.
+Each case calls ``cli.main`` in-process, once per test session (the
+``golden_run`` fixture of ``conftest.py``), with a temporary working
+directory, so the artifact paths that ``solve`` and ``singular`` echo are
+fixed relative names.  ``tests/golden/<case>.json`` holds the report the
+case prints, and ``tests/golden/manifest.json`` its exit code and the sha256
+of its artifact.
 After a deliberate change to the output, regenerate both with
 ``PYTHONPATH=src python tests/test_cli.py``.
 """
@@ -107,18 +109,18 @@ def _manifest() -> dict:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_output_matches_golden(case, tmp_path):
+def test_output_matches_golden(case, golden_run):
     want = _manifest()[case]
-    code, report, digest = run_case(case, tmp_path)
+    code, report, digest, _ = golden_run(case)
     assert code == want["exit"]
     assert report.encode("utf-8") == (GOLDEN / f"{case}.json").read_bytes()
     assert digest == want["artifact_sha256"]
 
 
-def test_solve_recovers_manufactured_solution(tmp_path):
-    code, _, _ = run_case("solve-solve_rhs", tmp_path, keep_artifact=True)
+def test_solve_recovers_manufactured_solution(golden_run):
+    code, _, _, workdir = golden_run("solve-solve_rhs")
     assert code == 0
-    u = FourierField.load_json(tmp_path / "u.json")
+    u = FourierField.load_json(workdir / "u.json")
     u_true = FourierField.load_json(FIXTURES / "solve_u_true.json")
     assert u.xi_values == u_true.xi_values
     err = max(float(np.abs(u.values(xi) - u_true.values(xi)).max()) for xi in u.xi_values)
@@ -135,19 +137,18 @@ def test_subprocess_smoke():
 
 
 # ---------------------------------------------------------------------------
-# Cold start: what a fresh interpreter loads, and the thread cap
+# Cold start: what a fresh interpreter loads, and the thread count
 # ---------------------------------------------------------------------------
 
-THREAD_VARS = ("TORUS_HYPO_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: the names the package root exported when it imported every module eagerly
 EXPORTS = """
     ApproxInterval ContinuedFraction DiophantineVerdict LiouvilleWitness RealConstant
     approx_interval condition_B_check convergents digit_stream_from_json exp_liouville_score
     liouville_exponent_trend scale_witness verify_witness_rows GevreyCutoff GevreyWitness
-    TrigPoly check_lemma_product_bound estimate_decay exp_composition_derivatives make_cutoff
-    sum_over_delta NormalFormData apply_gauge build_normal_form conjugation_residual
-    gauge_derivative_growth LaplaceProfile Obstruction SingularSolution build_expliouville_J
+    TrigPoly estimate_decay make_cutoff NormalFormData apply_gauge build_normal_form
+    conjugation_residual LaplaceProfile Obstruction SingularSolution build_expliouville_J
     build_obstruction build_product build_prop51 build_prop52 build_rational_J
     fit_lower_bound_power locate_laplace_profile FourierField apply_tube_operator decay_report
     residual solve_by_division solve_single_tube solve_system Order SystemAnalysis SystemSpec
@@ -220,27 +221,12 @@ def test_package_root_exports_resolve():
     assert _fresh_python(code).strip() == "[]"
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
-def test_thread_cap_applies_before_numpy_loads():
-    """Under TORUS_HYPO_THREADS=1 a command that loads numpy runs on one thread."""
-    argv = ["classify", str(FIXTURES / "cond1.json")]
-    code = f"""if True:
-        import contextlib, io, sys
-        from torus_hypo import cli
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.main({argv!r})
-        with open("/proc/self/status") as fh:
-            threads = [line.split()[1] for line in fh if line.startswith("Threads:")]
-        print("numpy" in sys.modules, threads[0])
-    """
-    assert _fresh_python(code, TORUS_HYPO_THREADS="1").split() == ["True", "1"]
-
-
 @pytest.mark.parametrize("case", ["solve-solve_rhs", "singular-singular_expL"])
 def test_reports_do_not_depend_on_the_thread_count(case, tmp_path):
     want = _manifest()[case]
     for threads in ("1", "2"):
-        proc = _fresh(["-m", "torus_hypo.cli", *_argv(case)], tmp_path, TORUS_HYPO_THREADS=threads)
+        env = {"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+        proc = _fresh(["-m", "torus_hypo.cli", *_argv(case)], tmp_path, **env)
         assert proc.returncode == want["exit"], proc.stderr
         assert proc.stdout == (GOLDEN / f"{case}.json").read_bytes()
         artifact = tmp_path / ARTIFACTS[CASES[case][0]]
@@ -416,6 +402,42 @@ def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys, monkey
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field} ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, pipeline",
+    [
+        (["solve", "@solve_spec", "@solve_rhs", "missing/u.json"], "solver.solve_system"),
+        (
+            ["solve", "@solve_spec", "@solve_rhs", "u.tff", "--out", "missing/r.json"],
+            "solver.solve_system",
+        ),
+        (["singular", "@singular_allsign", "missing/out.json"], "singular.build_obstruction"),
+        (
+            ["singular", "@singular_expL", "out.json", "--out", "missing/r.json"],
+            "singular.build_obstruction",
+        ),
+    ],
+    ids=["solve-field", "solve-out", "singular-certificate", "singular-out"],
+)
+def test_unwritable_output_is_refused_before_the_pipeline_runs(
+    argv, pipeline, tmp_path, capsys, monkeypatch
+):
+    """A missing output directory exits 2 without building anything and
+    without creating a file."""
+    import importlib
+
+    module, name = pipeline.split(".")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the output path was checked")
+
+    monkeypatch.setattr(importlib.import_module(f"torus_hypo.{module}"), name, refuse)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(FIXTURES / f"{a[1:]}.json") if a[:1] == "@" else a for a in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write missing/")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_has_no_tuning_flags(capsys):

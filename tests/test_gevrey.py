@@ -1,4 +1,4 @@
-"""Combinatorial identities, trig-polynomial data model, decay fitting, cutoffs."""
+"""Trig-polynomial data model, decay fitting, cutoffs."""
 
 from __future__ import annotations
 
@@ -16,172 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_hypo import gevrey
-from torus_hypo.errors import GeometryError, InsufficientData, OrderError, OutOfRange
-from torus_hypo.gevrey import (
-    GevreyCutoff,
-    TrigPoly,
-    check_lemma_product_bound,
-    enumerate_delta,
-    estimate_decay,
-    exp_composition_derivatives,
-    make_cutoff,
-    shoulder,
-    sum_over_delta,
-)
-
-# Integer partition counts p(1)..p(12).
-PARTITION_COUNTS = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
-
-
-# ---------------------------------------------------------------------------
-# Weighted-composition set Delta(m)
-# ---------------------------------------------------------------------------
-
-
-def test_enumerate_delta_m1():
-    assert enumerate_delta(1).tuples == ((1,),)
-
-
-def test_enumerate_delta_m3():
-    got = set(enumerate_delta(3).tuples)
-    assert got == {(3, 0, 0), (1, 1, 0), (0, 0, 1)}
-
-
-def test_enumerate_delta_counts_match_partition_numbers():
-    for m, expected in enumerate(PARTITION_COUNTS, start=1):
-        ds = enumerate_delta(m)
-        assert len(ds.tuples) == expected
-        assert len(set(ds.tuples)) == expected  # duplicate-free
-
-
-def test_enumerate_delta_weighted_sum_invariant():
-    for m in range(1, 13):
-        for tup in enumerate_delta(m).tuples:
-            assert len(tup) == m
-            assert sum((l + 1) * k for l, k in enumerate(tup)) == m
-            assert all(k >= 0 for k in tup)
-
-
-def test_enumerate_delta_out_of_range():
-    with pytest.raises(OutOfRange):
-        enumerate_delta(0)
-    with pytest.raises(OutOfRange):
-        enumerate_delta(31)
-
-
-# ---------------------------------------------------------------------------
-# Factorial product bound (exhaustive oracle)
-# ---------------------------------------------------------------------------
-
-
-def test_product_bound_equality_case():
-    # m=2, tuple (0,1): k=1, LHS = (1!)^2 * (2!)^1 = 2, RHS = 1! * (2!)^1 = 2.
-    assert check_lemma_product_bound((0, 1), 2)
-
-
-def test_product_bound_trivial_m1():
-    for s in (Fraction(3, 2), 2, 3):
-        assert check_lemma_product_bound((1,), s)
-
-
-@pytest.mark.parametrize("s", [Fraction(3, 2), Fraction(2), Fraction(3)])
-def test_product_bound_exhaustive_small(s):
-    for m in range(1, 9):
-        for tup in enumerate_delta(m).tuples:
-            assert check_lemma_product_bound(tup, s), (m, tup, s)
-
-
-def test_product_bound_brute_force_cross_check():
-    # Independent route: evaluate both sides as exact integers for s = 2.
-    for m in range(1, 8):
-        for tup in enumerate_delta(m).tuples:
-            k = sum(tup)
-            lhs = math.factorial(k) ** 2
-            for l, mult in enumerate(tup, start=1):
-                lhs *= math.factorial(l) ** mult
-            rhs = math.factorial(k) * math.factorial(m)
-            assert check_lemma_product_bound(tup, 2) == (lhs <= rhs)
-
-
-# ---------------------------------------------------------------------------
-# Weighted multinomial sum over Delta(m)
-# ---------------------------------------------------------------------------
-
-
-def test_sum_over_delta_m1_identity():
-    for r in (Fraction(2), Fraction(-3, 4), Fraction(10, 7)):
-        assert sum_over_delta(1, r) == r
-
-
-def test_sum_over_delta_m2_unit():
-    assert sum_over_delta(2, Fraction(1)) == 2
-
-
-def test_sum_over_delta_m5_closed_form():
-    r = Fraction(3, 7)
-    assert sum_over_delta(5, r) == r * (1 + r) ** 4
-
-
-def test_sum_over_delta_matches_closed_form_random():
-    rng = random.Random(20260815)
-    for _ in range(50):
-        m = rng.randint(1, 20)
-        r = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
-        assert sum_over_delta(m, r) == r * (1 + r) ** (m - 1)
-
-
-def test_sum_over_delta_out_of_range():
-    with pytest.raises(OutOfRange):
-        sum_over_delta(21, Fraction(1))
-
-
-# ---------------------------------------------------------------------------
-# Bell-recurrence derivatives of exp(g)
-# ---------------------------------------------------------------------------
-
-
-def test_exp_composition_first_orders():
-    a, b = 0.7 + 0.2j, -1.1 + 0.05j
-    assert exp_composition_derivatives([a], 1) == pytest.approx(a)
-    assert exp_composition_derivatives([a, b], 2) == pytest.approx(a * a + b)
-
-
-def test_exp_composition_pure_phase():
-    # g(t) = i t: only g' = i survives; d^4/dt^4 e^{it} = e^{it}.
-    got = exp_composition_derivatives([1j, 0, 0, 0], 4)
-    assert got == pytest.approx(1.0)
-
-
-def test_exp_composition_against_high_precision_derivatives():
-    # Dual route: mpmath numerical differentiation of t -> exp(g(t)) for a
-    # degree-3 trig polynomial g, orders up to 6.
-    g = TrigPoly.from_json({"const": "1/5", "cos": ["1/2", "0", "1/3"], "sin": ["0", "1/4", "0"]})
-    t0 = 0.613
-    with mpmath.workdps(50):
-
-        def g_mp(t):
-            return (
-                mpmath.mpf(1) / 5
-                + mpmath.cos(t) / 2
-                + mpmath.cos(3 * t) / 3
-                + mpmath.sin(2 * t) / 4
-            )
-
-        derivs = [complex(mpmath.diff(g_mp, t0, k)) for k in range(1, 7)]
-        for m in range(1, 7):
-            want = complex(
-                mpmath.diff(lambda t: mpmath.exp(g_mp(t)), t0, m)
-                / mpmath.exp(g_mp(t0))
-            )
-            got = exp_composition_derivatives(derivs[:m], m)
-            assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), m
-    assert g(t0) == pytest.approx(1 / 5 + math.cos(t0) / 2 + math.cos(3 * t0) / 3 + math.sin(2 * t0) / 4)
-
-
-def test_exp_composition_out_of_range():
-    with pytest.raises(OutOfRange):
-        exp_composition_derivatives([1.0] * 31, 31)
-
+from torus_hypo.errors import GeometryError, InsufficientData, OrderError
+from torus_hypo.gevrey import GevreyCutoff, TrigPoly, estimate_decay, make_cutoff, shoulder
 
 # ---------------------------------------------------------------------------
 # TrigPoly data model
@@ -337,15 +173,6 @@ def test_make_cutoff_rejects_analytic_order():
     for build in (make_cutoff, GevreyCutoff):
         with pytest.raises(OrderError):
             build(1.0, (2.0, 4.0), (2.5, 3.5))
-
-
-def test_make_cutoff_fourier_magnitudes_decay():
-    phi = GevreyCutoff(2.0, (math.pi - 1, math.pi + 1), (math.pi - 0.5, math.pi + 0.5))
-    mags = phi.fourier_magnitudes(2048)
-    # crude sanity: high tail far below low-frequency mass
-    low = max(mags[xi] for xi in range(1, 8))
-    high = max(mags[xi] for xi in range(256, 512))
-    assert high < 1e-6 * low
 
 
 #: the cutoff geometry every singular fixture uses: support π ± 0.5, plateau π ± 0.25

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torus_hypo import cli, gevrey
+from torus_hypo import gevrey
 from torus_hypo.gevrey import GevreyCutoff
 from torus_hypo.singular import build_prop52
 from torus_hypo.solver import apply_tube_operator
@@ -20,13 +19,12 @@ from torus_hypo.system import SystemSpec, analyze
 @pytest.mark.parametrize(
     "stem", ["singular_expL", "singular_rationalJ", "crit9_three_tube", "singular_allsign"]
 )
-def test_written_certificate_bounds_hold_on_its_stored_coefficients(stem, tmp_path):
+def test_written_certificate_bounds_hold_on_its_stored_coefficients(stem, golden_run):
     """Each lower_bound_table row of a materialized rung is at most
     max_t |u(t, xi)| rebuilt from the coefficients the artifact stores."""
-    spec = Path(__file__).resolve().parent.parent / "fixtures" / f"{stem}.json"
-    out = tmp_path / "out.json"
-    assert cli.main(["singular", str(spec), str(out)]) == 0
-    artifact = json.loads(out.read_text(encoding="utf-8"))
+    code, _, _, workdir = golden_run(f"singular-{stem}")
+    assert code == 0
+    artifact = json.loads((workdir / "out.json").read_text(encoding="utf-8"))
     field = artifact["field"]
     shape = (field["grid_size"],) * field["n"]
     bounds = dict(artifact["certificate"]["lower_bound_table"])
