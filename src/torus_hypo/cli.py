@@ -17,9 +17,11 @@ positional output path, as compact JSON with sorted keys
 format instead when the path ends in ``.bin`` or ``.tff``.  Fields are stored
 as trigonometric coefficients, and a stored 0.0 means |c| <= eps * max|c| of
 its block (see ``FourierField.coeffs``).  ``solve`` has no
-tuning flags: the banded route uses K = max(1024, 4|ξ|) internal modes per ξ
-and the division route evaluates the averaged constants to 60 significant
-digits.
+tuning flags: the banded route picks each ξ's internal modes K a posteriori,
+doubling from N + 4 deg b + 2 until the solution's outer modes fall to
+eps * max|u|, up to the ceiling K = max(1024, 4|ξ|) (the report's runtime
+gives ``internal_modes_max`` and ``internal_modes_capped``), and the
+division route evaluates the averaged constants to 60 significant digits.
 
 Each command loads its inputs, calls the library and renders the result.
 ``classify``/``diagnose``, ``solve`` and ``singular`` each call one pipeline:
@@ -331,6 +333,7 @@ def cmd_solve(args) -> int:
     f_list = _load_field(args.rhs)
     u, body = solve_system(spec, f_list)
     _write_field(u, args.out_field)
+    counters = body.pop("runtime", {})
     body["output"] = args.out_field
     report = Report(
         command=["solve"],
@@ -340,6 +343,7 @@ def cmd_solve(args) -> int:
             "frequencies": len(u.xi_values),
             "grid": u.grid_size,
             "rhs_fields": len(f_list),
+            **counters,
         },
     )
     _emit(report, args)

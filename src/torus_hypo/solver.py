@@ -13,10 +13,14 @@ Two solution regimes are implemented:
   unique solution for every ξ (the holonomy factor ``e^{-i2πξc_0}`` stays off
   the unit circle because ``ξ b_0 ≠ 0``).  The solution operator is applied
   exactly in Fourier-mode space along t_j: a banded linear system of
-  bandwidth ``deg b`` over modes |m| ≤ K/2, K = max(1024, 4|ξ|), solved by
-  LAPACK's banded LU.  This evaluates the same solution the closed-form
-  damped integral represents, without quadrature error and without the
-  ``e^{ξ·osc(∫b)}`` roundoff amplification a gauge transform would incur.
+  bandwidth d = ``deg b`` over modes |m| ≤ K/2, solved by LAPACK's banded LU
+  for a chunk of ξ at a time.  K is chosen per ξ a posteriori: it starts at
+  N + 4d + 2 (N the grid size) and doubles until the outermost 2d modes of the
+  solution are at most ε·max|û| (ε = machine epsilon), up to the ceiling
+  K = max(1024, 4|ξ|), where the solution is accepted and counted as capped.
+  This evaluates the same solution the closed-form damped integral
+  represents, without quadrature error and without the ``e^{ξ·osc(∫b)}``
+  roundoff amplification a gauge transform would incur.
 
 * :func:`solve_by_division` — all tubes in J carry ``b_j ≡ 0`` and constant
   ``a_j``; division by the linear form ``ξ a_{j0} + η_j`` (largest component
@@ -83,10 +87,15 @@ __all__ = [
 ]
 
 
-#: Baseline number of internal t_j-modes used by the single-tube solver; the
-#: actual count is max(MIN_INTERNAL_MODES, 4|ξ|) so resolution grows with the
-#: width ~ |ξ|^{1/2} concentration of the solution operator's kernel.
+#: Ceiling on the internal t_j-modes of the single-tube solver: a ξ whose
+#: solution is still not resolved at K = max(MIN_INTERNAL_MODES, 4|ξ|) modes is
+#: accepted there and counted as capped.  The ceiling grows with |ξ| to follow
+#: the width ~ |ξ|^{1/2} concentration of the solution operator's kernel.
 MIN_INTERNAL_MODES = 1024
+
+#: ξ per stacked banded solve of the single-tube solver; bounds the size of
+#: the stacked arrays.
+_XI_CHUNK = 64
 
 #: Significant digits of the averaged constants in the division solver.
 DIVISION_DIGITS = 60
@@ -445,48 +454,113 @@ def _solve_zero_frequency(block: np.ndarray, grid_size: int) -> np.ndarray:
     return np.fft.ifft(out_hat * grid_size, axis=0)
 
 
-def _banded_tube_solve(
-    xi: int,
+def _mode_ceiling(xis: np.ndarray, grid_size: int, d: int) -> np.ndarray:
+    """The largest half-width K/2 the single-tube solve gives each ξ, with
+    K = max(MIN_INTERNAL_MODES, 4|ξ|); never below the rhs band plus d."""
+    return np.maximum(np.maximum(MIN_INTERNAL_MODES, 4 * np.abs(xis)) // 2, grid_size // 2 + d + 1)
+
+
+def _block_starts(halves: np.ndarray) -> np.ndarray:
+    """First row of each block in a stack of blocks of 2·half + 1 modes."""
+    sizes = 2 * halves + 1
+    return np.cumsum(sizes) - sizes
+
+
+def _stacked_band_solve(
+    xis: np.ndarray,
+    halves: np.ndarray,
     a0: float,
     b_exp: np.ndarray,
     rhs_hat: np.ndarray,
-    grid_size: int,
-    total_modes: int,
 ) -> np.ndarray:
-    """Solve û' + iξ(a0 + ib)û = f̂ in t_j-mode space; one ξ, many columns.
+    """Solve û' + iξ(a0 + ib)û = f̂ in t_j-mode space for several ξ in one LU.
 
     ``b_exp`` is the centered exponential-coefficient array of b (index
-    i ↔ frequency i − d).  ``rhs_hat`` has shape (grid_size, R) holding the
-    fft/N coefficients of the right-hand side in fftfreq layout.  Returns the
-    solution coefficients in the same layout/shape.
+    i ↔ frequency i − d).  Block k is ξ = ``xis[k]`` over the modes
+    |m| ≤ ``halves[k]``; ``rhs_hat[k]`` has shape (grid_size, R) and holds the
+    fft/N coefficients of its right-hand side in fftfreq layout.  Returns the
+    blocks' solutions over all of their modes, stacked in one (rows, R) array:
+    mode m of block k is row ``_block_starts(halves)[k] + halves[k] + m``.
 
     In mode space the operator is i(m + ξa0)δ_{mk} − ξ b̂_{m−k}: banded with
     bandwidth d = deg b.  The diagonal dominates for |m| large, and the only
     possible singular direction (m + ξa0 = 0 together with ξ b̂_0 = 0) is
     excluded since b0 ≠ 0, so the banded LU is well posed for every ξ ≠ 0.
+    The blocks sit on the diagonal of one band whose couplings between blocks
+    are exact zeros, so partial pivoting never leaves a block and each block
+    gets the same bits as a solve of its ξ alone.
     """
     from scipy.linalg import solve_banded  # scipy loads only for this solve
 
     d = (b_exp.size - 1) // 2
-    half = max(total_modes // 2, grid_size // 2 + d + 1)
-    size = 2 * half + 1
-    m = np.arange(-half, half + 1)
+    sizes = 2 * halves + 1
+    starts = _block_starts(halves)
+    xi_col = np.repeat(xis, sizes)
+    half_col = np.repeat(halves, sizes)
+    m = np.arange(int(sizes.sum())) - np.repeat(starts, sizes) - half_col  # mode of each row
 
-    ab = np.zeros((2 * d + 1, size), dtype=complex)
-    ab[d] = 1j * (m + xi * a0) - xi * b_exp[d]
+    # Column j of ab holds the entries of column j of A; an entry whose row
+    # lies in another block stays 0.
+    ab = np.zeros((2 * d + 1, m.size), dtype=complex)
+    ab[d] = 1j * (m + xi_col * a0) - xi_col * b_exp[d]
     for l in range(1, d + 1):
         b_plus = complex(b_exp[d + l])
         b_minus = complex(b_exp[d - l])
         if b_plus != 0:  # A[row, row - l] — subdiagonal l
-            ab[d + l, : size - l] = -xi * b_plus
+            ab[d + l] = np.where(m + l <= half_col, -xi_col * b_plus, 0)
         if b_minus != 0:  # A[row, row + l] — superdiagonal l
-            ab[d - l, l:] = -xi * b_minus
+            ab[d - l] = np.where(m - l >= -half_col, -xi_col * b_minus, 0)
 
+    grid_size = rhs_hat.shape[1]
     freqs = np.fft.fftfreq(grid_size, 1.0 / grid_size).astype(int)
-    rhs = np.zeros((size,) + rhs_hat.shape[1:], dtype=complex)
-    rhs[freqs + half] = rhs_hat
-    sol = solve_banded((d, d), ab, rhs)
-    return sol[freqs + half]
+    rhs = np.zeros((m.size, rhs_hat.shape[2]), dtype=complex)
+    rhs[(starts + halves)[:, None] + freqs] = rhs_hat
+    return solve_banded((d, d), ab, rhs, overwrite_ab=True, overwrite_b=True)
+
+
+def _adaptive_band_solve(
+    xis: np.ndarray,
+    a0: float,
+    b_exp: np.ndarray,
+    rhs_hat: np.ndarray,
+) -> tuple:
+    """:func:`_stacked_band_solve` with each ξ's mode count chosen a posteriori.
+
+    Every ξ starts at half-width N/2 + 2d + 1.  Its solution is accepted when
+    the outermost 2d modes are at most ε·max|û| of its block (ε = machine
+    epsilon, the floor of :meth:`FourierField.coeffs`); otherwise that ξ is
+    solved again at twice the half-width, up to :func:`_mode_ceiling`, where
+    it is accepted as it stands.  Constant b (d = 0) is diagonal, so the
+    first pass is exact.  The ξ still open are solved together each round.
+
+    Returns the solution coefficients (shape and layout of ``rhs_hat``), the
+    half-width each ξ ended at, and whether it reached the ceiling without
+    passing the edge test.
+    """
+    grid_size = rhs_hat.shape[1]
+    d = (b_exp.size - 1) // 2
+    eps = np.finfo(float).eps
+    freqs = np.fft.fftfreq(grid_size, 1.0 / grid_size).astype(int)
+    ceiling = _mode_ceiling(xis, grid_size, d)
+    halves = np.minimum(grid_size // 2 + 2 * d + 1, ceiling)
+    capped = np.zeros(xis.size, dtype=bool)
+    u_hat = np.empty_like(rhs_hat)
+    todo = np.arange(xis.size)
+    while todo.size:
+        half = halves[todo]
+        starts = _block_starts(half)
+        sol = _stacked_band_solve(xis[todo], half, a0, b_exp, rhs_hat[todo])
+        row_max = np.abs(sol).max(axis=1)
+        ends = starts + 2 * half + 1
+        outer = np.hstack([starts[:, None] + np.arange(d), ends[:, None] - np.arange(1, d + 1)])
+        edge = row_max[outer].max(axis=1, initial=0.0)
+        resolved = edge <= eps * np.maximum.reduceat(row_max, starts)
+        done = resolved | (half == ceiling[todo])
+        u_hat[todo[done]] = sol[(starts + half)[done, None] + freqs]
+        capped[todo[done]] = ~resolved[done]
+        todo = todo[~done]
+        halves[todo] = np.minimum(2 * halves[todo], ceiling[todo])
+    return u_hat, halves, capped
 
 
 def solve_single_tube(
@@ -503,8 +577,12 @@ def solve_single_tube(
     zero t_j-mean (:class:`SolvabilityError` otherwise); its own t_j-mean is
     fixed to zero.
 
-    Per-ξ solves are independent and deterministic; results land in disjoint
-    per-frequency blocks regardless of evaluation order.
+    The other ξ are solved in chunks of ``_XI_CHUNK``, one stacked banded LU
+    per chunk and round, each ξ on the mode count :func:`_adaptive_band_solve`
+    picks for it.  A ξ's result does not depend on the rest of its chunk.
+    ``meta`` records ``internal_modes_max``, the largest K any ξ used, and
+    ``internal_modes_capped``, the number of ξ accepted at the ceiling
+    without passing the edge test.
     """
     if f.n != spec.n:
         raise GridMismatch(f"field has n={f.n} but system has n={spec.n}")
@@ -527,18 +605,31 @@ def solve_single_tube(
     out.meta["method"] = "banded-mode-solve"
     out.meta["tube"] = tube_index
 
-    for xi in f.xi_values:
-        block = np.moveaxis(f.values(xi), axis, 0)
-        lead_shape = block.shape
-        cols = block.reshape(N, -1)
-        if xi == 0:
-            u_cols = _solve_zero_frequency(cols, N)
-        else:
-            modes = max(MIN_INTERNAL_MODES, 4 * abs(xi))
-            rhs_hat = np.fft.fft(cols, axis=0) / N
-            u_hat = _banded_tube_solve(xi, a0, b_exp, rhs_hat, N, modes)
-            u_cols = np.fft.ifft(u_hat * N, axis=0)
-        out.data[xi] = np.moveaxis(u_cols.reshape(lead_shape), 0, axis)
+    def columns(xi):  # û(·, ξ) as (N, R): t_j first, the other axes flattened
+        return np.moveaxis(f.values(xi), axis, 0).reshape(N, -1)
+
+    def block(cols):
+        return np.moveaxis(cols.reshape((N,) * f.n), 0, axis)
+
+    solved = {}
+    if f.has_xi(0):
+        solved[0] = block(_solve_zero_frequency(columns(0), N))
+    nonzero = np.array([xi for xi in f.xi_values if xi], dtype=int)
+    modes_max = capped = 0
+    for lo in range(0, nonzero.size, _XI_CHUNK):
+        xis = nonzero[lo : lo + _XI_CHUNK]
+        rhs_hat = np.fft.fft(np.stack([columns(xi) for xi in xis]), axis=1) / N
+        u_hat, halves, at_ceiling = _adaptive_band_solve(xis, a0, b_exp, rhs_hat)
+        del rhs_hat
+        u_cols = np.fft.ifft(u_hat * N, axis=1)
+        del u_hat
+        for xi, cols in zip(xis, u_cols):
+            solved[int(xi)] = block(cols)
+        modes_max = max(modes_max, 2 * int(halves.max()))
+        capped += int(at_ceiling.sum())
+    out.data = {xi: solved[xi] for xi in f.xi_values}
+    out.meta["internal_modes_max"] = modes_max
+    out.meta["internal_modes_capped"] = capped
     return out
 
 
@@ -830,8 +921,11 @@ def solve_system(
     identically zero, from one field or one per tube (:class:`ProfileError`
     when no tube qualifies).  Returns u in the original frame and a summary:
     ``normalized`` (and the gauge ``primitives``), ``route``, the ``tube``
-    solved along, ``residual`` rows of ‖L_j u − f_j‖_∞, the division
-    ``meta`` and, for a Gevrey order, the ``decay_fit`` of u.
+    solved along, ``residual`` rows of ‖L_j u − f_j‖_∞ (one per tube when one
+    field per tube is given, else the solved tube's), the division ``meta``,
+    for a Gevrey order the ``decay_fit`` of u, and on the single-tube route
+    the ``runtime`` counters ``internal_modes_max`` and
+    ``internal_modes_capped`` of :func:`solve_single_tube`.
     """
     # normalform imports this module, so its names are bound at call time
     from .normalform import apply_gauge, build_normal_form
@@ -876,11 +970,16 @@ def solve_system(
         f = f_list[tube - 1 if len(f_list) == n else 0]
         fg = gauged(f, "forward")
         u_n = solve_single_tube(tube, nf.normalized, fg)
+        counters = ("internal_modes_max", "internal_modes_capped")
+        summary["runtime"] = {k: u_n.meta.pop(k) for k in counters}
         u = gauged(u_n, "inverse")
-        r = (apply_tube_operator(spec, tube, u) - f).max_abs()
+        if len(f_list) == n:
+            rows = enumerate(residual(spec, u, f_list), start=1)
+        else:
+            rows = [(tube, (apply_tube_operator(spec, tube, u) - f).max_abs())]
         summary["route"] = "single-tube"
         summary["tube"] = tube
-        summary["residual"] = [{"tube": tube, "max_abs": r}]
+        summary["residual"] = [{"tube": j, "max_abs": r} for j, r in rows]
 
     if spec.order.is_gevrey:
         try:

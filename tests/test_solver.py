@@ -21,11 +21,16 @@ from torus_hypo.errors import (
 )
 from torus_hypo.gevrey import estimate_decay
 from torus_hypo.solver import (
+    MIN_INTERNAL_MODES,
     FourierField,
+    _block_starts,
+    _mode_ceiling,
+    _stacked_band_solve,
     decay_report,
     residual,
     solve_by_division,
     solve_single_tube,
+    solve_system,
 )
 from torus_hypo.system import SystemSpec
 
@@ -318,6 +323,117 @@ def test_solve_round_trip_stress():
     u = solve_single_tube(1, spec, f)
     for xi in u_true.xi_values:
         assert np.abs(u.values(xi) - u_true.values(xi)).max() <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# Stacked banded solves and mode counts chosen a posteriori
+# ---------------------------------------------------------------------------
+
+TOUCHING = {"const": "3/2", "cos": ["-2", "1/2"]}  # b(t) = (1 - cos t)^2 >= 0, b(0) = 0
+
+
+def _random_field(xis, grid: int = 64, seed: int = 7) -> FourierField:
+    """Random data band-limited to |η| < grid/2 and decaying in η."""
+    rng = np.random.default_rng(seed)
+    eta = np.fft.fftfreq(grid, 1.0 / grid)
+    f = FourierField(n=1, grid_size=grid)
+    for xi in xis:
+        c = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
+        c *= np.exp(-0.3 * np.abs(eta)) * (np.abs(eta) < grid // 2)
+        f.data[xi] = np.fft.ifft(c) * grid
+    return f
+
+
+def _rhs_hat(f: FourierField, xis) -> np.ndarray:
+    """The stacked (ξ, mode, column) coefficients the banded solve takes."""
+    return np.stack([np.fft.fft(f.values(xi))[:, None] / f.grid_size for xi in xis])
+
+
+@pytest.mark.parametrize("b", [{"const": "1", "cos": ["1/2"]}, TOUCHING])
+def test_stacked_band_solve_equals_single_solves_bit_for_bit(b):
+    """The couplings between blocks are exact zeros, so pivoting stays in
+    each block: every block of one stacked LU has the bits of its ξ solved
+    alone, at any mode count (deg b = 1 takes LAPACK's tridiagonal solver,
+    deg b = 2 the general banded one)."""
+    spec = spec_from(1, [{"a": "1/3", "b": b}])
+    b_exp = spec.tubes[0].b.exp_coeffs()
+    xis = np.array([-700, -5, -1, 1, 2, 37, 1000])
+    halves = np.array([40, 37, 100, 37, 64, 35, 513])
+    rhs_hat = np.concatenate([_rhs_hat(_random_field(xis, seed=s), xis) for s in (1, 2)], axis=2)
+    stacked = _stacked_band_solve(xis, halves, 1 / 3, b_exp, rhs_hat)
+    starts = _block_starts(halves)
+    assert stacked.shape == (int((2 * halves + 1).sum()), 2)
+    for k in range(xis.size):
+        alone = _stacked_band_solve(xis[k : k + 1], halves[k : k + 1], 1 / 3, b_exp, rhs_hat[k : k + 1])
+        block = stacked[starts[k] : starts[k] + 2 * halves[k] + 1]
+        assert np.array_equal(_bits(block), _bits(alone)), xis[k]
+
+
+def test_adaptive_modes_match_the_ceiling_where_b_touches_zero():
+    """b = (1 − cos t)² vanishes at t = 0, where the damping that keeps û
+    narrow in t-modes is weakest.  Up to |ξ| = 1024 every ξ still passes the
+    edge test below the ceiling K = max(1024, 4|ξ|), and u agrees with the
+    solve at the ceiling.  Scaled by 4096, b spreads û past the ceiling at
+    four ξ, and the report counts them."""
+    xis = sorted({sign * round(2 ** (k / 2)) for k in range(21) for sign in (1, -1)})
+    assert xis[0] == -1024 and xis[-1] == 1024
+    f = _random_field(xis)
+    u = solve_single_tube(1, spec_from(1, [{"a": "1/2", "b": TOUCHING}]), f)
+    assert u.meta["internal_modes_capped"] == 0
+    assert 64 < u.meta["internal_modes_max"] < MIN_INTERNAL_MODES
+
+    b_exp = spec_from(1, [{"a": "1/2", "b": TOUCHING}]).tubes[0].b.exp_coeffs()
+    xi_arr = np.array(xis)
+    ceiling = _mode_ceiling(xi_arr, 64, 2)
+    sol = _stacked_band_solve(xi_arr, ceiling, 1 / 2, b_exp, _rhs_hat(f, xis))
+    eta = np.fft.fftfreq(64, 1 / 64).astype(int)
+    at_ceiling = np.fft.ifft(sol[(_block_starts(ceiling) + ceiling)[:, None] + eta, 0] * 64, axis=1)
+    scale = u.max_abs()
+    for k, xi in enumerate(xis):
+        assert np.abs(u.values(xi) - at_ceiling[k]).max() <= 1e-14 * scale, xi
+
+    steep = {"const": "6144", "cos": ["-8192", "2048"]}
+    wide = solve_single_tube(1, spec_from(1, [{"a": "1/2", "b": steep}]), f)
+    assert wide.meta["internal_modes_capped"] == 4
+
+
+@pytest.mark.parametrize("b", [{"const": "1", "cos": ["1/2"]}, "-1"])
+def test_one_signed_b_resolves_every_xi_below_the_ceiling(b):
+    """For b bounded away from zero no ξ with |ξ| ≤ 256 needs the ceiling
+    K = 1024.  Constant b (d = 0) makes the system diagonal: the first pass,
+    K = N + 2, is exact and has no edge modes to test."""
+    xis = [xi for xi in range(-256, 257) if xi]
+    f = _random_field(xis)
+    spec = spec_from(1, [{"a": "1/3", "b": b}])
+    u = solve_single_tube(1, spec, f)
+    assert u.meta["internal_modes_capped"] == 0
+    assert u.meta["internal_modes_max"] < MIN_INTERNAL_MODES
+    if b == "-1":
+        assert u.meta["internal_modes_max"] == 64 + 2
+        eta = np.fft.fftfreq(64, 1 / 64)
+        for xi in xis:
+            want = f.coeffs(xi) / (1j * (eta + xi / 3) + xi)
+            assert np.abs(u.coeffs(xi) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_single_tube_route_reports_every_tube_residual():
+    """One field per tube: u solves tube 1 along its one-signed b, and tube
+    2's row shows that the same data do not solve L_2 u = f_2.  With one
+    field only the solved tube's row is reported."""
+    spec = spec_from(2, [
+        {"a": "1/2", "b": {"const": "1", "cos": ["1"]}},
+        {"a": "1/3", "b": "0"},
+    ])
+    f = FourierField.from_modes(2, 64, {((1, 0), 1): 1.0, ((0, 1), 2): 1.0})
+    _, summary = solve_system(spec, [f, f])
+    rows = {row["tube"]: row["max_abs"] for row in summary["residual"]}
+    assert summary["route"] == "single-tube" and summary["tube"] == 1
+    assert set(rows) == {1, 2}
+    assert rows[1] <= 1e-12
+    assert rows[2] > 1.0
+    _, single = solve_system(spec, [f])
+    assert [row["tube"] for row in single["residual"]] == [1]
+    assert single["residual"][0]["max_abs"] == rows[1]
 
 
 # ---------------------------------------------------------------------------
