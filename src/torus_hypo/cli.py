@@ -291,12 +291,9 @@ def _probe_field(n: int):
 
     from .solver import FourierField
 
-    rng = np.random.default_rng(0)
-    out = FourierField(n=n, grid_size=PROBE_GRID)
-    shape = (PROBE_GRID,) * n
-    for xi in (1, 2, 3):
-        out.data[xi] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return out
+    # per ξ = 1, 2, 3 in turn: the real part's draws, then the imaginary part's
+    draws = np.random.default_rng(0).standard_normal((3, 2) + (PROBE_GRID,) * n)
+    return FourierField(n, PROBE_GRID, [1, 2, 3], draws[:, 0] + 1j * draws[:, 1])
 
 
 def cmd_normalform(args) -> int:
@@ -340,7 +337,7 @@ def cmd_solve(args) -> int:
         body=body,
         digest=input_digest(args.spec),
         runtime={
-            "frequencies": len(u.xi_values),
+            "frequencies": len(u.xi),
             "grid": u.grid_size,
             "rhs_fields": len(f_list),
             **counters,
@@ -377,7 +374,7 @@ def cmd_singular(args) -> int:
         "k_max": ob.k_max,
         "field_cap": ob.field_cap,
         "field_grid": solution.coefficients.grid_size,
-        "dense_rungs": len(solution.coefficients.xi_values),
+        "dense_rungs": len(solution.coefficients.xi),
         "m": solution.certificates.get("m", 0),
         "ladder_head": solution.ladder[:8],
         "ladder_size": len(solution.ladder),

@@ -24,7 +24,7 @@ import numpy as np
 from .diophantine import RealConstant
 from .errors import GridMismatch, MalformedInput
 from .gevrey import TrigPoly
-from .solver import FourierField, apply_tube_operator
+from .solver import FourierField, _along, apply_tube_operator
 from .system import SystemSpec, Tube, average
 
 __all__ = [
@@ -79,9 +79,7 @@ def _total_gauge_on_grid(A: Sequence[TrigPoly], field: FourierField) -> np.ndarr
     for axis, p in enumerate(A):
         if not isinstance(p, TrigPoly):
             raise MalformedInput("gauge components must be TrigPolys")
-        shape = [1] * field.n
-        shape[axis] = field.grid_size
-        total = total + np.asarray(p(t), dtype=float).reshape(shape)
+        total = total + _along(np.asarray(p(t), dtype=float), axis, field.n)
     return total
 
 
@@ -96,10 +94,10 @@ def apply_gauge(field: FourierField, A, direction: str) -> FourierField:
         raise MalformedInput(f"direction must be 'forward' or 'inverse', got {direction!r}")
     sign = 1.0 if direction == "forward" else -1.0
     total = _total_gauge_on_grid(A, field)
-    data = {
-        xi: np.exp(1j * sign * xi * total) * arr for xi, arr in field.data.items()
-    }
-    return FourierField(n=field.n, grid_size=field.grid_size, data=data, meta=dict(field.meta))
+    gauged = (1j * sign * field.xi).reshape((-1,) + (1,) * field.n) * total
+    np.exp(gauged, out=gauged)
+    gauged *= field.data
+    return FourierField(field.n, field.grid_size, field.xi, gauged, dict(field.meta))
 
 
 def conjugation_residual(spec: SystemSpec, test_field: FourierField) -> float:

@@ -78,14 +78,15 @@ TWO_PI = 2.0 * math.pi
 _DENSE_SAMPLE_BUDGET = 1 << 19
 
 
-def _integer_phase(m: int, grid: int) -> np.ndarray:
-    """Samples of e^{i m t} on the uniform grid, angle-reduced exactly.
+def _integer_phases(ms: Sequence[int], grid: int) -> np.ndarray:
+    """Samples of e^{i m t} on the uniform grid, one row per m in ``ms``,
+    angle-reduced exactly.
 
     The reduction m·k mod grid happens in integer arithmetic, so the sample
     arguments stay in [0, 2π) and the result is accurate to one rounding of
     exp even for huge |m|.
     """
-    m_red = int(m) % grid
+    m_red = np.array([int(m) % grid for m in ms], dtype=np.int64).reshape(-1, 1)
     idx = (m_red * np.arange(grid)) % grid
     return np.exp(2j * math.pi * idx / grid)
 
@@ -140,8 +141,7 @@ class SingularSolution:
 
     def __post_init__(self):
         self.ladder = [int(x) for x in self.ladder]
-        stored = set(self.coefficients.xi_values)
-        if not stored.issubset(set(self.ladder)):
+        if not set(self.coefficients.xi.tolist()) <= set(self.ladder):
             raise LadderMismatch("coefficient blocks exist off the declared ladder")
 
     def lower_bound(self, xi: int) -> float:
@@ -221,15 +221,12 @@ def build_prop51(
     t0 = _argmax_trigpoly(B)
     B_peak = float(B(t0))
 
-    out = FourierField(n=1, grid_size=grid_size)
-    t = out.t_grid()
+    t = TWO_PI * np.arange(grid_size) / grid_size
     B_vals = np.asarray(B(t), dtype=float)
-    table = []
-    for k in ks:
-        xi = q * k
-        m = int(frac.numerator * k)  # qk * a0, an integer
-        out.data[xi] = _integer_phase(-m, grid_size) * np.exp(xi * (B_vals - B_peak))
-        table.append([xi, 1.0])
+    xis = [q * k for k in ks]
+    phases = _integer_phases([-frac.numerator * k for k in ks], grid_size)  # qk * a0 ∈ ℤ
+    out = FourierField(1, grid_size, xis, phases * np.exp(np.multiply.outer(xis, B_vals - B_peak)))
+    table = [[xi, 1.0] for xi in xis]
 
     cert = {
         "lower_bound_table": table,
@@ -433,11 +430,12 @@ def _build_prop52_forward(
     # Dense coefficient blocks (and the matching right-hand side) on the
     # low rungs, in the original frame: u(t) = u'(t + sigma).
     shift_steps = int(round(sigma / h)) % grid_size
-    field_out = FourierField(n=1, grid_size=grid_size)
-    rhs_out = FourierField(n=1, grid_size=grid_size)
-    t_grid = field_out.t_grid()
-    t_sh_grid = t_grid  # uniform grid is translation-invariant; roll below
-    for xi, u_sh in u_rows(t_sh_grid, range(1, min(xi_max, field_xi_cap) + 1)):
+    dense = np.arange(1, min(xi_max, field_xi_cap) + 1)
+    u_dense = np.empty((dense.size, grid_size), dtype=complex)
+    f_dense = np.empty_like(u_dense)
+    # uniform grid is translation-invariant; roll below
+    t_sh_grid = TWO_PI * np.arange(grid_size) / grid_size
+    for xi, u_sh in u_rows(t_sh_grid, dense.tolist()):
         pref = 1.0 - np.exp(-2j * math.pi * xi * c0)
         f_sh = (
             pref
@@ -446,8 +444,10 @@ def _build_prop52_forward(
             * cutoff(np.mod(t_sh_grid, TWO_PI))
         )
         # u(t_k) = u'(t_k + sigma): sample u' at shifted grid = roll by steps
-        field_out.data[xi] = np.roll(u_sh, -shift_steps)
-        rhs_out.data[xi] = np.roll(f_sh, -shift_steps)
+        u_dense[xi - 1] = np.roll(u_sh, -shift_steps)
+        f_dense[xi - 1] = np.roll(f_sh, -shift_steps)
+    field_out = FourierField(1, grid_size, dense, u_dense)
+    rhs_out = FourierField(1, grid_size, dense, f_dense)
 
     cert = {
         "lower_bound_table": [[xi, u_table[xi]] for xi in sorted(u_table)],
@@ -514,11 +514,8 @@ def build_prop52(
             a0_value, reflected, s, xi_max, field_xi_cap, grid_size
         )
         idx = (-np.arange(grid_size)) % grid_size
-        field_out = FourierField(n=1, grid_size=grid_size)
-        rhs_out = FourierField(n=1, grid_size=grid_size)
-        for xi in field_c.xi_values:
-            field_out.data[xi] = np.conj(field_c.values(xi)[idx])
-            rhs_out.data[xi] = -np.conj(rhs_c.values(xi)[idx])
+        field_out = FourierField(1, grid_size, field_c.xi, np.conj(field_c.data[:, idx]))
+        rhs_out = FourierField(1, grid_size, rhs_c.xi, -np.conj(rhs_c.data[:, idx]))
         profile = LaplaceProfile(
             B0=-profile_c.B0,
             t0=(-profile_c.t0) % TWO_PI,
@@ -600,16 +597,16 @@ def build_product(
             raise LadderMismatch(f"tube solution {j} is not single-variable")
         if sol.coefficients.grid_size != grid:
             raise GridMismatch("per-tube solutions use different grid sizes")
-        for xi in dense:
-            if not sol.coefficients.has_xi(xi):
-                raise LadderMismatch(f"tube solution {j} has no rung at xi={xi}")
+        absent = np.setdiff1d(dense, sol.coefficients.xi)
+        if absent.size:
+            raise LadderMismatch(f"tube solution {j} has no rung at xi={int(absent[0])}")
 
-    out = FourierField(n=n, grid_size=out_grid)
-    for xi in dense:
-        block = per_tube[0].coefficients.values(xi)[::stride]
-        for sol in per_tube[1:]:
-            block = np.multiply.outer(block, sol.coefficients.values(xi)[::stride])
-        out.data[xi] = block
+    # per rung, the outer product of the tubes' blocks
+    blocks = per_tube[0].coefficients.take(dense)[:, ::stride]
+    for sol in per_tube[1:]:
+        factor = sol.coefficients.take(dense)[:, ::stride]
+        blocks = blocks[..., None] * np.expand_dims(factor, tuple(range(1, blocks.ndim)))
+    out = FourierField(n, out_grid, dense, blocks)
 
     m = sum(1 for sol in per_tube if sol.construction == "Prop52")
     table = []
@@ -649,20 +646,20 @@ def _j_partition(spec: SystemSpec, analysis: SystemAnalysis):
     return J, rest
 
 
-def _embed_factors(n: int, grid: int, axis_vectors: dict, block, block_axes: list):
-    """Product of 1-D factors on given axes with an optional joint block."""
-    if block is None:
-        out = np.ones((grid,) * n, dtype=complex)
+def _embed_factors(n: int, grid: int, count: int, axis_rows: dict, blocks, block_axes: list):
+    """Stack over ``count`` rungs of the product of per-axis factors (axis ->
+    one row per rung) with an optional stack of joint blocks on
+    ``block_axes``."""
+    shape = (count,) + (grid,) * n
+    if blocks is None:
+        out = np.ones(shape, dtype=complex)
     else:
-        expanded = block
-        for ax in range(n):
-            if ax not in block_axes:
-                expanded = np.expand_dims(expanded, ax)
-        out = np.broadcast_to(expanded, (grid,) * n).astype(complex)
-    for ax, vec in axis_vectors.items():
-        shape = [1] * n
-        shape[ax] = grid
-        out = out * vec.reshape(shape)
+        spread = [count] + [grid if ax in block_axes else 1 for ax in range(n)]
+        out = np.broadcast_to(blocks.reshape(spread), shape).astype(complex)
+    for ax, rows in axis_rows.items():
+        row_shape = [count] + [1] * n
+        row_shape[ax + 1] = grid
+        np.multiply(out, rows.reshape(row_shape), out=out)
     return out
 
 
@@ -718,14 +715,13 @@ def build_rational_J(
                 f"v covers {v.coefficients.n} variables but {len(rest)} tubes are not real"
             )
         grid = v.coefficients.grid_size
-        dense = [xi for xi in rungs if v.coefficients.has_xi(xi)]
+        dense = np.intersect1d(rungs, v.coefficients.xi).tolist()
     else:
         grid = grid_size
         dense = sorted({int(xi) for xi in dense_rungs} & set(rungs))
 
-    out = FourierField(n=n, grid_size=grid)
+    phases = {j: [] for j in J}
     for xi in dense:
-        phases = {}
         for j in J:
             mjk = int(xi * fracs[j])  # integral by the q-check
             if 2 * abs(mjk) >= grid:
@@ -734,9 +730,11 @@ def build_rational_J(
                     f"grid Nyquist limit {grid // 2}; raise the grid size or "
                     f"lower the dense-rung cap"
                 )
-            phases[j - 1] = _integer_phase(-mjk, grid)
-        block = v.coefficients.values(xi) if rest else None
-        out.data[xi] = _embed_factors(n, grid, phases, block, [j - 1 for j in rest])
+            phases[j].append(-mjk)
+    axis_rows = {j - 1: _integer_phases(ms, grid) for j, ms in phases.items()}
+    blocks = v.coefficients.take(dense) if rest else None
+    stack = _embed_factors(n, grid, len(dense), axis_rows, blocks, [j - 1 for j in rest])
+    out = FourierField(n, grid, dense, stack)
 
     # Spectral residual of the real tubes (zero in exact arithmetic).
     resid_table = []
@@ -843,9 +841,9 @@ def build_expliouville_J(
     if rest:
         if v is None:
             raise WitnessMismatch("v is required when some tubes are not identically real")
-        for xi in rungs:
-            if not v.coefficients.has_xi(xi):
-                raise WitnessMismatch(f"v has no rung at witness frequency xi={xi}")
+        absent = np.setdiff1d(rungs, v.coefficients.xi)
+        if absent.size:
+            raise WitnessMismatch(f"v has no rung at witness frequency xi={int(absent[0])}")
         if v.coefficients.n != len(rest):
             raise WitnessMismatch(
                 f"v covers {v.coefficients.n} variables but {len(rest)} tubes are not real"
@@ -855,24 +853,24 @@ def build_expliouville_J(
 
     n = spec.n
     grid = v.coefficients.grid_size if v is not None else grid_size
-    out = FourierField(n=n, grid_size=grid)
-    rhs = {j: FourierField(n=n, grid_size=grid) for j in J}
+    axis_rows = {
+        J[i] - 1: _integer_phases([p_vec[i] for p_vec, _ in witness.pairs], grid)
+        for i in range(ell)
+    }
+    blocks = v.coefficients.take(rungs) if rest else None
+    u_stack = _embed_factors(n, grid, len(rungs), axis_rows, blocks, [j - 1 for j in rest])
+    v_max = v.coefficients.magnitudes() if rest else dict.fromkeys(rungs, 1.0)
 
     a_fracs = [c.approx_fraction(60) for c in components]
     row_checks = []
     f_tables = {j: [] for j in J}
-    for (p_vec, xi) in witness.pairs:
-        phases = {J[i] - 1: _integer_phase(p_vec[i], grid) for i in range(ell)}
-        block = v.coefficients.values(xi) if rest else None
-        u_block = _embed_factors(n, grid, phases, block, [j - 1 for j in rest])
-        out.data[xi] = u_block
-
+    d_floats = {j: [] for j in J}
+    for p_vec, xi in witness.pairs:
         ln_bound = math.log(witness.bound_scale) - witness.delta * xi ** (1.0 / s)
-        v_max = float(np.abs(block).max()) if rest else 1.0
         for i, j in enumerate(J):
             divisor = Fraction(p_vec[i]) + a_fracs[i] * xi
             d_float = float(divisor)
-            rhs[j].data[xi] = 1j * d_float * u_block
+            d_floats[j].append(d_float)
             ln_d = _ln_abs_fraction(divisor)
             row_checks.append(
                 {
@@ -883,7 +881,13 @@ def build_expliouville_J(
                     "within_bound": bool(ln_d <= ln_bound + 1e-12),
                 }
             )
-            f_tables[j].append([xi, abs(d_float) * v_max])
+            f_tables[j].append([xi, abs(d_float) * v_max[xi]])
+    out = FourierField(n, grid, rungs, u_stack)
+    # f̂_j = i(p_k^{(j)} + a_{j0} ξ_k) û, rung by rung
+    rhs = {
+        j: FourierField(n, grid, rungs, (1j * np.array(d)).reshape((-1,) + (1,) * n) * u_stack)
+        for j, d in d_floats.items()
+    }
 
     decay = {
         "witness_delta": witness.delta,

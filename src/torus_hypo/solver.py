@@ -1,6 +1,6 @@
 """Solvers for the partial Fourier transforms of tube-system equations.
 
-Everything here works one x-frequency at a time.  For a right-hand side with
+The equations decouple in the x-frequency ξ.  For a right-hand side with
 x-transform f̂(t, ξ), the equation along tube ``j`` reads
 
     ∂_{t_j} û(t, ξ) + iξ (a_j0 + i b_j(t_j)) û(t, ξ) = f̂(t, ξ),
@@ -32,13 +32,18 @@ Two solution regimes are implemented:
 :func:`solve_system` is the whole-system pipeline behind ``torus-hypo solve``:
 the averaging gauge, the choice between the two routes above, and the checks.
 
-:class:`FourierField` is the shared container: per-ξ complex grid data over
-the n-dimensional t-torus, with JSON and binary serialization storing the
-trigonometric coefficient tensors.
+:class:`FourierField` is the shared container: a sorted int64 vector of the
+stored ξ and one complex array stacking their grid values over the
+n-dimensional t-torus, axis 0 running over ξ.  Whole-field operations (the
+FFTs, t-derivatives, tube operators, norms and both serialized forms, which
+store the trigonometric coefficients) act on the whole stack at once; the
+solvers above take its rows in chunks or one by one.  Only this module reads
+or writes single rows of a field.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -93,8 +98,8 @@ __all__ = [
 #: the width ~ |ξ|^{1/2} concentration of the solution operator's kernel.
 MIN_INTERNAL_MODES = 1024
 
-#: ξ per stacked banded solve of the single-tube solver; bounds the size of
-#: the stacked arrays.
+#: ξ per stacked banded solve of the single-tube solver and per chunk of a
+#: residual; bounds the size of the temporary arrays.
 _XI_CHUNK = 64
 
 #: Significant digits of the averaged constants in the division solver.
@@ -128,6 +133,13 @@ def _integral(value) -> int:
     return int(value)
 
 
+def _along(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """The 1-D ``vec`` shaped to broadcast along ``axis`` of ``ndim`` axes."""
+    shape = [1] * ndim
+    shape[axis] = vec.size
+    return vec.reshape(shape)
+
+
 def _check_grid_size(grid_size: int) -> int:
     grid_size = int(grid_size)
     if grid_size < 4 or grid_size & (grid_size - 1):
@@ -135,23 +147,29 @@ def _check_grid_size(grid_size: int) -> int:
     return grid_size
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no single truth value
 class FourierField:
-    """Partial x-Fourier data û(t, ξ): one complex grid tensor per frequency ξ.
+    """Partial x-Fourier data û(t, ξ) over the n-dimensional t-torus.
 
-    ``data`` maps ξ (int) to grid *values* on the uniform tensor grid
-    ``t_k = 2πk/grid_size`` per axis, shape ``(grid_size,) * n``.  Values and
-    trigonometric coefficients are interchangeable for band-limited data;
-    :meth:`coeffs` returns the coefficient tensor (``fftn(values)/N^n`` in
-    ``fftfreq`` layout), which is also what the serialized forms store.
+    ``xi`` is the sorted, repeat-free int64 vector of the stored frequencies
+    (a dense window for solver data, a sparse ladder for singular
+    constructions).  ``data`` stacks their grid *values* in one complex array
+    of shape ``(len(xi),) + (grid_size,) * n``: row k holds û(·, xi[k]) on the
+    uniform tensor grid ``t = 2πj/grid_size`` per axis, so axis 0 is ξ and
+    axes 1..n are t_1..t_n.  Values and trigonometric coefficients are
+    interchangeable for band-limited data; :meth:`coeffs` returns the
+    coefficient stack (``fftn(values)/N^n`` over axes 1..n, ``fftfreq``
+    layout), which is also what the serialized forms store.
 
-    The ξ window may be dense (solver data) or a sparse ladder (singular
-    constructions); ``xi_values`` is always reported sorted.
+    Whole-field operations act on the stack at once.  Only this module reads
+    or writes single rows; other modules build a stack and hand it to the
+    constructor or to :meth:`from_coeffs`, and read rows with :meth:`take`.
     """
 
     n: int
     grid_size: int
-    data: dict = field(default_factory=dict)
+    xi: np.ndarray = ()
+    data: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -159,12 +177,45 @@ class FourierField:
         if self.n < 1:
             raise MalformedInput(f"need n >= 1 t-variables, got {self.n}")
         self.grid_size = _check_grid_size(self.grid_size)
-        clean = {}
-        for xi, arr in self.data.items():
-            clean[int(xi)] = self._conform(arr)
-        self.data = clean
+        self.xi = np.asarray(self.xi, dtype=np.int64).reshape(-1)
+        shape = (self.xi.size,) + (self.grid_size,) * self.n
+        data = np.zeros(shape) if self.data is None else self.data
+        self.data = np.asarray(data, dtype=complex)
+        if self.data.shape != shape:
+            raise GridMismatch(f"data shape {self.data.shape} != {shape}")
+        if np.any(self.xi[1:] <= self.xi[:-1]):
+            raise MalformedInput("xi must be ascending without repeats")
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def from_coeffs(cls, n: int, grid_size: int, xi, coeffs, labels=None) -> "FourierField":
+        """The field whose coefficient stack (the layout :meth:`coeffs`
+        returns) is ``coeffs``, row k at ξ = ``xi[k]``: one inverse FFT over
+        axes 1..n.
+
+        The rows may come in any order; they are sorted by ξ.  A repeated ξ
+        or a coefficient that is not finite raises :class:`MalformedInput`
+        naming the row by ``labels[k]`` (default ``xi: <ξ>``).
+        """
+        layout = cls(n=n, grid_size=grid_size)
+        xi = np.asarray(xi, dtype=np.int64).reshape(-1)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        labels = labels if labels is not None else [f"xi: {x}" for x in xi.tolist()]
+        axes = tuple(range(1, layout.n + 1))
+        finite = np.isfinite(coeffs).all(axis=axes)
+        if not finite.all():
+            raise MalformedInput(f"{labels[np.argmin(finite)]} holds a non-finite coefficient")
+        order = np.argsort(xi, kind="stable")
+        ascending = xi[order]
+        repeats = np.flatnonzero(ascending[1:] == ascending[:-1])
+        if repeats.size:
+            raise MalformedInput(f"{labels[order[repeats[0] + 1]]} repeats an earlier block")
+        data = np.fft.ifftn(coeffs, axes=axes, out=np.empty_like(coeffs))
+        data *= layout.grid_size**layout.n
+        if np.any(order[1:] < order[:-1]):
+            data = data[order]
+        return cls(layout.n, layout.grid_size, ascending, data)
 
     @classmethod
     def from_modes(cls, n: int, grid_size: int, modes: Mapping) -> "FourierField":
@@ -172,77 +223,49 @@ class FourierField:
 
         η components must satisfy |η_i| < grid_size/2 (representable band).
         """
-        out = cls(n=n, grid_size=grid_size)
-        per_xi: dict = {}
-        for key, coeff in modes.items():
-            eta, xi = key
-            if isinstance(eta, (int, np.integer)):
-                eta = (int(eta),)
-            eta = tuple(int(e) for e in eta)
-            if len(eta) != out.n:
-                raise MalformedInput(f"mode {eta} has wrong arity for n={out.n}")
+        layout = cls(n=n, grid_size=grid_size)
+        N = layout.grid_size
+        row = {xi: k for k, xi in enumerate(sorted({int(xi) for _, xi in modes}))}
+        coeffs = np.zeros((len(row),) + (N,) * layout.n, dtype=complex)
+        for (eta, xi), coeff in modes.items():
+            eta = tuple(int(e) for e in np.atleast_1d(eta))
+            if len(eta) != layout.n:
+                raise MalformedInput(f"mode {eta} has wrong arity for n={layout.n}")
             for e in eta:
-                if abs(e) >= out.grid_size // 2:
-                    raise MalformedInput(
-                        f"t-frequency {e} outside representable band for grid {out.grid_size}"
-                    )
-            per_xi.setdefault(int(xi), {})[eta] = complex(coeff)
-        for xi, block in per_xi.items():
-            tensor = np.zeros((out.grid_size,) * out.n, dtype=complex)
-            for eta, coeff in block.items():
-                idx = tuple(e % out.grid_size for e in eta)
-                tensor[idx] = coeff
-            out.data[xi] = np.fft.ifftn(tensor) * out.grid_size**out.n
-        return out
+                if abs(e) >= N // 2:
+                    raise MalformedInput(f"t-frequency {e} outside representable band for grid {N}")
+            coeffs[(row[int(xi)],) + tuple(e % N for e in eta)] = complex(coeff)
+        return cls.from_coeffs(layout.n, N, list(row), coeffs)
 
-    def _conform(self, arr) -> np.ndarray:
-        arr = np.asarray(arr, dtype=complex)
-        want = (self.grid_size,) * self.n
-        if arr.shape != want:
-            raise GridMismatch(f"block shape {arr.shape} != {want}")
-        return arr
+    # -- access ----------------------------------------------------------------
 
-    # -- basic access --------------------------------------------------------
+    def take(self, xi) -> np.ndarray:
+        """The grid values at ξ = ``xi`` (one int: one block; a sequence: a
+        stack of blocks in that order); :class:`GridMismatch` names a ξ that
+        is not stored."""
+        missing = np.setdiff1d(xi, self.xi)
+        if missing.size:
+            raise GridMismatch(f"no data block at xi={int(missing[0])}")
+        return self.data[np.searchsorted(self.xi, xi)]
 
-    @property
-    def xi_values(self) -> list:
-        return sorted(self.data)
+    def coeffs(self, rows=slice(None)) -> np.ndarray:
+        """Trigonometric coefficient stack of ``data[rows]`` (fftfreq layout).
 
-    @property
-    def xi_window(self) -> tuple:
-        if not self.data:
-            return (0, 0)
-        keys = self.xi_values
-        return (keys[0], keys[-1])
-
-    def has_xi(self, xi: int) -> bool:
-        return int(xi) in self.data
-
-    def values(self, xi: int) -> np.ndarray:
-        try:
-            return self.data[int(xi)]
-        except KeyError:
-            raise GridMismatch(f"no data block at xi={xi}") from None
-
-    def coeffs(self, xi: int) -> np.ndarray:
-        """Trigonometric coefficient tensor at ξ (fftfreq layout).
-
-        ``fftn(values)/N^n``, with every entry of modulus at most ε·max|c|
-        (ε = machine epsilon, the max over this block) set to exactly 0.0;
-        the other entries keep their bits, and an all-zero block stays zero.
-        By the FFT's error bound (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, 2nd ed., Thm 24.2) such an entry cannot be
-        told from zero at the transform's precision.  Both serialized forms
-        store these coefficients, so a stored 0.0 means |c| ≤ ε·max|c|.
+        ``fftn(values)/N^n`` over axes 1..n, with every entry of modulus at
+        most ε·max|c| (ε = machine epsilon, the max over the entry's own
+        block) set to exactly 0.0; the other entries keep their bits, and an
+        all-zero block stays zero.  By the FFT's error bound (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 24.2)
+        such an entry cannot be told from zero at the transform's precision.
+        Both serialized forms store these coefficients, so a stored 0.0 means
+        |c| ≤ ε·max|c| of its block.
         """
-        c = np.fft.fftn(self.values(xi)) / self.grid_size**self.n
+        values, axes = self.data[rows], tuple(range(1, self.n + 1))
+        c = np.fft.fftn(values, axes=axes, out=np.empty_like(values))
+        c /= self.grid_size**self.n
         mag = np.abs(c)
-        c[mag <= np.finfo(float).eps * mag.max()] = 0.0
+        c[mag <= np.finfo(float).eps * mag.max(axis=axes, keepdims=True)] = 0.0
         return c
-
-    def set_coeffs(self, xi: int, tensor) -> None:
-        tensor = self._conform(tensor)
-        self.data[int(xi)] = np.fft.ifftn(tensor) * self.grid_size**self.n
 
     def t_grid(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
@@ -254,13 +277,12 @@ class FourierField:
             raise GridMismatch(
                 f"layout ({self.n}, {self.grid_size}) != ({other.n}, {other.grid_size})"
             )
-        if set(self.data) != set(other.data):
+        if not np.array_equal(self.xi, other.xi):
             raise GridMismatch("fields carry different xi frequency sets")
 
     def __sub__(self, other: "FourierField") -> "FourierField":
         self.require_same_frequencies(other)
-        data = {xi: arr - other.data[xi] for xi, arr in self.data.items()}
-        return FourierField(n=self.n, grid_size=self.grid_size, data=data)
+        return FourierField(self.n, self.grid_size, self.xi, self.data - other.data)
 
     # -- calculus ---------------------------------------------------------------
 
@@ -269,36 +291,34 @@ class FourierField:
         if not 0 <= axis < self.n:
             raise MalformedInput(f"axis {axis} out of range for n={self.n}")
         freqs = np.fft.fftfreq(self.grid_size, 1.0 / self.grid_size)
-        shape = [1] * self.n
-        shape[axis] = self.grid_size
-        mult = (1j * freqs).reshape(shape)
-        data = {}
-        for xi, arr in self.data.items():
-            hat = np.fft.fft(arr, axis=axis)
-            data[xi] = np.fft.ifft(mult * hat, axis=axis)
-        return FourierField(n=self.n, grid_size=self.grid_size, data=data)
+        hat = np.fft.fft(self.data, axis=axis + 1)
+        np.multiply(_along(1j * freqs, axis + 1, self.n + 1), hat, out=hat)
+        np.fft.ifft(hat, axis=axis + 1, out=hat)
+        return FourierField(self.n, self.grid_size, self.xi, hat)
 
     # -- norms / summaries --------------------------------------------------------
 
     def max_abs(self) -> float:
-        if not self.data:
-            return 0.0
-        return max(float(np.abs(arr).max()) for arr in self.data.values())
+        return float(np.abs(self.data).max()) if self.xi.size else 0.0
 
     def magnitudes(self) -> dict:
         """{ξ: max_t |û(t, ξ)|} — the decay profile the Gevrey fits consume."""
-        return {xi: float(np.abs(arr).max()) for xi, arr in self.data.items()}
+        peaks = np.abs(self.data).max(axis=tuple(range(1, self.n + 1)))
+        return dict(zip(self.xi.tolist(), peaks.tolist()))
 
     # -- serialization ---------------------------------------------------------------
 
+    def _window(self) -> tuple:
+        return (int(self.xi[0]), int(self.xi[-1])) if self.xi.size else (0, 0)
+
     def to_json_obj(self) -> dict:
-        lo, hi = self.xi_window
+        # One block at a time: the coefficient lists outweigh the field, and
+        # a whole coefficient stack next to them would add a field's size.
+        lo, hi = self._window()
         blocks = []
-        for xi in self.xi_values:
-            c = self.coeffs(xi).ravel(order="C")
-            blocks.append(
-                {"xi": xi, "re": c.real.tolist(), "im": c.imag.tolist()}
-            )
+        for k, xi in enumerate(self.xi.tolist()):
+            c = self.coeffs(slice(k, k + 1)).ravel(order="C")
+            blocks.append({"xi": xi, "re": c.real.tolist(), "im": c.imag.tolist()})
         return {
             "format": "tff",
             "version": _BINARY_VERSION,
@@ -316,26 +336,26 @@ class FourierField:
         :class:`MalformedInput` naming it."""
         if not isinstance(obj, dict) or obj.get("format") != "tff":
             raise MalformedInput("not a Fourier-field JSON object")
-        out = cls(
-            n=_parse_field("n", _integral, obj.get("n")),
-            grid_size=_parse_field("grid_size", _integral, obj.get("grid_size")),
-        )
-        out.meta = _parse_field("meta", dict, obj.get("meta", {}))
+        n = _parse_field("n", _integral, obj.get("n"))
+        grid_size = _parse_field("grid_size", _integral, obj.get("grid_size"))
+        layout = cls(n=n, grid_size=grid_size)
+        meta = _parse_field("meta", dict, obj.get("meta", {}))
         blocks = _parse_field("blocks", list, obj.get("blocks"))
-        shape = (out.grid_size,) * out.n
+        shape = (layout.grid_size,) * layout.n
+        xi = np.empty(len(blocks), dtype=np.int64)
+        coeffs = np.empty((len(blocks),) + shape, dtype=complex)
 
-        def set_block(block):
-            xi = _parse_field("xi", _integral, block["xi"])
-            if out.has_xi(xi):
-                raise MalformedInput(f"xi: {xi} repeats an earlier block")
-            tensor = (
-                np.asarray(block["re"], dtype=float)
-                + 1j * np.asarray(block["im"], dtype=float)
-            ).reshape(shape, order="C")
-            out.set_coeffs(xi, tensor)
+        def read_block(k, block):
+            xi[k] = _parse_field("xi", _integral, block["xi"])
+            re, im = np.asarray(block["re"], dtype=float), np.asarray(block["im"], dtype=float)
+            with np.errstate(invalid="ignore"):  # 1j * inf; from_coeffs refuses it
+                coeffs[k] = (re + 1j * im).reshape(shape, order="C")
 
-        for i, block in enumerate(blocks):
-            _parse_field(f"blocks[{i}]", set_block, block)
+        for k, block in enumerate(blocks):
+            _parse_field(f"blocks[{k}]", lambda b: read_block(k, b), block)
+        labels = [f"blocks[{k}]: xi: {x}" for k, x in enumerate(xi.tolist())]
+        out = cls.from_coeffs(layout.n, layout.grid_size, xi, coeffs, labels)
+        out.meta = meta
         return out
 
     def save_json(self, path) -> None:
@@ -365,15 +385,14 @@ class FourierField:
                          pairs, ``grid_size**n`` entries each
         ========  =====  =====================================================
         """
-        lo, hi = self.xi_window
-        xi = self.xi_values
-        head = struct.pack(
-            "<4sIqqqqq", _BINARY_MAGIC, _BINARY_VERSION, self.n, self.grid_size, lo, hi, len(xi)
-        )
-        parts = [head, np.asarray(xi, dtype="<i8").tobytes()]
-        for k in xi:
-            parts.append(np.ascontiguousarray(self.coeffs(k), dtype="<c16").tobytes())
-        return b"".join(parts)
+        return b"".join(self._binary_parts())
+
+    def _binary_parts(self) -> list:
+        """Header, ξ list and coefficient stack of :meth:`to_bytes`."""
+        layout = (self.n, self.grid_size, *self._window(), len(self.xi))
+        head = struct.pack("<4sIqqqqq", _BINARY_MAGIC, _BINARY_VERSION, *layout)
+        body = np.ascontiguousarray(self.coeffs(), dtype="<c16")
+        return [head, self.xi.astype("<i8").tobytes(), body]
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "FourierField":
@@ -385,24 +404,19 @@ class FourierField:
             raise MalformedInput(f"bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
         if version != _BINARY_VERSION:
             raise MalformedInput(f"unsupported field format version {version}")
-        out = cls(n=int(n), grid_size=int(grid))
-        block = out.grid_size**out.n
+        layout = cls(n=int(n), grid_size=int(grid))
+        shape = (num,) + (layout.grid_size,) * layout.n
+        block = layout.grid_size**layout.n
         if num < 0 or len(raw) < head + (8 + 16 * block) * num:
             raise MalformedInput(f"binary field data truncated: the header counts {num} blocks")
         xi = np.frombuffer(raw, dtype="<i8", count=num, offset=head)
-        pos = head + 8 * num
-        shape = (out.grid_size,) * out.n
-        for k in xi:
-            if out.has_xi(k):
-                raise MalformedInput(f"xi: {k} is listed twice in the header")
-            tensor = np.frombuffer(raw, dtype="<c16", count=block, offset=pos).reshape(shape)
-            out.set_coeffs(int(k), tensor.astype(complex))
-            pos += 16 * block
-        return out
+        coeffs = np.frombuffer(raw, dtype="<c16", count=num * block, offset=head + 8 * num)
+        return cls.from_coeffs(layout.n, layout.grid_size, xi, coeffs.reshape(shape))
 
     def save_binary(self, path) -> None:
+        # part by part: joining them would copy the coefficients once more
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.writelines(self._binary_parts())
 
     @classmethod
     def load_binary(cls, path) -> "FourierField":
@@ -430,8 +444,6 @@ def _constant_tube_coefficients(spec: SystemSpec, tube_index: int):
                 "system first (build_normal_form)"
             )
         a0 = float(a.mean())
-    else:  # pragma: no cover - Tube validates types at construction
-        raise MalformedInput("unrecognized tube real part")
     return a0, tube.b
 
 
@@ -448,8 +460,7 @@ def _solve_zero_frequency(block: np.ndarray, grid_size: int) -> np.ndarray:
     freqs = np.fft.fftfreq(grid_size, 1.0 / grid_size)
     div = 1j * freqs
     div[0] = 1.0  # mean row: set below
-    shape = (grid_size,) + (1,) * (block.ndim - 1)
-    out_hat = hat / div.reshape(shape)
+    out_hat = hat / _along(div, 0, block.ndim)
     out_hat[0] = 0.0
     return np.fft.ifft(out_hat * grid_size, axis=0)
 
@@ -563,11 +574,7 @@ def _adaptive_band_solve(
     return u_hat, halves, capped
 
 
-def solve_single_tube(
-    tube_index: int,
-    spec: SystemSpec,
-    f: FourierField,
-) -> FourierField:
+def solve_single_tube(tube_index: int, spec: SystemSpec, f: FourierField) -> FourierField:
     """Solve L_j u = f along tube ``tube_index`` (1-based).
 
     Requires a normalized tube (constant real part) whose imaginary-part
@@ -598,39 +605,27 @@ def solve_single_tube(
             f"(profile {profile}); the damped solution formulas do not apply"
         )
 
-    axis = tube_index - 1
     N = f.grid_size
     b_exp = b.exp_coeffs()
-    out = FourierField(n=f.n, grid_size=N)
-    out.meta["method"] = "banded-mode-solve"
-    out.meta["tube"] = tube_index
-
-    def columns(xi):  # û(·, ξ) as (N, R): t_j first, the other axes flattened
-        return np.moveaxis(f.values(xi), axis, 0).reshape(N, -1)
-
-    def block(cols):
-        return np.moveaxis(cols.reshape((N,) * f.n), 0, axis)
-
-    solved = {}
-    if f.has_xi(0):
-        solved[0] = block(_solve_zero_frequency(columns(0), N))
-    nonzero = np.array([xi for xi in f.xi_values if xi], dtype=int)
+    # Both stacks with t_j as axis 1: row k of f_t is f̂(·, xi[k]) with t_j first.
+    u = np.empty_like(f.data)
+    f_t = np.moveaxis(f.data, tube_index, 1)
+    u_t = np.moveaxis(u, tube_index, 1)
+    zero = np.flatnonzero(f.xi == 0)  # at most one row
+    if zero.size:
+        u_t[zero[0]] = _solve_zero_frequency(f_t[zero[0]], N)
+    nonzero = np.flatnonzero(f.xi)
     modes_max = capped = 0
     for lo in range(0, nonzero.size, _XI_CHUNK):
-        xis = nonzero[lo : lo + _XI_CHUNK]
-        rhs_hat = np.fft.fft(np.stack([columns(xi) for xi in xis]), axis=1) / N
-        u_hat, halves, at_ceiling = _adaptive_band_solve(xis, a0, b_exp, rhs_hat)
-        del rhs_hat
-        u_cols = np.fft.ifft(u_hat * N, axis=1)
-        del u_hat
-        for xi, cols in zip(xis, u_cols):
-            solved[int(xi)] = block(cols)
+        rows = nonzero[lo : lo + _XI_CHUNK]
+        rhs_hat = np.fft.fft(f_t[rows].reshape(rows.size, N, -1), axis=1) / N
+        u_hat, halves, at_ceiling = _adaptive_band_solve(f.xi[rows], a0, b_exp, rhs_hat)
+        u_t[rows] = np.fft.ifft(u_hat * N, axis=1).reshape((rows.size,) + f_t.shape[1:])
         modes_max = max(modes_max, 2 * int(halves.max()))
         capped += int(at_ceiling.sum())
-    out.data = {xi: solved[xi] for xi in f.xi_values}
-    out.meta["internal_modes_max"] = modes_max
-    out.meta["internal_modes_capped"] = capped
-    return out
+    meta = {"method": "banded-mode-solve", "tube": tube_index, "internal_modes_max": modes_max}
+    meta["internal_modes_capped"] = capped
+    return FourierField(f.n, N, f.xi, u, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +662,7 @@ def _divisor_grid(
     signed = np.empty((len(fracs), cols.size))
     for i, frac in enumerate(fracs):
         signed[i] = xi * float(frac) + cols
-        close = np.nonzero(np.abs(signed[i]) < 1e-6)[0]
-        for idx in close:
+        for idx in np.flatnonzero(np.abs(signed[i]) < 1e-6):
             signed[i, idx] = float(xi * frac + int(eta_freqs[idx]))
     return np.abs(signed), signed
 
@@ -706,52 +700,40 @@ def solve_by_division(
 
     eta_freqs = np.fft.fftfreq(N, 1.0 / N).astype(int)
     j_axes = tuple(range(ell))
-    out = FourierField(n=n, grid_size=N)
-    out.meta["method"] = "division"
-    out.meta["digits"] = DIVISION_DIGITS
+    grids = np.meshgrid(*([np.arange(N)] * ell), indexing="ij")
+    u = np.empty_like(base.data)
     min_divisor = math.inf
 
-    for xi in base.xi_values:
+    for row, xi in enumerate(base.xi.tolist()):
         # f̂_j resolved over the J-axes: shape (N,)*ell + spectator grid.
         fhat = [
-            np.fft.fftn(f_list[j].values(xi), axes=j_axes) / N**ell
+            np.fft.fftn(f_list[j].data[row], axes=j_axes) / N**ell
             for j in range(ell)
         ]
         abs_D, signed_D = _divisor_grid(xi, fracs, eta_freqs)
 
-        # Broadcastable signed divisors per tube: D_j along its own η-axis.
-        D_full = []
-        for j in range(ell):
-            shape = [1] * fhat[0].ndim
-            shape[j] = N
-            D_full.append(signed_D[j].reshape(shape))
-
-        # Compatibility: i(η_j + ξa_j0) f̂_k = i(η_k + ξa_k0) f̂_j.
-        for j in range(ell):
-            for k in range(j + 1, ell):
-                lhs = D_full[j] * fhat[k]
-                rhs = D_full[k] * fhat[j]
-                scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-                gap = float(np.abs(lhs - rhs).max())
-                if gap > COMPAT_TOL * (1.0 + scale):
-                    raise CompatibilityError(
-                        f"tubes {j + 1} and {k + 1} are inconsistent at xi={xi}: "
-                        f"cross-derivative gap {gap:.3e} exceeds tolerance"
-                    )
+        # Compatibility: i(η_j + ξa_j0) f̂_k = i(η_k + ξa_k0) f̂_j, with the
+        # signed divisor D_j broadcast along its own η-axis.
+        for j, k in itertools.combinations(range(ell), 2):
+            lhs = _along(signed_D[j], j, n) * fhat[k]
+            rhs = _along(signed_D[k], k, n) * fhat[j]
+            scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+            gap = float(np.abs(lhs - rhs).max())
+            if gap > COMPAT_TOL * (1.0 + scale):
+                raise CompatibilityError(
+                    f"tubes {j + 1} and {k + 1} are inconsistent at xi={xi}: "
+                    f"cross-derivative gap {gap:.3e} exceeds tolerance"
+                )
 
         # Choose M per η multi-index: the largest |ξ a_j0 + η_j|.
-        grids = np.meshgrid(*([np.arange(N)] * ell), indexing="ij")
         abs_stack = np.stack([abs_D[j][grids[j]] for j in range(ell)])
         M_sel = np.argmax(abs_stack, axis=0)
         best = np.max(abs_stack, axis=0)
 
         zero_mode = xi == 0
+        best_checked = best.copy() if zero_mode else best
         if zero_mode:
-            origin = (0,) * ell
-            best_checked = best.copy()
-            best_checked[origin] = math.inf  # excluded from resonance check
-        else:
-            best_checked = best
+            best_checked[(0,) * ell] = math.inf  # excluded from resonance check
         worst = float(best_checked.min())
         if worst < ZERO_DIVISOR_FLOOR:
             flat = int(np.argmin(best_checked))
@@ -767,28 +749,28 @@ def solve_by_division(
         u_hat = np.zeros_like(fhat[0])
         for j in range(ell):
             mask = M_sel == j
-            if not mask.any():
-                continue
             Dj = signed_D[j][grids[j]]
             with np.errstate(divide="ignore", invalid="ignore"):
                 contrib = -1j * fhat[j] / Dj[pad]
             u_hat = np.where(mask[pad], contrib, u_hat)
 
         if zero_mode:
-            u_hat[(0,) * ell] = _recover_zero_mode(spec, f_list, analysis)
-        out.data[xi] = np.fft.ifftn(u_hat * N**ell, axes=j_axes)
+            u_hat[(0,) * ell] = _recover_zero_mode(spec, f_list, analysis, row)
+        u[row] = np.fft.ifftn(u_hat * N**ell, axes=j_axes)
 
-    out.meta["zero_mode_normalized"] = True
-    out.meta["min_divisor"] = min_divisor
-    return out
+    meta = {"method": "division", "digits": DIVISION_DIGITS}
+    meta.update(zero_mode_normalized=True, min_divisor=min_divisor)
+    return FourierField(n, N, base.xi, u, meta)
 
 
 def _recover_zero_mode(
     spec: SystemSpec,
     f_list: Sequence[FourierField],
     analysis,
+    row: int,
 ):
-    """û(t'', 0, 0): gradient integration over the spectator axes, mean 0.
+    """û(t'', 0, 0): gradient integration over the spectator axes, mean 0;
+    ``row`` is the ξ = 0 row of the fields.
 
     When ℓ = n there are no spectator variables and the mode is a single
     number fixed to 0.  Otherwise the remaining tubes give
@@ -800,18 +782,11 @@ def _recover_zero_mode(
     n = spec.n
     if ell == n:
         return 0.0
-    base = f_list[0]
-    N = base.grid_size
-    j_axes = tuple(range(ell))
+    N = f_list[0].grid_size
     spect_shape = (N,) * (n - ell)
-
-    g_hats = []
-    for m in range(ell, n):
-        if not f_list[m].has_xi(0):
-            raise GridMismatch("zero-mode recovery needs the xi=0 block of every tube")
-        vals = f_list[m].values(0)
-        slab = np.fft.fftn(vals, axes=j_axes)[(0,) * ell] / N**ell
-        g_hats.append(np.fft.fftn(slab) / N ** (n - ell))
+    j_axes = tuple(range(ell))
+    slabs = [np.fft.fftn(f.data[row], axes=j_axes)[(0,) * ell] / N**ell for f in f_list[ell:]]
+    g_hats = [np.fft.fftn(slab) / N ** (n - ell) for slab in slabs]
 
     freqs = np.fft.fftfreq(N, 1.0 / N).astype(int)
     kappa = np.meshgrid(*([freqs] * (n - ell)), indexing="ij")
@@ -856,10 +831,7 @@ def _tube_multiplier(spec: SystemSpec, j: int, grid: np.ndarray, n: int):
     else:
         a_vals = np.asarray(tube.a(grid), dtype=float)
     b_vals = np.asarray(tube.b(grid), dtype=float)
-    c_vals = a_vals + 1j * b_vals
-    shape = [1] * n
-    shape[j - 1] = grid.size
-    return c_vals.reshape(shape)
+    return _along(a_vals + 1j * b_vals, j - 1, n)
 
 
 def apply_tube_operator(spec: SystemSpec, j: int, u: FourierField) -> FourierField:
@@ -868,24 +840,50 @@ def apply_tube_operator(spec: SystemSpec, j: int, u: FourierField) -> FourierFie
         raise GridMismatch(f"field has n={u.n} but system has n={spec.n}")
     if not 1 <= j <= spec.n:
         raise MalformedInput(f"tube index {j} out of range 1..{spec.n}")
-    du = u.t_derivative(j - 1)
     mult = _tube_multiplier(spec, j, u.t_grid(), u.n)
-    data = {xi: du.values(xi) + mult * (1j * xi) * u.values(xi) for xi in u.xi_values}
-    return FourierField(n=u.n, grid_size=u.grid_size, data=data)
+    out = (mult * (1j * u.xi).reshape((-1,) + (1,) * u.n)) * u.data
+    out += u.t_derivative(j - 1).data
+    return FourierField(u.n, u.grid_size, u.xi, out)
 
 
-def residual(
-    spec: SystemSpec, u: FourierField, f_list: Sequence[FourierField]
-) -> list:
+def residual(spec: SystemSpec, u: FourierField, f_list: Sequence[FourierField]) -> list:
     """max-norm of L_j u − f_j per tube (1-based order)."""
     if len(f_list) != spec.n:
         raise GridMismatch(f"need one right-hand side per tube ({spec.n}), got {len(f_list)}")
-    out = []
-    for j in range(1, spec.n + 1):
-        fj = f_list[j - 1]
-        u.require_same_frequencies(fj)
-        out.append((apply_tube_operator(spec, j, u) - fj).max_abs())
-    return out
+    return [_residual_row(spec, j, u, f_list[j - 1]) for j in range(1, spec.n + 1)]
+
+
+def _residual_row(spec: SystemSpec, j: int, u: FourierField, fj: FourierField) -> float:
+    """‖L_j u − f_j‖_∞, ``_XI_CHUNK`` rows at a time: the residual runs when
+    the solve holds u and f, and whole-field temporaries would add two fields
+    to the command's peak memory."""
+    u.require_same_frequencies(fj)
+    worst = 0.0
+    for lo in range(0, len(u.xi), _XI_CHUNK):
+        rows = slice(lo, lo + _XI_CHUNK)
+        lu = apply_tube_operator(spec, j, FourierField(u.n, u.grid_size, u.xi[rows], u.data[rows]))
+        lu.data -= fj.data[rows]
+        worst = max(worst, lu.max_abs())
+    return worst
+
+
+def _check_compatible(spec: SystemSpec, f_list: Sequence[FourierField]) -> None:
+    """Refuse per-tube data with L_j f_k ≠ L_k f_j (j < k).
+
+    The tube operators commute, so L_j u = f_j for every j forces these
+    relations; data that break them by more than ``COMPAT_TOL``·(1 + scale)
+    raise :class:`CompatibilityError`.
+    """
+    for j, k in itertools.combinations(range(1, spec.n + 1), 2):
+        lhs = apply_tube_operator(spec, j, f_list[k - 1])
+        rhs = apply_tube_operator(spec, k, f_list[j - 1])
+        scale = max(lhs.max_abs(), rhs.max_abs())
+        gap = (lhs - rhs).max_abs()
+        if gap > COMPAT_TOL * (1.0 + scale):
+            raise CompatibilityError(
+                f"tubes {j} and {k} are inconsistent: |L_{j} f_{k} - L_{k} f_{j}| = "
+                f"{gap:.3e} exceeds tolerance"
+            )
 
 
 def decay_report(
@@ -919,7 +917,9 @@ def solve_system(
     real (ℓ = n) the normalized system is solved by division from one field
     per tube; otherwise along the first tube whose b_j is one-signed and not
     identically zero, from one field or one per tube (:class:`ProfileError`
-    when no tube qualifies).  Returns u in the original frame and a summary:
+    when no tube qualifies); one field per tube there must satisfy
+    L_j f_k = L_k f_j (:func:`_check_compatible`).  Returns u in the original
+    frame and a summary:
     ``normalized`` (and the gauge ``primitives``), ``route``, the ``tube``
     solved along, ``residual`` rows of ‖L_j u − f_j‖_∞ (one per tube when one
     field per tube is given, else the solved tube's), the division ``meta``,
@@ -947,12 +947,8 @@ def solve_system(
                 f"the all-real route needs {n} right-hand sides "
                 f'(rhs file with {{"fields": [...]}}), got {len(f_list)}'
             )
-        fg = [gauged(f, "forward") for f in f_list]
-        u_n = solve_by_division(nf.normalized, fg)
-        u = gauged(u_n, "inverse")
-        rows = enumerate(residual(spec, u, f_list), start=1)
+        u_n = solve_by_division(nf.normalized, [gauged(f, "forward") for f in f_list])
         summary["route"] = "division"
-        summary["residual"] = [{"tube": j, "max_abs": r} for j, r in rows]
         keep = ("zero_mode_normalized", "min_divisor")
         summary["meta"] = {k: v for k, v in u_n.meta.items() if k in keep}
     else:
@@ -967,19 +963,21 @@ def solve_system(
             raise MalformedInput(
                 f"the single-tube route needs 1 or {n} right-hand sides, got {len(f_list)}"
             )
+        if len(f_list) == n:
+            _check_compatible(spec, f_list)
         f = f_list[tube - 1 if len(f_list) == n else 0]
-        fg = gauged(f, "forward")
-        u_n = solve_single_tube(tube, nf.normalized, fg)
+        u_n = solve_single_tube(tube, nf.normalized, gauged(f, "forward"))
         counters = ("internal_modes_max", "internal_modes_capped")
         summary["runtime"] = {k: u_n.meta.pop(k) for k in counters}
-        u = gauged(u_n, "inverse")
-        if len(f_list) == n:
-            rows = enumerate(residual(spec, u, f_list), start=1)
-        else:
-            rows = [(tube, (apply_tube_operator(spec, tube, u) - f).max_abs())]
         summary["route"] = "single-tube"
         summary["tube"] = tube
-        summary["residual"] = [{"tube": j, "max_abs": r} for j, r in rows]
+
+    u = gauged(u_n, "inverse")
+    if len(f_list) == n:
+        rows = enumerate(residual(spec, u, f_list), start=1)
+    else:
+        rows = [(tube, _residual_row(spec, tube, u, f_list[0]))]
+    summary["residual"] = [{"tube": j, "max_abs": r} for j, r in rows]
 
     if spec.order.is_gevrey:
         try:

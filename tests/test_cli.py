@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -122,8 +123,8 @@ def test_solve_recovers_manufactured_solution(golden_run):
     assert code == 0
     u = FourierField.load_json(workdir / "u.json")
     u_true = FourierField.load_json(FIXTURES / "solve_u_true.json")
-    assert u.xi_values == u_true.xi_values
-    err = max(float(np.abs(u.values(xi) - u_true.values(xi)).max()) for xi in u.xi_values)
+    assert u.xi.tolist() == u_true.xi.tolist()
+    err = max(float(np.abs(u.take(xi) - u_true.take(xi)).max()) for xi in u.xi.tolist())
     assert err < 1e-14
 
 
@@ -260,6 +261,31 @@ def test_tracer_names_resolve():
     assert missing == []
 
 
+def test_tracer_counts_solved_frequencies():
+    """The tracer's ``solver.xi_solved`` count of a result is the number of
+    frequencies that solve returns, on both routes."""
+    import importlib.util
+
+    from torus_hypo.solver import solve_by_division, solve_single_tube
+    from torus_hypo.system import SystemSpec
+
+    spec = importlib.util.spec_from_file_location("tracer", TESTS.parent / "coldbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    counts = {name: count for metric, name, count in tracer.COUNTS if metric == "solver.xi_solved"}
+    modes = {(1, xi): 1.0 for xi in (-3, -1, 2, 5, 8)}
+    f = FourierField.from_modes(1, 16, modes)
+    damped = SystemSpec.from_json({"n": 1, "s": "2", "tubes": [{"a": "1/3", "b": "-1"}]})
+    real = SystemSpec.from_json({"n": 1, "s": "2", "tubes": [{"a": {"cf": "constant:2"}, "b": "0"}]})
+    results = {
+        "torus_hypo.solver:solve_single_tube": solve_single_tube(1, damped, f),
+        "torus_hypo.solver:solve_by_division": solve_by_division(real, [f]),
+    }
+    assert set(counts) == set(results)
+    for name, result in results.items():
+        assert counts[name](result) == len(modes), name
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -299,6 +325,13 @@ def _tff_listing_xi_twice() -> bytes:
     return raw[:56] + raw[48:56] + raw[64:]
 
 
+def _tff_holding_nan() -> bytes:
+    """A TFF file whose xi = 3 block has a NaN real part."""
+    raw = FourierField.from_modes(1, 8, {(1, 2): 1.0, (1, 3): 1.0}).to_bytes()
+    at = 64 + 16 * 8 + 16 * 5  # block 1, coefficient 5
+    return raw[:at] + struct.pack("<d", float("nan")) + raw[at + 8 :]
+
+
 #: case -> (what is malformed, the named field).  What is malformed is spec
 #: fields over {"n": 1, "s": "2"} (run by classify), an rhs object or TFF
 #: bytes (run by solve on fixtures/solve_spec.json) or an argv ("@name" as in
@@ -326,6 +359,8 @@ MALFORMED = {
     "rhs-xi-boolean": (("rhs", {**_RHS, "blocks": [{**_BLOCK, "xi": True}]}), "rhs: blocks[0]: xi:"),
     "rhs-xi-repeated": (("rhs", {**_RHS, "blocks": [_BLOCK, {**_BLOCK, "re": [1.0] * 8}]}), "rhs: blocks[1]: xi:"),
     "rhs-tff-xi-repeated": (("tff", _tff_listing_xi_twice()), "rhs: xi: 2"),
+    "rhs-inf": (("rhs", {**_RHS, "blocks": [{**_BLOCK, "im": [float("inf")] * 8}]}), "rhs: blocks[0]:"),
+    "rhs-tff-nan": (("tff", _tff_holding_nan()), "rhs: xi: 3"),
     "singular-out-unwritable": (
         ("argv", ["singular", "@singular_expL", "missing/out.json"]),
         "cannot write missing/out.json:",

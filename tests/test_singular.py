@@ -43,8 +43,8 @@ def _prop52(b_const: str):
     sol = build_prop52(a0, spec.tubes[0].b, 2.0, 16, grid_size=128, field_xi_cap=16)
     lu = apply_tube_operator(spec, 1, sol.coefficients)
     residual = {
-        xi: float(np.abs(lu.values(xi) - sol.rhs[1].values(xi)).max())
-        for xi in sol.coefficients.xi_values
+        xi: float(np.abs(lu.take(xi) - sol.rhs[1].take(xi)).max())
+        for xi in sol.coefficients.xi.tolist()
     }
     return sol, residual
 

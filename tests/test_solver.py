@@ -26,6 +26,7 @@ from torus_hypo.solver import (
     _block_starts,
     _mode_ceiling,
     _stacked_band_solve,
+    apply_tube_operator,
     decay_report,
     residual,
     solve_by_division,
@@ -49,15 +50,19 @@ def manufactured_pair(spec: SystemSpec, modes: dict, grid: int = 128):
     a0 = float(tube.a.mpf(30)) if hasattr(tube.a, "mpf") else float(tube.a.mean())
     t = u.t_grid()
     b_vals = tube.b(t)
-    f = FourierField(n=1, grid_size=grid)
-    for xi in u.xi_values:
+    f_vals = np.empty_like(u.data)
+    for row, xi in enumerate(u.xi.tolist()):
         du = np.zeros(grid, dtype=complex)
         for (eta, mxi), c in modes.items():
             if mxi == xi:
                 du += c * 1j * eta * np.exp(1j * eta * t)
-        u_vals = u.values(xi)
-        f.data[xi] = du + 1j * xi * (a0 + 1j * b_vals) * u_vals
-    return u, f
+        f_vals[row] = du + 1j * xi * (a0 + 1j * b_vals) * u.data[row]
+    return u, FourierField(1, grid, u.xi, f_vals)
+
+
+def coeffs_at(f: FourierField, xi: int) -> np.ndarray:
+    """The stored coefficient block of ξ."""
+    return f.coeffs()[f.xi.tolist().index(xi)]
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +73,9 @@ def manufactured_pair(spec: SystemSpec, modes: dict, grid: int = 128):
 def test_field_from_modes_exact_synthesis():
     f = FourierField.from_modes(1, 64, {(2, 3): 1.5 + 0.5j})
     t = f.t_grid()
-    assert np.abs(f.values(3) - (1.5 + 0.5j) * np.exp(2j * t)).max() < 1e-14
-    assert f.coeffs(3)[2] == pytest.approx(1.5 + 0.5j)
-    assert f.coeffs(3)[1] == pytest.approx(0.0, abs=1e-15)
+    assert np.abs(f.take(3) - (1.5 + 0.5j) * np.exp(2j * t)).max() < 1e-14
+    assert coeffs_at(f, 3)[2] == pytest.approx(1.5 + 0.5j)
+    assert coeffs_at(f, 3)[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_field_json_round_trip():
@@ -78,9 +83,9 @@ def test_field_json_round_trip():
     f = FourierField.from_modes(1, 32, {(1, 2): 1 - 1j, (0, 5): 0.25})
     back = FourierField.from_json_obj(f.to_json_obj())
     assert back.n == f.n and back.grid_size == f.grid_size
-    assert back.xi_values == f.xi_values
-    for xi in f.xi_values:
-        assert np.abs(back.values(xi) - f.values(xi)).max() < 1e-13
+    assert back.xi.tolist() == f.xi.tolist()
+    for xi in f.xi.tolist():
+        assert np.abs(back.take(xi) - f.take(xi)).max() < 1e-13
 
 
 def test_field_json_round_trip_is_stable():
@@ -92,20 +97,20 @@ def test_field_json_round_trip_is_stable():
     once = FourierField.from_json_obj(f.to_json_obj())
     twice = FourierField.from_json_obj(once.to_json_obj())
     assert json.dumps(once.to_json_obj()) == json.dumps(twice.to_json_obj())
-    for xi in once.xi_values:
-        assert np.array_equal(once.values(xi), twice.values(xi))
+    for xi in once.xi.tolist():
+        assert np.array_equal(once.take(xi), twice.take(xi))
 
 
 def test_field_binary_round_trip(tmp_path):
     f = FourierField.from_modes(2, 16, {((1, -2), 3): 0.5j, ((0, 0), -1): 2.0})
     back = FourierField.from_bytes(f.to_bytes())
     assert back.n == 2 and back.grid_size == 16
-    for xi in f.xi_values:
-        assert np.abs(back.values(xi) - f.values(xi)).max() < 1e-13
+    for xi in f.xi.tolist():
+        assert np.abs(back.take(xi) - f.take(xi)).max() < 1e-13
     path = tmp_path / "field.tff"
     f.save_binary(path)
     again = FourierField.load_binary(path)
-    assert again.xi_values == f.xi_values
+    assert again.xi.tolist() == f.xi.tolist()
     # Stable from the first round trip on: bytes(load(bytes(f))) == bytes once
     # the grid values have been snapped to the stored spectral coefficients.
     assert again.to_bytes() == back.to_bytes()
@@ -132,11 +137,11 @@ def _stored_blocks(f: FourierField) -> tuple:
         for b in f.to_json_obj()["blocks"]
     }
     raw = f.to_bytes()
-    pos = 48 + 8 * len(f.xi_values)
+    pos = 48 + 8 * len(f.xi.tolist())
     size = f.grid_size**f.n
     from_bytes = {
         xi: np.frombuffer(raw, dtype="<c16", count=size, offset=pos + 16 * size * i).reshape(shape)
-        for i, xi in enumerate(f.xi_values)
+        for i, xi in enumerate(f.xi.tolist())
     }
     return from_json, from_bytes
 
@@ -149,45 +154,50 @@ def _bits(a: np.ndarray) -> np.ndarray:
 def test_coeffs_floor_zeroes_only_fft_rounding_noise(n, grid):
     """Coefficients spread over 24 decades: the stored ones are the FFT's
     bits, the zeroed ones are at most ε·max|c| of their block, and both
-    serialized forms carry the same numbers."""
+    serialized forms carry the same numbers.  The floor is each block's own:
+    with one block's max|c| 10^20 below the others', a floor taken over the
+    whole stack would zero that block."""
     rng = np.random.default_rng(n)
     shape = (grid,) * n
-    f = FourierField(n=n, grid_size=grid)
-    for xi in range(-2, 3):
+    values = np.empty((5,) + shape, dtype=complex)
+    for row in range(5):
         scale = 10.0 ** rng.uniform(-24, 0, shape)
         c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
-        f.data[xi] = np.fft.ifftn(c) * c.size
-    zeroed = 0
-    from_json, from_bytes = _stored_blocks(f)
-    for xi in f.xi_values:
-        raw = np.fft.fftn(f.values(xi)) / grid**n
-        floor = EPS * np.abs(raw).max()
-        got = f.coeffs(xi)
-        kept = got != 0
-        assert np.array_equal(_bits(got[kept]), _bits(raw[kept]))
-        assert (np.abs(raw[~kept]) <= floor).all()
-        assert (np.abs(raw[kept]) > floor).all()
-        assert np.array_equal(_bits(from_json[xi]), _bits(got))
-        assert np.array_equal(_bits(from_bytes[xi]), _bits(got))
-        zeroed += int((~kept).sum())
-    assert zeroed > 0
+        values[row] = np.fft.ifftn(c) * c.size
+    spread = values.copy()
+    spread[1] *= 1e-20
+    for f in (FourierField(n, grid, range(-2, 3), values), FourierField(n, grid, range(-2, 3), spread)):
+        zeroed = 0
+        from_json, from_bytes = _stored_blocks(f)
+        for xi in f.xi.tolist():
+            raw = np.fft.fftn(f.take(xi)) / grid**n
+            floor = EPS * np.abs(raw).max()
+            got = coeffs_at(f, xi)
+            kept = got != 0
+            assert np.array_equal(_bits(got[kept]), _bits(raw[kept]))
+            assert (np.abs(raw[~kept]) <= floor).all()
+            assert (np.abs(raw[kept]) > floor).all()
+            assert np.array_equal(_bits(from_json[xi]), _bits(got))
+            assert np.array_equal(_bits(from_bytes[xi]), _bits(got))
+            zeroed += int((~kept).sum())
+        assert zeroed > 0
 
 
 def test_all_zero_and_exact_single_mode_blocks_round_trip_exactly():
     """A zero block stays zero; a mode with η_i ∈ {0, ±N/4} has exact samples
     (powers of i), so it is stored as the one coefficient it was built from
     and reloads to the same grid values through either form."""
-    zero = FourierField(n=2, grid_size=8, data={4: np.zeros((8, 8))})
+    zero = FourierField(2, 8, [4], np.zeros((1, 8, 8)))
     single = FourierField.from_modes(3, 8, {((2, 0, -2), -1): 0.3 - 1.7j})
     want = np.zeros((8, 8, 8), dtype=complex)
     want[2, 0, 6] = 0.3 - 1.7j
-    assert np.array_equal(_bits(single.coeffs(-1)), _bits(want))
-    assert np.array_equal(_bits(zero.coeffs(4)), _bits(np.zeros((8, 8))))
+    assert np.array_equal(_bits(coeffs_at(single, -1)), _bits(want))
+    assert np.array_equal(_bits(coeffs_at(zero, 4)), _bits(np.zeros((8, 8))))
     for f in (zero, single):
         for back in (FourierField.from_json_obj(f.to_json_obj()), FourierField.from_bytes(f.to_bytes())):
-            assert back.xi_values == f.xi_values
-            for xi in f.xi_values:
-                assert np.array_equal(back.values(xi), f.values(xi))
+            assert back.xi.tolist() == f.xi.tolist()
+            for xi in f.xi.tolist():
+                assert np.array_equal(back.take(xi), f.take(xi))
             assert back.to_bytes() == f.to_bytes()
 
 
@@ -195,7 +205,7 @@ def test_field_spectral_derivatives():
     f = FourierField.from_modes(1, 64, {(3, 2): 1.0})
     t = f.t_grid()
     dt = f.t_derivative(0)
-    assert np.abs(dt.values(2) - 3j * np.exp(3j * t)).max() < 1e-12
+    assert np.abs(dt.take(2) - 3j * np.exp(3j * t)).max() < 1e-12
 
 
 def test_field_layout_guards():
@@ -217,7 +227,7 @@ def test_solve_constant_coefficients_identity():
     spec = spec_from(1, [{"a": "0", "b": "-1"}])
     f = FourierField.from_modes(1, 64, {(0, 1): 1.0})  # e^{ix}
     u = solve_single_tube(1, spec, f)
-    assert np.abs(u.values(1) - 1.0).max() < 1e-12  # u = e^{ix}
+    assert np.abs(u.take(1) - 1.0).max() < 1e-12  # u = e^{ix}
 
 
 def test_solve_constant_coefficients_manufactured():
@@ -225,14 +235,14 @@ def test_solve_constant_coefficients_manufactured():
     f = FourierField.from_modes(1, 64, {(1, 1): 1 + 2j})
     u = solve_single_tube(1, spec, f)
     t = u.t_grid()
-    assert np.abs(u.values(1) - np.exp(1j * t)).max() < 1e-12
+    assert np.abs(u.take(1) - np.exp(1j * t)).max() < 1e-12
 
 
 def test_solve_manufactured_trig_tube():
     spec = spec_from(1, [{"a": "0", "b": HALF_DAMPED}])
     u_true, f = manufactured_pair(spec, {(2, 3): 1.0})
     u = solve_single_tube(1, spec, f)
-    assert np.abs(u.values(3) - u_true.values(3)).max() <= 1e-8
+    assert np.abs(u.take(3) - u_true.take(3)).max() <= 1e-8
     assert residual(spec, u, [f])[0] <= 1e-8
 
 
@@ -241,7 +251,7 @@ def test_solve_mirror_profile_and_negative_frequencies():
     u_true, f = manufactured_pair(spec, {(1, -2): 0.7 - 0.2j, (-3, 4): 1.1j})
     u = solve_single_tube(1, spec, f)
     for xi in (-2, 4):
-        assert np.abs(u.values(xi) - u_true.values(xi)).max() <= 1e-8, xi
+        assert np.abs(u.take(xi) - u_true.take(xi)).max() <= 1e-8, xi
     assert max(residual(spec, u, [f])) <= 1e-8
 
 
@@ -251,7 +261,7 @@ def test_solve_zero_frequency_antidifferentiation():
     u = solve_single_tube(1, spec, f)
     t = u.t_grid()
     want = np.exp(1j * t) / 1j  # primitive with zero mean
-    assert np.abs(u.values(0) - want).max() < 1e-12
+    assert np.abs(u.take(0) - want).max() < 1e-12
 
 
 def test_solve_zero_frequency_mean_obstruction():
@@ -273,10 +283,9 @@ def test_solve_linearity():
     _, f = manufactured_pair(spec, {(2, 3): 1.0})
     _, g = manufactured_pair(spec, {(-1, 3): 0.5 + 0.25j})
     al, be = 0.7 - 0.1j, -1.3 + 2j
-    combo = FourierField(n=1, grid_size=128)
-    combo.data[3] = al * f.values(3) + be * g.values(3)
-    lhs = solve_single_tube(1, spec, combo).values(3)
-    rhs = al * solve_single_tube(1, spec, f).values(3) + be * solve_single_tube(1, spec, g).values(3)
+    combo = FourierField(1, 128, [3], [al * f.take(3) + be * g.take(3)])
+    lhs = solve_single_tube(1, spec, combo).take(3)
+    rhs = al * solve_single_tube(1, spec, f).take(3) + be * solve_single_tube(1, spec, g).take(3)
     scale = max(1.0, np.abs(rhs).max())
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
@@ -297,9 +306,8 @@ def test_solve_matches_direct_quadrature_of_integral_formula():
         b = -(1 + math.cos(t)) / 2
         return (2j + xi * 1j * (0.5 + 1j * b)) * cmath.exp(2j * t)
 
-    f = FourierField(n=1, grid_size=128)
-    tg = f.t_grid()
-    f.data[xi] = np.array([f_hat(float(t)) for t in tg])
+    tg = 2 * np.pi * np.arange(128) / 128
+    f = FourierField(1, 128, [xi], [[f_hat(float(t)) for t in tg]])
     u = solve_single_tube(1, spec, f)
     pref = 1 / (1 - cmath.exp(-2j * math.pi * xi * (0.5 - 0.5j)))
     for idx in (0, 17, 63, 100):
@@ -308,7 +316,7 @@ def test_solve_matches_direct_quadrature_of_integral_formula():
             lambda tau: cmath.exp(-1j * xi * H(t0, float(tau))) * f_hat(t0 - float(tau)),
             [0, 2 * math.pi],
         )
-        assert abs(u.values(xi)[idx] - pref * complex(quad)) <= 1e-10
+        assert abs(u.take(xi)[idx] - pref * complex(quad)) <= 1e-10
 
 
 def test_solve_round_trip_stress():
@@ -321,8 +329,8 @@ def test_solve_round_trip_stress():
         modes[(eta, xi)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     u_true, f = manufactured_pair(spec, modes)
     u = solve_single_tube(1, spec, f)
-    for xi in u_true.xi_values:
-        assert np.abs(u.values(xi) - u_true.values(xi)).max() <= 1e-7
+    for xi in u_true.xi.tolist():
+        assert np.abs(u.take(xi) - u_true.take(xi)).max() <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +344,17 @@ def _random_field(xis, grid: int = 64, seed: int = 7) -> FourierField:
     """Random data band-limited to |η| < grid/2 and decaying in η."""
     rng = np.random.default_rng(seed)
     eta = np.fft.fftfreq(grid, 1.0 / grid)
-    f = FourierField(n=1, grid_size=grid)
-    for xi in xis:
+    values = np.empty((len(xis), grid), dtype=complex)
+    for row in range(len(xis)):
         c = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
         c *= np.exp(-0.3 * np.abs(eta)) * (np.abs(eta) < grid // 2)
-        f.data[xi] = np.fft.ifft(c) * grid
-    return f
+        values[row] = np.fft.ifft(c) * grid
+    return FourierField(1, grid, xis, values)
 
 
 def _rhs_hat(f: FourierField, xis) -> np.ndarray:
     """The stacked (ξ, mode, column) coefficients the banded solve takes."""
-    return np.stack([np.fft.fft(f.values(xi))[:, None] / f.grid_size for xi in xis])
+    return np.stack([np.fft.fft(f.take(xi))[:, None] / f.grid_size for xi in xis])
 
 
 @pytest.mark.parametrize("b", [{"const": "1", "cos": ["1/2"]}, TOUCHING])
@@ -390,7 +398,7 @@ def test_adaptive_modes_match_the_ceiling_where_b_touches_zero():
     at_ceiling = np.fft.ifft(sol[(_block_starts(ceiling) + ceiling)[:, None] + eta, 0] * 64, axis=1)
     scale = u.max_abs()
     for k, xi in enumerate(xis):
-        assert np.abs(u.values(xi) - at_ceiling[k]).max() <= 1e-14 * scale, xi
+        assert np.abs(u.take(xi) - at_ceiling[k]).max() <= 1e-14 * scale, xi
 
     steep = {"const": "6144", "cos": ["-8192", "2048"]}
     wide = solve_single_tube(1, spec_from(1, [{"a": "1/2", "b": steep}]), f)
@@ -411,29 +419,46 @@ def test_one_signed_b_resolves_every_xi_below_the_ceiling(b):
     if b == "-1":
         assert u.meta["internal_modes_max"] == 64 + 2
         eta = np.fft.fftfreq(64, 1 / 64)
-        for xi in xis:
-            want = f.coeffs(xi) / (1j * (eta + xi / 3) + xi)
-            assert np.abs(u.coeffs(xi) - want).max() <= 1e-15 * np.abs(want).max()
+        xi = f.xi[:, None]
+        want = f.coeffs() / (1j * (eta + xi / 3) + xi)
+        assert (np.abs(u.coeffs() - want).max(axis=1) <= 1e-15 * np.abs(want).max(axis=1)).all()
 
 
-def test_single_tube_route_reports_every_tube_residual():
-    """One field per tube: u solves tube 1 along its one-signed b, and tube
-    2's row shows that the same data do not solve L_2 u = f_2.  With one
-    field only the solved tube's row is reported."""
-    spec = spec_from(2, [
+def _two_tube_spec() -> SystemSpec:
+    """Tube 1 one-signed (a = 1/2, b = 1 + cos t), tube 2 real (a = 1/3)."""
+    return spec_from(2, [
         {"a": "1/2", "b": {"const": "1", "cos": ["1"]}},
         {"a": "1/3", "b": "0"},
     ])
-    f = FourierField.from_modes(2, 64, {((1, 0), 1): 1.0, ((0, 1), 2): 1.0})
-    _, summary = solve_system(spec, [f, f])
+
+
+def test_single_tube_route_reports_every_tube_residual():
+    """One field per tube, f_j = L_j u for a band-limited u with no ξ = 0
+    block: the solve along tube 1 recovers u, and every tube's row is at
+    rounding level.  With one field only the solved tube's row is reported."""
+    spec = _two_tube_spec()
+    u_true = FourierField.from_modes(
+        2, 64, {((1, 0), 1): 1.0, ((0, 1), 2): 1.0, ((-3, 2), -1): 0.5j, ((2, -1), 3): 0.25}
+    )
+    f = [apply_tube_operator(spec, j, u_true) for j in (1, 2)]
+    u, summary = solve_system(spec, f)
     rows = {row["tube"]: row["max_abs"] for row in summary["residual"]}
     assert summary["route"] == "single-tube" and summary["tube"] == 1
     assert set(rows) == {1, 2}
-    assert rows[1] <= 1e-12
-    assert rows[2] > 1.0
-    _, single = solve_system(spec, [f])
+    assert max(rows.values()) <= 1e-12
+    assert (u - u_true).max_abs() <= 1e-12
+    _, single = solve_system(spec, f[:1])
     assert [row["tube"] for row in single["residual"]] == [1]
     assert single["residual"][0]["max_abs"] == rows[1]
+
+
+def test_single_tube_route_refuses_incompatible_fields():
+    """Equal fields for both tubes break L_1 f_2 = L_2 f_1: the solve is
+    refused before anything is solved, with the compatibility exit code."""
+    f = FourierField.from_modes(2, 64, {((1, 0), 1): 1.0, ((0, 1), 2): 1.0})
+    with pytest.raises(CompatibilityError, match="tubes 1 and 2") as info:
+        solve_system(_two_tube_spec(), [f, f])
+    assert info.value.exit_code == 31
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +472,13 @@ def test_division_closed_form():
     u = solve_by_division(spec, [f])
     # -i / ((-2)(sqrt2 - 1) + 1) = -i (3 + 2 sqrt 2)
     want = -1j * (3 + 2 * math.sqrt(2))
-    assert u.coeffs(-2)[1] == pytest.approx(want, abs=1e-12)
+    assert coeffs_at(u, -2)[1] == pytest.approx(want, abs=1e-12)
 
 
 def test_division_zero_input_zero_output():
     spec = spec_from(1, [{"a": {"cf": "constant:2"}, "b": "0"}])
     u = solve_by_division(spec, [FourierField(n=1, grid_size=64)])
-    assert u.xi_values == [] and u.max_abs() == 0.0
+    assert u.xi.tolist() == [] and u.max_abs() == 0.0
 
 
 def test_division_rational_resonance():
@@ -488,7 +513,7 @@ def test_division_consistent_two_tube_system():
     f1 = FourierField.from_modes(2, 32, {(eta, xi): 1j * (eta[0] + xi * alpha) * c})
     f2 = FourierField.from_modes(2, 32, {(eta, xi): 1j * (eta[1] + xi * beta) * c})
     u = solve_by_division(spec, [f1, f2])
-    assert u.coeffs(xi)[eta] == pytest.approx(c, rel=1e-9)
+    assert coeffs_at(u, xi)[eta] == pytest.approx(c, rel=1e-9)
     assert u.meta["zero_mode_normalized"]
 
 
