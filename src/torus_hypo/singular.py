@@ -26,6 +26,7 @@ the lift over the identically-real tubes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,11 +145,17 @@ class SingularSolution:
         if not set(self.coefficients.xi.tolist()) <= set(self.ladder):
             raise LadderMismatch("coefficient blocks exist off the declared ladder")
 
+    @functools.cached_property
+    def _lower_bounds(self) -> dict:
+        """ξ → certified lower bound, the first row of the table winning."""
+        table = reversed(self.certificates.get("lower_bound_table", ()))
+        return {int(xi): float(bound) for xi, bound in table}
+
     def lower_bound(self, xi: int) -> float:
-        for row in self.certificates.get("lower_bound_table", ()):
-            if int(row[0]) == int(xi):
-                return float(row[1])
-        raise LadderMismatch(f"no certified lower bound at xi={xi}")
+        try:
+            return self._lower_bounds[int(xi)]
+        except KeyError:
+            raise LadderMismatch(f"no certified lower bound at xi={xi}") from None
 
     def to_json_obj(self) -> dict:
         return {

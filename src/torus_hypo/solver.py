@@ -13,8 +13,12 @@ Two solution regimes are implemented:
   unique solution for every ξ (the holonomy factor ``e^{-i2πξc_0}`` stays off
   the unit circle because ``ξ b_0 ≠ 0``).  The solution operator is applied
   exactly in Fourier-mode space along t_j: a banded linear system of
-  bandwidth d = ``deg b`` over modes |m| ≤ K/2, solved by LAPACK's banded LU
-  for a chunk of ξ at a time.  K is chosen per ξ a posteriori: it starts at
+  bandwidth d = ``deg b`` over modes |m| ≤ K/2, solved for a chunk of ξ at a
+  time by LAPACK's ``zgtsv`` (tridiagonal, d = 1) or ``zgbsv`` (banded LU,
+  every other d).  Both are called through scipy's f2py binding
+  ``scipy.linalg._flapack``, loaded from its file by :func:`_flapack`: the
+  ``scipy.linalg`` package import would cost about 0.2 s of a cold ``solve``
+  for these two routines.  K is chosen per ξ a posteriori: it starts at
   N + 4d + 2 (N the grid size) and doubles until the outermost 2d modes of the
   solution are at most ε·max|û| (ε = machine epsilon), up to the ceiling
   K = max(1024, 4|ξ|), where the solution is accepted and counted as capped.
@@ -43,9 +47,13 @@ or writes single rows of a field.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -477,32 +485,73 @@ def _block_starts(halves: np.ndarray) -> np.ndarray:
     return np.cumsum(sizes) - sizes
 
 
-def _stacked_band_solve(
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK binding, loaded from its shared library alone.
+
+    ``import scipy.linalg`` runs the package ``__init__``, whose array-API
+    shim imports numpy's lazy submodules (``numpy.f2py``, ``numpy.testing``,
+    ``numpy.random``, ...): about 0.2 s of a cold ``solve``, against 3 ms for
+    the extension module itself.  ``find_spec("scipy")`` locates the
+    package without importing it.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed; the single-tube solver uses its LAPACK binding")
+    where = os.path.join(spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(where, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy's LAPACK binding _flapack not found in {where}")
+    name = "scipy.linalg._flapack"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module
+
+
+def _band_lu_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_banded((d, d), ab, rhs, overwrite_ab=True,
+    overwrite_b=True)`` without the ``scipy.linalg`` import, where ``ab`` has
+    2d + 1 rows.
+
+    It dispatches as scipy 1.17's ``_solve_banded`` does, so the bits agree:
+    ``zgtsv`` for d = 1, otherwise ``zgbsv`` on a copy of ``ab`` with d more
+    rows on top for the fill-in of its LU (scipy's 1×1 and empty cases do
+    not arise here).  ``ab`` (complex, ``ab[d + i − j, j] = A[i, j]``) may be
+    overwritten; ``rhs`` has shape (rows, R).  Raises ``ValueError`` on a
+    non-finite entry (scipy's ``check_finite``) and
+    ``numpy.linalg.LinAlgError`` on an exactly singular matrix.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    d = (ab.shape[0] - 1) // 2
+    lapack = _flapack()
+    if d == 1:
+        flags = dict(overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True)
+        *_, x, info = lapack.zgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, **flags)
+    else:
+        work = np.zeros((3 * d + 1, ab.shape[1]), dtype=complex)
+        work[d:] = ab
+        _, _, x, info = lapack.zgbsv(d, d, work, rhs, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv/gtsv")
+    return x
+
+
+def _stacked_band_system(
     xis: np.ndarray,
     halves: np.ndarray,
     a0: float,
     b_exp: np.ndarray,
     rhs_hat: np.ndarray,
-) -> np.ndarray:
-    """Solve û' + iξ(a0 + ib)û = f̂ in t_j-mode space for several ξ in one LU.
-
-    ``b_exp`` is the centered exponential-coefficient array of b (index
-    i ↔ frequency i − d).  Block k is ξ = ``xis[k]`` over the modes
-    |m| ≤ ``halves[k]``; ``rhs_hat[k]`` has shape (grid_size, R) and holds the
-    fft/N coefficients of its right-hand side in fftfreq layout.  Returns the
-    blocks' solutions over all of their modes, stacked in one (rows, R) array:
-    mode m of block k is row ``_block_starts(halves)[k] + halves[k] + m``.
-
-    In mode space the operator is i(m + ξa0)δ_{mk} − ξ b̂_{m−k}: banded with
-    bandwidth d = deg b.  The diagonal dominates for |m| large, and the only
-    possible singular direction (m + ξa0 = 0 together with ξ b̂_0 = 0) is
-    excluded since b0 ≠ 0, so the banded LU is well posed for every ξ ≠ 0.
-    The blocks sit on the diagonal of one band whose couplings between blocks
-    are exact zeros, so partial pivoting never leaves a block and each block
-    gets the same bits as a solve of its ξ alone.
-    """
-    from scipy.linalg import solve_banded  # scipy loads only for this solve
-
+) -> tuple:
+    """The band ``ab`` and the right-hand side that :func:`_stacked_band_solve`
+    hands to :func:`_band_lu_solve`; the arguments are its own."""
     d = (b_exp.size - 1) // 2
     sizes = 2 * halves + 1
     starts = _block_starts(halves)
@@ -526,7 +575,36 @@ def _stacked_band_solve(
     freqs = np.fft.fftfreq(grid_size, 1.0 / grid_size).astype(int)
     rhs = np.zeros((m.size, rhs_hat.shape[2]), dtype=complex)
     rhs[(starts + halves)[:, None] + freqs] = rhs_hat
-    return solve_banded((d, d), ab, rhs, overwrite_ab=True, overwrite_b=True)
+    return ab, rhs
+
+
+def _stacked_band_solve(
+    xis: np.ndarray,
+    halves: np.ndarray,
+    a0: float,
+    b_exp: np.ndarray,
+    rhs_hat: np.ndarray,
+) -> np.ndarray:
+    """Solve û' + iξ(a0 + ib)û = f̂ in t_j-mode space for several ξ in one LU.
+
+    ``b_exp`` is the centered exponential-coefficient array of b (index
+    i ↔ frequency i − d).  Block k is ξ = ``xis[k]`` over the modes
+    |m| ≤ ``halves[k]``; ``rhs_hat[k]`` has shape (grid_size, R) and holds the
+    fft/N coefficients of its right-hand side in fftfreq layout.  Returns the
+    blocks' solutions over all of their modes, stacked in one (rows, R) array:
+    mode m of block k is row ``_block_starts(halves)[k] + halves[k] + m``.
+
+    In mode space the operator is i(m + ξa0)δ_{mk} − ξ b̂_{m−k}: banded with
+    bandwidth d = deg b.  The diagonal dominates for |m| large, and the only
+    possible singular direction (m + ξa0 = 0 together with ξ b̂_0 = 0) is
+    excluded since b0 ≠ 0, so the banded LU is well posed for every ξ ≠ 0.
+    The blocks sit on the diagonal of one band whose couplings between blocks
+    are exact zeros, so partial pivoting never leaves a block and each block
+    gets the same bits as a solve of its ξ alone.  The band goes to LAPACK's
+    ``zgtsv`` when d = 1 and to ``zgbsv`` otherwise, through scipy's binding
+    loaded by :func:`_flapack` without the ``scipy.linalg`` package import.
+    """
+    return _band_lu_solve(*_stacked_band_system(xis, halves, a0, b_exp, rhs_hat))
 
 
 def _adaptive_band_solve(

@@ -206,6 +206,24 @@ def test_verdict_commands_load_neither_scipy_nor_sympy():
     assert "scipy" not in loaded and "sympy" not in loaded
 
 
+def test_solve_loads_no_scipy_linalg_package(tmp_path):
+    """The banded solve reaches LAPACK through scipy's binding alone: the
+    ``scipy.linalg`` package, whose import pulls in ``numpy.f2py`` and
+    ``numpy.testing``, stays unloaded."""
+    code = f"""if True:
+        import contextlib, io, json, sys
+        from torus_hypo import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main({_argv("solve-solve_rhs")!r})
+        heavy = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+        print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
+    """
+    proc = _fresh(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [_manifest()["solve-solve_rhs"]["exit"], []]
+    assert (tmp_path / ARTIFACTS["solve"]).is_file()
+
+
 def test_cf_loads_no_numpy():
     assert _loaded_after([case for case in CASES if case.startswith("cf-")]) == ["mpmath"]
 

@@ -23,9 +23,11 @@ from torus_hypo.gevrey import estimate_decay
 from torus_hypo.solver import (
     MIN_INTERNAL_MODES,
     FourierField,
+    _band_lu_solve,
     _block_starts,
     _mode_ceiling,
     _stacked_band_solve,
+    _stacked_band_system,
     apply_tube_operator,
     decay_report,
     residual,
@@ -375,6 +377,58 @@ def test_stacked_band_solve_equals_single_solves_bit_for_bit(b):
         alone = _stacked_band_solve(xis[k : k + 1], halves[k : k + 1], 1 / 3, b_exp, rhs_hat[k : k + 1])
         block = stacked[starts[k] : starts[k] + 2 * halves[k] + 1]
         assert np.array_equal(_bits(block), _bits(alone)), xis[k]
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        "-1",
+        {"const": "1", "cos": ["1/2"]},
+        TOUCHING,
+        {"const": "-2", "cos": ["1/2", "0"], "sin": ["0", "1/4", "1/8"]},
+    ],
+    ids=["d0", "d1", "d2", "d3"],
+)
+def test_stacked_band_solve_matches_scipy_solve_banded_bit_for_bit(b):
+    """The LAPACK call through scipy's binding gives the bits of
+    ``scipy.linalg.solve_banded`` on the same band (``zgtsv`` for d = 1,
+    ``zgbsv`` for every other d, d = 0 included)."""
+    from scipy.linalg import solve_banded
+
+    spec = spec_from(1, [{"a": "1/3", "b": b}])
+    b_exp = spec.tubes[0].b.exp_coeffs()
+    d = (b_exp.size - 1) // 2
+    assert d == spec.tubes[0].b.degree
+    xis = np.array([-700, -5, -1, 1, 2, 37, 1000])
+    halves = np.array([40, 37, 100, 37, 64, 35, 513])
+    rhs_hat = np.concatenate([_rhs_hat(_random_field(xis, seed=s), xis) for s in (3, 4, 5)], axis=2)
+    ab, rhs = _stacked_band_system(xis, halves, 1 / 3, b_exp, rhs_hat)
+    want = solve_banded((d, d), ab, rhs, overwrite_ab=True, overwrite_b=True)
+    got = _stacked_band_solve(xis, halves, 1 / 3, b_exp, rhs_hat)
+    assert got.shape == want.shape == (int((2 * halves + 1).sum()), 3)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_band_solve_refuses_singular_and_non_finite_bands(d):
+    """b ≡ 0 and a0 = 0 leave the mode-0 row of every block zero: LAPACK
+    reports it (``zgbsv`` for d = 0, ``zgtsv`` for d = 1).  A NaN in the
+    right-hand side or an infinite band entry is refused before LAPACK runs."""
+    xis, halves = np.array([1, 2]), np.array([10, 10])
+    rhs_hat = _rhs_hat(_random_field(xis, grid=16), xis)
+    zero_b = np.zeros(2 * d + 1, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _stacked_band_solve(xis, halves, 0.0, zero_b, rhs_hat)
+
+    b_exp = np.ones(2 * d + 1, dtype=complex)
+    bad = rhs_hat.copy()
+    bad[1, 3, 0] = complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _stacked_band_solve(xis, halves, 0.0, b_exp, bad)
+    ab, rhs = _stacked_band_system(xis, halves, 0.0, b_exp, rhs_hat)
+    ab[d, 5] = math.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _band_lu_solve(ab, rhs)
 
 
 def test_adaptive_modes_match_the_ceiling_where_b_touches_zero():
