@@ -22,6 +22,7 @@ doubling from N + 4 deg b + 2 until the solution's outer modes fall to
 eps * max|u|, up to the ceiling K = max(1024, 4|ξ|) (the report's runtime
 gives ``internal_modes_max`` and ``internal_modes_capped``), and the
 division route evaluates the averaged constants to 60 significant digits.
+On either route one field per tube must satisfy L_j f_k = L_k f_j (exit 31).
 
 Each command loads its inputs, calls the library and renders the result.
 ``classify``/``diagnose``, ``solve`` and ``singular`` each call one pipeline:

@@ -26,15 +26,17 @@ Two solution regimes are implemented:
   represents, without quadrature error and without the ``e^{ξ·osc(∫b)}``
   roundoff amplification a gauge transform would incur.
 
-* :func:`solve_by_division` — all tubes in J carry ``b_j ≡ 0`` and constant
-  ``a_j``; division by the linear form ``ξ a_{j0} + η_j`` (largest component
-  first) inverts the system mode by mode.  The averaged constants are used
-  through high-precision rational approximations so that near-resonant
-  divisors are evaluated exactly rather than in float64: ``DIVISION_DIGITS``
-  significant figures.
+* :func:`solve_by_division` — every tube carries ``b_j ≡ 0`` and constant
+  ``a_j``; division by the linear form ``ξ a_{M0} + η_M`` of the tube M with
+  the largest divisor inverts the system mode by mode, a chunk of ξ at a time.
+  The averaged constants are used through high-precision rational
+  approximations so that near-resonant divisors are evaluated exactly rather
+  than in float64: ``DIVISION_DIGITS`` significant figures.
 
 :func:`solve_system` is the whole-system pipeline behind ``torus-hypo solve``:
-the averaging gauge, the choice between the two routes above, and the checks.
+the averaging gauge, the compatibility check of one field per tube
+(:func:`_check_compatible`), the choice between the two routes above, and the
+residual rows.
 
 :class:`FourierField` is the shared container: a sorted int64 vector of the
 stored ξ and one complex array stacking their grid values over the
@@ -121,8 +123,7 @@ ZERO_DIVISOR_FLOOR = 1e-300
 #: nonzero t_j-mean (:class:`SolvabilityError`).
 MEAN_TOL = 1e-10
 
-#: Relative tolerance of the division solver's compatibility and zero-mode
-#: solvability checks.
+#: Relative tolerance of the compatibility check L_j f_k = L_k f_j.
 COMPAT_TOL = 1e-8
 
 _BINARY_MAGIC = b"TFF1"
@@ -711,189 +712,97 @@ def solve_single_tube(tube_index: int, spec: SystemSpec, f: FourierField) -> Fou
 # ---------------------------------------------------------------------------
 
 
-def _division_constants(spec: SystemSpec):
-    """J must be {1..ℓ}; return the exact Fraction approximants of a_{J0}."""
-    analysis = analyze(spec)
-    ell = analysis.ell
-    if ell == 0:
-        raise MalformedInput("no tubes with vanishing imaginary part; nothing to divide by")
-    if analysis.J != list(range(1, ell + 1)):
-        raise MalformedInput(
-            f"division solver expects the real tubes first (J = {{1..{ell}}}), "
-            f"got J = {analysis.J}; reorder the system"
-        )
-    fracs = [analysis.a0[j - 1].approx_fraction(DIVISION_DIGITS) for j in analysis.J]
-    return analysis, fracs
+def _signed_divisors(xi: np.ndarray, frac: Fraction, eta: np.ndarray) -> np.ndarray:
+    """ξ a_0 + η over (ξ, η) as a ``(len(xi), len(eta))`` array, with ``frac``
+    the exact approximant of a_0.
 
-
-def _divisor_grid(
-    xi: int, fracs: Sequence[Fraction], eta_freqs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """|ξ a_j0 + η_j| on the η grid per j; exact re-evaluation near zero.
-
-    Returns (abs_matrix, signed_matrix) with axes (j, η).  Entries smaller
-    than 1e-6 in float64 are recomputed in exact rational arithmetic, where
-    the high-precision approximants keep ~``DIVISION_DIGITS`` significant
-    figures.
+    Entries smaller than 1e-6 in float64 are recomputed in exact rational
+    arithmetic, where ``frac`` keeps ``DIVISION_DIGITS`` significant figures.
     """
-    cols = eta_freqs.astype(float)
-    signed = np.empty((len(fracs), cols.size))
-    for i, frac in enumerate(fracs):
-        signed[i] = xi * float(frac) + cols
-        for idx in np.flatnonzero(np.abs(signed[i]) < 1e-6):
-            signed[i, idx] = float(xi * frac + int(eta_freqs[idx]))
-    return np.abs(signed), signed
+    signed = xi[:, None] * float(frac) + eta.astype(float)
+    for k, i in zip(*np.nonzero(np.abs(signed) < 1e-6)):
+        signed[k, i] = float(int(xi[k]) * frac + int(eta[i]))
+    return signed
 
 
 def solve_by_division(
     spec: SystemSpec,
     f_list: Sequence[FourierField],
 ) -> FourierField:
-    """Invert the all-real tubes by mode-wise division.
+    """Solve L_j u = f_j (j = 1..n) for a system whose every tube is real.
 
-    For every joint frequency (η, ξ) ≠ 0 over the real tubes the solution is
-    ``û = −i f̂_M / (ξ a_{M0} + η_M)`` with M the tube maximizing the divisor
-    magnitude.  ``f_list`` supplies one field per tube (length n); fields for
-    tubes outside J participate only in the (η, ξ) = (0, 0) recovery and the
-    compatibility no-op.  The averaged constants are evaluated to
-    ``DIVISION_DIGITS`` significant figures so near-resonant divisors are
-    computed exactly.
+    Every b_j must be identically zero (:class:`MalformedInput` names the
+    first tube that is not), and ``f_list`` supplies one field per tube.  For
+    every joint frequency (η, ξ) ≠ 0 the solution is
+    ``û = −i f̂_M / (ξ a_{M0} + η_M)`` with M the first tube of largest divisor
+    magnitude.  The averaged constants are evaluated to ``DIVISION_DIGITS``
+    significant figures so near-resonant divisors are computed exactly; a
+    divisor below ``ZERO_DIVISOR_FLOOR`` raises :class:`ZeroDivisorError`
+    naming the first such ξ and, within it, the first η of least divisor.
 
-    The (0, 0) mode is not determined by the divided equations: when ℓ < n it
-    is reconstructed by spectral integration of the remaining tubes' ξ = 0
-    means, and in all cases its own mean is fixed to zero and flagged in
-    ``meta["zero_mode_normalized"]``.
+    The ξ are divided ``_XI_CHUNK`` rows at a time, one FFT per tube and
+    chunk over the t-axes; a ξ's result does not depend on the rest of its
+    chunk.  The (0, 0) mode is not determined by the divided equations: it is
+    set to zero and flagged in ``meta["zero_mode_normalized"]``.  The
+    relations L_j f_k = L_k f_j are not checked here; :func:`solve_system`
+    checks them before it solves.
     """
-    analysis, fracs = _division_constants(spec)
-    ell = analysis.ell
     n = spec.n
+    analysis = analyze(spec)
+    for j, profile in enumerate(analysis.profiles, start=1):
+        if profile != IDENTICALLY_ZERO:
+            raise MalformedInput(
+                f"tube {j} is not identically real (profile {profile}); "
+                "the division solver needs b_j = 0 on every tube"
+            )
     if len(f_list) != n:
         raise MalformedInput(f"need one field per tube ({n}), got {len(f_list)}")
     base = f_list[0]
     for g in f_list[1:]:
         base.require_same_frequencies(g)
-    N = base.grid_size
     if base.n != n:
         raise GridMismatch(f"fields have n={base.n} but system has n={n}")
 
-    eta_freqs = np.fft.fftfreq(N, 1.0 / N).astype(int)
-    j_axes = tuple(range(ell))
-    grids = np.meshgrid(*([np.arange(N)] * ell), indexing="ij")
+    N = base.grid_size
+    eta = np.fft.fftfreq(N, 1.0 / N).astype(int)
+    fracs = [a.approx_fraction(DIVISION_DIGITS) for a in analysis.a0]
+    divisors = [_signed_divisors(base.xi, frac, eta) for frac in fracs]
+    axes = tuple(range(1, n + 1))
     u = np.empty_like(base.data)
     min_divisor = math.inf
-
-    for row, xi in enumerate(base.xi.tolist()):
-        # f̂_j resolved over the J-axes: shape (N,)*ell + spectator grid.
-        fhat = [
-            np.fft.fftn(f_list[j].data[row], axes=j_axes) / N**ell
-            for j in range(ell)
-        ]
-        abs_D, signed_D = _divisor_grid(xi, fracs, eta_freqs)
-
-        # Compatibility: i(η_j + ξa_j0) f̂_k = i(η_k + ξa_k0) f̂_j, with the
-        # signed divisor D_j broadcast along its own η-axis.
-        for j, k in itertools.combinations(range(ell), 2):
-            lhs = _along(signed_D[j], j, n) * fhat[k]
-            rhs = _along(signed_D[k], k, n) * fhat[j]
-            scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-            gap = float(np.abs(lhs - rhs).max())
-            if gap > COMPAT_TOL * (1.0 + scale):
-                raise CompatibilityError(
-                    f"tubes {j + 1} and {k + 1} are inconsistent at xi={xi}: "
-                    f"cross-derivative gap {gap:.3e} exceeds tolerance"
-                )
-
-        # Choose M per η multi-index: the largest |ξ a_j0 + η_j|.
-        abs_stack = np.stack([abs_D[j][grids[j]] for j in range(ell)])
-        M_sel = np.argmax(abs_stack, axis=0)
-        best = np.max(abs_stack, axis=0)
-
-        zero_mode = xi == 0
-        best_checked = best.copy() if zero_mode else best
-        if zero_mode:
-            best_checked[(0,) * ell] = math.inf  # excluded from resonance check
-        worst = float(best_checked.min())
-        if worst < ZERO_DIVISOR_FLOOR:
-            flat = int(np.argmin(best_checked))
-            eta_bad = tuple(int(eta_freqs[i]) for i in np.unravel_index(flat, best.shape))
-            raise ZeroDivisorError(
-                f"divisor below {ZERO_DIVISOR_FLOOR:g} at (eta, xi) = ({eta_bad}, {xi}); "
-                "rational resonance"
-            )
-        min_divisor = min(min_divisor, worst)
-
-        # Assemble û_hat = -i f̂_M / D_M elementwise over the η grid.
-        pad = (Ellipsis,) + (None,) * (n - ell)
-        u_hat = np.zeros_like(fhat[0])
-        for j in range(ell):
-            mask = M_sel == j
-            Dj = signed_D[j][grids[j]]
+    for lo in range(0, base.xi.size, _XI_CHUNK):
+        rows = slice(lo, lo + _XI_CHUNK)
+        shape = u[rows].shape
+        # Per (ξ, η): the quotient of the first tube of largest |divisor|.
+        u_hat = np.empty(shape, dtype=complex)
+        best = np.full(shape, -1.0)
+        for j in range(n):
+            d_j = divisors[j][rows].reshape((-1,) + tuple(N if i == j else 1 for i in range(n)))
+            f_hat = np.fft.fftn(f_list[j].data[rows], axes=axes) / N**n
             with np.errstate(divide="ignore", invalid="ignore"):
-                contrib = -1j * fhat[j] / Dj[pad]
-            u_hat = np.where(mask[pad], contrib, u_hat)
+                quotient = -1j * f_hat / d_j
+            size = np.abs(d_j)
+            np.copyto(u_hat, quotient, where=size > best)
+            np.maximum(best, size, out=best)
 
-        if zero_mode:
-            u_hat[(0,) * ell] = _recover_zero_mode(spec, f_list, analysis, row)
-        u[row] = np.fft.ifftn(u_hat * N**ell, axes=j_axes)
+        zero = (np.flatnonzero(base.xi[rows] == 0)[:1],) + (0,) * n  # at most one row
+        best[zero] = math.inf  # excluded from the resonance check
+        worst = best.reshape(shape[0], -1).min(axis=1)
+        bad = np.flatnonzero(worst < ZERO_DIVISOR_FLOOR)
+        if bad.size:
+            k = int(bad[0])
+            eta_bad = tuple(int(eta[i]) for i in np.unravel_index(np.argmin(best[k]), shape[1:]))
+            raise ZeroDivisorError(
+                f"divisor below {ZERO_DIVISOR_FLOOR:g} at (eta, xi) = "
+                f"({eta_bad}, {int(base.xi[lo + k])}); rational resonance"
+            )
+        min_divisor = min(min_divisor, float(worst.min()))
+        u_hat[zero] = 0.0
+        u[rows] = np.fft.ifftn(u_hat * N**n, axes=axes)
 
     meta = {"method": "division", "digits": DIVISION_DIGITS}
     meta.update(zero_mode_normalized=True, min_divisor=min_divisor)
     return FourierField(n, N, base.xi, u, meta)
-
-
-def _recover_zero_mode(
-    spec: SystemSpec,
-    f_list: Sequence[FourierField],
-    analysis,
-    row: int,
-):
-    """û(t'', 0, 0): gradient integration over the spectator axes, mean 0;
-    ``row`` is the ξ = 0 row of the fields.
-
-    When ℓ = n there are no spectator variables and the mode is a single
-    number fixed to 0.  Otherwise the remaining tubes give
-    ∂_{t_m} û(t'', 0, 0) = f̂_m(t'', 0, 0) (the real tubes contribute nothing
-    at η = 0, ξ = 0), solved spectrally with the integration constant set to
-    zero mean.
-    """
-    ell = analysis.ell
-    n = spec.n
-    if ell == n:
-        return 0.0
-    N = f_list[0].grid_size
-    spect_shape = (N,) * (n - ell)
-    j_axes = tuple(range(ell))
-    slabs = [np.fft.fftn(f.data[row], axes=j_axes)[(0,) * ell] / N**ell for f in f_list[ell:]]
-    g_hats = [np.fft.fftn(slab) / N ** (n - ell) for slab in slabs]
-
-    freqs = np.fft.fftfreq(N, 1.0 / N).astype(int)
-    kappa = np.meshgrid(*([freqs] * (n - ell)), indexing="ij")
-    w_hat = np.zeros(spect_shape, dtype=complex)
-    assigned = np.zeros(spect_shape, dtype=bool)
-    scale = max((float(np.abs(g).max()) for g in g_hats), default=0.0)
-    for r in range(n - ell):
-        usable = (kappa[r] != 0) & ~assigned
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = g_hats[r] / (1j * kappa[r])
-        w_hat = np.where(usable, cand, w_hat)
-        assigned |= usable
-    # κ = 0 stays 0 (mean normalized); but its data must be solvable: the
-    # remaining tubes' means must vanish.
-    for r, g in enumerate(g_hats):
-        mean_mag = float(np.abs(g[(0,) * (n - ell)]))
-        if mean_mag > COMPAT_TOL * (1.0 + scale):
-            raise SolvabilityError(
-                f"tube {ell + r + 1} has nonzero mean at (eta, xi) = (0, 0) "
-                f"({mean_mag:.3e}); the zero mode is unsolvable"
-            )
-        # consistency of the gradient system across tubes
-        gap = float(np.abs(1j * kappa[r] * w_hat - g).max())
-        if gap > 1e4 * COMPAT_TOL * (1.0 + scale):
-            raise CompatibilityError(
-                f"zero-mode gradient data of tube {ell + r + 1} is inconsistent "
-                f"(gap {gap:.3e})"
-            )
-    return np.fft.ifftn(w_hat * N ** (n - ell))
 
 
 # ---------------------------------------------------------------------------
@@ -991,13 +900,13 @@ def solve_system(
 ) -> tuple[FourierField, dict]:
     """Solve L_j u = f_j for the system ``spec``, one x-frequency at a time.
 
-    Each a_j is gauged to its average first.  When every tube is identically
-    real (ℓ = n) the normalized system is solved by division from one field
-    per tube; otherwise along the first tube whose b_j is one-signed and not
+    One field per tube must first satisfy L_j f_k = L_k f_j
+    (:func:`_check_compatible`, :class:`CompatibilityError` otherwise).  Each
+    a_j is gauged to its average.  When every tube is identically real
+    (ℓ = n) the normalized system is solved by division from one field per
+    tube; otherwise along the first tube whose b_j is one-signed and not
     identically zero, from one field or one per tube (:class:`ProfileError`
-    when no tube qualifies); one field per tube there must satisfy
-    L_j f_k = L_k f_j (:func:`_check_compatible`).  Returns u in the original
-    frame and a summary:
+    when no tube qualifies).  Returns u in the original frame and a summary:
     ``normalized`` (and the gauge ``primitives``), ``route``, the ``tube``
     solved along, ``residual`` rows of ‖L_j u − f_j‖_∞ (one per tube when one
     field per tube is given, else the solved tube's), the division ``meta``,
@@ -1005,6 +914,9 @@ def solve_system(
     the ``runtime`` counters ``internal_modes_max`` and
     ``internal_modes_capped`` of :func:`solve_single_tube`.
     """
+    n = spec.n
+    if len(f_list) == n:
+        _check_compatible(spec, f_list)
     # normalform imports this module, so its names are bound at call time
     from .normalform import apply_gauge, build_normal_form
 
@@ -1018,7 +930,6 @@ def solve_system(
         return apply_gauge(field, nf.A, direction) if normalized else field
 
     analysis = analyze(nf.normalized)
-    n = spec.n
     if analysis.ell == n:
         if len(f_list) != n:
             raise MalformedInput(
@@ -1041,8 +952,6 @@ def solve_system(
             raise MalformedInput(
                 f"the single-tube route needs 1 or {n} right-hand sides, got {len(f_list)}"
             )
-        if len(f_list) == n:
-            _check_compatible(spec, f_list)
         f = f_list[tube - 1 if len(f_list) == n else 0]
         u_n = solve_single_tube(tube, nf.normalized, gauged(f, "forward"))
         counters = ("internal_modes_max", "internal_modes_capped")

@@ -21,6 +21,7 @@ from torus_hypo.errors import (
 )
 from torus_hypo.gevrey import estimate_decay
 from torus_hypo.solver import (
+    _XI_CHUNK,
     MIN_INTERNAL_MODES,
     FourierField,
     _band_lu_solve,
@@ -536,21 +537,84 @@ def test_division_zero_input_zero_output():
 
 
 def test_division_rational_resonance():
+    """Two exact resonances of a = 1/2: the error names the lower ξ."""
     spec = spec_from(1, [{"a": "1/2", "b": "0"}])
-    f = FourierField.from_modes(1, 64, {(-1, 2): 1.0})
-    with pytest.raises(ZeroDivisorError):
+    f = FourierField.from_modes(1, 64, {(-1, 2): 1.0, (-2, 4): 1.0})
+    with pytest.raises(ZeroDivisorError, match=r"\(\(-1,\), 2\)"):
         solve_by_division(spec, [f])
 
 
+def test_division_refuses_a_tube_that_is_not_real():
+    spec = spec_from(2, [
+        {"a": {"cf": "constant:2"}, "b": "0"},
+        {"a": "1/3", "b": {"const": "1", "cos": ["1"]}},
+    ])
+    f = FourierField.from_modes(2, 16, {((1, 0), 2): 1.0})
+    with pytest.raises(MalformedInput, match="tube 2 is not identically real"):
+        solve_by_division(spec, [f, f])
+
+
+def test_division_chunks_equal_single_solves_bit_for_bit():
+    """Every row of a solve over several chunks has the bits of its ξ solved
+    alone."""
+    spec = spec_from(2, [
+        {"a": {"cf": "constant:2"}, "b": "0"},
+        {"a": {"cf": "constant:6"}, "b": "0"},
+    ])
+    xis = np.arange(2 * _XI_CHUNK + 5) - _XI_CHUNK - 3  # ξ = 0 inside the second chunk
+    rng = np.random.default_rng(3)
+    shape = (xis.size, 8, 8)
+    f = [
+        FourierField(2, 8, xis, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        for _ in range(2)
+    ]
+    u = solve_by_division(spec, f)
+    for k, xi in enumerate(xis.tolist()):
+        alone = solve_by_division(spec, [FourierField(2, 8, [xi], g.data[k : k + 1]) for g in f])
+        assert np.array_equal(_bits(u.data[k]), _bits(alone.data[0])), xi
+
+
 def test_division_compatibility_guard():
+    """Equal fields for two real tubes break L_1 f_2 = L_2 f_1: solve_system
+    refuses them with the compatibility exit code."""
     spec = spec_from(2, [
         {"a": {"cf": "constant:2"}, "b": "0"},
         {"a": {"cf": "constant:6"}, "b": "0"},
     ])
     f1 = FourierField.from_modes(2, 32, {((1, 0), 2): 1.0})
     f2 = FourierField.from_modes(2, 32, {((1, 0), 2): 1.0})  # inconsistent pair
-    with pytest.raises(CompatibilityError):
-        solve_by_division(spec, [f1, f2])
+    with pytest.raises(CompatibilityError, match="tubes 1 and 2") as info:
+        solve_system(spec, [f1, f2])
+    assert info.value.exit_code == 31
+
+
+def test_division_three_real_tubes():
+    """n = 3, f_j = i(η_j + ξα_j)u for a u without a (0, 0) mode: the
+    division route recovers u; a perturbed f_3 is refused naming a pair."""
+    spec = spec_from(3, [{"a": {"cf": f"constant:{k}"}, "b": "0"} for k in (2, 3, 5)])
+    alphas = [float(tube.a.mpf(30)) for tube in spec.tubes]
+    modes = {
+        ((1, -2, 0), 3): 0.8 - 0.3j,
+        ((0, 0, 0), -1): 0.5,
+        ((-3, 1, 2), -1): 0.25j,
+        ((2, 0, -1), 0): 1.0,
+        ((0, 1, 1), 5): -0.4,
+    }
+    u_true = FourierField.from_modes(3, 16, modes)
+    f = [
+        FourierField.from_modes(
+            3, 16, {(eta, xi): 1j * (eta[j] + xi * alphas[j]) * c for (eta, xi), c in modes.items()}
+        )
+        for j in range(3)
+    ]
+    u, summary = solve_system(spec, f)
+    assert summary["route"] == "division"
+    assert (u - u_true).max_abs() <= 1e-12
+    assert max(row["max_abs"] for row in summary["residual"]) <= 1e-12
+    f[2] = FourierField(3, 16, f[2].xi, f[2].data * (1 + 1e-6))
+    with pytest.raises(CompatibilityError, match="tubes 1 and 3") as info:
+        solve_system(spec, f)
+    assert info.value.exit_code == 31
 
 
 def test_division_consistent_two_tube_system():
