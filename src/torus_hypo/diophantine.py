@@ -707,18 +707,21 @@ def verify_witness_rows(
     return out
 
 
+def _ln_fraction(x: Fraction):
+    """mp ln of a positive Fraction."""
+    return mp.log(mp.mpf(x.numerator)) - mp.log(mp.mpf(x.denominator))
+
+
 def _sup_ln_linear_form(comp: "RealConstant", r: int, s_k: int, target_ln):
     """ln of a certified upper bound for |r + s_k*alpha|, or None.
 
     Rational alpha: exact.  Digit-defined alpha: refine the convergent
-    bracket until the interval either certifies a value comfortably or the
-    bracket width passes below the target, whichever comes first.
+    bracket until its far end certifies the target, or until its near end
+    already exceeds it (no refinement can certify the row then).
     """
     if comp.kind == "rational":
         val = abs(Fraction(r) + s_k * comp.fraction)
-        if val == 0:
-            return mp.ninf
-        return mp.log(mp.mpf(val.numerator)) - mp.log(mp.mpf(val.denominator))
+        return mp.ninf if val == 0 else _ln_fraction(val)
     if comp.kind != "cf":
         return None
     cf = comp.cf
@@ -734,13 +737,12 @@ def _sup_ln_linear_form(comp: "RealConstant", r: int, s_k: int, target_ln):
         sup = max(abs(a), abs(b))
         if sup == 0:
             return mp.ninf
-        sup_ln = mp.log(mp.mpf(sup.numerator)) - mp.log(mp.mpf(sup.denominator))
+        sup_ln = _ln_fraction(sup)
         if sup_ln <= target_ln:
             return sup_ln
-        # interval already much narrower than its distance from the target:
-        # further refinement cannot change the outcome
-        width = hi - lo
-        if a * b > 0 and width * s_k < min(abs(a), abs(b)):
+        # the bracket excludes 0 and its near end already misses the target:
+        # |r + s_k*alpha| lies above it, whatever the refinement
+        if a * b > 0 and _ln_fraction(min(abs(a), abs(b))) > target_ln:
             return sup_ln
         n += 1
         if n > 64:

@@ -19,6 +19,13 @@ class MalformedInput(TorusHypoError):
     """Input file or inline specification could not be parsed."""
     exit_code = 2
 
+    @classmethod
+    def refuse_unknown_keys(cls, obj: dict, known) -> None:
+        """Raise naming the first key of ``obj`` that is not in ``known``."""
+        for key in obj:
+            if key not in known:
+                raise cls(f"unknown key {key!r}")
+
 
 # --- continued fractions / Diophantine -----------------------------------
 

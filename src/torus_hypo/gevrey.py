@@ -231,12 +231,13 @@ class TrigPoly:
     def from_json(cls, obj) -> "TrigPoly":
         if obj is None:
             return cls()
-        if isinstance(obj, dict) and obj.get("zero"):
-            return cls()
         if isinstance(obj, (int, float, str)):
             return cls(const=obj)
         if not isinstance(obj, dict):
             raise MalformedInput(f"cannot parse TrigPoly from {obj!r}")
+        MalformedInput.refuse_unknown_keys(obj, ("const", "cos", "sin", "zero"))
+        if obj.get("zero"):
+            return cls()
         return cls(obj.get("const", 0), tuple(obj.get("cos", ())), tuple(obj.get("sin", ())))
 
 

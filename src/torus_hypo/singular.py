@@ -16,7 +16,9 @@ certificate of the defining lower bounds.  Two single-tube mechanisms exist:
 
 Products over tubes (:func:`build_product`) and the two lifts to systems with
 identically-real tubes (:func:`build_rational_J`, :func:`build_expliouville_J`)
-assemble the single-tube families into full obstructions.
+assemble the single-tube families into full obstructions.  Every rung is one
+product of per-axis factors (``_embed_factors``); both lifts share one core
+(``_lift``) that checks v and multiplies in the real tubes' integer phases.
 
 :func:`build_obstruction` is the pipeline entry point: it refuses systems
 that are not certified irregular, chooses the ladder and the materialized
@@ -248,7 +250,7 @@ def build_prop51(
     return SingularSolution(
         construction="Prop51",
         coefficients=out,
-        ladder=[q * k for k in ks],
+        ladder=xis,
         certificates=cert,
     )
 
@@ -258,9 +260,16 @@ def build_prop51(
 # ---------------------------------------------------------------------------
 
 
+def _kernel_exponent(b0: float, Bper: TrigPoly, t, r):
+    """The kernel exponent Im H(t, r) = ∫_{t−r}^{t} b = b0·r + B(t) − B(t − r),
+    with b0 the mean of b and ``Bper`` = B the periodic primitive of b − b0
+    (arrays broadcast)."""
+    return b0 * r + np.asarray(Bper(t), dtype=float) - np.asarray(Bper(t - r), dtype=float)
+
+
 def locate_laplace_profile(b: TrigPoly) -> LaplaceProfile:
-    """Peak of the kernel exponent G(t, r) = ∫_{t−r}^{t} b for a certified
-    sign-changing ``b``.
+    """Peak of the kernel exponent G(t, r) = ∫_{t−r}^{t} b
+    (:func:`_kernel_exponent`) for a certified sign-changing ``b``.
 
     Grid search on a 1024² lattice over [0, 2π]² (deterministic
     lexicographic tie-break) followed by Newton refinement of the
@@ -273,10 +282,7 @@ def locate_laplace_profile(b: TrigPoly) -> LaplaceProfile:
     n = 1024
     t = TWO_PI * np.arange(n) / n
     r = TWO_PI * np.arange(n) / n
-    Bt = np.asarray(Bper(t), dtype=float)
-    G = b0 * r[None, :] + Bt[:, None] - np.asarray(
-        Bper(t[:, None] - r[None, :]), dtype=float
-    )
+    G = _kernel_exponent(b0, Bper, t[:, None], r[None, :])
     flat = int(np.argmax(G))  # first maximizer in lexicographic (t, r) order
     i, j = divmod(flat, n)
     t_cur, r_cur = float(t[i]), float(r[j])
@@ -312,7 +318,7 @@ def locate_laplace_profile(b: TrigPoly) -> LaplaceProfile:
         )
     t_cur %= TWO_PI
     r_cur %= TWO_PI
-    B0 = b0 * r_cur + float(Bper(t_cur)) - float(Bper(t_cur - r_cur))
+    B0 = float(_kernel_exponent(b0, Bper, t_cur, r_cur))
     if not 1e-9 < r_cur < TWO_PI - 1e-9 or B0 <= 1e-12:
         raise ProfileError(
             f"no interior positive maximum found (B0={B0:.3e}, r0={r_cur:.3e})"
@@ -365,10 +371,10 @@ def _build_prop52_forward(
     field_xi_cap: int,
     grid_size: int,
 ) -> tuple:
-    """Core construction for the b0 ≤ 0 branch; returns (field, rhs, cert)."""
+    """Core construction for the b0 ≤ 0 branch; returns (field, rhs, cert,
+    profile)."""
     profile = locate_laplace_profile(b)
     b0 = float(b.mean())
-    Bper = b.primitive_from_zero()
 
     # Cutoff centered at the peak foot t0 - r0.  If the foot sits too close
     # to the seam 0 ~ 2π the whole picture is translated (grid-aligned) so
@@ -391,14 +397,6 @@ def _build_prop52_forward(
     Bper_sh = b_sh.primitive_from_zero()
     B_off = float(Bper_sh(t0_sh))  # additive constant; differences matter only
 
-    def im_H_sh(t_arr, r_arr):
-        # Im H(t', r) = b0 r + Bper'(t') - Bper'(t' - r)
-        return (
-            b0 * r_arr
-            + np.asarray(Bper_sh(t_arr), dtype=float)
-            - np.asarray(Bper_sh(t_arr - r_arr), dtype=float)
-        )
-
     c0 = complex(a0_value, b0)
 
     def u_rows(t_points: np.ndarray, xis):
@@ -418,7 +416,7 @@ def _build_prop52_forward(
                 r = TWO_PI * np.arange(n_r) / n_r
                 wrapped = t_points[:, None] < r[None, :]  # t' − r < 0
                 bump = cutoff(np.mod(t_points[:, None] - r[None, :], TWO_PI))
-                expo = im_H_sh(t_points[:, None], r[None, :]) - profile.B0
+                expo = _kernel_exponent(b0, Bper_sh, t_points[:, None], r[None, :]) - profile.B0
             holonomy = np.where(wrapped, np.exp(-2j * math.pi * xi * a0_value), 1.0)
             integral = np.exp(np.minimum(expo * xi, 0.0)) * bump * holonomy
             vals = integral.sum(axis=1) * (TWO_PI / n_r)
@@ -426,13 +424,12 @@ def _build_prop52_forward(
 
     # Certificate tables over the full frequency range (peak value is the
     # integral at t' = t0'; the phase there is 1).
-    u_table = {}
-    f_table = {}
+    u_table, f_table = [], []
     for xi, u_peak in u_rows(np.array([t0_sh]), range(1, xi_max + 1)):
-        u_table[xi] = float(np.abs(u_peak)[0])
         pref = abs(1.0 - np.exp(-2j * math.pi * xi * c0))
         ln_f = -profile.B0 * xi
-        f_table[xi] = float(pref * math.exp(max(ln_f, -745.0)) if ln_f > -745.0 else 0.0)
+        u_table.append([xi, float(np.abs(u_peak)[0])])
+        f_table.append([xi, float(pref * math.exp(ln_f) if ln_f > -745.0 else 0.0)])
 
     # Dense coefficient blocks (and the matching right-hand side) on the
     # low rungs, in the original frame: u(t) = u'(t + sigma).
@@ -457,17 +454,17 @@ def _build_prop52_forward(
     rhs_out = FourierField(1, grid_size, dense, f_dense)
 
     cert = {
-        "lower_bound_table": [[xi, u_table[xi]] for xi in sorted(u_table)],
+        "lower_bound_table": u_table,
         "profile": profile.to_json(),
         "t0": profile.t0,
         "translation": sigma,
         "delta": delta,
         "cutoff_witness": cutoff.witness.to_json(),
-        "f_table": [[xi, f_table[xi]] for xi in sorted(f_table)],
+        "f_table": f_table,
         "m": 1,
         "B_offset": B_off,
     }
-    return field_out, rhs_out, cert, u_table, f_table, profile
+    return field_out, rhs_out, cert, profile
 
 
 def build_prop52(
@@ -510,14 +507,14 @@ def build_prop52(
     mirror = b0 > 0
 
     if not mirror:
-        field_out, rhs_out, cert, u_table, f_table, profile = _build_prop52_forward(
+        field_out, rhs_out, cert, profile = _build_prop52_forward(
             a0_value, b, s, xi_max, field_xi_cap, grid_size
         )
     else:
         # b0 > 0: build for c(t) = -b(-t) (same a0) and map back by
         # u(t) = conj(v(-t)), f(t) = -conj(g(-t)); magnitudes are unchanged.
         reflected = b.reflect().scale(-1)
-        field_c, rhs_c, cert, u_table, f_table, profile_c = _build_prop52_forward(
+        field_c, rhs_c, cert, profile_c = _build_prop52_forward(
             a0_value, reflected, s, xi_max, field_xi_cap, grid_size
         )
         idx = (-np.arange(grid_size)) % grid_size
@@ -534,6 +531,8 @@ def build_prop52(
         cert["t0"] = profile.t0
         cert["mirror_mapped"] = True
 
+    u_table = dict(cert["lower_bound_table"])
+    f_table = dict(cert["f_table"])
     lo, hi = max(8, xi_max // 8), xi_max
     peak_fit = _power_fit(u_table, lo, hi)
     u_decay = estimate_decay(u_table, s, xi_min=lo, xi_max=hi)
@@ -548,19 +547,35 @@ def build_prop52(
     }
     cert["a0"] = a0.to_json()
 
-    sol = SingularSolution(
+    return SingularSolution(
         construction="Prop52",
         coefficients=field_out,
         ladder=list(range(1, xi_max + 1)),
         certificates=cert,
+        rhs={1: rhs_out},
     )
-    sol.rhs = {1: rhs_out}
-    return sol
 
 
 # ---------------------------------------------------------------------------
-# Products over tubes
+# Products over tubes and lifts across the identically-real tubes
 # ---------------------------------------------------------------------------
+
+
+def _embed_factors(n: int, grid: int, count: int, axis_rows: dict, blocks=None, block_axes=()):
+    """Stack over ``count`` rungs of the product of per-axis factors (axis ->
+    one row per rung), times an optional stack of joint blocks on
+    ``block_axes``.  Products and lifts both assemble their rungs here."""
+    shape = (count,) + (grid,) * n
+    if blocks is None:
+        out = np.ones(shape, dtype=complex)
+    else:
+        spread = [count] + [grid if ax in block_axes else 1 for ax in range(n)]
+        out = np.broadcast_to(blocks.reshape(spread), shape).astype(complex)
+    for ax, rows in axis_rows.items():
+        row_shape = [count] + [1] * n
+        row_shape[ax + 1] = grid
+        np.multiply(out, rows.reshape(row_shape), out=out)
+    return out
 
 
 def build_product(
@@ -575,12 +590,13 @@ def build_product(
     t-variable per tube solution.
 
     The certified lower bound per rung is the product of the stored per-tube
-    bounds, exactly as stored, for the whole ladder qk (k = 1..k_max).  The
-    n-dimensional coefficient blocks are materialized only on the rungs in
-    ``dense_rungs``; the bound table is grid-free and covers the full ladder
-    either way.  Every per-tube solution must carry a coefficient block at
-    each dense rung; missing rungs raise :class:`LadderMismatch`.  ``m``
-    counts the Laplace-type factors (fitted decay ``(C/√ξ)^m``).
+    bounds, exactly as stored and in tube order, for the whole ladder qk
+    (k = 1..k_max).  The n-dimensional coefficient blocks are materialized
+    only on the rungs in ``dense_rungs``, one axis factor per tube; the bound
+    table is grid-free and covers the full ladder either way.  Every per-tube
+    solution must carry a coefficient block at each dense rung; missing rungs
+    raise :class:`LadderMismatch`.  ``m`` counts the Laplace-type factors
+    (fitted decay ``(C/√ξ)^m``).
 
     ``field_grid`` materializes the blocks on a grid dividing the per-tube
     grid: grid data are pointwise samples, so striding them is exact and
@@ -595,9 +611,7 @@ def build_product(
     grid = per_tube[0].coefficients.grid_size
     out_grid = int(field_grid)
     if out_grid < 1 or grid % out_grid:
-        raise GridMismatch(
-            f"field grid {out_grid} must divide the per-tube grid {grid}"
-        )
+        raise GridMismatch(f"field grid {out_grid} must divide the per-tube grid {grid}")
     stride = grid // out_grid
     for j, sol in enumerate(per_tube, start=1):
         if sol.coefficients.n != 1:
@@ -608,25 +622,15 @@ def build_product(
         if absent.size:
             raise LadderMismatch(f"tube solution {j} has no rung at xi={int(absent[0])}")
 
-    # per rung, the outer product of the tubes' blocks
-    blocks = per_tube[0].coefficients.take(dense)[:, ::stride]
-    for sol in per_tube[1:]:
-        factor = sol.coefficients.take(dense)[:, ::stride]
-        blocks = blocks[..., None] * np.expand_dims(factor, tuple(range(1, blocks.ndim)))
-    out = FourierField(n, out_grid, dense, blocks)
-
-    m = sum(1 for sol in per_tube if sol.construction == "Prop52")
-    table = []
-    for xi in rungs:
-        prod = 1.0
-        for sol in per_tube:
-            prod *= sol.lower_bound(xi)
-        table.append([xi, prod])
+    rows = {ax: sol.coefficients.take(dense)[:, ::stride] for ax, sol in enumerate(per_tube)}
+    out = FourierField(n, out_grid, dense, _embed_factors(n, out_grid, len(dense), rows))
 
     cert = {
-        "lower_bound_table": table,
+        "lower_bound_table": [
+            [xi, math.prod(sol.lower_bound(xi) for sol in per_tube)] for xi in rungs
+        ],
         "decay_fits": {"per_tube": [sol.certificates.get("decay_fits", {}) for sol in per_tube]},
-        "m": m,
+        "m": sum(1 for sol in per_tube if sol.construction == "Prop52"),
         "q": q,
         "t0": [sol.certificates.get("t0") for sol in per_tube],
         "per_tube_constructions": [sol.construction for sol in per_tube],
@@ -640,34 +644,51 @@ def build_product(
     )
 
 
-# ---------------------------------------------------------------------------
-# Lifts to systems with identically-real tubes
-# ---------------------------------------------------------------------------
-
-
-def _j_partition(spec: SystemSpec, analysis: SystemAnalysis):
-    J = list(analysis.J)
-    if not J:
+def _real_set(analysis: SystemAnalysis) -> list:
+    """J, the identically-real tubes; a lift needs at least one."""
+    if not analysis.J:
         raise MalformedInput("system has no identically-real tubes")
-    rest = [j for j in range(1, spec.n + 1) if j not in J]
-    return J, rest
+    return list(analysis.J)
 
 
-def _embed_factors(n: int, grid: int, count: int, axis_rows: dict, blocks, block_axes: list):
-    """Stack over ``count`` rungs of the product of per-axis factors (axis ->
-    one row per rung) with an optional stack of joint blocks on
-    ``block_axes``."""
-    shape = (count,) + (grid,) * n
-    if blocks is None:
-        out = np.ones(shape, dtype=complex)
+def _lift(spec: SystemSpec, v, rungs, phases: dict, grid: int) -> FourierField:
+    """The lifted blocks at ``rungs``: v's block on the tubes outside J times
+    the phase e^{i m t_j} on each real tube j, ``phases`` mapping j to one
+    integer m per rung.
+
+    v must be None exactly when every tube is real, and the blocks then live
+    on a ``grid`` grid; otherwise v must cover the other tubes' variables and
+    hold a block at every rung, and the blocks live on v's grid.  A failed
+    check raises :class:`LadderMismatch`.
+    """
+    rest = [j for j in range(1, spec.n + 1) if j not in phases]
+    blocks = None
+    if not rest:
+        if v is not None:
+            raise LadderMismatch("every tube is identically real; v must be None")
+    elif v is None:
+        raise LadderMismatch("v is required when some tubes are not identically real")
+    elif v.coefficients.n != len(rest):
+        raise LadderMismatch(
+            f"v covers {v.coefficients.n} variables but {len(rest)} tubes are not real"
+        )
     else:
-        spread = [count] + [grid if ax in block_axes else 1 for ax in range(n)]
-        out = np.broadcast_to(blocks.reshape(spread), shape).astype(complex)
-    for ax, rows in axis_rows.items():
-        row_shape = [count] + [1] * n
-        row_shape[ax + 1] = grid
-        np.multiply(out, rows.reshape(row_shape), out=out)
-    return out
+        absent = np.setdiff1d(rungs, v.coefficients.xi)
+        if absent.size:
+            raise LadderMismatch(f"v has no rung at xi={int(absent[0])}")
+        grid, blocks = v.coefficients.grid_size, v.coefficients.take(rungs)
+    axis_rows = {j - 1: _integer_phases(ms, grid) for j, ms in phases.items()}
+    stack = _embed_factors(spec.n, grid, len(rungs), axis_rows, blocks, [j - 1 for j in rest])
+    return FourierField(spec.n, grid, rungs, stack)
+
+
+def _inherited(v: SingularSolution | None, rungs) -> tuple:
+    """(lower-bound table over ``rungs``, m, t0) that a lift takes from v:
+    bound 1.0, m = 0 and t0 = None when there is no v."""
+    if v is None:
+        return [[xi, 1.0] for xi in rungs], 0, None
+    table = [[xi, v.lower_bound(xi)] for xi in rungs]
+    return table, v.certificates.get("m", 0), v.certificates.get("t0")
 
 
 def build_rational_J(
@@ -686,8 +707,10 @@ def build_rational_J(
     ``e^{−iqk a_{j0} t_j}`` (integral frequencies because q·a_{j0} ∈ ℤ —
     :class:`IntegralityError` otherwise), so ``L_j u = 0`` exactly for j in
     the real set; the other tubes keep v's certificates.  When every tube is
-    real (ℓ = n), ``v`` is None and the rungs are pure phase products with
-    certified bound 1.  ``analysis`` is the spec's :class:`SystemAnalysis`.
+    real (ℓ = n), ``v`` must be None and the rungs are pure phase products
+    with certified bound 1; :class:`LadderMismatch` refuses a v that does
+    not fit (see :func:`_lift`).  ``analysis`` is the spec's
+    :class:`SystemAnalysis`.
 
     The ladder is qk for k = 1..k_max.  Coefficient blocks are materialized
     where v has them (all-real case: on ``dense_rungs``, on a ``grid_size``
@@ -695,11 +718,10 @@ def build_rational_J(
     must stay below the grid Nyquist limit so the stored samples determine
     the mode — :class:`GridMismatch` otherwise.
     """
-    J, rest = _j_partition(spec, analysis)
+    J = _real_set(analysis)
     q = int(q)
     if q < 1:
         raise MalformedInput("q must be a positive integer")
-    n = spec.n
 
     fracs = {}
     for j in J:
@@ -714,19 +736,10 @@ def build_rational_J(
         fracs[j] = frac
 
     rungs = [q * k for k in range(1, k_max + 1)]
-    if rest:
-        if v is None:
-            raise MalformedInput("v is required when some tubes are not identically real")
-        if v.coefficients.n != len(rest):
-            raise LadderMismatch(
-                f"v covers {v.coefficients.n} variables but {len(rest)} tubes are not real"
-            )
-        grid = v.coefficients.grid_size
-        dense = np.intersect1d(rungs, v.coefficients.xi).tolist()
+    if v is None:
+        grid, dense = grid_size, np.intersect1d(rungs, dense_rungs).tolist()
     else:
-        grid = grid_size
-        dense = sorted({int(xi) for xi in dense_rungs} & set(rungs))
-
+        grid, dense = v.coefficients.grid_size, np.intersect1d(rungs, v.coefficients.xi).tolist()
     phases = {j: [] for j in J}
     for xi in dense:
         for j in J:
@@ -738,36 +751,18 @@ def build_rational_J(
                     f"lower the dense-rung cap"
                 )
             phases[j].append(-mjk)
-    axis_rows = {j - 1: _integer_phases(ms, grid) for j, ms in phases.items()}
-    blocks = v.coefficients.take(dense) if rest else None
-    stack = _embed_factors(n, grid, len(dense), axis_rows, blocks, [j - 1 for j in rest])
-    out = FourierField(n, grid, dense, stack)
+    out = _lift(spec, v, dense, phases, grid)
 
-    # Spectral residual of the real tubes (zero in exact arithmetic).
-    resid_table = []
-    for j in J:
-        lj = apply_tube_operator(spec, j, out)
-        resid_table.append([j, lj.max_abs()])
-
-    if rest:
-        table = [[xi, v.lower_bound(xi)] for xi in rungs]
-        decay = dict(v.certificates.get("decay_fits", {}))
-        m = v.certificates.get("m", 0)
-        t0 = v.certificates.get("t0")
-    else:
-        table = [[xi, 1.0] for xi in rungs]
-        decay = {}
-        m = 0
-        t0 = None
-
+    table, m, t0 = _inherited(v, rungs)
     cert = {
         "lower_bound_table": table,
-        "decay_fits": decay,
+        "decay_fits": dict(v.certificates.get("decay_fits", {})) if v is not None else {},
         "m": m,
         "q": q,
         "J": J,
         "a_J0": {str(j): str(fracs[j]) for j in J},
-        "residual_real_tubes": resid_table,
+        # spectral residual of the real tubes (zero in exact arithmetic)
+        "residual_real_tubes": [[j, apply_tube_operator(spec, j, out).max_abs()] for j in J],
         "t0": t0,
     }
     return SingularSolution(
@@ -812,18 +807,18 @@ def build_expliouville_J(
     real tubes' right-hand sides ``f̂_j = i(p_k^{(j)} + a_{j0} ξ_k) û`` then
     decay at the witness rate — the certificate verifies the row bounds in
     exact arithmetic and stores the per-row divisors.  When every tube is
-    real (ℓ = n), ``v`` is None and the rungs are pure phase products with
-    certified bound 1, on a ``grid_size`` grid.  ``analysis`` is the spec's
-    :class:`SystemAnalysis`.
+    real (ℓ = n), ``v`` must be None and the rungs are pure phase products
+    with certified bound 1, on a ``grid_size`` grid; :class:`LadderMismatch`
+    refuses a v that does not fit (see :func:`_lift`).  ``analysis`` is the
+    spec's :class:`SystemAnalysis`.
 
     Witness frequencies may exceed the grid Nyquist limit: the stored grid
     samples are pointwise-exact values of the phases, but spectral reads of
     such a block (FFT, grid derivatives) need a grid larger than twice the
     largest phase frequency.  The certificate rows are grid-free.
     """
-    J, rest = _j_partition(spec, analysis)
+    J = _real_set(analysis)
     q = int(q)
-    ell = len(J)
     order = spec.order
     if not order.is_gevrey:
         raise OrderError("the exponential-witness lift needs a Gevrey order s > 1")
@@ -831,9 +826,9 @@ def build_expliouville_J(
 
     if not witness.pairs:
         raise WitnessMismatch("empty witness")
-    if witness.length != ell:
+    if witness.length != len(J):
         raise WitnessMismatch(
-            f"witness covers {witness.length} components but {ell} tubes are real"
+            f"witness covers {witness.length} components but {len(J)} tubes are real"
         )
     if witness.bound_scale % q or any(s_k % q for _, s_k in witness.pairs):
         raise WitnessMismatch("witness is not rescaled by the ladder factor q")
@@ -845,28 +840,9 @@ def build_expliouville_J(
         raise WitnessMismatch(f"witness rows {bad} fail verification")
 
     rungs = [s_k for _, s_k in witness.pairs]
-    if rest:
-        if v is None:
-            raise WitnessMismatch("v is required when some tubes are not identically real")
-        absent = np.setdiff1d(rungs, v.coefficients.xi)
-        if absent.size:
-            raise WitnessMismatch(f"v has no rung at witness frequency xi={int(absent[0])}")
-        if v.coefficients.n != len(rest):
-            raise WitnessMismatch(
-                f"v covers {v.coefficients.n} variables but {len(rest)} tubes are not real"
-            )
-    elif v is not None:
-        raise WitnessMismatch("every tube is identically real; v must be None")
-
-    n = spec.n
-    grid = v.coefficients.grid_size if v is not None else grid_size
-    axis_rows = {
-        J[i] - 1: _integer_phases([p_vec[i] for p_vec, _ in witness.pairs], grid)
-        for i in range(ell)
-    }
-    blocks = v.coefficients.take(rungs) if rest else None
-    u_stack = _embed_factors(n, grid, len(rungs), axis_rows, blocks, [j - 1 for j in rest])
-    v_max = v.coefficients.magnitudes() if rest else dict.fromkeys(rungs, 1.0)
+    phases = {j: [p_vec[i] for p_vec, _ in witness.pairs] for i, j in enumerate(J)}
+    out = _lift(spec, v, rungs, phases, grid_size)
+    v_max = v.coefficients.magnitudes() if v is not None else dict.fromkeys(rungs, 1.0)
 
     a_fracs = [c.approx_fraction(60) for c in components]
     row_checks = []
@@ -889,10 +865,10 @@ def build_expliouville_J(
                 }
             )
             f_tables[j].append([xi, abs(d_float) * v_max[xi]])
-    out = FourierField(n, grid, rungs, u_stack)
     # f̂_j = i(p_k^{(j)} + a_{j0} ξ_k) û, rung by rung
+    shape = (-1,) + (1,) * spec.n
     rhs = {
-        j: FourierField(n, grid, rungs, (1j * np.array(d)).reshape((-1,) + (1,) * n) * u_stack)
+        j: FourierField(spec.n, out.grid_size, rungs, 1j * np.reshape(d, shape) * out.data)
         for j, d in d_floats.items()
     }
 
@@ -901,11 +877,10 @@ def build_expliouville_J(
         "witness_scale": witness.bound_scale,
         "order": s,
         "f_tables": {str(j): rows for j, rows in f_tables.items()},
+        # Certified stretched-exponential rate of the real-tube data: the row
+        # bounds give |f̂_j| ≤ scale·max|v̂|·e^{−δ ξ^{1/s}} exactly.
+        "epsilon_certified": witness.delta,
     }
-    # Certified stretched-exponential rate of the real-tube data: the row
-    # bounds give |f̂_j| ≤ scale·max|v̂|·e^{−δ ξ^{1/s}} exactly.
-    eps_cert = witness.delta
-    decay["epsilon_certified"] = eps_cert
     if len(rungs) >= 8:
         flat = {xi: val for xi, val in f_tables[J[0]]}
         try:
@@ -913,32 +888,24 @@ def build_expliouville_J(
         except InsufficientData:  # pragma: no cover - under 8 usable rows skip the fit
             pass
 
-    if v is not None:
-        table = [[xi, v.lower_bound(xi)] for xi in rungs]
-        m_cert = v.certificates.get("m", 0)
-        t0_cert = v.certificates.get("t0")
-    else:
-        table = [[xi, 1.0] for xi in rungs]
-        m_cert = 0
-        t0_cert = None
+    table, m, t0 = _inherited(v, rungs)
     cert = {
         "lower_bound_table": table,
         "decay_fits": decay,
-        "m": m_cert,
+        "m": m,
         "q": q,
         "J": J,
         "witness": witness.to_json(),
         "row_checks": row_checks,
-        "t0": t0_cert,
+        "t0": t0,
     }
-    sol = SingularSolution(
+    return SingularSolution(
         construction="ExpLiouvilleJ",
         coefficients=out,
         ladder=rungs,
         certificates=cert,
+        rhs=rhs,
     )
-    sol.rhs = rhs
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,7 @@ class Tube:
     def from_json(cls, obj: dict) -> "Tube":
         if not isinstance(obj, dict):
             raise MalformedInput(f"tube must be an object, got {obj!r}")
+        MalformedInput.refuse_unknown_keys(obj, ("a", "b"))
         return cls(
             a=_parse_field("a", _coefficient_from_json, obj.get("a", 0)),
             b=_parse_field("b", TrigPoly.from_json, obj.get("b")),
@@ -209,6 +210,9 @@ class SystemSpec:
     def from_json(cls, obj: dict) -> "SystemSpec":
         if not isinstance(obj, dict):
             raise MalformedInput("system spec must be a JSON object")
+        MalformedInput.refuse_unknown_keys(
+            obj, ("n", "s", "order", "tubes", "vector_witness", "vector_assertion")
+        )
         if "tubes" not in obj:
             raise MalformedInput("system spec missing field 'tubes'")
         if not isinstance(obj["tubes"], list):
@@ -553,8 +557,8 @@ def classify_vector(
       scale of simultaneous approximation is genuinely stronger), so the
       result is Unknown unless the caller supplies vector-level evidence.
 
-    ``witness`` (verified row by row) is finite-horizon unfavorable
-    evidence; ``assertion`` is a trusted classification and wins outright.
+    ``witness`` (verified row by row) is finite-horizon unfavorable evidence
+    that a certified favorable tail overrides; ``assertion`` wins outright.
     """
     if not components:
         raise MalformedInput("vector classification needs at least one component")
@@ -590,22 +594,19 @@ def classify_vector(
         for i, v in enumerate(per)
     ]
 
+    checks = []
     if witness is not None:
         checks = dio.verify_witness_rows(witness, list(components), s if s else 1.0)
         evidence.append({"source": "witness", "rows_verified": checks})
-        if len(checks) >= 3 and all(checks):
-            return DiophantineVerdict(
-                kind=unfavorable,
-                s=s,
-                evidence=evidence,
-                n_used=len(checks),
-            )
 
+    # a certified favorable tail holds for every q; finitely many rows cannot beat it
     for i, v in enumerate(per):
         if v.kind == favorable and components[i].is_certified_irrational:
             return DiophantineVerdict(
                 kind=favorable, s=s, evidence=evidence, n_used=v.n_used
             )
+    if len(checks) >= 3 and all(checks):
+        return DiophantineVerdict(kind=unfavorable, s=s, evidence=evidence, n_used=len(checks))
 
     irrational_idx = [
         i for i, c in enumerate(components) if not c.is_rational

@@ -364,6 +364,19 @@ MALFORMED = {
     "b-inf": (("spec", {"tubes": [{"a": "1/2", "b": {"const": float("inf")}}]}), "tubes[0]: b:"),
     "s-inf": (("spec", {"s": float("inf"), "tubes": [{"a": "1/2", "b": "0"}]}), "s:"),
     "a-zero-digit": (("spec", {"tubes": [{"a": {"cf": "1,0,3"}, "b": "0"}]}), "tubes[0]: a:"),
+    "b-unknown-key": (
+        ("spec", {"tubes": [{"a": "1/3", "b": {"const": "1", "sine": ["1"]}}]}),
+        "tubes[0]: b: unknown key",
+    ),
+    "a-unknown-key": (
+        ("spec", {"tubes": [{"a": {"const": "1/3", "cosine": ["1"]}, "b": "1"}]}),
+        "tubes[0]: a: unknown key",
+    ),
+    "tube-unknown-key": (
+        ("spec", {"tubes": [{"a": "1/3", "bb": {"const": "1"}}]}),
+        "tubes[0]: unknown key",
+    ),
+    "spec-unknown-key": (("spec", {"tubes": [{"a": "1/3", "b": "1"}], "tube": []}), "unknown key"),
     "cf-s-zero-denominator": (("argv", ["cf", "classify", "constant:2", "--s", "1/0"]), "--s:"),
     "cf-digits-not-integers": (("argv", ["cf", "convergents", "1,x"]), "digits:"),
     "cf-zero-digit": (("argv", ["cf", "convergents", "1,0,3"]), "digits:"),
@@ -529,6 +542,23 @@ def test_golden_ratio_is_hypoelliptic_at_every_horizon(capsys):
             assert cli.main(["classify", spec, "--horizon", str(horizon), *extra]) == 0
     assert cli.main(["cf", "classify", "constant:2", "--n", "1"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["body"]["verdict"]["evidence"] == []
+
+
+def test_favorable_tail_beats_a_verified_witness(tmp_path, capsys):
+    """sqrt(2) - 1 has bounded partial quotients, a proof that the system is
+    regular for every q; three verified witness rows cannot override it."""
+    spec = {
+        "n": 1,
+        "s": "2",
+        "tubes": [{"a": {"cf": "constant:2"}, "b": "0"}],
+        "vector_witness": {"delta": 0.5, "pairs": [[[-1], 2], [[-2], 5], [[-5], 12]]},
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    assert cli.main(["classify", str(tmp_path / "spec.json")]) == 0
+    body = json.loads(capsys.readouterr().out)["body"]
+    assert body["verdict"]["decision"] == "Hypoelliptic"
+    evidence = body["vector_classification"]["evidence"]
+    assert {"source": "witness", "rows_verified": [True, True, True]} in evidence
 
 
 def test_single_tube_route_checks_the_rhs_field_count(tmp_path, capsys):

@@ -407,6 +407,15 @@ def test_verify_witness_rows_rejects_wrong_numerator():
     assert D.verify_witness_rows(w, [alpha], 2.0) == [False]
 
 
+def test_verify_witness_rows_refines_a_bracket_that_straddles_the_target():
+    """|-5 + 12(sqrt(2) - 1)| = 0.0294 < e^{-sqrt(12)} = 0.0313: the early
+    bracket's far end misses the target but its near end does not, so the
+    row is refined until it is certified."""
+    alpha = D.RealConstant.from_json({"cf": "constant:2"})
+    w = D.LiouvilleWitness(1.0, [((-1,), 2), ((-2,), 5), ((-5,), 12)])
+    assert D.verify_witness_rows(w, [alpha], 2.0) == [True, True, True]
+
+
 def test_verify_witness_rows_honest_false_on_digit_exhaustion():
     # The row at q_3 = 116079 is mathematically valid but needs a bracket two
     # digits past the stream's end; the verifier must refuse to certify it.

@@ -5,15 +5,20 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from torus_hypo import gevrey
-from torus_hypo.gevrey import GevreyCutoff
-from torus_hypo.singular import build_prop52
+from torus_hypo.diophantine import LiouvilleWitness
+from torus_hypo.errors import LadderMismatch
+from torus_hypo.gevrey import GevreyCutoff, TrigPoly
+from torus_hypo.singular import build_expliouville_J, build_prop51, build_prop52, build_rational_J
 from torus_hypo.solver import apply_tube_operator
 from torus_hypo.system import SystemSpec, analyze
+
+from conftest import load_fixture
 
 
 @pytest.mark.parametrize(
@@ -81,3 +86,39 @@ def test_prop52_mirror_branch_matches_forward_branch(monkeypatch):
         if xi >= 8:
             # 1.29e-4 at xi = 8, roughly halving per rung
             assert r <= 2e-4 * 0.53 ** (xi - 8)
+
+
+SINE = {"sin": ["1"]}
+
+#: v condition -> (tubes outside J, v's rungs or None for no v, the refusal).
+#: RationalJ below lifts the rungs 1, 2 (a_J = 0, q = 1, k_max = 2);
+#: ExpLiouvilleJ lifts the singular_expL witness rungs 3, 34, 68.
+LIFT_MISFITS = {
+    "v-missing": (1, None, "v is required"),
+    "v-given-when-every-tube-is-real": (0, [1, 2, 3, 34, 68], "v must be None"),
+    "v-covers-the-wrong-variables": (2, [1, 2, 3, 34, 68], "v covers 1 variables but 2 tubes"),
+    "v-misses-a-rung": (1, [1, 3, 34], r"xi=(2|68)$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_MISFITS))
+def test_both_lifts_refuse_a_v_that_does_not_fit(case):
+    """Both J-lifts check v through one core, with LadderMismatch."""
+    rest, rungs, refusal = LIFT_MISFITS[case]
+    # v: Prop51 for a = 0, b = sin t, one variable, at the given rungs
+    v = None if rungs is None else build_prop51(
+        Fraction(0), TrigPoly.from_json(SINE), ladder=rungs, grid_size=32
+    )
+    others = [{"a": "0", "b": SINE}] * rest
+
+    rational = SystemSpec.from_json({"s": "2", "tubes": [{"a": "0", "b": "0"}, *others]})
+    with pytest.raises(LadderMismatch, match=refusal):
+        build_rational_J(
+            rational, analyze(rational), v, 1, k_max=2, dense_rungs=[1, 2], grid_size=32
+        )
+
+    expl = load_fixture("singular_expL.json")
+    liouville = SystemSpec.from_json({"s": "2", "tubes": [expl["tubes"][0], *others]})
+    witness = LiouvilleWitness.from_json(expl["vector_witness"])
+    with pytest.raises(LadderMismatch, match=refusal):
+        build_expliouville_J(liouville, analyze(liouville), witness, v, 1, grid_size=32)

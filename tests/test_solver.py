@@ -26,6 +26,7 @@ from torus_hypo.solver import (
     FourierField,
     _band_lu_solve,
     _block_starts,
+    _check_compatible,
     _mode_ceiling,
     _stacked_band_solve,
     _stacked_band_system,
@@ -586,6 +587,29 @@ def test_division_compatibility_guard():
     with pytest.raises(CompatibilityError, match="tubes 1 and 2") as info:
         solve_system(spec, [f1, f2])
     assert info.value.exit_code == 31
+
+
+def test_compatibility_check_reaches_the_last_chunk():
+    """The check runs ``_XI_CHUNK`` rows at a time: a pair whose only
+    inconsistency is the last of 2·_XI_CHUNK + 5 rows is still refused, the
+    same pair unperturbed passes, and fields on different ξ sets are refused
+    before any chunk."""
+    spec = spec_from(2, [
+        {"a": {"cf": "constant:2"}, "b": "0"},
+        {"a": {"cf": "constant:6"}, "b": "0"},
+    ])
+    xis = np.arange(2 * _XI_CHUNK + 5) - _XI_CHUNK
+    rng = np.random.default_rng(5)
+    shape = (xis.size, 8, 8)
+    u = FourierField(2, 8, xis, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    f = [apply_tube_operator(spec, j, u) for j in (1, 2)]
+    _check_compatible(spec, f)
+    f[1].data[-1] *= 1 + 1e-6
+    with pytest.raises(CompatibilityError, match="tubes 1 and 2") as info:
+        _check_compatible(spec, f)
+    assert info.value.exit_code == 31
+    with pytest.raises(GridMismatch, match="different xi"):
+        _check_compatible(spec, [f[0], FourierField(2, 8, xis + 1, f[1].data)])
 
 
 def test_division_three_real_tubes():

@@ -381,6 +381,15 @@ def test_vector_witness_needs_three_verified_rows():
     assert v.kind == S.UNKNOWN
 
 
+def test_vector_favorable_tail_beats_a_verified_witness():
+    """A certified favorable tail is a proof for every q: three verified
+    witness rows are recorded in the evidence but do not decide."""
+    w = D.LiouvilleWitness(0.5, [((-1,), 2), ((-2,), 5), ((-5,), 12)])
+    v = S.classify_vector([rc({"cf": "constant:2"})], S.Order.gevrey(2), witness=w)
+    assert v.kind == S.NOT_EXP_LIOUVILLE_TREND
+    assert {"source": "witness", "rows_verified": [True, True, True]} in v.evidence
+
+
 def test_vector_assertion_route():
     v = S.classify_vector(
         [rc({"cf": "constant:2"}), rc({"cf": "constant:6"})],
@@ -414,6 +423,28 @@ def test_system_spec_json_round_trip():
     again = S.SystemSpec.from_json(spec.to_json())
     assert again.to_json() == spec.to_json()
     assert again.vector_assertion == "NotExpLiouvilleTrend"
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        (
+            {"tubes": [{"a": "1/3", "b": {"const": "1", "sine": ["1"]}}]},
+            "tubes[0]: b: unknown key 'sine'",
+        ),
+        ({"tubes": [{"a": "1/3", "bb": {"const": "1"}}]}, "tubes[0]: unknown key 'bb'"),
+        ({"tubes": [{"a": "1/3", "b": "1"}], "vector_witnes": {}}, "unknown key 'vector_witnes'"),
+    ],
+)
+def test_system_spec_refuses_unknown_keys_naming_them(given, message):
+    with pytest.raises(MalformedInput) as info:
+        S.SystemSpec.from_json({"n": 1, "s": "2", **given})
+    assert str(info.value) == message
+
+
+def test_system_spec_accepts_zero_and_order_keys():
+    spec = S.SystemSpec.from_json({"order": "3", "tubes": [{"a": "1/3", "b": {"zero": True}}]})
+    assert spec.tubes[0].b.is_zero and spec.order.to_json() == "3"
 
 
 def test_system_spec_validates_tube_count():
