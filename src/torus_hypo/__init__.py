@@ -12,7 +12,7 @@ from .errors import *  # noqa: F401,F403 — the exception family is the public 
 
 _EXPORTS = {
     "diophantine": "ApproxInterval ContinuedFraction DiophantineVerdict LiouvilleWitness"
-    " RealConstant approx_interval condition_B_check convergents digit_stream_from_json"
+    " Order RealConstant approx_interval condition_B_check convergents digit_stream_from_json"
     " exp_liouville_score liouville_exponent_trend scale_witness verify_witness_rows",
     "gevrey": "GevreyCutoff GevreyWitness TrigPoly estimate_decay make_cutoff",
     "normalform": "NormalFormData apply_gauge build_normal_form conjugation_residual",
@@ -21,7 +21,7 @@ _EXPORTS = {
     " fit_lower_bound_power locate_laplace_profile",
     "solver": "FourierField apply_tube_operator decay_report residual solve_by_division"
     " solve_single_tube solve_system",
-    "system": "Order SystemAnalysis SystemSpec Tube Verdict analyze average classify_system"
+    "system": "SystemAnalysis SystemSpec Tube Verdict analyze average classify_system"
     " classify_vector decide sign_analysis",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -24,6 +24,11 @@ gives ``internal_modes_max`` and ``internal_modes_capped``), and the
 division route evaluates the averaged constants to 60 significant digits.
 On either route one field per tube must satisfy L_j f_k = L_k f_j (exit 31).
 
+``--s`` names the regularity scale on every command: a Gevrey order s > 1,
+given as a rational (``2``, ``3/2``), or ``smooth``.  It replaces the spec's
+``"s"``; ``cf`` takes the smooth scale without it, and ``cf condition-b``
+needs a Gevrey order.
+
 Each command loads its inputs, calls the library and renders the result.
 ``classify``/``diagnose``, ``solve`` and ``singular`` each call one pipeline:
 :func:`torus_hypo.system.classify_system`, :func:`torus_hypo.solver.solve_system`
@@ -56,9 +61,8 @@ import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .errors import MalformedInput, TorusHypoError
+from .errors import MalformedInput, TorusHypoError, _parse_field
 from .report import Report, input_digest, write_json
 
 VERDICT_EXITS = {"Hypoelliptic": 0, "NotHypoelliptic": 10, "Unknown": 20}
@@ -115,40 +119,23 @@ def _check_positive(flag: str, value: int) -> None:
 MAX_SINGULAR_GRID = 2048
 
 
-def _parse_s(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInput(f"--s: cannot parse {text!r} as a rational ({exc})") from exc
+def _order(text: str):
+    """The regularity scale that ``--s`` names."""
+    from .diophantine import Order
 
-
-def _parse_order(args, default):
-    """Resolve the regularity scale: --mode smooth > --s > spec default."""
-    from .system import Order
-
-    mode = getattr(args, "mode", None)
-    if mode == "smooth":
-        return Order.smooth()
-    s = getattr(args, "s", None)
-    if s is not None:
-        return Order.gevrey(_parse_s(s))
-    if mode == "gevrey" and not default.is_gevrey:
-        raise MalformedInput("--mode gevrey needs --s (spec declares no Gevrey order)")
-    return default
+    return _parse_field("--s", Order.from_json, text)
 
 
 def _load_spec(args):
     from .system import SystemSpec
 
     spec = SystemSpec.from_json(_read_json(args.spec))
-    order = _parse_order(args, spec.order)
-    return spec if order is spec.order else dataclasses.replace(spec, order=order)
+    return spec if args.s is None else dataclasses.replace(spec, order=_order(args.s))
 
 
 def _load_field(path) -> list:
     """The right-hand side fields: one, or a JSON ``{"fields": [...]}``."""
     from .solver import FourierField
-    from .system import _parse_field
 
     try:
         if path.endswith((".bin", ".tff")):
@@ -230,7 +217,10 @@ def cmd_cf(args) -> int:
     from . import diophantine as dio
 
     _check_positive("--n", args.n)
+    s = _order(args.s).s
     if args.cf_command == "condition-b":
+        if s is None:
+            raise MalformedInput("--s: condition-b needs a Gevrey order, not smooth")
         if not 1 <= args.big_n <= args.n:
             raise MalformedInput(f"--big-n: {args.big_n} is not in 1..{args.n} (--n)")
         if not 0 < args.epsilon < float("inf"):
@@ -256,12 +246,8 @@ def cmd_cf(args) -> int:
         body["lower"] = iv.lower
         body["upper"] = iv.upper
     elif args.cf_command == "classify":
-        s = float(_parse_s(args.s)) if args.s is not None else None
         body["verdict"] = dio.classify(cf, s=s, n_max=n).to_json()
     elif args.cf_command == "condition-b":
-        if args.s is None:
-            raise MalformedInput("condition-b needs --s")
-        s = float(_parse_s(args.s))
         rows = dio.condition_B_check(cf, s, args.epsilon, args.big_n, n)
         body["rows"] = [
             {"n": args.big_n + i, "certified": bool(ok)} for i, ok in enumerate(rows)
@@ -418,11 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certified global regularity analysis for tube systems on the torus.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    s_help = "regularity scale: a Gevrey order > 1 (e.g. 2 or 3/2) or smooth"
 
     def common(p):
         p.add_argument("spec", help="system spec JSON path")
-        p.add_argument("--s", default=None, help="Gevrey order (decimal or rational, e.g. 2 or 3/2)")
-        p.add_argument("--mode", choices=("gevrey", "smooth"), default=None)
+        p.add_argument("--s", default=None, help=s_help + "; default: the spec's \"s\"")
         p.add_argument("--out", default=None, help="also write the report to this path")
 
     horizon_help = (
@@ -441,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cf", help="continued-fraction tables")
     p.add_argument("cf_command", choices=("convergents", "bounds", "classify", "condition-b"))
     p.add_argument("digits", help='digit stream: "constant:2", "factorial_pow10", or "a1,a2,..."')
-    p.add_argument("--s", default=None)
+    p.add_argument("--s", default="smooth", help=s_help + "; default: smooth")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--big-n", dest="big_n", type=int, default=2)

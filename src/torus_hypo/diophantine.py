@@ -47,6 +47,8 @@ from .errors import (
     NonPositiveDigit,
     OrderError,
     WitnessMismatch,
+    _list_field,
+    _parse_field,
 )
 
 #: default cap on the decimal-digit count of exactly materialized integers
@@ -62,6 +64,67 @@ NOT_LIOUVILLE_TREND = "NotLiouvilleTrend"
 NOT_EXP_LIOUVILLE_TREND = "NotExpLiouvilleTrend"
 EXP_LIOUVILLE_TREND = "ExpLiouvilleTrend"
 UNKNOWN = "Unknown"
+
+
+# ---------------------------------------------------------------------------
+# Order (the regularity scale being decided)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Order:
+    """Regularity scale: Gevrey of order s > 1, or smooth (``s`` is None).
+
+    ``s_exact`` keeps the user-supplied rational when one was given, so that
+    ``to_json`` writes it back as given.
+    """
+
+    kind: str  # "gevrey" | "smooth"
+    s: float | None = None
+    s_exact: Fraction | None = None
+
+    def __post_init__(self):
+        if self.is_gevrey and not 1 < self.s < math.inf:
+            raise OrderError(f"a Gevrey order must be finite and > 1, got s={self.s}")
+
+    @classmethod
+    def gevrey(cls, s) -> "Order":
+        if isinstance(s, str):
+            s = Fraction(s)
+        exact = Fraction(s) if isinstance(s, (int, Fraction)) else None
+        return cls(kind="gevrey", s=float(s), s_exact=exact)
+
+    @classmethod
+    def smooth(cls) -> "Order":
+        return cls(kind="smooth")
+
+    @classmethod
+    def from_json(cls, obj) -> "Order":
+        """``"smooth"``, or a Gevrey order: a rational string or a number."""
+        if isinstance(obj, str) and obj.strip().lower() == "smooth":
+            return cls.smooth()
+        if isinstance(obj, (str, int, float)):
+            return cls.gevrey(obj)
+        raise MalformedInput(f"cannot parse regularity order from {obj!r}")
+
+    @property
+    def is_gevrey(self) -> bool:
+        return self.kind == "gevrey"
+
+    @property
+    def favorable(self) -> str:
+        """The kind of an averaged vector over J that proves regularity."""
+        return NOT_EXP_LIOUVILLE_TREND if self.is_gevrey else NOT_LIOUVILLE_TREND
+
+    @property
+    def unfavorable(self) -> str:
+        """The kind of an averaged vector over J that rules regularity out."""
+        return EXP_LIOUVILLE_TREND if self.is_gevrey else LIOUVILLE_TREND
+
+    def to_json(self):
+        if self.is_gevrey:
+            return str(self.s_exact) if self.s_exact is not None else self.s
+        return self.kind
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +300,17 @@ def digit_stream_from_json(obj) -> DigitStream:
         if text.startswith("constant:"):
             return ConstantDigits(int(text.split(":", 1)[1]))
         return ExplicitDigits([int(x) for x in text.split(",") if x.strip()])
-    if isinstance(obj, (list, tuple)):
-        return ExplicitDigits(obj)
     if not isinstance(obj, dict):
         raise MalformedInput(f"cannot parse digit stream from {obj!r}")
     kind = obj.get("kind")
     if kind == "explicit":
-        return ExplicitDigits([int(d) for d in obj["digits"]])
+        MalformedInput.refuse_unknown_keys(obj, ("kind", "digits"))
+        return ExplicitDigits(_list_field(obj, "digits"))
     if kind == "constant":
-        return ConstantDigits(int(obj["digit"]))
+        MalformedInput.refuse_unknown_keys(obj, ("kind", "digit"))
+        return ConstantDigits(obj["digit"])
     if kind == "factorial_pow10":
+        MalformedInput.refuse_unknown_keys(obj, ("kind",))
         return FactorialPow10Digits()
     raise MalformedInput(f"unknown digit stream kind {kind!r}")
 
@@ -283,8 +347,6 @@ class ContinuedFraction:
     """
 
     def __init__(self, stream: DigitStream, digit_cap: int = DEFAULT_DIGIT_CAP):
-        if not isinstance(stream, DigitStream):
-            stream = digit_stream_from_json(stream)
         self.stream = stream
         self.digit_cap = int(digit_cap)
         # index 0 is the conventional seed p_0 = 0, q_0 = 1
@@ -502,18 +564,27 @@ class LiouvilleWitness:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "LiouvilleWitness":
-        pairs = []
-        for row in obj.get("pairs", ()):
-            if isinstance(row, dict):
-                pairs.append((tuple(int(x) for x in row["r"]), int(row["q"])))
-            else:
-                pairs.append((tuple(int(x) for x in row[0]), int(row[1])))
+    def from_json(cls, obj) -> "LiouvilleWitness":
+        """{"delta", "pairs", "bound_scale"}; each row of ``pairs`` is
+        {"r": [...], "q": ...} or the pair [r, q]."""
+        if not isinstance(obj, dict):
+            raise MalformedInput(f"expected an object, got {obj!r}")
+        MalformedInput.refuse_unknown_keys(obj, ("delta", "pairs", "bound_scale"))
+        rows = enumerate(_list_field(obj, "pairs", ()))
         return cls(
             delta=float(obj["delta"]),
-            pairs=pairs,
+            pairs=[_parse_field(f"pairs[{k}]", _witness_row, row) for k, row in rows],
             bound_scale=int(obj.get("bound_scale", 1)),
         )
+
+
+def _witness_row(row) -> tuple:
+    if isinstance(row, list) and len(row) == 2:
+        row = {"r": row[0], "q": row[1]}
+    if not isinstance(row, dict):
+        raise MalformedInput(f"expected an object or an [r, q] pair, got {row!r}")
+    MalformedInput.refuse_unknown_keys(row, ("r", "q"))
+    return tuple(int(x) for x in _list_field(row, "r")), int(row["q"])
 
 
 @dataclass
@@ -817,15 +888,11 @@ class RealConstant:
         return cls(kind="float", value=float(x))
 
     @classmethod
-    def from_cf(cls, cf) -> "RealConstant":
-        if not isinstance(cf, ContinuedFraction):
-            cf = ContinuedFraction(cf)
+    def from_cf(cls, cf: ContinuedFraction) -> "RealConstant":
         return cls(kind="cf", cf=cf)
 
     @classmethod
     def from_json(cls, obj) -> "RealConstant":
-        if isinstance(obj, RealConstant):
-            return obj
         if isinstance(obj, bool):
             raise MalformedInput("boolean is not a real constant")
         if isinstance(obj, str):
@@ -837,9 +904,8 @@ class RealConstant:
                 raise MalformedInput(f"non-finite real constant {obj!r}")
             return cls.from_float(obj)
         if isinstance(obj, dict) and "cf" in obj:
+            MalformedInput.refuse_unknown_keys(obj, ("cf",))
             return cls.from_cf(ContinuedFraction(digit_stream_from_json(obj["cf"])))
-        if isinstance(obj, dict) and "rational" in obj:
-            return cls.from_fraction(Fraction(obj["rational"]))
         raise MalformedInput(f"cannot parse real constant from {obj!r}")
 
     # -- predicates -----------------------------------------------------------

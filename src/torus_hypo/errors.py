@@ -5,6 +5,7 @@ all of them derive from :class:`TorusHypoError`.  Each class carries the CLI's
 exit status for it as the class attribute ``exit_code`` (2 for unusable input,
 30-41 for the solver and construction failures, 50 for any other domain
 error), so the CLI catches the whole family and returns ``exc.exit_code``.
+The two field readers at the end name the input field a failure came from.
 """
 
 from __future__ import annotations
@@ -117,3 +118,24 @@ class IntegralityError(TorusHypoError):
 class RefusedHypoelliptic(TorusHypoError):
     """A singular solution was requested for a system that is hypoelliptic."""
     exit_code = 40
+
+
+# --- field readers -----------------------------------------------------------
+
+def _parse_field(name: str, parse, value):
+    """``parse(value)``; a value it cannot parse raises MalformedInput (or the
+    OrderError it raised) naming the field."""
+    try:
+        return parse(value)
+    except (MalformedInput, OrderError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"{name}: {type(exc).__name__}: {exc}") from exc
+
+
+def _list_field(obj: dict, key: str, default=None) -> list:
+    """``obj[key]`` (``default`` when absent), refused unless it is a list."""
+    value = obj.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise MalformedInput(f"{key}: expected a list, got {value!r}")
+    return value

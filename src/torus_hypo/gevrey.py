@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import GeometryError, InsufficientData, MalformedInput, OrderError
+from .errors import GeometryError, InsufficientData, MalformedInput, OrderError, _list_field
 
 Coeff = Union[Fraction, float]
 
@@ -238,7 +238,8 @@ class TrigPoly:
         MalformedInput.refuse_unknown_keys(obj, ("const", "cos", "sin", "zero"))
         if obj.get("zero"):
             return cls()
-        return cls(obj.get("const", 0), tuple(obj.get("cos", ())), tuple(obj.get("sin", ())))
+        cos, sin = (tuple(_list_field(obj, key, ())) for key in ("cos", "sin"))
+        return cls(obj.get("const", 0), cos, sin)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ from .errors import (
     ProfileError,
     SolvabilityError,
     ZeroDivisorError,
+    _parse_field,
 )
 from .gevrey import GevreyWitness, TrigPoly, estimate_decay
 from .report import write_json
@@ -82,7 +83,6 @@ from .system import (
     NON_POSITIVE_NOT_ZERO,
     UNCERTIFIABLE,
     SystemSpec,
-    _parse_field,
     analyze,
     sign_analysis,
 )

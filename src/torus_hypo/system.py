@@ -37,6 +37,7 @@ from . import diophantine as dio
 from .diophantine import (
     DiophantineVerdict,
     LiouvilleWitness,
+    Order,
     RealConstant,
     EXP_LIOUVILLE_TREND,
     LIOUVILLE_TREND,
@@ -45,11 +46,7 @@ from .diophantine import (
     RATIONAL,
     UNKNOWN,
 )
-from .errors import (
-    MalformedInput,
-    MissingClassification,
-    OrderError,
-)
+from .errors import MalformedInput, MissingClassification, _parse_field
 from .gevrey import TrigPoly
 
 # sign profiles
@@ -66,65 +63,6 @@ DECISION_UNKNOWN = "Unknown"
 
 #: float coefficients all below this are treated as an approximate zero
 ZERO_COEFF_TOL = 1e-14
-
-
-# ---------------------------------------------------------------------------
-# Order (the regularity scale being decided)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Order:
-    """Regularity scale: Gevrey of order s > 1, or smooth.
-
-    ``s_exact`` keeps the user-supplied rational when one was given (several
-    combinatorial checks are exact for rational s).
-    """
-
-    kind: str  # "gevrey" | "smooth"
-    s: float | None = None
-    s_exact: Fraction | None = None
-
-    @classmethod
-    def gevrey(cls, s) -> "Order":
-        if isinstance(s, str):
-            s = Fraction(s)
-        if isinstance(s, (int, Fraction)):
-            exact = Fraction(s)
-            return cls(kind="gevrey", s=float(exact), s_exact=exact)
-        if not math.isfinite(s):
-            raise MalformedInput(f"non-finite Gevrey order {s!r}")
-        return cls(kind="gevrey", s=float(s), s_exact=None)
-
-    @classmethod
-    def smooth(cls) -> "Order":
-        return cls(kind="smooth")
-
-    @classmethod
-    def from_json(cls, obj) -> "Order":
-        if isinstance(obj, Order):
-            return obj
-        if isinstance(obj, str):
-            text = obj.strip().lower()
-            if text == "smooth":
-                return cls.smooth()
-            return cls.gevrey(obj.strip())
-        if isinstance(obj, (int, float)):
-            return cls.gevrey(obj)
-        raise MalformedInput(f"cannot parse regularity order from {obj!r}")
-
-    @property
-    def is_gevrey(self) -> bool:
-        return self.kind == "gevrey"
-
-    def validate_for_decision(self) -> None:
-        if self.kind == "gevrey" and not (self.s > 1):
-            raise OrderError(f"Gevrey verdicts require s > 1, got s={self.s}")
-
-    def to_json(self):
-        if self.kind == "gevrey":
-            return str(self.s_exact) if self.s_exact is not None else self.s
-        return self.kind
 
 
 # ---------------------------------------------------------------------------
@@ -160,26 +98,11 @@ class Tube:
         return {"a": a, "b": self.b.to_json()}
 
 
-def _parse_field(name: str, parse, value):
-    """``parse(value)``; a value it cannot parse raises MalformedInput naming
-    the field."""
-    try:
-        return parse(value)
-    except MalformedInput as exc:
-        raise MalformedInput(f"{name}: {exc}") from exc
-    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"{name}: {type(exc).__name__}: {exc}") from exc
-
-
 def _coefficient_from_json(obj) -> object:
-    """A tube coefficient: variable trig polynomial or a real constant."""
-    if isinstance(obj, (TrigPoly, RealConstant)):
-        return obj
-    if isinstance(obj, dict):
-        if "cf" in obj or "rational" in obj:
-            return RealConstant.from_json(obj)
+    """A tube coefficient: a trig polynomial object, or a real constant (a
+    number, a string or a ``{"cf": ...}`` object)."""
+    if isinstance(obj, dict) and "cf" not in obj:
         return TrigPoly.from_json(obj)
-    # bare numbers/strings are constants
     return RealConstant.from_json(obj)
 
 
@@ -562,7 +485,7 @@ def classify_vector(
     """
     if not components:
         raise MalformedInput("vector classification needs at least one component")
-    s = order.s if order.is_gevrey else None
+    s = order.s
     if assertion is not None:
         if assertion not in _ASSERTION_KINDS:
             raise MalformedInput(
@@ -577,8 +500,7 @@ def classify_vector(
         )
 
     per = [c.classify(s=s, n_max=n_max) for c in components]
-    favorable = NOT_EXP_LIOUVILLE_TREND if order.is_gevrey else NOT_LIOUVILLE_TREND
-    unfavorable = EXP_LIOUVILLE_TREND if order.is_gevrey else LIOUVILLE_TREND
+    favorable, unfavorable = order.favorable, order.unfavorable
 
     if all(c.is_rational for c in components):
         return DiophantineVerdict(
@@ -639,7 +561,6 @@ def decide(
     not regular.  Anything resting on an Unknown classification or an
     uncertifiable sign profile -> Unknown.
     """
-    order.validate_for_decision()
     for idx, profile in enumerate(analysis.profiles, start=1):
         if profile in (NON_NEGATIVE_NOT_ZERO, NON_POSITIVE_NOT_ZERO):
             return Verdict(
@@ -659,9 +580,7 @@ def decide(
                 "J is nonempty: deciding needs a classification of the averaged "
                 "vector over J"
             )
-        favorable = NOT_EXP_LIOUVILLE_TREND if order.is_gevrey else NOT_LIOUVILLE_TREND
-        unfavorable = EXP_LIOUVILLE_TREND if order.is_gevrey else LIOUVILLE_TREND
-        if dio_verdict.kind == favorable:
+        if dio_verdict.kind == order.favorable:
             asserted = dio_verdict.evidence[:1] == [{"source": "assertion"}]
             source = "the vector_assertion" if asserted else "a digit-stream tail certificate"
             return Verdict(
@@ -678,7 +597,7 @@ def decide(
             )
         if dio_verdict.kind == RATIONAL:
             route2_failed_reason = "averaged vector over J is rational"
-        elif dio_verdict.kind == unfavorable:
+        elif dio_verdict.kind == order.unfavorable:
             route2_failed_reason = (
                 f"averaged vector over J is approximable at the breaking rate "
                 f"({dio_verdict.kind})"

@@ -75,6 +75,8 @@ for stem in ("singular_expL", "singular_rationalJ", "crit9_three_tube", "singula
     CASES[f"singular-{stem}"] = ["singular", f"@{stem}", "out.json"]
 # alpha = [0; 1, 1, ...] is badly approximable: Hypoelliptic at any horizon
 CASES["classify-golden_ratio_s3"] = ["classify", "%golden_ratio_s3", "--horizon", "16"]
+# the smooth scale: a = [0; 10^1!, 10^2!, ...] is Liouville, so NotHypoelliptic
+CASES["classify-ex64_factorial-smooth"] = ["classify", "@ex64_factorial", "--s", "smooth"]
 
 #: the artifact a command writes, relative to the working directory
 ARTIFACTS = {"solve": "u.json", "singular": "out.json"}
@@ -201,7 +203,7 @@ def test_cli_import_loads_no_numeric_package():
 
 def test_verdict_commands_load_neither_scipy_nor_sympy():
     cases = [case for case in CASES if case.split("-")[0] in ("classify", "diagnose", "normalform")]
-    assert len(cases) == 3 * len(SPECS) + 1  # and classify-golden_ratio_s3
+    assert len(cases) == 3 * len(SPECS) + 2  # and the two classify cases past SPECS
     loaded = _loaded_after(cases)
     assert "scipy" not in loaded and "sympy" not in loaded
 
@@ -350,6 +352,10 @@ def _tff_holding_nan() -> bytes:
     return raw[:at] + struct.pack("<d", float("nan")) + raw[at + 8 :]
 
 
+def _witness(row: dict) -> dict:
+    return {"delta": 1, "pairs": [row]}
+
+
 #: case -> (what is malformed, the named field).  What is malformed is spec
 #: fields over {"n": 1, "s": "2"} (run by classify), an rhs object or TFF
 #: bytes (run by solve on fixtures/solve_spec.json) or an argv ("@name" as in
@@ -431,6 +437,48 @@ MALFORMED = {
         "--xi-max: -4",
     ),
     "s-analytic": (("spec", {"s": "analytic", "tubes": [{"a": "1/2", "b": "0"}]}), "s:"),
+    "witness-not-an-object": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": "abc"}),
+        "vector_witness:",
+    ),
+    "witness-unknown-key": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": {"delta": 1, "pair": []}}),
+        "vector_witness: unknown key",
+    ),
+    "witness-row-unknown-key": (
+        (
+            "spec",
+            {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": _witness({"r": ["-1"], "q": "2", "s": "2"})},
+        ),
+        "vector_witness: pairs[0]: unknown key",
+    ),
+    "witness-pairs-string": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": {"delta": 1, "pairs": "12"}}),
+        "vector_witness: pairs:",
+    ),
+    "witness-r-string": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": _witness({"r": "12", "q": "2"})}),
+        "vector_witness: pairs[0]: r:",
+    ),
+    "a-cf-unknown-key": (
+        ("spec", {"tubes": [{"a": {"cf": "constant:2", "digits": "1,2"}, "b": "0"}]}),
+        "tubes[0]: a: unknown key",
+    ),
+    "a-digit-stream-unknown-key": (
+        (
+            "spec",
+            {"tubes": [{"a": {"cf": {"kind": "constant", "digit": "2", "digits": ["3"]}}, "b": "0"}]},
+        ),
+        "tubes[0]: a: unknown key",
+    ),
+    "a-digits-string": (
+        ("spec", {"tubes": [{"a": {"cf": {"kind": "explicit", "digits": "12"}}, "b": "0"}]}),
+        "tubes[0]: a: digits:",
+    ),
+    "b-cos-string": (("spec", {"tubes": [{"a": "1/2", "b": {"cos": "12"}}]}), "tubes[0]: b: cos:"),
+    "b-sin-string": (("spec", {"tubes": [{"a": "1/2", "b": {"sin": "12"}}]}), "tubes[0]: b: sin:"),
+    "cf-condition-b-without-s": (("argv", ["cf", "condition-b", "constant:2"]), "--s:"),
+    "cf-condition-b-smooth": (("argv", ["cf", "condition-b", "constant:2", "--s", "smooth"]), "--s:"),
     "cf-big-n-zero": (
         ("argv", ["cf", "condition-b", "constant:2", "--s", "2", "--big-n", "0"]),
         "--big-n: 0",
@@ -506,6 +554,38 @@ def test_unwritable_output_is_refused_before_the_pipeline_runs(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("s", ["1/2", "1"])
+def test_gevrey_order_at_most_one_is_refused_before_any_work(s, tmp_path, capsys):
+    """s <= 1 exits 2 naming "s" (the spec) or "--s" on every command, and
+    solve writes no artifact."""
+    spec, rhs = FIXTURES / "solve_spec.json", str(FIXTURES / "solve_rhs.json")
+    low, u = tmp_path / "spec.json", tmp_path / "u.json"
+    low.write_text(json.dumps({**json.loads(spec.read_text()), "s": s}), encoding="utf-8")
+    runs = [
+        (["classify", str(low)], "s:"),
+        (["solve", str(low), rhs, str(u)], "s:"),
+        (["normalform", str(low)], "s:"),
+        (["solve", str(spec), rhs, str(u), "--s", s], "--s:"),
+        (["normalform", str(spec), "--s", s], "--s:"),
+        (["cf", "classify", "constant:2", "--s", s], "--s:"),
+    ]
+    for argv, field in runs:
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} ")
+        assert captured.err.count("\n") == 1
+    assert not u.exists()
+
+
+def test_the_scale_has_one_flag(capsys):
+    """--s names the smooth scale too; argparse refuses --mode."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", str(FIXTURES / "ex64_factorial.json"), "--mode", "smooth"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode smooth" in capsys.readouterr().err
+
+
 def test_solve_has_no_tuning_flags(capsys):
     """K and the division digits are fixed: argparse refuses --modes."""
     argv = ["solve", str(FIXTURES / "solve_spec.json"), str(FIXTURES / "solve_rhs.json"), "u.json"]
@@ -538,7 +618,7 @@ def test_golden_ratio_is_hypoelliptic_at_every_horizon(capsys):
     it, and a horizon below the first evidence row gives an empty table."""
     spec = str(INPUTS / "golden_ratio_s3.json")
     for horizon in range(1, 21):
-        for extra in ([], ["--mode", "smooth"]):
+        for extra in ([], ["--s", "smooth"]):
             assert cli.main(["classify", spec, "--horizon", str(horizon), *extra]) == 0
     assert cli.main(["cf", "classify", "constant:2", "--n", "1"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["body"]["verdict"]["evidence"] == []

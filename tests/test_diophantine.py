@@ -463,6 +463,14 @@ def test_real_constant_round_trips():
         assert again.kind == r.kind
 
 
+def test_readers_take_only_the_forms_the_program_writes():
+    """A bare digit list and a {"rational": ...} constant are not inputs."""
+    with pytest.raises(MalformedInput):
+        D.digit_stream_from_json([1, 2, 3])
+    with pytest.raises(MalformedInput):
+        D.RealConstant.from_json({"rational": "1/2"})
+
+
 def test_real_constant_numeric_value():
     r = D.RealConstant.from_json({"cf": "constant:2"})
     assert float(r.mpf(30)) == pytest.approx(math.sqrt(2) - 1, abs=1e-12)

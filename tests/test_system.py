@@ -311,10 +311,10 @@ def test_decide_hypoelliptic_witness_invariant():
 
 def test_gevrey_order_must_exceed_one():
     with pytest.raises(OrderError):
-        S.Order.gevrey(1).validate_for_decision()
+        S.Order.gevrey(1)
     with pytest.raises(OrderError):
-        S.Order.gevrey("1/2").validate_for_decision()
-    S.Order.gevrey("3/2").validate_for_decision()  # fine
+        S.Order.gevrey("1/2")
+    S.Order.gevrey("3/2")  # fine
     assert S.Order.gevrey("3/2").s == pytest.approx(1.5)
     assert S.Order.smooth().is_gevrey is False
 
