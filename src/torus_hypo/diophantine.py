@@ -10,9 +10,12 @@ through the convergent recurrence
     p_n = a_n*p_{n-1} + p_{n-2},   q_n = a_n*q_{n-1} + q_{n-2}   (n >= 3).
 
 The module keeps convergents exact (arbitrary-size integers) while q_n stays
-under a configurable decimal-digit cap and mirrors ln(q_n) in high-precision
-floats throughout, switching to a pure log-scale recurrence past the cap.
-On top of the engine it provides:
+under a configurable decimal-digit cap, and keeps ln(p_n), ln(q_n) in
+high-precision floats in tables of their own, built by the same recurrence in
+log space when something first reads them (a log, or a pair past the cap).
+mpmath is imported inside the functions that compute logs, witnesses or
+``mpf`` values, so parsing and exact work (digits, exact convergents,
+brackets) load no mpmath.  On top of the engine it provides:
 
 * exact two-sided brackets for |p_n - alpha*q_n| in terms of the digits only;
 * growth scores mu_n (power-law approximability) and beta_n (stretched-
@@ -38,8 +41,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import mp, workdps
-
 from .errors import (
     DigitCapExceeded,
     DigitStreamExhausted,
@@ -47,6 +48,7 @@ from .errors import (
     NonPositiveDigit,
     OrderError,
     WitnessMismatch,
+    _integer,
     _list_field,
     _parse_field,
 )
@@ -137,9 +139,10 @@ class DigitStream:
 
     ``digit(n)`` materializes the exact integer (1-based), raising
     :class:`DigitCapExceeded` when its decimal size would exceed ``cap``
-    digits; ``ln_digit(n)`` returns ln(a_n) in the working precision without
-    materializing anything.  ``has(n)`` reports availability; infinite
-    streams always have every index.
+    digits; ``ln_digit(n)`` returns ln(a_n) in the working precision, and a
+    stream whose digits can pass the cap computes it without materializing
+    the digit.  ``has(n)`` reports availability; infinite streams always
+    have every index.
     """
 
     kind: str = "abstract"
@@ -152,7 +155,9 @@ class DigitStream:
         raise NotImplementedError
 
     def ln_digit(self, n: int):
-        raise NotImplementedError
+        from mpmath import mp
+
+        return mp.log(self.digit(n))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -179,7 +184,7 @@ class ExplicitDigits(DigitStream):
     is_infinite = False
 
     def __init__(self, digits: Sequence[int]):
-        digits = [int(d) for d in digits]
+        digits = [_parse_field(f"digits[{k}]", _integer, d) for k, d in enumerate(digits)]
         if not digits:
             raise MalformedInput("explicit digit stream must be nonempty")
         for d in digits:
@@ -194,10 +199,6 @@ class ExplicitDigits(DigitStream):
         self._require(n)
         return self._digits[n - 1]
 
-    def ln_digit(self, n: int):
-        self._require(n)
-        return mp.log(self._digits[n - 1])
-
     def to_json(self) -> dict:
         return {"kind": "explicit", "digits": [str(d) for d in self._digits]}
 
@@ -210,7 +211,7 @@ class ConstantDigits(DigitStream):
     is_infinite = True
 
     def __init__(self, d: int):
-        d = int(d)
+        d = _parse_field("digit", _integer, d)
         if d <= 0:
             raise NonPositiveDigit(f"digit {d} is not a positive integer")
         self._d = d
@@ -221,10 +222,6 @@ class ConstantDigits(DigitStream):
     def digit(self, n: int, cap: int = DEFAULT_DIGIT_CAP) -> int:
         self._require(n)
         return self._d
-
-    def ln_digit(self, n: int):
-        self._require(n)
-        return mp.log(self._d)
 
     def to_json(self) -> dict:
         return {"kind": "constant", "digit": str(self._d)}
@@ -263,6 +260,8 @@ class FactorialPow10Digits(DigitStream):
         return 10 ** math.factorial(n)
 
     def ln_digit(self, n: int):
+        from mpmath import mp
+
         self._require(n)
         return mp.mpf(math.factorial(n)) * mp.log(10)
 
@@ -340,10 +339,12 @@ class ContinuedFraction:
     """Lazy convergent tables for one digit stream.
 
     Exact integers p_n, q_n are kept while their decimal size stays within
-    ``digit_cap`` (default 100000); ln(p_n), ln(q_n) are always maintained at
-    ``LOG_DPS`` decimal digits via the same recurrence in log space
-    (log-sum-exp), so every classifier keeps working arbitrarily far past
-    the cap.
+    ``digit_cap`` (default 100000).  ln(a_n), ln(p_n), ln(q_n) at
+    ``LOG_DPS`` decimal digits, from the same recurrence in log space
+    (log-sum-exp), live in tables of their own that grow only when read
+    (:meth:`log_q`, :meth:`ln_digit`, a :meth:`pair` or :meth:`digit` past
+    the cap), so every classifier keeps working arbitrarily far past the
+    cap and exact reads load no mpmath.
     """
 
     def __init__(self, stream: DigitStream, digit_cap: int = DEFAULT_DIGIT_CAP):
@@ -352,9 +353,10 @@ class ContinuedFraction:
         # index 0 is the conventional seed p_0 = 0, q_0 = 1
         self._p: list = [0]
         self._q: list = [1]
-        self._ln_p: list = [mp.ninf]
-        self._ln_q: list = [mp.mpf(0)]
         self._a: list = [None]
+        # the log tables; _ensure_logs seeds ln p_0 = -inf, ln q_0 = 0
+        self._ln_p: list = []
+        self._ln_q: list = []
         self._ln_a: list = [None]
 
     # -- table maintenance --------------------------------------------------
@@ -363,34 +365,17 @@ class ContinuedFraction:
         while len(self._a) <= n:
             i = len(self._a)
             self.stream._require(i)
-            with workdps(LOG_DPS):
-                self._ln_a.append(self.stream.ln_digit(i))
             try:
                 self._a.append(self.stream.digit(i, cap=self.digit_cap))
             except DigitCapExceeded:
                 self._a.append(None)
 
     def _ensure(self, n: int) -> None:
-        """Extend convergent tables through index n."""
+        """Extend the exact convergent tables through index n."""
         while len(self._p) <= n:
             i = len(self._p)
             self._fetch_digit(i)
             a = self._a[i]
-            with workdps(LOG_DPS):
-                ln_a = self._ln_a[i]
-                if i == 1:
-                    ln_p, ln_q = mp.mpf(0), ln_a
-                else:
-                    # ln(a*x + y) = ln_a + ln_x + log1p(exp(ln_y - ln_a - ln_x))
-                    def lse(ln_x, ln_y):
-                        if ln_y == mp.ninf:
-                            return ln_a + ln_x
-                        return ln_a + ln_x + mp.log1p(mp.e ** (ln_y - ln_a - ln_x))
-
-                    ln_p = lse(self._ln_p[i - 1], self._ln_p[i - 2])
-                    ln_q = lse(self._ln_q[i - 1], self._ln_q[i - 2])
-                self._ln_p.append(ln_p)
-                self._ln_q.append(ln_q)
             exact_ok = (
                 a is not None
                 and self._p[i - 1] is not None
@@ -410,20 +395,56 @@ class ContinuedFraction:
             self._p.append(p)
             self._q.append(q)
 
+    def _ensure_logs(self, n: int) -> None:
+        """Extend the log convergent tables through index n."""
+        if len(self._ln_p) > n:
+            return
+        from mpmath import mp, workdps
+
+        self.ln_digit(n)
+        with workdps(LOG_DPS):
+            if not self._ln_p:
+                self._ln_p.append(mp.ninf)
+                self._ln_q.append(mp.mpf(0))
+            while len(self._ln_p) <= n:
+                i = len(self._ln_p)
+                ln_a = self._ln_a[i]
+                if i == 1:
+                    ln_p, ln_q = mp.mpf(0), ln_a
+                else:
+                    # ln(a*x + y) = ln_a + ln_x + log1p(exp(ln_y - ln_a - ln_x))
+                    def lse(ln_x, ln_y):
+                        if ln_y == mp.ninf:
+                            return ln_a + ln_x
+                        return ln_a + ln_x + mp.log1p(mp.e ** (ln_y - ln_a - ln_x))
+
+                    ln_p = lse(self._ln_p[i - 1], self._ln_p[i - 2])
+                    ln_q = lse(self._ln_q[i - 1], self._ln_q[i - 2])
+                self._ln_p.append(ln_p)
+                self._ln_q.append(ln_q)
+
     # -- public accessors -----------------------------------------------------
 
     def digit(self, n: int) -> int:
         """Exact digit a_n (1-based); DigitCapExceeded past the cap."""
         self._fetch_digit(n)
         if self._a[n] is None:
-            ndig = int(self._ln_a[n] / mp.log(10)) + 1
+            from mpmath import mp
+
+            ndig = int(self.ln_digit(n) / mp.log(10)) + 1
             raise DigitCapExceeded(
                 f"a_{n} has about {ndig} decimal digits, over the cap {self.digit_cap}"
             )
         return self._a[n]
 
     def ln_digit(self, n: int):
-        self._fetch_digit(n)
+        """ln(a_n) at LOG_DPS digits; extends the table of ln a_i through n."""
+        if len(self._ln_a) <= n:
+            from mpmath import workdps
+
+            with workdps(LOG_DPS):
+                while len(self._ln_a) <= n:
+                    self._ln_a.append(self.stream.ln_digit(len(self._ln_a)))
         return self._ln_a[n]
 
     def has_digit(self, n: int) -> bool:
@@ -436,6 +457,7 @@ class ContinuedFraction:
         self._ensure(n)
         if self._q[n] is not None:
             return (self._p[n], self._q[n])
+        self._ensure_logs(n)
         return _LogPair(self._ln_p[n], self._ln_q[n])
 
     def exact_pair(self, n: int):
@@ -448,7 +470,7 @@ class ContinuedFraction:
 
     def log_q(self, n: int):
         """ln(q_n) at LOG_DPS digits (n = 0 gives ln 1 = 0)."""
-        self._ensure(n)
+        self._ensure_logs(n)
         return self._ln_q[n]
 
     # -- derived values -------------------------------------------------------
@@ -485,6 +507,8 @@ class ContinuedFraction:
 
     def mpf(self, dps: int = 60):
         """High-precision float value of the defined number."""
+        from mpmath import mp, workdps
+
         frac = self.approx_fraction(digits=dps + 5)
         with workdps(dps + 10):
             return mp.mpf(frac.numerator) / mp.mpf(frac.denominator)
@@ -574,7 +598,7 @@ class LiouvilleWitness:
         return cls(
             delta=float(obj["delta"]),
             pairs=[_parse_field(f"pairs[{k}]", _witness_row, row) for k, row in rows],
-            bound_scale=int(obj.get("bound_scale", 1)),
+            bound_scale=_parse_field("bound_scale", _integer, obj.get("bound_scale", 1)),
         )
 
 
@@ -584,7 +608,8 @@ def _witness_row(row) -> tuple:
     if not isinstance(row, dict):
         raise MalformedInput(f"expected an object or an [r, q] pair, got {row!r}")
     MalformedInput.refuse_unknown_keys(row, ("r", "q"))
-    return tuple(int(x) for x in _list_field(row, "r")), int(row["q"])
+    r = [_parse_field(f"r[{k}]", _integer, x) for k, x in enumerate(_list_field(row, "r"))]
+    return tuple(r), _parse_field("q", _integer, row["q"])
 
 
 @dataclass
@@ -643,6 +668,8 @@ def approx_interval(cf: ContinuedFraction, n: int) -> ApproxInterval:
 def ln_approx_bounds(cf: ContinuedFraction, n: int):
     """(ln lower, ln upper) of the |p_n - alpha*q_n| bracket, valid past the
     exact-integer cap (uses ln-digit data only)."""
+    from mpmath import mp, workdps
+
     with workdps(LOG_DPS):
         ln_q = cf.log_q(n)
         ln_a = cf.ln_digit(n + 1)
@@ -658,6 +685,8 @@ def liouville_exponent_trend(cf: ContinuedFraction, n_max: int) -> list:
     mu_n = ln(a_{n+1} q_n^2)/ln(q_n): the power-law exponent certified by the
     bracket at level n.  Unbounded mu_n along a subsequence is the signature
     of a Liouville number."""
+    from mpmath import workdps
+
     rows = []
     with workdps(LOG_DPS):
         for n in range(2, n_max + 1):
@@ -676,6 +705,8 @@ def exp_liouville_score(cf: ContinuedFraction, s: float, n_max: int) -> list:
     |p_n - alpha*q_n| <= exp(-eps * q_n^{1/s}) is certified at level n.
     beta_n bounded below by a positive margin indicates stretched-exponential
     approximability at order s; beta_n -> 0 indicates its failure."""
+    from mpmath import mp, workdps
+
     s = float(s)
     if s < 1:
         raise OrderError(f"order s={s} must be >= 1")
@@ -705,6 +736,8 @@ def condition_B_check(
     A True row is a proof (the lower bound already clears the threshold);
     a False row is inconclusive, because the bracket is one-sided here.
     """
+    from mpmath import mp, workdps
+
     s = float(s)
     epsilon = float(epsilon)
     if epsilon <= 0:
@@ -755,6 +788,8 @@ def verify_witness_rows(
     defined components are bracketed by consecutive convergents at adaptive
     depth).  False means "not certified", not "false".
     """
+    from mpmath import mp, workdps
+
     s = float(s)
     if s < 1:
         raise OrderError(f"order s={s} must be >= 1")
@@ -780,6 +815,8 @@ def verify_witness_rows(
 
 def _ln_fraction(x: Fraction):
     """mp ln of a positive Fraction."""
+    from mpmath import mp
+
     return mp.log(mp.mpf(x.numerator)) - mp.log(mp.mpf(x.denominator))
 
 
@@ -790,6 +827,8 @@ def _sup_ln_linear_form(comp: "RealConstant", r: int, s_k: int, target_ln):
     bracket until its far end certifies the target, or until its near end
     already exceeds it (no refinement can certify the row then).
     """
+    from mpmath import mp
+
     if comp.kind == "rational":
         val = abs(Fraction(r) + s_k * comp.fraction)
         return mp.ninf if val == 0 else _ln_fraction(val)
@@ -928,6 +967,8 @@ class RealConstant:
         return self.cf.approx_fraction(digits)
 
     def mpf(self, dps: int = 60):
+        from mpmath import mp, workdps
+
         with workdps(dps):
             if self.kind == "rational":
                 return mp.mpf(self.fraction.numerator) / self.fraction.denominator

@@ -5,7 +5,7 @@ all of them derive from :class:`TorusHypoError`.  Each class carries the CLI's
 exit status for it as the class attribute ``exit_code`` (2 for unusable input,
 30-41 for the solver and construction failures, 50 for any other domain
 error), so the CLI catches the whole family and returns ``exc.exit_code``.
-The two field readers at the end name the input field a failure came from.
+The field readers at the end name the input field a failure came from.
 """
 
 from __future__ import annotations
@@ -131,6 +131,19 @@ def _parse_field(name: str, parse, value):
         raise type(exc)(f"{name}: {exc}") from exc
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise MalformedInput(f"{name}: {type(exc).__name__}: {exc}") from exc
+
+
+def _integer(value) -> int:
+    """An int, or a string that spells one; a bool, a float or any other
+    value is refused rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise MalformedInput(f"expected an integer, got {value!r}")
 
 
 def _list_field(obj: dict, key: str, default=None) -> list:

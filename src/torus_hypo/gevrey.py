@@ -13,7 +13,9 @@ rather than about any particular equation:
   mollifier psi(x) = exp(-x^{-1/(s-1)}).
 
 Everything here is a pure function of its inputs and safe to call from
-multiple threads.
+multiple threads.  numpy is imported inside the functions that evaluate or
+fit on arrays, so parsing and exact arithmetic of trig polynomials load no
+numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
-
-import numpy as np
 
 from .errors import GeometryError, InsufficientData, MalformedInput, OrderError, _list_field
 
@@ -188,6 +188,8 @@ class TrigPoly:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, t):
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         out = np.full_like(t, float(self.const), dtype=float)
         for k in range(1, self.degree + 1):
@@ -199,8 +201,11 @@ class TrigPoly:
                 out = out + sk * np.sin(k * t)
         return out
 
-    def exp_coeffs(self) -> np.ndarray:
-        """Complex exponential coefficients, index i <-> frequency i - degree."""
+    def exp_coeffs(self):
+        """Complex exponential coefficients (a numpy array), index i <->
+        frequency i - degree."""
+        import numpy as np
+
         d = self.degree
         out = np.zeros(2 * d + 1, dtype=complex)
         out[d] = float(self.const)
@@ -286,9 +291,11 @@ class GevreyWitness:
         }
 
 
-def least_squares(design: np.ndarray, y: np.ndarray) -> tuple:
-    """Least-squares coefficients of ``design @ coef ≈ y`` and the fit's R²
-    (1 when ``y`` is constant)."""
+def least_squares(design, y) -> tuple:
+    """Least-squares coefficients of ``design @ coef ≈ y`` (numpy arrays)
+    and the fit's R² (1 when ``y`` is constant)."""
+    import numpy as np
+
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     pred = design @ coef
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -326,6 +333,8 @@ def estimate_decay(
     wrong for data whose outliers point upward — small-divisor resonance
     spikes — so it stays opt-in; the default is the plain fit.
     """
+    import numpy as np
+
     s = float(s)
     if s < 1:
         raise OrderError(f"order s={s} must be >= 1")
@@ -388,6 +397,8 @@ def _mollifier_exponent(s: float) -> float:
 
 def shoulder(x, s: float):
     """Monotone order-s shoulder: 0 for x<=0, 1 for x>=1, psi/(psi+psi(1-.)) between."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     p = _mollifier_exponent(s)
     out = np.zeros_like(x)
@@ -424,7 +435,7 @@ class GevreyCutoff:
         if s <= 1:
             raise OrderError(f"order-s cutoffs require s > 1, got s={s}")
         (l, r), (l2, r2) = map(float, self.support), map(float, self.plateau)
-        if not (0.0 < l < l2 < r2 < r < 2.0 * np.pi):
+        if not (0.0 < l < l2 < r2 < r < 2.0 * math.pi):
             raise GeometryError(
                 f"need 0 < {l} < {l2} < {r2} < {r} < 2*pi with plateau inside support"
             )
@@ -433,6 +444,8 @@ class GevreyCutoff:
         object.__setattr__(self, "plateau", (l2, r2))
 
     def __call__(self, t):
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         (l, r), (l2, r2) = self.support, self.plateau
         return shoulder((t - l) / (l2 - l), self.s) * shoulder((r - t) / (r - r2), self.s)

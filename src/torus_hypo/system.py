@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import diophantine as dio
 from .diophantine import (
     DiophantineVerdict,
@@ -46,7 +44,7 @@ from .diophantine import (
     RATIONAL,
     UNKNOWN,
 )
-from .errors import MalformedInput, MissingClassification, _parse_field
+from .errors import MalformedInput, MissingClassification, _integer, _parse_field
 from .gevrey import TrigPoly
 
 # sign profiles
@@ -144,7 +142,7 @@ class SystemSpec:
             _parse_field(f"tubes[{i}]", Tube.from_json, t)
             for i, t in enumerate(obj["tubes"])
         ]
-        n = _parse_field("n", int, obj.get("n", len(tubes)))
+        n = _parse_field("n", _integer, obj.get("n", len(tubes)))
         order_key = "s" if "s" in obj else "order"
         order = _parse_field(order_key, Order.from_json, obj.get(order_key, "smooth"))
         witness = obj.get("vector_witness")
@@ -154,11 +152,15 @@ class SystemSpec:
             tubes=tubes,
             order=order,
             vector_witness=(
-                _parse_field("vector_witness", LiouvilleWitness.from_json, witness)
-                if witness
-                else None
+                None
+                if witness is None
+                else _parse_field("vector_witness", LiouvilleWitness.from_json, witness)
             ),
-            vector_assertion=str(assertion) if assertion else None,
+            vector_assertion=(
+                None
+                if assertion is None
+                else _parse_field("vector_assertion", _assertion_kind, assertion)
+            ),
         )
 
     def to_json(self) -> dict:
@@ -400,6 +402,8 @@ def _real_root_count(p: list) -> int:
 
 
 def _grid_profile(b: TrigPoly) -> str:
+    import numpy as np
+
     D = max(b.degree, 1)
     M = b.lipschitz_bound()
     N0 = 64 * (D + 1)
@@ -456,6 +460,16 @@ _ASSERTION_KINDS = {
 }
 
 
+def _assertion_kind(assertion) -> str:
+    """A ``vector_assertion``: one of the verdict kinds, spelled exactly."""
+    if not isinstance(assertion, str) or assertion not in _ASSERTION_KINDS:
+        raise MalformedInput(
+            f"unknown vector assertion {assertion!r}; expected one of "
+            f"{sorted(_ASSERTION_KINDS)}"
+        )
+    return assertion
+
+
 def classify_vector(
     components: Sequence[RealConstant],
     order: Order,
@@ -487,13 +501,8 @@ def classify_vector(
         raise MalformedInput("vector classification needs at least one component")
     s = order.s
     if assertion is not None:
-        if assertion not in _ASSERTION_KINDS:
-            raise MalformedInput(
-                f"unknown vector assertion {assertion!r}; expected one of "
-                f"{sorted(_ASSERTION_KINDS)}"
-            )
         return DiophantineVerdict(
-            kind=assertion,
+            kind=_assertion_kind(assertion),
             s=s,
             evidence=[{"source": "assertion"}],
             n_used=0,

@@ -230,6 +230,28 @@ def test_cf_loads_no_numpy():
     assert _loaded_after([case for case in CASES if case.startswith("cf-")]) == ["mpmath"]
 
 
+def test_exact_b_verdicts_load_no_numpy():
+    """Every fixture's b is exact, and exact sign analysis is pure Python."""
+    cases = [f"{command}-{stem}" for command in ("classify", "diagnose") for stem in SPECS]
+    assert "numpy" not in _loaded_after(cases)
+
+
+def test_verdicts_that_read_no_continued_fraction_load_no_numeric_package():
+    """cond1 and solve_spec are decided by a one-signed b, and J is empty
+    for singular_allsign, so no digit stream is read as a number."""
+    stems = ("cond1", "solve_spec", "singular_allsign")
+    assert _loaded_after([f"{c}-{stem}" for c in ("classify", "diagnose") for stem in stems]) == []
+
+
+def test_cf_convergents_load_no_numeric_package():
+    """Convergents under the digit cap are exact: no log table is built."""
+    assert _loaded_after(["cf-convergents-constant2", "cf-convergents-explicit"]) == []
+
+
+def test_normalform_on_rational_real_parts_loads_no_mpmath():
+    assert _loaded_after(["normalform-solve_spec"]) == ["numpy"]
+
+
 def test_package_root_exports_resolve():
     code = f"""if True:
         import torus_hypo
@@ -491,6 +513,46 @@ MALFORMED = {
         ("argv", ["cf", "condition-b", "constant:2", "--s", "2", "--epsilon", "-1"]),
         "--epsilon: -1.0",
     ),
+    "n-boolean": (("spec", {"n": True, "tubes": [{"a": "1/2", "b": "0"}]}), "n:"),
+    "n-not-an-integer": (("spec", {"n": 1.5, "tubes": [{"a": "1/2", "b": "0"}]}), "n:"),
+    "a-digit-string-not-an-integer": (
+        ("spec", {"tubes": [{"a": {"cf": {"kind": "explicit", "digits": ["1", "1.5"]}}, "b": "0"}]}),
+        "tubes[0]: a: digits[1]:",
+    ),
+    "a-digit-boolean": (
+        ("spec", {"tubes": [{"a": {"cf": {"kind": "explicit", "digits": [True, 2]}}, "b": "0"}]}),
+        "tubes[0]: a: digits[0]:",
+    ),
+    "a-constant-digit-not-an-integer": (
+        ("spec", {"tubes": [{"a": {"cf": {"kind": "constant", "digit": 2.5}}, "b": "0"}]}),
+        "tubes[0]: a: digit:",
+    ),
+    "witness-q-not-an-integer": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": _witness({"r": ["-1"], "q": "2.5"})}),
+        "vector_witness: pairs[0]: q:",
+    ),
+    "witness-r-boolean": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": _witness({"r": [True], "q": 2})}),
+        "vector_witness: pairs[0]: r[0]:",
+    ),
+    "witness-bound-scale-not-an-integer": (
+        (
+            "spec",
+            {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": {"delta": 1, "pairs": [], "bound_scale": 1.5}},
+        ),
+        "vector_witness: bound_scale:",
+    ),
+    "witness-zero": (("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": 0}), "vector_witness:"),
+    "witness-empty-list": (("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": []}), "vector_witness:"),
+    "witness-empty-string": (("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": ""}), "vector_witness:"),
+    "assertion-empty-string": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_assertion": ""}),
+        "vector_assertion:",
+    ),
+    "assertion-unknown-kind": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_assertion": "Liouville"}),
+        "vector_assertion:",
+    ),
 }
 
 
@@ -516,6 +578,28 @@ def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys, monkey
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field} ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"tubes": [{"a": {"cf": {"kind": "explicit", "digits": [1.5, 2]}}, "b": "0"}]}, "tubes[0]: a: digits[0]:"),
+        (
+            {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": _witness({"r": [1.9], "q": 2.5})},
+            "vector_witness: pairs[0]: r[0]:",
+        ),
+    ],
+    ids=["digit", "witness-row"],
+)
+def test_non_integer_digits_and_witness_entries_are_refused(spec, field, tmp_path, capsys):
+    """A digit 1.5 or a witness entry 1.9 exits 2 naming the field instead
+    of being truncated to 1."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 1, "s": "2", **spec}), encoding="utf-8")
+    assert cli.main(["diagnose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} expected an integer, got ")
 
 
 @pytest.mark.parametrize(

@@ -162,6 +162,27 @@ def test_digit_cap_switches_to_log_scale():
             assert abs(cf.log_q(n) - want) <= 1e-9 * want
 
 
+@pytest.mark.parametrize("stream", ["constant:3", "7,300,2,95,1,1,4000,3,12,5,8,600,2,9"])
+def test_log_tables_do_not_depend_on_the_read_order(stream):
+    """The log tables grow only when read; ln q_n, ln a_n and every pair,
+    those past a 4-digit cap included, come out the same whether logs or
+    pairs are read first, or the last index first."""
+
+    def reads(order: str):
+        cf = D.ContinuedFraction(D.digit_stream_from_json(stream), digit_cap=4)
+        got = {}
+        indices = range(1, 13)
+        for kind in ("log", "pair") if order == "logs first" else ("pair", "log"):
+            for n in reversed(indices) if order == "last first" else indices:
+                got[kind, n] = cf.log_q(n) if kind == "log" else cf.pair(n)
+        got["ln_a"] = [cf.ln_digit(n) for n in indices]
+        return {key: tuple(v) if isinstance(v, D._LogPair) else v for key, v in got.items()}
+
+    assert reads("logs first") == reads("pairs first") == reads("last first")
+    cf = D.ContinuedFraction(D.digit_stream_from_json(stream), digit_cap=4)
+    assert isinstance(cf.pair(1)[1], int) and isinstance(cf.pair(12), D._LogPair)
+
+
 def test_mpf_value_of_golden_type_cf():
     # all-ones CF in the purely fractional convention is 1/phi = (sqrt(5)-1)/2
     val = cf_from(CONST_ONE).mpf(40)
