@@ -52,6 +52,7 @@ from .errors import (
     _list_field,
     _parse_field,
 )
+from .gevrey import _parse_coeff
 
 #: default cap on the decimal-digit count of exactly materialized integers
 DEFAULT_DIGIT_CAP = 100_000
@@ -596,7 +597,7 @@ class LiouvilleWitness:
         MalformedInput.refuse_unknown_keys(obj, ("delta", "pairs", "bound_scale"))
         rows = enumerate(_list_field(obj, "pairs", ()))
         return cls(
-            delta=float(obj["delta"]),
+            delta=_parse_field("delta", lambda d: float(_parse_coeff(d)), obj.get("delta")),
             pairs=[_parse_field(f"pairs[{k}]", _witness_row, row) for k, row in rows],
             bound_scale=_parse_field("bound_scale", _integer, obj.get("bound_scale", 1)),
         )

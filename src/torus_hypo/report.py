@@ -12,7 +12,10 @@ Artifacts (the ``solve`` field and the ``singular`` certificate) are plain
 compact JSON with sorted keys, written by :func:`write_json`.  The fields in
 them hold trigonometric coefficients, where a stored 0.0 means |c| <= eps *
 max|c| of its block (eps = machine epsilon): below the rounding error of the
-FFT that produced it (``FourierField.coeffs``).
+FFT that produced it (``FourierField.coeffs``).  A block's real and
+imaginary parts reach :func:`write_json` as float64 vectors, and a run of
+stored zeros is written as text, so a mostly-zero certificate costs what its
+nonzero coefficients cost.
 """
 
 from __future__ import annotations
@@ -87,12 +90,13 @@ _ARTIFACT_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
 def write_json(obj, fh) -> None:
-    """Write ``json.dumps(obj, separators=(",", ":"), sort_keys=True)`` to ``fh``.
+    """Write ``json.dumps(obj, separators=(",", ":"), sort_keys=True)`` to ``fh``,
+    where a 1-D float64 numpy array stands for its ``tolist()``.
 
-    Dicts and lists of containers are written item by item, everything else
-    by the C encoder: only one piece of the text is held at a time (a
-    RationalJ certificate is 4.3 MB of text) and the pure-Python encoder of
-    ``json.dump`` is never used.
+    Dicts and lists of containers are written item by item, an array by
+    :func:`_write_floats`, everything else by the C encoder: only one piece
+    of the text is held at a time (a RationalJ certificate is 4.3 MB of
+    text) and the pure-Python encoder of ``json.dump`` is never used.
     """
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         fh.write("{")
@@ -106,8 +110,35 @@ def write_json(obj, fh) -> None:
             fh.write("," if i else "")
             write_json(value, fh)
         fh.write("]")
+    elif getattr(obj, "ndim", 0) == 1:  # a numpy vector; numpy is loaded if one exists
+        _write_floats(obj, fh)
     else:
         fh.write(_ARTIFACT_ENCODER.encode(obj))
+
+
+def _write_floats(values, fh) -> None:
+    """Write ``json.dumps(values.tolist())`` for a 1-D float64 array.
+
+    A run of +0.0 is repeated ``0.0`` text.  The other entries (-0.0 among
+    them) are encoded by one C-encoder call and split at the commas, which
+    no float's text holds; so each keeps the text ``json.dumps`` gives it,
+    NaN and the infinities included.  The loop runs once per run.
+    """
+    import numpy as np
+
+    if values.dtype != np.float64:
+        raise TypeError(f"cannot write a {values.dtype} array as floats")
+    zero = values.view(np.int64) == 0  # +0.0 is the one float whose bits are all 0
+    starts = np.flatnonzero(np.diff(zero, prepend=~zero[:1])).tolist()
+    texts = _ARTIFACT_ENCODER.encode(values[~zero].tolist())[1:-1].split(",")
+    runs, at = [], 0
+    for lo, hi in zip(starts, starts[1:] + [values.size]):
+        if zero[lo]:
+            runs.append("0.0," * (hi - lo - 1) + "0.0")
+        else:
+            runs.append(",".join(texts[at : at + hi - lo]))
+            at += hi - lo
+    fh.write("[" + ",".join(runs) + "]")
 
 
 def input_digest(path) -> str:

@@ -273,8 +273,19 @@ def locate_laplace_profile(b: TrigPoly) -> LaplaceProfile:
 
     Grid search on a 1024² lattice over [0, 2π]² (deterministic
     lexicographic tie-break) followed by Newton refinement of the
-    critical-point system ``b(t) = b(t−r) = 0`` to ~1e−12.
+    critical-point system ``b(t) = b(t−r) = 0`` to ~1e−12.  The profile
+    depends only on ``b`` and is memoized on it, so tubes with one b share
+    one search.
     """
+    # repr(b) keys the memo as well: an exact b and a float b of equal value
+    # are equal TrigPolys, but their primitives round differently
+    return _laplace_profile(repr(b), b)
+
+
+@functools.lru_cache(maxsize=64)
+def _laplace_profile(key: str, b: TrigPoly) -> LaplaceProfile:
+    """:func:`locate_laplace_profile`, once per process for each of the 64
+    polynomials used last."""
     if sign_analysis(b) != CHANGES_SIGN:
         raise ProfileError("profile location requires a certified sign-changing b")
     b0 = float(b.mean())
@@ -965,7 +976,7 @@ def build_obstruction(
     # Nyquist limit, and the total sample count must fit a fixed budget.
     # The field may live on a coarser divisor grid — grid data are pointwise
     # samples, so striding is exact — picked to maximize the dense rungs.
-    rate = max(abs(float(a.mpf())) for a in analysis.a0)
+    rate = max(abs(float(a)) for a in analysis.a0)
     choices = []
     g = grid
     while True:

@@ -321,13 +321,12 @@ class FourierField:
         return (int(self.xi[0]), int(self.xi[-1])) if self.xi.size else (0, 0)
 
     def to_json_obj(self) -> dict:
-        # One block at a time: the coefficient lists outweigh the field, and
-        # a whole coefficient stack next to them would add a field's size.
+        """The JSON form, each block's ``re`` and ``im`` a float64 vector
+        (views of its coefficients), which :func:`~.report.write_json`
+        writes as the list of its floats."""
         lo, hi = self._window()
-        blocks = []
-        for k, xi in enumerate(self.xi.tolist()):
-            c = self.coeffs(slice(k, k + 1)).ravel(order="C")
-            blocks.append({"xi": xi, "re": c.real.tolist(), "im": c.imag.tolist()})
+        rows = self.coeffs().reshape(self.xi.size, self.grid_size**self.n)
+        blocks = [{"xi": xi, "re": c.real, "im": c.imag} for xi, c in zip(self.xi.tolist(), rows)]
         return {
             "format": "tff",
             "version": _BINARY_VERSION,

@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_hypo import cli
 from torus_hypo.solver import FourierField
@@ -170,15 +172,16 @@ def _fresh(args: list, cwd=TESTS, **env) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, capture_output=True, env=full, cwd=cwd, timeout=300)
 
 
-def _fresh_python(code: str, **env) -> str:
-    proc = _fresh(["-c", code], **env)
+def _fresh_python(code: str, cwd=TESTS, **env) -> str:
+    proc = _fresh(["-c", code], cwd, **env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.decode()
 
 
-def _loaded_after(cases: list) -> list:
+def _loaded_after(cases: list, cwd=TESTS) -> list:
     """The heavy packages in sys.modules after the cases ran in-process, one
-    after the other, in a fresh interpreter; each exits as its golden does."""
+    after the other, in a fresh interpreter in ``cwd``; each exits as its
+    golden does."""
     code = f"""if True:
         import contextlib, io, json, sys
         from torus_hypo import cli
@@ -189,7 +192,7 @@ def _loaded_after(cases: list) -> list:
         heavy = ("numpy", "scipy", "sympy", "mpmath")
         print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))
     """
-    codes, loaded = json.loads(_fresh_python(code))
+    codes, loaded = json.loads(_fresh_python(code, cwd))
     assert codes == [_manifest()[case]["exit"] for case in cases]
     return loaded
 
@@ -250,6 +253,12 @@ def test_cf_convergents_load_no_numeric_package():
 
 def test_normalform_on_rational_real_parts_loads_no_mpmath():
     assert _loaded_after(["normalform-solve_spec"]) == ["numpy"]
+
+
+def test_singular_on_rational_averages_loads_no_mpmath(tmp_path):
+    """singular_rationalJ builds Prop51 and a RationalJ lift: no cutoff
+    witness and no digit-defined average, so nothing reads mpmath."""
+    assert _loaded_after(["singular-singular_rationalJ"], tmp_path) == ["numpy"]
 
 
 def test_package_root_exports_resolve():
@@ -345,6 +354,59 @@ def test_piecewise_certificate_write_matches_json_dumps(obj):
     fh = io.StringIO()
     write_json(obj, fh)
     assert fh.getvalue() == json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+#: float64 vectors -> what json.dumps(vector.tolist()) must give
+FLOAT_VECTORS = {
+    "empty": [],
+    "all-plus-zero": [0.0] * 9,
+    "all-minus-zero": [-0.0] * 9,
+    "zero-runs-everywhere": [0.0, 0.0, 1.5, 0.0, -0.0, 0.0, 0.0, -2.25, 3.0, 0.0, 0.0, 0.0],
+    "single-zero": [0.0],
+    "single-value": [-7.0],
+    "subnormals": [5e-324, 0.0, -5e-324, 2.2250738585072014e-308 / 3, 0.0],
+    "exponent-form": [1e16, 0.0, 1e-5, -2e-300, 1.7976931348623157e308, 0.0, 123456789012345680.0],
+    "non-finite": [float("nan"), 0.0, float("inf"), -float("inf"), 0.0],
+    "dense-random": np.random.default_rng(20).standard_normal(1000).tolist(),
+}
+
+
+def _written(obj) -> str:
+    from torus_hypo.report import write_json
+
+    fh = io.StringIO()
+    write_json(obj, fh)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_VECTORS))
+def test_float_vector_is_written_as_json_dumps_writes_its_list(case):
+    """A float64 vector leaf is written as json.dumps writes its tolist():
+    +0.0 runs as text, -0.0 keeping its sign, also inside a container and
+    when the vector is a strided view (the real part of a complex block)."""
+    values = np.array(FLOAT_VECTORS[case], dtype=float)
+    want = json.dumps(values.tolist(), separators=(",", ":"))
+    assert _written(values) == want
+    assert _written({"b": [{"re": values}], "a": 1}) == f'{{"a":1,"b":[{{"re":{want}}}]}}'
+    block = np.empty(values.size, dtype=complex)
+    block.real, block.imag = values, 1.0
+    assert _written(block.real) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, 0.0, 0.0, -0.0]), st.floats(allow_nan=True, width=64)),
+        max_size=60,
+    )
+)
+def test_float_vector_write_matches_json_dumps_on_mixed_vectors(values):
+    assert _written(np.array(values, dtype=float)) == json.dumps(values, separators=(",", ":"))
+
+
+def test_non_float_vector_is_refused():
+    with pytest.raises(TypeError, match="int64"):
+        _written(np.arange(3))
 
 
 def test_canonical_json_renders_numpy_values_as_python_values():
@@ -545,6 +607,18 @@ MALFORMED = {
     "witness-zero": (("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": 0}), "vector_witness:"),
     "witness-empty-list": (("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": []}), "vector_witness:"),
     "witness-empty-string": (("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": ""}), "vector_witness:"),
+    "witness-delta-boolean": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": {"delta": True, "pairs": []}}),
+        "vector_witness: delta:",
+    ),
+    "witness-delta-nan": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": {"delta": "nan", "pairs": []}}),
+        "vector_witness: delta:",
+    ),
+    "witness-delta-inf": (
+        ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_witness": {"delta": "inf", "pairs": []}}),
+        "vector_witness: delta:",
+    ),
     "assertion-empty-string": (
         ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_assertion": ""}),
         "vector_assertion:",

@@ -10,11 +10,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torus_hypo import gevrey
+from torus_hypo import gevrey, singular
 from torus_hypo.diophantine import LiouvilleWitness
 from torus_hypo.errors import LadderMismatch
 from torus_hypo.gevrey import GevreyCutoff, TrigPoly
-from torus_hypo.singular import build_expliouville_J, build_prop51, build_prop52, build_rational_J
+from torus_hypo.singular import (
+    build_expliouville_J,
+    build_obstruction,
+    build_prop51,
+    build_prop52,
+    build_rational_J,
+)
 from torus_hypo.solver import apply_tube_operator
 from torus_hypo.system import SystemSpec, analyze
 
@@ -86,6 +92,41 @@ def test_prop52_mirror_branch_matches_forward_branch(monkeypatch):
         if xi >= 8:
             # 1.29e-4 at xi = 8, roughly halving per rung
             assert r <= 2e-4 * 0.53 ** (xi - 8)
+
+
+@pytest.fixture
+def empty_profile_cache():
+    """The process-wide Laplace profile memo, empty before and after the test."""
+    singular._laplace_profile.cache_clear()
+    yield
+    singular._laplace_profile.cache_clear()
+
+
+def test_tubes_with_one_b_share_one_laplace_search(monkeypatch, empty_profile_cache):
+    """singular_allsign has two Prop52 tubes with b = sin t: the 1024² grid
+    search of the kernel exponent runs once for both."""
+    searches = []
+    kernel = singular._kernel_exponent
+
+    def counting(b0, Bper, t, r):
+        if np.shape(t) == (1024, 1):  # the search lattice, not a table row
+            searches.append(Bper)
+        return kernel(b0, Bper, t, r)
+
+    monkeypatch.setattr(singular, "_kernel_exponent", counting)
+    spec = SystemSpec.from_json(load_fixture("singular_allsign.json"))
+    ob = build_obstruction(spec, xi_max=64, grid=128, field_cap=16)
+    assert ob.solution.construction == "Product"
+    assert len(searches) == 1
+
+
+def test_laplace_memo_keeps_exact_and_float_b_apart(empty_profile_cache):
+    """b = sin t given exactly and as a float are equal TrigPolys, but each
+    gets the profile of its own search."""
+    exact, floating = TrigPoly.from_json({"sin": ["1"]}), TrigPoly.from_json({"sin": [1.0]})
+    assert exact == floating
+    assert singular.locate_laplace_profile(exact) == singular.locate_laplace_profile(floating)
+    assert singular._laplace_profile.cache_info().currsize == 2
 
 
 SINE = {"sin": ["1"]}
