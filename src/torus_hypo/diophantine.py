@@ -982,7 +982,8 @@ class RealConstant:
             return float(self.fraction)
         if self.kind == "float":
             return self.value
-        return float(self.cf.mpf(30))
+        # the rational that cf.mpf(30) divides, rounded once
+        return float(self.cf.approx_fraction(35))
 
     def classify(
         self, s: float | None = None, n_max: int = DEFAULT_HORIZON

@@ -10,7 +10,9 @@ rather than about any particular equation:
   ln C - eps*|xi|^{1/s} and report the fitted rate as a
   :class:`GevreyWitness`.
 * compactly supported order-s cutoff functions (s > 1) built from the
-  mollifier psi(x) = exp(-x^{-1/(s-1)}).
+  mollifier psi(x) = exp(-x^{-1/(s-1)}), each with a :class:`CutoffBound`:
+  Gevrey-s derivative and Fourier bounds derived in closed form from
+  Cauchy estimates, not fitted to samples.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.  numpy is imported inside the functions that evaluate or
@@ -20,11 +22,10 @@ numpy.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import GeometryError, InsufficientData, MalformedInput, OrderError, _list_field
 
@@ -314,8 +315,6 @@ def estimate_decay(
     s: float,
     xi_min: int = DEFAULT_FIT_XI_MIN,
     xi_max: int | None = None,
-    *,
-    envelope: bool = False,
 ) -> GevreyWitness:
     """Least-squares fit of ln|c_xi| ~ ln C + power*ln|xi| - epsilon*|xi|^{1/s}.
 
@@ -325,13 +324,6 @@ def estimate_decay(
     required.  The ln|xi| column absorbs algebraic decay so that pure
     power-law data fits with epsilon ~ 0 while exact stretched-exponential
     data recovers its rate exactly.
-
-    With ``envelope=True`` the fit reads the *upper* envelope: points falling
-    far below the current fit are iteratively discarded.  This suits
-    magnitudes with interference near-zeros (transforms of compactly
-    supported bumps) where the dips carry no envelope information.  It is
-    wrong for data whose outliers point upward — small-divisor resonance
-    spikes — so it stays opt-in; the default is the plain fit.
     """
     import numpy as np
 
@@ -358,21 +350,7 @@ def estimate_decay(
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     design = np.column_stack([np.ones_like(x), np.log(x), x ** (1.0 / s)])
-
-    keep = np.ones(len(x), dtype=bool)
     coef, r2 = least_squares(design, y)
-    if envelope:
-        # Iterative one-sided trim toward the upper envelope.  Clean
-        # monotone data is never trimmed (all residuals stay small).
-        for _ in range(4):
-            resid = y - design @ coef
-            new_keep = resid > -0.6
-            if new_keep.sum() < max(8, int(0.4 * len(x))):
-                break
-            if bool(np.all(new_keep == keep)):
-                break
-            keep = new_keep
-            coef, r2 = least_squares(design[keep], y[keep])
     eps_hat = -float(coef[2])
     return GevreyWitness(
         s=s,
@@ -382,7 +360,7 @@ def estimate_decay(
         fit_r2=r2,
         power=float(coef[1]),
         h_fitted=False,
-        n_points=int(keep.sum()),
+        n_points=len(xs),
     )
 
 
@@ -413,6 +391,144 @@ def shoulder(x, s: float):
     return out
 
 
+def _exp(x: float) -> float:
+    """e^x, or inf past the float range."""
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def _bisect(ok, lo: float, hi: float) -> float:
+    """The largest point of [lo, hi] that 40 bisection steps find with
+    ``ok``, for ``ok`` true up to one point and false past it: ``hi`` when
+    ``ok(hi)``, and ``lo`` (not evaluated) when no step is ok."""
+    if ok(hi):
+        return hi
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+#: relative slack of each disc condition, far above the rounding of its terms
+_SLACK = 1e-9
+
+
+def _shoulder_bound(p: float) -> tuple:
+    """(h, theta, x_split, radius) with sup|H^(k)| <= 2e*h^k*(k!)^(1+1/p) on
+    (0, 1) for every k >= 0, where H = 1/(1 + e^g), g(x) = x^-p - (1-x)^-p,
+    is the shoulder psi/(psi + psi(1-.)) of psi(x) = exp(-x^-p).
+
+    H(1-x) = 1 - H(x), so x <= 1/2 is enough.  H is holomorphic near there,
+    and Cauchy's estimate |H^(k)(x)| <= k!*max|H|/r^k on the disc of radius r
+    about x is used on two kinds of disc:
+
+    * x <= x_split, r = theta*x.  There Re (z/x)^-p >= kappa =
+      (1+theta)^-p*cos(p*asin(theta)) and |1-z|^-p <= E =
+      (1-(1+theta)*x_split)^-p, and x_split keeps Re g >= kappa*x^-p - E >=
+      ln 2, so |1 + e^g| >= |e^g|/2 and |H| <= 2e^(-Re g).  E*x^p grows
+      with x, so E <= 1 + (E-1)*x_split^p*x^-p and |H| <= 2e*exp(-k1*x^-p),
+      k1 = kappa - (E-1)*x_split^p.  The largest k!*(theta*x)^-k*exp(-k1*x^-p)
+      over x > 0 is at most (k!)^(1+1/p)*(theta^-1*(p*k1)^(-1/p))^k, by
+      k^k <= e^k*k!.
+    * x_split <= x <= 1/2, r = radius.  |g'| <= p(|z|^(-p-1) + |1-z|^(-p-1))
+      bounds |Im g| on the disc by
+      radius*p*((x_split-radius)^(-p-1) + (1/2-radius)^(-p-1)).  Where that
+      is at most pi/2, Re e^g >= 0, so |H| <= 1 and |H^(k)| <= k!/radius^k.
+
+    Every admissible (theta, x_split, radius) gives a valid bound.  Twelve
+    values of theta under the sector limit p*asin(theta) < pi/2 are tried,
+    with the largest x_split and radius that bisection finds for each, and
+    the smallest h is kept (inf when no choice is admissible in floats).
+    The conditions are checked in logarithms, so nothing overflows.
+    """
+    theta_max = math.sin(math.pi / (2.0 * p)) if p > 1 else 1.0
+    ln_half_pi = math.log(math.pi / 2)
+    best = (math.inf, 0.0, 0.0, 0.0)
+    for i in range(1, 13):
+        theta = theta_max * i / 13
+        ln_kappa = -p * math.log1p(theta) + math.log(math.cos(p * math.asin(theta)))
+
+        def ln_E(ln_x):
+            return -p * math.log1p(-(1 + theta) * math.exp(ln_x))
+
+        def sector(ln_x):  # ln(kappa*x^-p) >= ln(E + ln 2)
+            a, lhs = ln_E(ln_x), ln_kappa - p * ln_x
+            return lhs - a - math.log1p(math.log(2) * math.exp(-a)) >= _SLACK * (1 + abs(lhs))
+
+        ln_split = _bisect(sector, -745.0, math.log(0.5))
+        if not sector(ln_split):
+            continue
+        x_split = math.exp(ln_split)
+
+        def flat(ln_r):  # ln(r*p*((x_split-r)^(-p-1) + (1/2-r)^(-p-1))) <= ln(pi/2)
+            r = math.exp(ln_r)
+            la, lb = -(p + 1) * math.log(x_split - r), -(p + 1) * math.log(0.5 - r)
+            lhs = ln_r + math.log(p) + max(la, lb) + math.log1p(math.exp(-abs(la - lb)))
+            return lhs <= ln_half_pi - _SLACK * (1 + abs(lhs))
+
+        ln_radius = _bisect(flat, -745.0, ln_split + math.log1p(-_SLACK))
+        if not flat(ln_radius):
+            continue
+        k1 = math.exp(ln_kappa) - _exp(ln_E(ln_split) + p * ln_split) + math.exp(p * ln_split)
+        h = max(_exp(-math.log(p * k1) / p) / theta, _exp(-ln_radius))
+        best = min(best, (h, theta, x_split, math.exp(ln_radius)))
+    return best
+
+
+class CutoffBound(NamedTuple):
+    """Gevrey-s certificate row of a cutoff phi, derived in closed form:
+
+    * sup|phi^(k)| <= C*h^k*(k!)^s for every k >= 0;
+    * |phi_hat(xi)| <= C_fourier*exp(-epsilon*|xi|^(1/s)) for xi != 0, with
+      phi_hat(xi) = (1/2pi) * integral of phi(t)*e^(-i*xi*t) over one period.
+
+    ``theta``, ``x_split`` and ``radius`` are the disc parameters of the
+    shoulder estimate (:func:`_shoulder_bound`), so the row can be derived
+    again from them.  A named tuple, not a dataclass: every command that
+    reads a trig polynomial imports this module.
+    """
+
+    s: float
+    C: float
+    h: float
+    C_fourier: float
+    epsilon: float
+    theta: float
+    x_split: float
+    radius: float
+
+    @classmethod
+    def derive(cls, cutoff: "GevreyCutoff") -> "CutoffBound":
+        """The row of ``cutoff``, from the shoulder bound with p = 1/(s-1).
+
+        Off the two shoulders phi is 0 or 1, and on each it is H at the
+        shoulder's coordinate, so sup|phi^(k)| <= sup|H^(k)|/w^k with w the
+        narrower shoulder width (C = 2e >= sup|phi| covers k = 0), and
+        ||phi^(k)||_L1 <= (r-l)*C*h^k*(k!)^s.  Integrating by parts k times,
+        |phi_hat(xi)| <= inf_k ||phi^(k)||_L1/(2pi*|xi|^k); with
+        k = floor(y), y = (|xi|/h)^(1/s), k! <= e*k^(k+1/2)*e^-k and
+        y^(s/2) <= exp(s*y/(2e)), that is at most
+        (r-l)*C*e^(2s)/(2pi) * exp(-s*(1 - 1/(2e))*y).
+        """
+        s = cutoff.s
+        h_shoulder, theta, x_split, radius = _shoulder_bound(_mollifier_exponent(s))
+        (l, r), (l2, r2) = cutoff.support, cutoff.plateau
+        h = h_shoulder / min(l2 - l, r - r2)
+        C = 2 * math.e
+        return cls(
+            s=s,
+            C=C,
+            h=h,
+            C_fourier=(r - l) * C * _exp(2 * s) / (2 * math.pi),
+            epsilon=s * (1 - 1 / (2 * math.e)) * h ** (-1 / s),
+            theta=theta,
+            x_split=x_split,
+            radius=radius,
+        )
+
+    def to_json(self) -> dict:
+        return self._asdict()
+
+
 @dataclass(frozen=True)
 class GevreyCutoff:
     """Compactly supported order-s cutoff on (0, 2*pi).
@@ -420,15 +536,14 @@ class GevreyCutoff:
     Identically 1 on ``plateau`` = [l', r'], identically 0 outside
     ``support`` = [l, r], monotone on each shoulder, and 0 <= phi <= 1
     everywhere.  Construction checks s > 1 (:class:`OrderError`) and
-    0 < l < l' < r' < r < 2*pi (:class:`GeometryError`).  ``witness`` records
-    the numeric decay verification of its Fourier coefficients at order s;
-    :func:`make_cutoff` attaches it.
+    0 < l < l' < r' < r < 2*pi (:class:`GeometryError`).  ``bound`` is its
+    Gevrey-s certificate row; :func:`make_cutoff` attaches it.
     """
 
     s: float
     support: tuple
     plateau: tuple
-    witness: GevreyWitness | None = None
+    bound: CutoffBound | None = None
 
     def __post_init__(self):
         s = float(self.s)
@@ -475,8 +590,9 @@ class GevreyCutoff:
         roots of unity become Python ints at scale 2**160 (finer than the 133
         bits of 40 digits), a radix-2 FFT runs on them with a 160-bit shift
         after each product, and each magnitude isqrt(re² + im²) / 2**160 / 8192
-        is rounded to a float once.  The tail of the witness's fit window lies
-        far below the float64 FFT roundoff floor.
+        is rounded to a float once.  The tail lies far below the float64 FFT
+        roundoff floor.  No build reads it: it is the reference that the
+        tests hold :class:`CutoffBound` against.
         """
         from mpmath import mp, workdps
 
@@ -513,26 +629,13 @@ class GevreyCutoff:
         return {k: math.isqrt(re[k] ** 2 + im[k] ** 2) / one / n for k in range(1, n // 2)}
 
 
-@functools.lru_cache(maxsize=64)
-def _cutoff_witness(s: float, support: tuple, plateau: tuple) -> GevreyWitness:
-    """Decay witness of one cutoff geometry, computed once per process (for
-    the 64 geometries used last)."""
-    mags = GevreyCutoff(s, support, plateau).fourier_magnitudes_hiprec()
-    return estimate_decay(mags, s, xi_min=32, xi_max=2048, envelope=True)
-
-
 def make_cutoff(s: float, support: tuple, plateau: tuple) -> GevreyCutoff:
     """Build the order-s cutoff for plateau strictly inside support inside (0, 2pi).
 
     The construction composes two shoulders of the mollifier
     psi(x) = exp(-x^{-1/(s-1)}):  phi(t) = h((t-l)/(l'-l)) * h((r-t)/(r-r')).
-    The returned cutoff carries a decay witness: the Fourier magnitudes from
-    :meth:`GevreyCutoff.fourier_magnitudes_hiprec` (the true tail lies below
-    the float64 FFT noise floor), fitted at order s over frequencies
-    32..2048.  The witness depends only on (s, support, plateau) and is
-    memoized on them, so every cutoff of one geometry shares one frozen
-    witness and the transform runs once per geometry and process.
+    The returned cutoff carries its :class:`CutoffBound`, derived from
+    (s, support, plateau) alone, in about a millisecond and without mpmath.
     """
     bare = GevreyCutoff(s, support, plateau)
-    geometry = (bare.s, bare.support, bare.plateau)
-    return GevreyCutoff(*geometry, witness=_cutoff_witness(*geometry))
+    return GevreyCutoff(bare.s, bare.support, bare.plateau, bound=CutoffBound.derive(bare))

@@ -418,18 +418,26 @@ def _build_prop52_forward(
         phase e^{−i2πξa₀} (the cutoff vanishes near the seam, so the phase
         switch multiplies zero and the integrand stays smooth and periodic).
         The ξ-free Laplace tables depend only on n_r = max(1024, 4ξ); they
-        are rebuilt only when n_r changes.
+        are rebuilt only when n_r changes, and they keep only the (t', r)
+        cells where the bump is nonzero (most of the table is off its
+        support).  Off the support every summand is ±0, so the row sums over
+        a zeroed table with the support cells filled in are the sums over
+        the full table, bit for bit.
         """
         n_r = None
         for xi in xis:
             if n_r != max(1024, 4 * xi):
                 n_r = max(1024, 4 * xi)
                 r = TWO_PI * np.arange(n_r) / n_r
-                wrapped = t_points[:, None] < r[None, :]  # t' − r < 0
                 bump = cutoff(np.mod(t_points[:, None] - r[None, :], TWO_PI))
-                expo = _kernel_exponent(b0, Bper_sh, t_points[:, None], r[None, :]) - profile.B0
+                cells = np.nonzero(bump)
+                t_c, r_c = t_points[cells[0]], r[cells[1]]
+                bump = bump[cells]
+                wrapped = t_c < r_c  # t' − r < 0
+                expo = _kernel_exponent(b0, Bper_sh, t_c, r_c) - profile.B0
+                integral = np.zeros((t_points.size, n_r), dtype=complex)
             holonomy = np.where(wrapped, np.exp(-2j * math.pi * xi * a0_value), 1.0)
-            integral = np.exp(np.minimum(expo * xi, 0.0)) * bump * holonomy
+            integral[cells] = np.exp(np.minimum(expo * xi, 0.0)) * bump * holonomy
             vals = integral.sum(axis=1) * (TWO_PI / n_r)
             yield xi, np.exp(-1j * xi * a0_value * (t_points - t0_sh)) * vals
 
@@ -470,7 +478,7 @@ def _build_prop52_forward(
         "t0": profile.t0,
         "translation": sigma,
         "delta": delta,
-        "cutoff_witness": cutoff.witness.to_json(),
+        "cutoff_bound": cutoff.bound.to_json(),
         "f_table": f_table,
         "m": 1,
         "B_offset": B_off,
@@ -498,7 +506,8 @@ def build_prop52(
     with φ a Gevrey-s cutoff at the peak foot; the matching right-hand side
     is ``f̂(t, ξ) = (1 − e^{−i2πξc_0}) e^{−B_0 ξ} e^{−iξa_0(t−t_0)} φ(t)``.
     Certificates store |û(t_0, ξ)| for ξ ≤ xi_max (the ``C·ξ^{−1/2}`` table),
-    the closed-form |f̂| table, the peak power / stretched-exponential rates
+    the closed-form |f̂| table, the Gevrey-s row of φ (``cutoff_bound``,
+    derived in closed form), the peak power / stretched-exponential rates
     fitted over [max(8, xi_max/8), xi_max], and the proof-side constant
     √(π/A) for comparison.  Coefficient blocks are materialized for
     ξ ≤ field_xi_cap.
@@ -629,9 +638,9 @@ def build_product(
             raise LadderMismatch(f"tube solution {j} is not single-variable")
         if sol.coefficients.grid_size != grid:
             raise GridMismatch("per-tube solutions use different grid sizes")
-        absent = np.setdiff1d(dense, sol.coefficients.xi)
-        if absent.size:
-            raise LadderMismatch(f"tube solution {j} has no rung at xi={int(absent[0])}")
+        absent = set(dense).difference(sol.coefficients.xi.tolist())
+        if absent:
+            raise LadderMismatch(f"tube solution {j} has no rung at xi={min(absent)}")
 
     rows = {ax: sol.coefficients.take(dense)[:, ::stride] for ax, sol in enumerate(per_tube)}
     out = FourierField(n, out_grid, dense, _embed_factors(n, out_grid, len(dense), rows))
@@ -684,9 +693,9 @@ def _lift(spec: SystemSpec, v, rungs, phases: dict, grid: int) -> FourierField:
             f"v covers {v.coefficients.n} variables but {len(rest)} tubes are not real"
         )
     else:
-        absent = np.setdiff1d(rungs, v.coefficients.xi)
-        if absent.size:
-            raise LadderMismatch(f"v has no rung at xi={int(absent[0])}")
+        absent = set(rungs).difference(v.coefficients.xi.tolist())
+        if absent:
+            raise LadderMismatch(f"v has no rung at xi={min(absent)}")
         grid, blocks = v.coefficients.grid_size, v.coefficients.take(rungs)
     axis_rows = {j - 1: _integer_phases(ms, grid) for j, ms in phases.items()}
     stack = _embed_factors(spec.n, grid, len(rungs), axis_rows, blocks, [j - 1 for j in rest])
@@ -748,9 +757,10 @@ def build_rational_J(
 
     rungs = [q * k for k in range(1, k_max + 1)]
     if v is None:
-        grid, dense = grid_size, np.intersect1d(rungs, dense_rungs).tolist()
+        grid, held = grid_size, set(dense_rungs)
     else:
-        grid, dense = v.coefficients.grid_size, np.intersect1d(rungs, v.coefficients.xi).tolist()
+        grid, held = v.coefficients.grid_size, set(v.coefficients.xi.tolist())
+    dense = [xi for xi in rungs if xi in held]
     phases = {j: [] for j in J}
     for xi in dense:
         for j in J:

@@ -252,9 +252,9 @@ class FourierField:
         """The grid values at ξ = ``xi`` (one int: one block; a sequence: a
         stack of blocks in that order); :class:`GridMismatch` names a ξ that
         is not stored."""
-        missing = np.setdiff1d(xi, self.xi)
-        if missing.size:
-            raise GridMismatch(f"no data block at xi={int(missing[0])}")
+        missing = set(np.atleast_1d(xi).tolist()).difference(self.xi.tolist())
+        if missing:
+            raise GridMismatch(f"no data block at xi={min(missing)}")
         return self.data[np.searchsorted(self.xi, xi)]
 
     def coeffs(self, rows=slice(None)) -> np.ndarray:

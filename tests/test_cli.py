@@ -178,9 +178,9 @@ def _fresh_python(code: str, cwd=TESTS, **env) -> str:
     return proc.stdout.decode()
 
 
-def _loaded_after(cases: list, cwd=TESTS) -> list:
-    """The heavy packages in sys.modules after the cases ran in-process, one
-    after the other, in a fresh interpreter in ``cwd``; each exits as its
+def _loaded_after(cases: list, cwd=TESTS, heavy=("numpy", "scipy", "sympy", "mpmath")) -> list:
+    """The ``heavy`` modules in sys.modules after the cases ran in-process,
+    one after the other, in a fresh interpreter in ``cwd``; each exits as its
     golden does."""
     code = f"""if True:
         import contextlib, io, json, sys
@@ -189,8 +189,7 @@ def _loaded_after(cases: list, cwd=TESTS) -> list:
         for argv in {[_argv(case) for case in cases]!r}:
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(cli.main(argv))
-        heavy = ("numpy", "scipy", "sympy", "mpmath")
-        print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))
+        print(json.dumps([codes, [m for m in {heavy!r} if m in sys.modules]]))
     """
     codes, loaded = json.loads(_fresh_python(code, cwd))
     assert codes == [_manifest()[case]["exit"] for case in cases]
@@ -256,9 +255,24 @@ def test_normalform_on_rational_real_parts_loads_no_mpmath():
 
 
 def test_singular_on_rational_averages_loads_no_mpmath(tmp_path):
-    """singular_rationalJ builds Prop51 and a RationalJ lift: no cutoff
-    witness and no digit-defined average, so nothing reads mpmath."""
+    """singular_rationalJ builds Prop51 and a RationalJ lift: no digit-defined
+    average, so nothing reads mpmath."""
     assert _loaded_after(["singular-singular_rationalJ"], tmp_path) == ["numpy"]
+
+
+def test_singular_on_prop52_tubes_loads_neither_mpmath_nor_numpy_ma(tmp_path):
+    """The cutoff row is derived in floats, digit-defined averages are read
+    as exact rationals, and rung sets are intersected in Python, so the
+    Prop52 builds load neither mpmath nor numpy.ma (which np.unique pulls
+    in)."""
+    cases = ["singular-crit9_three_tube", "singular-singular_allsign"]
+    heavy = ("numpy", "numpy.ma", "scipy", "mpmath")
+    assert _loaded_after(cases, tmp_path, heavy) == ["numpy"]
+
+
+def test_division_solve_and_normalform_on_digit_defined_averages_load_no_mpmath(tmp_path):
+    """A digit-defined average is read as a float through one exact rational."""
+    assert _loaded_after(["solve-division", "normalform-ex63"], tmp_path) == ["numpy"]
 
 
 def test_package_root_exports_resolve():

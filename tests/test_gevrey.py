@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -15,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_hypo import gevrey
 from torus_hypo.errors import GeometryError, InsufficientData, OrderError
 from torus_hypo.gevrey import GevreyCutoff, TrigPoly, estimate_decay, make_cutoff, shoulder
 
@@ -161,7 +157,7 @@ def test_make_cutoff_contract():
 
 
 def test_make_cutoff_rejects_bad_geometry():
-    """Checked before any witness work, and also for a bare cutoff."""
+    """Checked before the bound is derived, and also for a bare cutoff."""
     for build in (make_cutoff, GevreyCutoff):
         with pytest.raises(GeometryError):
             build(2.0, (1.0, 2.0), (0.5, 1.5))  # plateau not inside
@@ -178,52 +174,78 @@ def test_make_cutoff_rejects_analytic_order():
 #: the cutoff geometry every singular fixture uses: support π ± 0.5, plateau π ± 0.25
 _SUPPORT = (math.pi - 0.5, math.pi + 0.5)
 _PLATEAU = (math.pi - 0.25, math.pi + 0.25)
-_WITNESS_GOLDEN = Path(__file__).resolve().parent / "golden" / "cutoff_witness.json"
+@pytest.mark.parametrize("s", ["5/4", "3/2", "2", "5/2", "3", "5"])
+def test_cutoff_bound_holds_at_every_frequency(s):
+    """Both Fourier bounds of the derived row hold over the high-precision
+    transform at every j in 1..4095: the closed form
+    C_fourier*exp(-epsilon*|xi|^(1/s)), and the derivative route
+    (r-l)*C/(2pi)*inf_k (k!)^s*(h/|xi|)^k.  The transform is a DFT of 8192
+    samples, so its j-th coefficient is the sum of phi_hat over j + 8192*m;
+    each bound therefore gets its own aliasing sum over j -/+ 8192*m,
+    m = 1..63 (cutting the sum short only makes the check stricter)."""
+    phi = make_cutoff(float(Fraction(s)), _SUPPORT, _PLATEAU)
+    row = phi.bound
+    hiprec = phi.fourier_magnitudes_hiprec()
+    mags = np.array([hiprec[j] for j in range(1, 4096)])
+    (l, r), n = phi.support, 8192
+    ln_factorial = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 4096)))])
+
+    def closed(xi):
+        return row.C_fourier * np.exp(-row.epsilon * xi ** (1 / row.s))
+
+    def derivative_route(xi):
+        # (k!)^s*(h/xi)^k falls while k < y = (xi/h)^(1/s): its least term is at floor(y)
+        y = (xi / row.h) ** (1 / row.s)
+        k = np.floor(y)
+        return (r - l) * row.C / (2 * math.pi) * np.exp(row.s * (ln_factorial[k.astype(int)] - k * np.log(y)))
+
+    j = np.arange(1, 4096, dtype=float)
+    for bound in (closed, derivative_route):
+        total = bound(j) + sum(bound(m * n - j) + bound(m * n + j) for m in range(1, 64))
+        assert np.all(mags <= total), (bound.__name__, int(np.argmax(mags / total)) + 1)
+
+
+def _shoulder_taylor(x, p, order):
+    """Taylor coefficients at x of the shoulder 1/(1 + e^g), g = x^-p - (1-x)^-p,
+    by power-series arithmetic in mpmath."""
+    g = [mpmath.binomial(-p, n) * (x ** (-p - n) - (-1) ** n * (1 - x) ** (-p - n)) for n in range(order + 1)]
+    e = [mpmath.exp(g[0])]
+    for n in range(1, order + 1):  # (e^g)' = g'*e^g
+        e.append(mpmath.fsum(j * g[j] * e[n - j] for j in range(1, n + 1)) / n)
+    d = [1 + e[0]] + e[1:]
+    out = [1 / d[0]]
+    for n in range(1, order + 1):
+        out.append(-mpmath.fsum(d[j] * out[n - j] for j in range(1, n + 1)) / d[0])
+    return out
 
 
 @pytest.mark.parametrize("s", ["5/4", "3/2", "2", "5/2", "3", "5"])
-def test_cutoff_witness_matches_golden(s):
-    """The decay witness of the high-precision transform, pinned field by field."""
-    want = json.loads(_WITNESS_GOLDEN.read_text(encoding="utf-8"))[s]
-    got = make_cutoff(float(Fraction(s)), _SUPPORT, _PLATEAU).witness.to_json()
-    assert sorted(got) == sorted(want)
-    for key, value in want.items():
-        if isinstance(value, bool):
-            assert got[key] is value
-        else:
-            assert math.isclose(got[key], value, rel_tol=1e-9), key
+def test_cutoff_derivative_bound_holds_on_the_shoulder(s):
+    """sup|phi^(k)| <= C*h^k*(k!)^s against exact derivatives: on the left
+    shoulder phi(t) = H((t-l)/w), so phi^(k) = H^(k)/w^k, with H^(k) from its
+    Taylor coefficients at 16 points of (0, 1/2] (H(1-x) = 1 - H(x) gives the
+    rest) for every k <= 16."""
+    phi = make_cutoff(float(Fraction(s)), _SUPPORT, _PLATEAU)
+    row, w = phi.bound, _PLATEAU[0] - _SUPPORT[0]
+    with mpmath.workdps(30):
+        p = 1 / (mpmath.mpf(Fraction(s).numerator) / Fraction(s).denominator - 1)
+        for i in range(1, 17):
+            coeffs = _shoulder_taylor(mpmath.mpf(i) / 32, p, 16)
+            for k in range(1, 17):
+                derivative = abs(coeffs[k]) * mpmath.factorial(k) / w**k
+                assert derivative <= row.C * row.h**k * mpmath.factorial(k) ** row.s, (i, k)
 
 
-@pytest.fixture
-def empty_witness_cache():
-    """The process-wide witness memo, empty before and after the test."""
-    gevrey._cutoff_witness.cache_clear()
-    yield
-    gevrey._cutoff_witness.cache_clear()
-
-
-def test_cutoff_witness_is_memoized_per_geometry(monkeypatch, empty_witness_cache):
-    """One transform per (s, support, plateau); the shared witness is frozen."""
-    transforms = []
-
-    def stretched_exponential(cut):
-        # a cheap stand-in for the transform, different for each geometry
-        transforms.append(cut)
-        width = cut.support[1] - cut.support[0]
-        return {k: math.exp(-width * k ** (1 / cut.s)) for k in range(1, 4096)}
-
-    monkeypatch.setattr(GevreyCutoff, "fourier_magnitudes_hiprec", stretched_exponential)
-    first = make_cutoff(2.0, _SUPPORT, _PLATEAU)
-    again = make_cutoff(2.0, _SUPPORT, _PLATEAU)
-    assert again.witness is first.witness and len(transforms) == 1
-    other_s = make_cutoff(3.0, _SUPPORT, _PLATEAU)
-    other_support = make_cutoff(2.0, (math.pi - 0.6, math.pi + 0.5), _PLATEAU)
-    assert len(transforms) == 3
-    assert other_s.witness.s == 3.0
-    assert len({first.witness, other_s.witness, other_support.witness}) == 3
-    assert GevreyCutoff(2.0, _SUPPORT, _PLATEAU).witness is None and len(transforms) == 3
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        first.witness.epsilon = 0.0
+def test_cutoff_bound_is_derived_for_every_order():
+    """The row needs only floats: orders near 1 and far above it give a
+    row (a vacuous one, h = inf, where no disc choice is admissible), not
+    an overflow."""
+    for s in (1.001, 1.01, 1.25, 2.0, 5.0, 100.0, 400.0):
+        row = make_cutoff(s, _SUPPORT, _PLATEAU).bound
+        assert row.s == s and row.C == 2 * math.e and row.h > 0 and row.C_fourier > 0
+        assert row.epsilon == s * (1 - 1 / (2 * math.e)) * row.h ** (-1 / s)
+    assert math.isfinite(make_cutoff(100.0, _SUPPORT, _PLATEAU).bound.h)
+    assert GevreyCutoff(2.0, _SUPPORT, _PLATEAU).bound is None
 
 
 def test_hiprec_magnitudes_match_direct_dft():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torus_hypo import gevrey, singular
+from torus_hypo import singular
 from torus_hypo.diophantine import LiouvilleWitness
 from torus_hypo.errors import LadderMismatch
 from torus_hypo.gevrey import GevreyCutoff, TrigPoly
@@ -66,7 +66,6 @@ def test_prop52_mirror_branch_matches_forward_branch(monkeypatch):
     monkeypatch.setattr(
         GevreyCutoff, "fourier_magnitudes_hiprec", lambda cut: transforms.append(cut) or hiprec(cut)
     )
-    gevrey._cutoff_witness.cache_clear()
     # b = 1/2 + sin t (b0 > 0) is built through the reflection c(t) = -b(-t)
     # = -1/2 + sin t and mapped back by u(t) = conj(v(-t)): it has the same
     # certified table as the forward build for -1/2 + sin t, and the mapped
@@ -76,10 +75,11 @@ def test_prop52_mirror_branch_matches_forward_branch(monkeypatch):
     assert mirror.certificates["mirror_mapped"] is True
     assert "mirror_mapped" not in forward.certificates
     assert mirror.certificates["lower_bound_table"] == forward.certificates["lower_bound_table"]
-    # both builds put their cutoff on one geometry: one transform, one witness
-    assert len(transforms) == 1
-    assert mirror.certificates["cutoff_witness"] == forward.certificates["cutoff_witness"]
-    assert mirror.certificates["cutoff_witness"]["s"] == 2.0
+    # both builds put their cutoff on one geometry, so they derive one row,
+    # and neither runs the high-precision transform
+    assert transforms == []
+    assert mirror.certificates["cutoff_bound"] == forward.certificates["cutoff_bound"]
+    assert mirror.certificates["cutoff_bound"]["s"] == 2.0
 
     pm, pf = mirror.certificates["profile"], forward.certificates["profile"]
     assert (pm["mirror"], pf["mirror"]) == (True, False)

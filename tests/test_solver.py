@@ -227,6 +227,9 @@ def test_field_layout_guards():
     c = FourierField.from_modes(1, 32, {(0, 2): 1.0})
     with pytest.raises(GridMismatch):
         a.require_same_frequencies(c)
+    # a missing block is named by the smallest absent xi
+    with pytest.raises(GridMismatch, match=r"xi=4$"):
+        FourierField.from_modes(1, 32, {(0, 1): 1.0, (0, 2): 1.0}).take([5, 4, 2])
 
 
 # ---------------------------------------------------------------------------
