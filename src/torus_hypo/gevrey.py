@@ -177,15 +177,6 @@ class TrigPoly:
         at_zero = sum(p.cos, Fraction(0) if self.is_exact else 0.0)
         return TrigPoly(-at_zero, p.cos, p.sin)
 
-    def lipschitz_bound(self) -> float:
-        """Global bound on |self'|: sum_k k(|cos_k| + |sin_k|)."""
-        return float(
-            sum(
-                k * (abs(self.coefficient("cos", k)) + abs(self.coefficient("sin", k)))
-                for k in range(1, self.degree + 1)
-            )
-        )
-
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, t):

@@ -218,7 +218,7 @@ def build_prop51(
     if not isinstance(b, TrigPoly):
         raise MalformedInput("b must be a TrigPoly")
     mean = b.mean()
-    if not (mean == 0 if b.is_exact else abs(float(mean)) < 1e-14):
+    if mean != 0:
         raise MeanNotZero(f"b must have zero mean, got {mean}")
     frac = Fraction(a0)
     q = frac.denominator

@@ -81,7 +81,6 @@ from .system import (
     IDENTICALLY_ZERO,
     NON_NEGATIVE_NOT_ZERO,
     NON_POSITIVE_NOT_ZERO,
-    UNCERTIFIABLE,
     SystemSpec,
     analyze,
     sign_analysis,
@@ -677,10 +676,10 @@ def solve_single_tube(tube_index: int, spec: SystemSpec, f: FourierField) -> Fou
         raise ProfileError(
             f"tube {tube_index} has vanishing imaginary part; use solve_by_division"
         )
-    if profile in (CHANGES_SIGN, UNCERTIFIABLE):
+    if profile == CHANGES_SIGN:
         raise ProfileError(
-            f"tube {tube_index} imaginary part is not certified one-signed "
-            f"(profile {profile}); the damped solution formulas do not apply"
+            f"tube {tube_index} imaginary part changes sign; the damped "
+            f"solution formulas do not apply"
         )
 
     N = f.grid_size

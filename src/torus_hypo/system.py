@@ -10,8 +10,8 @@ workflow is:
 
 1. ``average`` each coefficient (exact when the input is exact);
 2. ``sign_analysis`` of each b_j: identically zero / one-signed / changes
-   sign, with an exact algebraic certificate for exact coefficients and a
-   grid-plus-Lipschitz certificate for float coefficients;
+   sign, with an exact algebraic certificate; a float coefficient is read
+   as the dyadic rational it holds, so floats get the same certificate;
 3. assemble the index set J of tubes with b_j identically zero and the
    averaged vector over J;
 4. ``decide``: the system is globally regular (order-s Gevrey, or smooth)
@@ -52,15 +52,11 @@ IDENTICALLY_ZERO = "IdenticallyZero"
 NON_NEGATIVE_NOT_ZERO = "NonNegativeNotZero"
 NON_POSITIVE_NOT_ZERO = "NonPositiveNotZero"
 CHANGES_SIGN = "ChangesSign"
-UNCERTIFIABLE = "Uncertifiable"
 
 # decisions
 HYPOELLIPTIC = "Hypoelliptic"
 NOT_HYPOELLIPTIC = "NotHypoelliptic"
 DECISION_UNKNOWN = "Unknown"
-
-#: float coefficients all below this are treated as an approximate zero
-ZERO_COEFF_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +180,6 @@ class SystemAnalysis:
     b0: list  # RealConstant per tube
     J: list  # 1-based indices with b_j identically zero
     profiles: list  # sign profile string per tube
-    approx_zero: list  # True where IdenticallyZero rests on a float tolerance
 
     @property
     def ell(self) -> int:
@@ -201,7 +196,6 @@ class SystemAnalysis:
             "J": list(self.J),
             "ell": self.ell,
             "profiles": list(self.profiles),
-            "approx_zero": list(self.approx_zero),
         }
 
 
@@ -241,36 +235,24 @@ def average(p) -> RealConstant:
 
 def sign_analysis(b: TrigPoly) -> str:
     """Classify b as IdenticallyZero / NonNegativeNotZero /
-    NonPositiveNotZero / ChangesSign (or Uncertifiable).
+    NonPositiveNotZero / ChangesSign, with an exact algebraic certificate.
 
-    Exact coefficients get an exact algebraic certificate: on the half-angle
-    substitution u = tan(t/2) the function b(t)*(1+u^2)^D is a polynomial
-    with rational coefficients, and b changes sign on the circle exactly
-    when that polynomial has a real root of odd multiplicity or odd degree
-    (the latter is a sign change across t = pi).  One-signed profiles that
-    merely touch zero are certified this way.
-
-    Float coefficients use dense sampling with the global Lipschitz bound
-    M = sum_k k(|cos_k|+|sin_k|): a grid value with |b(t_k)| > M*pi/N
-    certifies a strict sign on the surrounding cell; the grid is refined by
-    doubling until every cell is certified or the refinement cap is hit, in
-    which case the profile is Uncertifiable.
+    On the half-angle substitution u = tan(t/2) the function
+    b(t)*(1+u^2)^D is a polynomial with rational coefficients, and b changes
+    sign on the circle exactly when that polynomial has a real root of odd
+    multiplicity or odd degree (the latter is a sign change across t = pi).
+    One-signed profiles that merely touch zero are certified this way.  A
+    float coefficient is the dyadic rational ``Fraction(x)``, so float b is
+    decided by the same rule, about the value the float holds: a b of 1e-15
+    is positive, not zero.
     """
-    profile, _ = sign_analysis_detail(b)
-    return profile
-
-
-def sign_analysis_detail(b: TrigPoly):
     if not isinstance(b, TrigPoly):
         raise MalformedInput("sign analysis expects a trig polynomial")
-    if b.is_exact:
-        if b.is_zero:
-            return IDENTICALLY_ZERO, {"certificate": "exact", "approx_zero": False}
-        return _exact_profile(b), {"certificate": "exact", "approx_zero": False}
-    coeffs = [b.const, *b.cos, *b.sin]
-    if all(abs(float(c)) < ZERO_COEFF_TOL for c in coeffs):
-        return IDENTICALLY_ZERO, {"certificate": "tolerance", "approx_zero": True}
-    return _grid_profile(b), {"certificate": "grid+lipschitz", "approx_zero": False}
+    return _exact_profile(b)
+
+
+#: the same function under the name that coldbench/tracer.py wraps
+sign_analysis_detail = sign_analysis
 
 
 def _halfangle_polynomial(b: TrigPoly) -> list:
@@ -401,49 +383,22 @@ def _real_root_count(p: list) -> int:
     return minus - plus
 
 
-def _grid_profile(b: TrigPoly) -> str:
-    import numpy as np
-
-    D = max(b.degree, 1)
-    M = b.lipschitz_bound()
-    N0 = 64 * (D + 1)
-    for r in range(7):  # the base grid and six doublings
-        N = N0 << r
-        tk = 2.0 * np.pi * np.arange(N) / N
-        vals = b(tk)
-        margin = M * np.pi / N
-        pos = bool((vals > margin).any())
-        neg = bool((vals < -margin).any())
-        uncovered = bool((np.abs(vals) <= margin).any())
-        if pos and neg:
-            return CHANGES_SIGN
-        if not uncovered:
-            if pos:
-                return NON_NEGATIVE_NOT_ZERO
-            if neg:
-                return NON_POSITIVE_NOT_ZERO
-            return UNCERTIFIABLE
-    return UNCERTIFIABLE
-
-
 def analyze(spec: SystemSpec) -> SystemAnalysis:
     """Averages, sign profiles, and the zero set J for every tube."""
     a0 = []
     b0 = []
     profiles = []
-    approx_zero = []
     J = []
     for idx, tube in enumerate(spec.tubes, start=1):
         a0.append(average(tube.a))
-        profile, meta = sign_analysis_detail(tube.b)
+        profile = sign_analysis(tube.b)
         profiles.append(profile)
-        approx_zero.append(bool(meta["approx_zero"]))
         if profile == IDENTICALLY_ZERO:
             J.append(idx)
             b0.append(RealConstant.from_fraction(0))
         else:
             b0.append(average(tube.b))
-    return SystemAnalysis(a0=a0, b0=b0, J=J, profiles=profiles, approx_zero=approx_zero)
+    return SystemAnalysis(a0=a0, b0=b0, J=J, profiles=profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +522,7 @@ def decide(
     Route I: some b_j one-signed and not identically zero -> regular.
     Route II: J nonempty and the averaged vector over J irrational and not
     approximable at the relevant rate -> regular.  Both certified to fail ->
-    not regular.  Anything resting on an Unknown classification or an
-    uncertifiable sign profile -> Unknown.
+    not regular.  Anything resting on an Unknown classification -> Unknown.
     """
     for idx, profile in enumerate(analysis.profiles, start=1):
         if profile in (NON_NEGATIVE_NOT_ZERO, NON_POSITIVE_NOT_ZERO):
@@ -624,17 +578,6 @@ def decide(
                     f"classified at desk scale; no verdict"
                 ),
             )
-
-    if any(p == UNCERTIFIABLE for p in analysis.profiles):
-        bad = [i + 1 for i, p in enumerate(analysis.profiles) if p == UNCERTIFIABLE]
-        return Verdict(
-            decision=DECISION_UNKNOWN,
-            witness={"kind": "MissingClassification", "uncertified_tubes": bad},
-            explanation=(
-                f"tubes {bad} have uncertifiable sign profiles, so failure of "
-                f"the one-signed route cannot be certified"
-            ),
-        )
 
     reasons = []
     for idx, profile in enumerate(analysis.profiles, start=1):

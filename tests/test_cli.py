@@ -238,6 +238,21 @@ def test_exact_b_verdicts_load_no_numpy():
     assert "numpy" not in _loaded_after(cases)
 
 
+def test_float_b_verdicts_load_no_numpy(tmp_path):
+    """A float b is decided on the dyadic rational it holds, in pure Python,
+    whether it changes sign or touches zero."""
+    tubes = [{"a": "1/2", "b": {"sin": [0.5]}}, {"a": "1/3", "b": {"const": 0.1, "cos": [-0.1]}}]
+    (tmp_path / "spec.json").write_text(json.dumps({"n": 2, "s": "2", "tubes": tubes}), encoding="utf-8")
+    code = """if True:
+        import contextlib, io, json, sys
+        from torus_hypo import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main([command, "spec.json"]) for command in ("classify", "diagnose")]
+        print(json.dumps([codes, "numpy" in sys.modules]))
+    """
+    assert json.loads(_fresh_python(code, tmp_path)) == [[0, 0], False]
+
+
 def test_verdicts_that_read_no_continued_fraction_load_no_numeric_package():
     """cond1 and solve_spec are decided by a one-signed b, and J is empty
     for singular_allsign, so no digit stream is read as a number."""
@@ -811,6 +826,32 @@ def test_favorable_tail_beats_a_verified_witness(tmp_path, capsys):
     assert body["verdict"]["decision"] == "Hypoelliptic"
     evidence = body["vector_classification"]["evidence"]
     assert {"source": "witness", "rows_verified": [True, True, True]} in evidence
+
+
+#: one-signed float b, each read as the dyadic rational it holds: none is an
+#: approximate zero and none is too flat to certify
+FLOAT_B = {
+    "tiny-constant": {"const": 1e-15},
+    "tiny-one-plus-cos": {"const": 1e-15, "cos": [1e-15]},
+    "touches-zero": {"const": 0.1, "cos": [-0.1]},
+    "constant-above-1e-14": {"const": 1e-13},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_B))
+def test_float_b_is_decided_on_its_exact_value(case, tmp_path, capsys):
+    """A one-signed float b makes the system Hypoelliptic, however small or
+    flat, and singular refuses to build a family for it."""
+    spec = tmp_path / "spec.json"
+    tube = {"a": "1/2", "b": FLOAT_B[case]}
+    spec.write_text(json.dumps({"n": 1, "s": "2", "tubes": [tube]}), encoding="utf-8")
+    assert cli.main(["classify", str(spec)]) == 0
+    body = json.loads(capsys.readouterr().out)["body"]
+    assert body["analysis"]["profiles"] == ["NonNegativeNotZero"]
+    assert body["analysis"]["J"] == []
+    assert body["verdict"]["decision"] == "Hypoelliptic"
+    assert cli.main(["singular", str(spec), str(tmp_path / "out.json")]) == 40
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_single_tube_route_checks_the_rhs_field_count(tmp_path, capsys):

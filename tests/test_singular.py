@@ -12,7 +12,7 @@ import pytest
 
 from torus_hypo import singular
 from torus_hypo.diophantine import LiouvilleWitness
-from torus_hypo.errors import LadderMismatch
+from torus_hypo.errors import LadderMismatch, MeanNotZero
 from torus_hypo.gevrey import GevreyCutoff, TrigPoly
 from torus_hypo.singular import (
     build_expliouville_J,
@@ -127,6 +127,14 @@ def test_laplace_memo_keeps_exact_and_float_b_apart(empty_profile_cache):
     assert exact == floating
     assert singular.locate_laplace_profile(exact) == singular.locate_laplace_profile(floating)
     assert singular._laplace_profile.cache_info().currsize == 2
+
+
+def test_prop51_reads_a_float_mean_exactly():
+    """A float b with mean 1e-15 has a nonzero mean: its rungs would not
+    solve the tube equation, so Prop51 refuses it."""
+    b = TrigPoly(const=1e-15, cos=(1.0,))
+    with pytest.raises(MeanNotZero, match="1e-15"):
+        build_prop51(Fraction(1, 2), b, ladder=[1, 2, 3], grid_size=32)
 
 
 SINE = {"sin": ["1"]}

@@ -56,8 +56,10 @@ def test_sign_analysis_basic_profiles():
     assert S.sign_analysis(TrigPoly.from_json("-3")) == S.NON_POSITIVE_NOT_ZERO
 
 
-def test_sign_analysis_float_zero_flagged():
-    assert S.sign_analysis(TrigPoly(const=1e-16)) == S.IDENTICALLY_ZERO
+def test_sign_analysis_tiny_float_is_one_signed_not_zero():
+    # a float is the dyadic rational it holds: 1e-16 > 0, not an approximate zero
+    assert S.sign_analysis(TrigPoly(const=1e-16)) == S.NON_NEGATIVE_NOT_ZERO
+    assert S.sign_analysis(TrigPoly(const=0.0, cos=[0.0])) == S.IDENTICALLY_ZERO
 
 
 def test_sign_analysis_touching_zero_is_one_signed():
@@ -137,13 +139,16 @@ def _random_factor(rng) -> TrigPoly:
 
 def test_exact_profile_matches_sympy_rule():
     """The exact sign certificate equals the sympy rule on random products of
-    factors that change sign, touch zero, or repeat."""
+    factors that change sign, touch zero, or repeat, and on float b: random
+    floats of degree <= 3 and exact b moved by ``translate``."""
     cases = [
         TrigPoly(const=1, cos=[-1]),
         _trig_product(TrigPoly(const=1, cos=[0, -1]), TrigPoly(const=1, cos=[0, -1])),
         TrigPoly(const=5, cos=[0, 3], sin=[0, -4]),
         TrigPoly(const=0, sin=[1]),
         TrigPoly(const=Fraction(-1, 2), cos=[0, 0, 1]),
+        TrigPoly(const=1e-15, cos=[1e-15]),
+        TrigPoly(const=0.1, cos=[-0.1]),
     ]
     rng = random.Random(20261018)
     for _ in range(200):
@@ -157,6 +162,13 @@ def test_exact_profile_matches_sympy_rule():
                     assert math.isclose(product(t), b(t) * f(t), rel_tol=1e-9, abs_tol=1e-9)
                     b = product
         cases.append(b)
+    for _ in range(12):
+        k = rng.randint(1, 3)
+        coeff = lambda: rng.choice([0.0, rng.uniform(-2, 2)])  # noqa: E731
+        cos, sin = [coeff() for _ in range(k)], [coeff() for _ in range(k)]
+        cases.append(TrigPoly(const=rng.uniform(-2, 2), cos=cos, sin=sin))
+    for _ in range(8):
+        cases.append(_random_factor(rng).translate(rng.uniform(0, 2 * math.pi)))
     profiles = set()
     for b in cases:
         want = _sympy_profile(b)
