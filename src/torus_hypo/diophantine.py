@@ -13,9 +13,9 @@ The module keeps convergents exact (arbitrary-size integers) while q_n stays
 under a configurable decimal-digit cap, and keeps ln(p_n), ln(q_n) in
 high-precision floats in tables of their own, built by the same recurrence in
 log space when something first reads them (a log, or a pair past the cap).
-mpmath is imported inside the functions that compute logs, witnesses or
-``mpf`` values, so parsing and exact work (digits, exact convergents,
-brackets) load no mpmath.  On top of the engine it provides:
+mpmath is imported inside the functions that compute logs or witnesses,
+so parsing and exact work (digits, exact convergents, brackets) load no
+mpmath.  On top of the engine it provides:
 
 * exact two-sided brackets for |p_n - alpha*q_n| in terms of the digits only;
 * growth scores mu_n (power-law approximability) and beta_n (stretched-
@@ -377,13 +377,8 @@ class ContinuedFraction:
             i = len(self._p)
             self._fetch_digit(i)
             a = self._a[i]
-            exact_ok = (
-                a is not None
-                and self._p[i - 1] is not None
-                and self._q[i - 1] is not None
-                and (i < 2 or (self._p[i - 2] is not None and self._q[i - 2] is not None))
-            )
-            if exact_ok:
+            # p and q go inexact together, and never come back
+            if a is not None and self._q[i - 1] is not None:
                 if i == 1:
                     p, q = 1, a
                 else:
@@ -505,14 +500,6 @@ class ContinuedFraction:
         while self.has_digit(n + 1):
             n += 1
         return n
-
-    def mpf(self, dps: int = 60):
-        """High-precision float value of the defined number."""
-        from mpmath import mp, workdps
-
-        frac = self.approx_fraction(digits=dps + 5)
-        with workdps(dps + 10):
-            return mp.mpf(frac.numerator) / mp.mpf(frac.denominator)
 
     def to_json(self) -> dict:
         return {"cf": self.stream.to_json()}
@@ -964,25 +951,15 @@ class RealConstant:
         if self.kind == "rational":
             return self.fraction
         if self.kind == "float":
-            return Fraction(self.value).limit_denominator(10**digits)
+            return Fraction(self.value)  # the dyadic rational the float holds
         return self.cf.approx_fraction(digits)
-
-    def mpf(self, dps: int = 60):
-        from mpmath import mp, workdps
-
-        with workdps(dps):
-            if self.kind == "rational":
-                return mp.mpf(self.fraction.numerator) / self.fraction.denominator
-            if self.kind == "float":
-                return mp.mpf(self.value)
-            return self.cf.mpf(dps)
 
     def __float__(self) -> float:
         if self.kind == "rational":
             return float(self.fraction)
         if self.kind == "float":
             return self.value
-        # the rational that cf.mpf(30) divides, rounded once
+        # a 35-digit rational, rounded once
         return float(self.cf.approx_fraction(35))
 
     def classify(

@@ -29,9 +29,10 @@ Two solution regimes are implemented:
 * :func:`solve_by_division` — every tube carries ``b_j ≡ 0`` and constant
   ``a_j``; division by the linear form ``ξ a_{M0} + η_M`` of the tube M with
   the largest divisor inverts the system mode by mode, a chunk of ξ at a time.
-  The averaged constants are used through high-precision rational
-  approximations so that near-resonant divisors are evaluated exactly rather
-  than in float64: ``DIVISION_DIGITS`` significant figures.
+  The averaged constants are used as rationals, so that near-resonant
+  divisors are evaluated exactly rather than in float64: a float as the
+  dyadic rational it holds, a digit-defined constant to within
+  10**-``DIVISION_DIGITS``.
 
 :func:`solve_system` is the whole-system pipeline behind ``torus-hypo solve``:
 the averaging gauge, the compatibility check of one field per tube
@@ -715,7 +716,8 @@ def _signed_divisors(xi: np.ndarray, frac: Fraction, eta: np.ndarray) -> np.ndar
     the exact approximant of a_0.
 
     Entries smaller than 1e-6 in float64 are recomputed in exact rational
-    arithmetic, where ``frac`` keeps ``DIVISION_DIGITS`` significant figures.
+    arithmetic, where ``frac`` is a_0 itself or, for a digit-defined a_0, within
+    10**-``DIVISION_DIGITS`` of it.
     """
     signed = xi[:, None] * float(frac) + eta.astype(float)
     for k, i in zip(*np.nonzero(np.abs(signed) < 1e-6)):
@@ -733,8 +735,9 @@ def solve_by_division(
     first tube that is not), and ``f_list`` supplies one field per tube.  For
     every joint frequency (η, ξ) ≠ 0 the solution is
     ``û = −i f̂_M / (ξ a_{M0} + η_M)`` with M the first tube of largest divisor
-    magnitude.  The averaged constants are evaluated to ``DIVISION_DIGITS``
-    significant figures so near-resonant divisors are computed exactly; a
+    magnitude.  The averaged constants are read as rationals (a
+    digit-defined one to within 10**-``DIVISION_DIGITS``) so near-resonant
+    divisors are computed exactly; a
     divisor below ``ZERO_DIVISOR_FLOOR`` raises :class:`ZeroDivisorError`
     naming the first such ξ and, within it, the first η of least divisor.
 

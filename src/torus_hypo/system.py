@@ -25,7 +25,6 @@ available evidence cannot certify either direction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -238,17 +237,36 @@ def sign_analysis(b: TrigPoly) -> str:
     NonPositiveNotZero / ChangesSign, with an exact algebraic certificate.
 
     On the half-angle substitution u = tan(t/2) the function
-    b(t)*(1+u^2)^D is a polynomial with rational coefficients, and b changes
-    sign on the circle exactly when that polynomial has a real root of odd
+    b(t)*(1+u^2)^D is a polynomial Q with rational coefficients, and b
+    changes sign on the circle exactly when Q has a real root of odd
     multiplicity or odd degree (the latter is a sign change across t = pi).
     One-signed profiles that merely touch zero are certified this way.  A
     float coefficient is the dyadic rational ``Fraction(x)``, so float b is
     decided by the same rule, about the value the float holds: a b of 1e-15
     is positive, not zero.
+
+    With g_0 = Q and g_(k+1) = gcd(g_k, g_k'), a real root of multiplicity m
+    is a root of g_0 .. g_(m-1) and of no later g_k, so it adds 1 to the
+    alternating sum N_0 - N_1 + N_2 - ... of their numbers of distinct real
+    roots when m is odd, and 0 when m is even.  Q and every remainder are kept primitive in Z[u] (Collins 1967, Brown
+    1971): a positive scaling moves no sign or root, and the coefficients
+    stop growing.
     """
     if not isinstance(b, TrigPoly):
         raise MalformedInput("sign analysis expects a trig polynomial")
-    return _exact_profile(b)
+    q = _halfangle_polynomial(b)
+    if not q:
+        return IDENTICALLY_ZERO
+    if len(q) % 2 == 0:
+        # odd degree: opposite signs as u -> +-infinity, i.e. across t = pi
+        return CHANGES_SIGN
+    counts, g = [], q
+    while len(g) > 1:
+        roots, g = _sturm(g)
+        counts.append(roots)
+    if sum(counts[::2]) > sum(counts[1::2]):
+        return CHANGES_SIGN
+    return NON_NEGATIVE_NOT_ZERO if q[-1] > 0 else NON_POSITIVE_NOT_ZERO
 
 
 #: the same function under the name that coldbench/tracer.py wraps
@@ -256,77 +274,32 @@ sign_analysis_detail = sign_analysis
 
 
 def _halfangle_polynomial(b: TrigPoly) -> list:
-    """Coefficients (ascending, Fractions) of Q(u) = b(t(u)) * (1+u^2)^D
-    under u = tan(t/2), using cos(kt) + i sin(kt) = (1+iu)^{2k} / (1+u^2)^k."""
-    D = b.degree
-    size = 2 * D + 1
-    out = [Fraction(0)] * size
+    """Q(u) = b(t(u)) * (1+u^2)^D under u = tan(t/2), times the positive
+    rational that makes it a primitive integer polynomial.
 
-    def add_scaled(target, poly, scale):
-        for i, c in enumerate(poly):
-            target[i] += scale * c
-
-    def one_plus_u2_pow(j):
-        # ascending coefficients of (1+u^2)^j
-        out = [Fraction(0)] * (2 * j + 1)
-        for m in range(j + 1):
-            out[2 * m] = Fraction(math.comb(j, m))
-        return out
-
-    def mul(p1, p2):
-        res = [Fraction(0)] * (len(p1) + len(p2) - 1)
-        for i, c1 in enumerate(p1):
-            if c1 == 0:
-                continue
-            for j, c2 in enumerate(p2):
-                if c2 == 0:
-                    continue
-                res[i + j] += c1 * c2
-        return res
-
-    add_scaled(out, one_plus_u2_pow(D), Fraction(b.const))
-    for k in range(1, D + 1):
-        ck = Fraction(b.coefficient("cos", k))
-        sk = Fraction(b.coefficient("sin", k))
-        if ck == 0 and sk == 0:
-            continue
-        # (1+iu)^{2k}: real part has even powers, imaginary part odd powers
-        re = [Fraction(0)] * (2 * k + 1)
-        im = [Fraction(0)] * (2 * k + 1)
-        for m in range(0, 2 * k + 1):
-            c = Fraction(math.comb(2 * k, m))
-            if m % 4 == 0:
-                re[m] = c
-            elif m % 4 == 1:
-                im[m] = c
-            elif m % 4 == 2:
-                re[m] = -c
-            else:
-                im[m] = -c
-        base = one_plus_u2_pow(D - k)
-        if ck != 0:
-            add_scaled(out, mul(re, base), ck)
-        if sk != 0:
-            add_scaled(out, mul(im, base), sk)
-    return out
+    (1+u^2)^k (cos kt + i sin kt) = w^k for w = (1+iu)^2 = 1 + 2iu - u^2, so
+    Q = sum_k (1+u^2)^(D-k) (c_k Re w^k + s_k Im w^k), summed by Horner's rule
+    in 1+u^2 while w^k is multiplied by w.  Re w^k has only even powers of u
+    and Im w^k only odd ones, so one list ``w`` holds both."""
+    coeffs = [Fraction(b.const)] + [
+        Fraction(b.coefficient(kind, k)) for k in range(1, b.degree + 1) for kind in ("cos", "sin")
+    ]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    const, *cos_sin = (int(c * scale) for c in coeffs)
+    q, w = [const], [1]
+    for c, s in zip(cos_sin[::2], cos_sin[1::2]):
+        w = [x - z + (2 if m % 2 else -2) * y for m, (x, y, z) in enumerate(_shifts(w))]
+        q = [x + z + (s if m % 2 else c) * y for m, ((x, _, z), y) in enumerate(zip(_shifts(q), w))]
+    return _primitive(_poly_trim(q))
 
 
-def _exact_profile(b: TrigPoly) -> str:
-    coeffs = _poly_trim(_halfangle_polynomial(b))
-    if not coeffs:
-        return IDENTICALLY_ZERO
-    if (len(coeffs) - 1) % 2 == 1:
-        # odd degree: opposite signs as u -> +-infinity, i.e. across t = pi
-        return CHANGES_SIGN
-    for factor, mult in _squarefree_factors(coeffs):
-        if mult % 2 == 1 and len(factor) > 1 and _real_root_count(factor) > 0:
-            return CHANGES_SIGN
-    lc = coeffs[-1]
-    return NON_NEGATIVE_NOT_ZERO if lc > 0 else NON_POSITIVE_NOT_ZERO
-
-
-# Exact polynomials: ascending Fraction coefficient lists without trailing
+# Integer polynomials: ascending int coefficient lists without trailing
 # zeros ([] is the zero polynomial).
+
+
+def _shifts(p: list):
+    """(p, u p, u^2 p) coefficient by coefficient."""
+    return zip(p + [0, 0], [0] + p + [0], [0, 0] + p)
 
 
 def _poly_trim(p: list) -> list:
@@ -335,52 +308,36 @@ def _poly_trim(p: list) -> list:
     return p
 
 
-def _poly_divmod(num: list, den: list):
-    rem, quo = list(num), [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for i in reversed(range(len(quo))):
-        c = quo[i] = rem[i + len(den) - 1] / den[-1]
-        for j, d in enumerate(den):
-            rem[i + j] -= c * d
-    return quo, _poly_trim(rem[: len(den) - 1])
+def _primitive(p: list) -> list:
+    """p divided by its content, a positive integer."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def _poly_derivative(p: list) -> list:
-    return [k * c for k, c in enumerate(p)][1:]
+def _poly_rem(num: list, den: list) -> list:
+    """Primitive part of the pseudo-remainder of num by den, taken with the
+    multiplier |lc(den)|: a positive multiple of the remainder."""
+    sign, rem = (1 if den[-1] > 0 else -1), list(num)
+    while len(_poly_trim(rem)) >= len(den):
+        c = sign * rem.pop()
+        rem = [abs(den[-1]) * x for x in rem]
+        for j, d in enumerate(den[:-1], start=len(rem) - len(den) + 1):
+            rem[j] -= c * d
+    return _primitive(rem)
 
 
-def _poly_gcd(p: list, q: list) -> list:
-    """Monic greatest common divisor of p != 0 and q (Euclid)."""
-    while q:
-        p, q = q, _poly_divmod(p, q)[1]
-    return [c / p[-1] for c in p]
-
-
-def _squarefree_factors(f: list) -> list:
-    """Yun's square-free decomposition (Yun, SYMSAC 1976): pairs (a_i, i)
-    with f = lc(f) * prod a_i^i, the a_i monic, square-free and coprime."""
-    df = _poly_derivative(f)
-    g = _poly_gcd(f, df)
-    b, c = _poly_divmod(f, g)[0], _poly_divmod(df, g)[0]
-    out = []
-    while len(b) > 1:
-        db = _poly_derivative(b)
-        d = _poly_trim([x - y for x, y in itertools.zip_longest(c, db, fillvalue=0)])
-        a = _poly_gcd(b, d)
-        out.append((a, len(out) + 1))
-        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
-    return out
-
-
-def _real_root_count(p: list) -> int:
-    """Distinct real roots of p (degree >= 1) by Sturm's theorem (Sturm
-    1829): sign changes of the Sturm sequence at -inf minus those at +inf."""
-    seq = [p, _poly_derivative(p)]
-    while rem := _poly_divmod(seq[-2], seq[-1])[1]:
+def _sturm(p: list) -> tuple:
+    """(number of distinct real roots of p, gcd(p, p') primitive) for p of
+    degree >= 1, from the Sturm sequence of p (Sturm 1829), whose last term
+    is gcd(p, p'): sign changes at -inf minus those at +inf.  Square-free p
+    is not needed, and positive factors on the remainders move no sign."""
+    seq = [p, [k * c for k, c in enumerate(p)][1:]]
+    while rem := _poly_rem(seq[-2], seq[-1]):
         seq.append([-c for c in rem])
     at_minus = [(q[-1] > 0) == (len(q) % 2 == 1) for q in seq]
     at_plus = [q[-1] > 0 for q in seq]
     minus, plus = (sum(x != y for x, y in zip(s, s[1:])) for s in (at_minus, at_plus))
-    return minus - plus
+    return minus - plus, _primitive(seq[-1])
 
 
 def analyze(spec: SystemSpec) -> SystemAnalysis:

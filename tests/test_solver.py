@@ -53,8 +53,8 @@ HALF_DAMPED = {"const": "-1/2", "cos": ["-1/2"]}  # b(t) = -(1+cos t)/2
 def manufactured_pair(spec: SystemSpec, modes: dict, grid: int = 128):
     """Exact u from modes, f = L_1 u evaluated in closed form on the grid."""
     u = FourierField.from_modes(1, grid, modes)
-    tube = spec.tubes[0]
-    a0 = float(tube.a.mpf(30)) if hasattr(tube.a, "mpf") else float(tube.a.mean())
+    tube, a = spec.tubes[0], spec.tubes[0].a
+    a0 = float(a.approx_fraction(30)) if hasattr(a, "approx_fraction") else float(a.mean())
     t = u.t_grid()
     b_vals = tube.b(t)
     f_vals = np.empty_like(u.data)
@@ -555,6 +555,22 @@ def test_division_rational_resonance():
         solve_by_division(spec, [f])
 
 
+def test_division_tiny_float_average_is_not_a_resonance():
+    """a = 1e-70 is the dyadic rational it holds, not 0: the divisor at
+    (η, ξ) = (0, 1) is 1e-70, and u is recovered.  The two modes sit in
+    different ξ rows, whose f have sizes 1e-70 and 2, so each row of the
+    float grid holds its mode exactly."""
+    spec = spec_from(1, [{"a": 1e-70, "b": "0"}])
+    modes = {(0, 1): 1.0 - 0.5j, (2, 2): 1.0}
+    u_true = FourierField.from_modes(1, 8, modes)
+    f = FourierField.from_modes(
+        1, 8, {(eta, xi): 1j * (eta + xi * 1e-70) * c for (eta, xi), c in modes.items()}
+    )
+    u, summary = solve_system(spec, [f])
+    assert summary["route"] == "division"
+    assert (u - u_true).max_abs() <= 1e-12
+
+
 def test_division_refuses_a_tube_that_is_not_real():
     spec = spec_from(2, [
         {"a": {"cf": "constant:2"}, "b": "0"},
@@ -626,7 +642,7 @@ def test_division_three_real_tubes():
     """n = 3, f_j = i(η_j + ξα_j)u for a u without a (0, 0) mode: the
     division route recovers u; a perturbed f_3 is refused naming a pair."""
     spec = spec_from(3, [{"a": {"cf": f"constant:{k}"}, "b": "0"} for k in (2, 3, 5)])
-    alphas = [float(tube.a.mpf(30)) for tube in spec.tubes]
+    alphas = [float(tube.a.approx_fraction(30)) for tube in spec.tubes]
     modes = {
         ((1, -2, 0), 3): 0.8 - 0.3j,
         ((0, 0, 0), -1): 0.5,
@@ -674,7 +690,7 @@ def test_division_decay_preservation():
     # of the factorial continued fraction (numeric shadow of the a-priori
     # estimate): fitted rate of u at least half the rate of f, minus slack.
     spec = spec_from(1, [{"a": {"cf": "factorial_pow10"}, "b": "0"}], s="2")
-    alpha = float(spec.tubes[0].a.mpf(60))
+    alpha = float(spec.tubes[0].a.approx_fraction(60))
     modes = {}
     for xi in range(16, 1025):
         eta = -round(alpha * xi)  # most resonant integer pairing

@@ -102,21 +102,46 @@ def _trig_product(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     )
 
 
+def _checked_halfangle_polynomial(b: TrigPoly) -> list:
+    """``S._halfangle_polynomial(b)``, checked against b(t) (1+u^2)^D at 2D+1
+    rational u, with cos t = (1-u^2)/(1+u^2), sin t = 2u/(1+u^2) and cos kt,
+    sin kt from the Chebyshev recurrences.  Both sides have degree <= 2D, so
+    they are one polynomial up to the positive factor their ratio must be."""
+    q, D = S._halfangle_polynomial(b), b.degree
+    assert len(q) <= 2 * D + 1
+    ratios = set()
+    for m in range(-D, D + 1):
+        u = Fraction(m, 3)
+        cos, sin = [Fraction(1), (1 - u * u) / (1 + u * u)], [Fraction(0), 2 * u / (1 + u * u)]
+        for _ in range(2, D + 1):
+            cos.append(2 * cos[1] * cos[-1] - cos[-2])
+            sin.append(2 * cos[1] * sin[-1] - sin[-2])
+        value = (1 + u * u) ** D * (
+            Fraction(b.const)
+            + sum(Fraction(b.coefficient("cos", k)) * cos[k] for k in range(1, D + 1))
+            + sum(Fraction(b.coefficient("sin", k)) * sin[k] for k in range(1, D + 1))
+        )
+        q_at_u = sum(c * u**i for i, c in enumerate(q))
+        assert (value == 0) == (q_at_u == 0)
+        if q_at_u:
+            ratios.add(value / q_at_u)
+    assert len(ratios) == (1 if q else 0) and all(r > 0 for r in ratios)
+    return q
+
+
 def _sympy_profile(b: TrigPoly) -> str:
     """The reference rule, in sympy: b changes sign exactly when its
     half-angle polynomial has odd degree or a real root of odd multiplicity."""
     sympy = pytest.importorskip("sympy")
-    coeffs = S._halfangle_polynomial(b)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = _checked_halfangle_polynomial(b)
     if not coeffs:
         return S.IDENTICALLY_ZERO
     if (len(coeffs) - 1) % 2 == 1:
         return S.CHANGES_SIGN
     u = sympy.Symbol("u")
-    poly = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], u, domain="QQ")
+    poly = sympy.Poly([sympy.Integer(c) for c in reversed(coeffs)], u, domain="ZZ")
     for factor, mult in poly.sqf_list()[1]:
-        if mult % 2 == 1 and factor.degree() >= 1 and factor.count_roots() > 0:
+        if mult % 2 == 1 and factor.degree() >= 1 and factor.intervals():
             return S.CHANGES_SIGN
     return S.NON_NEGATIVE_NOT_ZERO if coeffs[-1] > 0 else S.NON_POSITIVE_NOT_ZERO
 
@@ -140,7 +165,8 @@ def _random_factor(rng) -> TrigPoly:
 def test_exact_profile_matches_sympy_rule():
     """The exact sign certificate equals the sympy rule on random products of
     factors that change sign, touch zero, or repeat, and on float b: random
-    floats of degree <= 3 and exact b moved by ``translate``."""
+    floats of degree <= 3, dense floats of degree 8 and 12, and exact b moved
+    by ``translate``."""
     cases = [
         TrigPoly(const=1, cos=[-1]),
         _trig_product(TrigPoly(const=1, cos=[0, -1]), TrigPoly(const=1, cos=[0, -1])),
@@ -169,10 +195,14 @@ def test_exact_profile_matches_sympy_rule():
         cases.append(TrigPoly(const=rng.uniform(-2, 2), cos=cos, sin=sin))
     for _ in range(8):
         cases.append(_random_factor(rng).translate(rng.uniform(0, 2 * math.pi)))
+    for k, ratio in itertools.product((8, 12), (0.3, 1.1)):  # mean / sum of |coefficients|
+        cos, sin = [rng.uniform(-1, 1) for _ in range(k)], [rng.uniform(-1, 1) for _ in range(k)]
+        const = rng.choice([1, -1]) * ratio * sum(map(abs, cos + sin))
+        cases.append(TrigPoly(const=const, cos=cos, sin=sin))
     profiles = set()
     for b in cases:
         want = _sympy_profile(b)
-        assert S._exact_profile(b) == want, b
+        assert S.sign_analysis(b) == want, b
         profiles.add(want)
     assert profiles == {S.CHANGES_SIGN, S.NON_NEGATIVE_NOT_ZERO, S.NON_POSITIVE_NOT_ZERO}
 
