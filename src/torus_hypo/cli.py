@@ -269,26 +269,12 @@ def cmd_cf(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: t-grid of the random field that ``normalform`` conjugates as a check
-PROBE_GRID = 32
-
-
-def _probe_field(n: int):
-    import numpy as np
-
-    from .solver import FourierField
-
-    # per ξ = 1, 2, 3 in turn: the real part's draws, then the imaginary part's
-    draws = np.random.default_rng(0).standard_normal((3, 2) + (PROBE_GRID,) * n)
-    return FourierField(n, PROBE_GRID, [1, 2, 3], draws[:, 0] + 1j * draws[:, 1])
-
-
 def cmd_normalform(args) -> int:
     from .normalform import build_normal_form, conjugation_residual
 
     spec = _load_spec(args)
     nf = build_normal_form(spec)
-    resid = conjugation_residual(spec, _probe_field(spec.n))
+    resid = conjugation_residual(spec, nf)
     body = {
         "is_trivial": nf.is_trivial(),
         "primitives": [p.to_json() for p in nf.A],
@@ -299,7 +285,7 @@ def cmd_normalform(args) -> int:
         command=["normalform"],
         body=body,
         digest=input_digest(args.spec),
-        runtime={"tubes": spec.n, "probe_grid": PROBE_GRID},
+        runtime={"tubes": spec.n},
     )
     _emit(report, args)
     return 0

@@ -11,7 +11,11 @@ so the gauge is an automorphism of the periodic setting and its inverse is
 the conjugate multiplication.
 
 ``A`` is represented as one single-variable :class:`~.gevrey.TrigPoly` per
-t-variable (the separable sum above).
+t-variable (the separable sum above).  The conjugation defect
+``T L_j T^{-1} − L̃_j`` is multiplication by ``iξ(a_j − a_j0 − A_j')``, so
+:func:`conjugation_residual` reads it off the coefficients, and building the
+gauge and its row loads no numpy.  Only :func:`apply_gauge`, which ``solve``
+runs on sampled fields, imports numpy and the solver.
 """
 
 from __future__ import annotations
@@ -19,12 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .diophantine import RealConstant
 from .errors import GridMismatch, MalformedInput
 from .gevrey import TrigPoly
-from .solver import FourierField, _along, apply_tube_operator
 from .system import SystemSpec, Tube, average
 
 __all__ = [
@@ -71,7 +72,11 @@ def build_normal_form(spec: SystemSpec) -> NormalFormData:
     return NormalFormData(A=tuple(primitives), normalized=normalized)
 
 
-def _total_gauge_on_grid(A: Sequence[TrigPoly], field: FourierField) -> np.ndarray:
+def _total_gauge_on_grid(A: Sequence[TrigPoly], field: "FourierField") -> "np.ndarray":
+    import numpy as np
+
+    from .solver import _along
+
     if len(A) != field.n:
         raise GridMismatch(f"gauge has {len(A)} components but field has n={field.n}")
     t = field.t_grid()
@@ -83,7 +88,7 @@ def _total_gauge_on_grid(A: Sequence[TrigPoly], field: FourierField) -> np.ndarr
     return total
 
 
-def apply_gauge(field: FourierField, A, direction: str) -> FourierField:
+def apply_gauge(field: "FourierField", A, direction: str) -> "FourierField":
     """Multiply each û(·, ξ) by e^{+iξA} (forward) or e^{−iξA} (inverse).
 
     ``A`` is the sequence of per-variable TrigPolys (``NormalFormData.A``).
@@ -92,6 +97,10 @@ def apply_gauge(field: FourierField, A, direction: str) -> FourierField:
     """
     if direction not in ("forward", "inverse"):
         raise MalformedInput(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    import numpy as np
+
+    from .solver import FourierField
+
     sign = 1.0 if direction == "forward" else -1.0
     total = _total_gauge_on_grid(A, field)
     gauged = (1j * sign * field.xi).reshape((-1,) + (1,) * field.n) * total
@@ -100,28 +109,26 @@ def apply_gauge(field: FourierField, A, direction: str) -> FourierField:
     return FourierField(field.n, field.grid_size, field.xi, gauged, dict(field.meta))
 
 
-def conjugation_residual(spec: SystemSpec, test_field: FourierField) -> float:
-    """Max-norm defect of the gauge conjugation, over all tubes.
+def conjugation_residual(spec: SystemSpec, nf: NormalFormData) -> float:
+    """Sup-norm bound, per unit ξ, of the gauge's conjugation defect.
 
-    Checks ``T L_j T^{-1} v = L̃_j v`` spectrally, where L̃_j is the tube
-    operator of the normalized spec: the left side gauges ``v`` back,
-    applies the variable-coefficient operator, and gauges forward; the right
-    side applies the constant-coefficient operator directly.  Returns
-    ``max_j ‖T L_j T^{-1} v − L̃_j v‖_∞ / (1 + ‖L̃_j v‖_∞)``.
-
-    For trig-polynomial data of degree ≤ 16 on the default 128-point grid
-    (and |ξ|·sup|a_j − a_j0| well inside the Nyquist band) the residual is
-    at the 1e−10 level or below: both sides are evaluated by exact trig
-    interpolation up to aliasing of the gauged field's Bessel-type tail.
+    ``T L_j T^{-1} − L̃_j`` (L̃_j the tube operator of the normalized spec) is
+    exactly multiplication by ``iξ·d_j`` with ``d_j = a_j − a_j0 − A_j'``;
+    this returns ``max_j Σ_k (|Δcos_k| + |Δsin_k|)`` of ``d_j``.  Fractions
+    stay exact, so the gauge :func:`build_normal_form` makes gives 0; float
+    coefficients give their rounding; a constant real part (digit-defined
+    included) has the zero gauge and gives 0.
     """
-    if test_field.n != spec.n:
-        raise GridMismatch(f"field has n={test_field.n} but system has n={spec.n}")
-    nf = build_normal_form(spec)
-    back = apply_gauge(test_field, nf.A, "inverse")
+    if len(nf.A) != spec.n:
+        raise GridMismatch(f"gauge has {len(nf.A)} components but system has n={spec.n}")
     worst = 0.0
-    for j in range(1, spec.n + 1):
-        lhs = apply_gauge(apply_tube_operator(spec, j, back), nf.A, "forward")
-        rhs = apply_tube_operator(nf.normalized, j, test_field)
-        scale = 1.0 + rhs.max_abs()
-        worst = max(worst, (lhs - rhs).max_abs() / scale)
+    for tube, A in zip(spec.tubes, nf.A):
+        a = tube.a if isinstance(tube.a, TrigPoly) else TrigPoly()
+        dA = A.derivative()
+        defect = sum(
+            abs(a.coefficient(kind, k) - dA.coefficient(kind, k))
+            for k in range(1, max(a.degree, dA.degree) + 1)
+            for kind in ("cos", "sin")
+        )
+        worst = max(worst, float(defect))
     return worst

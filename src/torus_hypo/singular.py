@@ -419,20 +419,24 @@ def _build_prop52_forward(
         switch multiplies zero and the integrand stays smooth and periodic).
         The ξ-free Laplace tables depend only on n_r = max(1024, 4ξ); they
         are rebuilt only when n_r changes, and they keep only the (t', r)
-        cells where the bump is nonzero (most of the table is off its
-        support).  Off the support every summand is ±0, so the row sums over
-        a zeroed table with the support cells filled in are the sums over
-        the full table, bit for bit.
+        cells where the bump is nonzero, evaluating it only where t' − r lies
+        strictly inside its support (most of the table lies outside).  Off
+        the support every summand is ±0, so the row sums over a zeroed table
+        with the support cells filled in are the sums over the full table,
+        bit for bit.
         """
+        lo, hi = cutoff.support
         n_r = None
         for xi in xis:
             if n_r != max(1024, 4 * xi):
                 n_r = max(1024, 4 * xi)
                 r = TWO_PI * np.arange(n_r) / n_r
-                bump = cutoff(np.mod(t_points[:, None] - r[None, :], TWO_PI))
-                cells = np.nonzero(bump)
+                arg = np.mod(t_points[:, None] - r[None, :], TWO_PI)
+                cells = np.nonzero((arg > lo) & (arg < hi))
+                bump = cutoff(arg[cells])
+                keep = bump != 0
+                cells, bump = tuple(c[keep] for c in cells), bump[keep]
                 t_c, r_c = t_points[cells[0]], r[cells[1]]
-                bump = bump[cells]
                 wrapped = t_c < r_c  # t' − r < 0
                 expo = _kernel_exponent(b0, Bper_sh, t_c, r_c) - profile.B0
                 integral = np.zeros((t_points.size, n_r), dtype=complex)

@@ -76,6 +76,7 @@ from .errors import (
     _parse_field,
 )
 from .gevrey import GevreyWitness, TrigPoly, estimate_decay
+from .normalform import apply_gauge, build_normal_form
 from .report import write_json
 from .system import (
     CHANGES_SIGN,
@@ -928,9 +929,6 @@ def solve_system(
     n = spec.n
     if len(f_list) == n:
         _check_compatible(spec, f_list)
-    # normalform imports this module, so its names are bound at call time
-    from .normalform import apply_gauge, build_normal_form
-
     nf = build_normal_form(spec)
     normalized = not nf.is_trivial()
     summary = {"normalized": normalized}

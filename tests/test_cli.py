@@ -265,8 +265,12 @@ def test_cf_convergents_load_no_numeric_package():
     assert _loaded_after(["cf-convergents-constant2", "cf-convergents-explicit"]) == []
 
 
-def test_normalform_on_rational_real_parts_loads_no_mpmath():
-    assert _loaded_after(["normalform-solve_spec"]) == ["numpy"]
+def test_normalform_loads_no_numeric_package():
+    """The gauge and its conjugation row are coefficient arithmetic, for
+    rational, float and digit-defined real parts alike."""
+    cases = [case for case in CASES if case.startswith("normalform-")]
+    assert len(cases) == len(SPECS)
+    assert _loaded_after(cases) == []
 
 
 def test_singular_on_rational_averages_loads_no_mpmath(tmp_path):

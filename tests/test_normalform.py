@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from torus_hypo import cli
 from torus_hypo import normalform as NF
 from torus_hypo.gevrey import TrigPoly
-from torus_hypo.solver import FourierField
+from torus_hypo.solver import FourierField, apply_tube_operator
 from torus_hypo.system import SystemSpec
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def spec_from(n, tubes, s="2") -> SystemSpec:
@@ -144,23 +149,51 @@ def test_gauge_factor_unit_modulus():
 # ---------------------------------------------------------------------------
 
 
+def spectral_conjugation_defect(spec: SystemSpec, field: FourierField) -> float:
+    """Reference for the gauge that ``solve`` applies on a grid: checks
+    ``T L_j T^{-1} v = L̃_j v`` on the sampled field ``v``, gauging back,
+    applying the variable-coefficient operator and gauging forward, against
+    the constant-coefficient operator of the normalized spec.  Returns
+    ``max_j ‖T L_j T^{-1} v − L̃_j v‖_∞ / (1 + ‖L̃_j v‖_∞)``.
+
+    For band-limited fields on a 64–128 point grid, with |ξ|·sup|a_j − a_j0|
+    well inside the Nyquist band, this sits at the 1e-10 level or below: both
+    sides are exact trig interpolation up to aliasing of the gauged field's
+    Bessel-type tail."""
+    nf = NF.build_normal_form(spec)
+    back = NF.apply_gauge(field, nf.A, "inverse")
+    worst = 0.0
+    for j in range(1, spec.n + 1):
+        lhs = NF.apply_gauge(apply_tube_operator(spec, j, back), nf.A, "forward")
+        rhs = apply_tube_operator(nf.normalized, j, field)
+        worst = max(worst, (lhs - rhs).max_abs() / (1.0 + rhs.max_abs()))
+    return worst
+
+
+def exact_row(spec: SystemSpec) -> float:
+    return NF.conjugation_residual(spec, NF.build_normal_form(spec))
+
+
 def test_conjugation_residual_constant_coefficients():
     spec = spec_from(1, [{"a": "1/2", "b": {"const": "-1"}}])
     f = random_field(1, 64, 8, [1, 2], seed=1)
-    assert NF.conjugation_residual(spec, f) == 0.0
+    assert spectral_conjugation_defect(spec, f) == 0.0
+    assert exact_row(spec) == 0.0
 
 
 def test_conjugation_residual_cosine_tube():
     spec = spec_from(1, [{"a": {"cos": ["1"]}, "b": {"const": "-1"}}])
     f = FourierField.from_modes(1, 128, {(1, 1): 1.0})
-    assert NF.conjugation_residual(spec, f) <= 1e-10
+    assert spectral_conjugation_defect(spec, f) <= 1e-10
+    assert exact_row(spec) == 0.0
 
 
 def test_conjugation_residual_random_fields():
     spec = spec_from(1, [{"a": {"cos": ["1"]}, "b": {"const": "-1", "cos": ["-1"]}}])
     for seed in range(5):
         f = random_field(1, 128, 8, [1, 2, 3, 5, 8], seed=seed)
-        assert NF.conjugation_residual(spec, f) <= 1e-10, seed
+        assert spectral_conjugation_defect(spec, f) <= 1e-10, seed
+    assert exact_row(spec) == 0.0
 
 
 def test_conjugation_residual_two_variables():
@@ -169,4 +202,56 @@ def test_conjugation_residual_two_variables():
         {"a": {"const": "1/3", "sin": ["0", "1"]}, "b": {"sin": ["1"]}},
     ])
     f = random_field(2, 64, 4, [1, 3], seed=9)
-    assert NF.conjugation_residual(spec, f) <= 1e-10
+    assert spectral_conjugation_defect(spec, f) <= 1e-10
+    assert exact_row(spec) == 0.0
+
+
+#: real parts whose gauge a 32-point probe could not resolve: the gauged
+#: golden input, a degree-3 real part of sup norm near 9, and float
+#: coefficients beside a rational constant tube
+EXACT_ROW_SPECS = {
+    "gauged_spec": json.loads((INPUTS / "gauged_spec.json").read_text(encoding="utf-8")),
+    "degree3": {
+        "n": 1,
+        "s": "2",
+        "tubes": [
+            {
+                "a": {"const": "1/2", "cos": ["3", "0", "2"], "sin": ["0", "4"]},
+                "b": {"const": "1", "cos": ["1"]},
+            }
+        ],
+    },
+    "float": {
+        "n": 2,
+        "s": "2",
+        "tubes": [
+            {"a": {"const": 0.5, "cos": [0.3, 0.7], "sin": [0.1]}, "b": {"const": "1", "cos": ["1"]}},
+            {"a": "1/3", "b": {"sin": ["1"]}},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_ROW_SPECS))
+def test_conjugation_residual_is_exact_from_the_coefficients(case, tmp_path, capsys):
+    obj = EXACT_ROW_SPECS[case]
+    assert exact_row(SystemSpec.from_json(obj)) <= 1e-15
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert cli.main(["normalform", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["body"]["conjugation_residual"] <= 1e-15
+    assert report["runtime"] == {"tubes": obj["n"]}
+
+
+def test_conjugation_residual_of_a_tampered_gauge():
+    """With A_2 doubled, d_2 = a_2 − a_20 − 2A_2' = −(a_2 − a_20), whose
+    coefficient sum 1 + 1/2 + 2 is the row."""
+    spec = spec_from(2, [
+        {"a": {"const": "1/3", "cos": ["1"]}, "b": {"sin": ["1"]}},
+        {"a": {"const": "1/5", "cos": ["1", "-1/2"], "sin": ["0", "0", "2"]}, "b": "0"},
+    ])
+    nf = NF.build_normal_form(spec)
+    tampered = NF.NormalFormData(A=(nf.A[0], nf.A[1].scale(2)), normalized=nf.normalized)
+    assert NF.conjugation_residual(spec, nf) == 0.0
+    assert NF.conjugation_residual(spec, tampered) == 3.5
