@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,6 +58,7 @@ from .system import (
     SystemSpec,
     Verdict,
     classify_system,
+    real_zeros,
     sign_analysis,
 )
 
@@ -104,9 +105,10 @@ class LaplaceProfile:
     """Peak data of the kernel exponent ``(t, r) ↦ ∫_{t−r}^{t} b``.
 
     ``B0`` is the maximum (or the minimum of ``∫_t^{t+r} b`` in the mirrored
-    ``b_0 > 0`` case, where it is negative), attained at ``(t0, r0)``;
-    ``psi_curvature`` is the second r-derivative of the exponent at the peak,
-    ``ψ''(r0) = −b'(t0 − r0)`` (sign flipped in the mirror case).
+    ``b_0 > 0`` case, where it is negative), attained at ``(t0, r0)``, where
+    ``t0`` and the foot ``t0 − r0`` are zeros of b; ``psi_curvature`` is the
+    second r-derivative of the exponent there, ``ψ''(r0) = −b'(t0 − r0)``
+    (sign flipped in the mirror case).
     """
 
     B0: float
@@ -123,13 +125,7 @@ class LaplaceProfile:
         return math.sqrt(math.pi / A)
 
     def to_json(self) -> dict:
-        return {
-            "B0": self.B0,
-            "t0": self.t0,
-            "r0": self.r0,
-            "psi_curvature": self.psi_curvature,
-            "mirror": self.mirror,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -176,29 +172,6 @@ class SingularSolution:
 # ---------------------------------------------------------------------------
 
 
-def _argmax_trigpoly(p: TrigPoly) -> float:
-    """Deterministic peak of a trig polynomial: first argmax on 8192 grid
-    points, then Newton on the derivative."""
-    t = TWO_PI * np.arange(8192) / 8192
-    vals = np.asarray(p(t), dtype=float)
-    best = float(t[int(np.argmax(vals))])
-    dp = p.derivative()
-    ddp = dp.derivative()
-    x = best
-    for _ in range(60):
-        g = float(dp(x))
-        h = float(ddp(x))
-        if h == 0:
-            break
-        step = g / h
-        x -= step
-        if abs(step) < 1e-14:
-            break
-    if float(p(x)) >= float(p(best)):
-        best = x % TWO_PI
-    return best
-
-
 def build_prop51(
     a0: Fraction,
     b: TrigPoly,
@@ -211,7 +184,9 @@ def build_prop51(
     With ``B`` the periodic primitive of the zero-mean ``b`` and ``t_0`` its
     peak, the rung at ξ = qk is ``û(t, qk) = e^{−iqk a_0 t} e^{qk(B(t)−B(t_0))}``.
     Every rung kills the tube operator exactly, ``|û(t_0, qk)| = 1`` for all
-    k (the certified lower bound), and ``|û(t, qk)| ≤ 1`` everywhere.
+    k (the certified lower bound), and ``|û(t, qk)| ≤ 1`` everywhere.  B' = b,
+    so ``t_0`` is the zero of b (:func:`real_zeros`) with the largest float
+    B, the smallest such zero on a tie, and 0 when b ≡ 0.
 
     ``ladder`` lists the multipliers k.
     """
@@ -227,7 +202,7 @@ def build_prop51(
         raise MalformedInput("ladder multipliers must be positive")
 
     B = b.primitive_from_zero()
-    t0 = _argmax_trigpoly(B)
+    t0 = max(real_zeros(b), key=lambda t: (float(B(t)), -t), default=0.0)
     B_peak = float(B(t0))
 
     t = TWO_PI * np.arange(grid_size) / grid_size
@@ -271,9 +246,11 @@ def locate_laplace_profile(b: TrigPoly) -> LaplaceProfile:
     """Peak of the kernel exponent G(t, r) = ∫_{t−r}^{t} b
     (:func:`_kernel_exponent`) for a certified sign-changing ``b``.
 
-    Grid search on a 1024² lattice over [0, 2π]² (deterministic
-    lexicographic tie-break) followed by Newton refinement of the
-    critical-point system ``b(t) = b(t−r) = 0`` to ~1e−12.  The profile
+    ∂G/∂t = b(t) − b(t − r) and ∂G/∂r = b(t − r), so every critical point
+    pairs two zeros of b, t and the foot t − r, and G is 0 at r = 0 and
+    2π·b_0 at r = 2π.  So for b_0 ≤ 0 the peak is the largest G over ordered
+    pairs of distinct zeros s ≠ t (:func:`real_zeros`), r = (t − s) mod 2π;
+    it is positive, as b is positive between some two zeros.  The profile
     depends only on ``b`` and is memoized on it, so tubes with one b share
     one search.
     """
@@ -285,59 +262,17 @@ def locate_laplace_profile(b: TrigPoly) -> LaplaceProfile:
 @functools.lru_cache(maxsize=64)
 def _laplace_profile(key: str, b: TrigPoly) -> LaplaceProfile:
     """:func:`locate_laplace_profile`, once per process for each of the 64
-    polynomials used last."""
+    polynomials used last.  Ties go to the largest float G, then the
+    smallest t0, then the smallest r0."""
     if sign_analysis(b) != CHANGES_SIGN:
         raise ProfileError("profile location requires a certified sign-changing b")
-    b0 = float(b.mean())
-    Bper = b.primitive_from_zero()
-    n = 1024
-    t = TWO_PI * np.arange(n) / n
-    r = TWO_PI * np.arange(n) / n
-    G = _kernel_exponent(b0, Bper, t[:, None], r[None, :])
-    flat = int(np.argmax(G))  # first maximizer in lexicographic (t, r) order
-    i, j = divmod(flat, n)
-    t_cur, r_cur = float(t[i]), float(r[j])
-
-    db = b.derivative()
-
-    def grad_hess(tc, rc):
-        bt = float(b(tc))
-        bw = float(b(tc - rc))
-        dbt = float(db(tc))
-        dbw = float(db(tc - rc))
-        g = np.array([bt - bw, bw])
-        H = np.array([[dbt - dbw, dbw], [dbw, -dbw]])
-        return g, H
-
-    for _ in range(80):
-        g, H = grad_hess(t_cur, r_cur)
-        det = float(np.linalg.det(H))
-        if abs(det) < 1e-14:
-            break
-        step = np.linalg.solve(H, g)
-        if not np.all(np.isfinite(step)):
-            break
-        t_cur -= float(step[0])
-        r_cur -= float(step[1])
-        if float(np.hypot(*step)) < 1e-14:
-            break
-
-    g, _ = grad_hess(t_cur, r_cur)
-    if float(np.hypot(*g)) > 1e-9:
-        raise ProfileError(
-            "kernel-exponent peak refinement did not converge to a critical point"
-        )
-    t_cur %= TWO_PI
-    r_cur %= TWO_PI
-    B0 = float(_kernel_exponent(b0, Bper, t_cur, r_cur))
-    if not 1e-9 < r_cur < TWO_PI - 1e-9 or B0 <= 1e-12:
-        raise ProfileError(
-            f"no interior positive maximum found (B0={B0:.3e}, r0={r_cur:.3e})"
-        )
-    curvature = -float(db(t_cur - r_cur))
-    return LaplaceProfile(
-        B0=B0, t0=t_cur, r0=r_cur, psi_curvature=curvature, mirror=False
-    )
+    zeros = real_zeros(b)
+    pairs = [(t, (t - s) % TWO_PI) for t in zeros for s in zeros if s != t]
+    t, r = np.array(pairs).T
+    G = _kernel_exponent(float(b.mean()), b.primitive_from_zero(), t, r)
+    best = max(range(len(pairs)), key=lambda k: (G[k], -t[k], -r[k]))
+    t0, r0 = pairs[best]
+    return LaplaceProfile(float(G[best]), t0, r0, psi_curvature=-float(b.derivative()(t0 - r0)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +376,7 @@ def _build_prop52_forward(
                 expo = _kernel_exponent(b0, Bper_sh, t_c, r_c) - profile.B0
                 integral = np.zeros((t_points.size, n_r), dtype=complex)
             holonomy = np.where(wrapped, np.exp(-2j * math.pi * xi * a0_value), 1.0)
+            # B0 tops Im H at every critical point: Im H ≤ B0 up to rounding
             integral[cells] = np.exp(np.minimum(expo * xi, 0.0)) * bump * holonomy
             vals = integral.sum(axis=1) * (TWO_PI / n_r)
             yield xi, np.exp(-1j * xi * a0_value * (t_points - t0_sh)) * vals

@@ -248,9 +248,10 @@ def sign_analysis(b: TrigPoly) -> str:
     With g_0 = Q and g_(k+1) = gcd(g_k, g_k'), a real root of multiplicity m
     is a root of g_0 .. g_(m-1) and of no later g_k, so it adds 1 to the
     alternating sum N_0 - N_1 + N_2 - ... of their numbers of distinct real
-    roots when m is odd, and 0 when m is even.  Q and every remainder are kept primitive in Z[u] (Collins 1967, Brown
-    1971): a positive scaling moves no sign or root, and the coefficients
-    stop growing.
+    roots when m is odd, and 0 when m is even.  Q and every remainder are
+    kept primitive in Z[u] (Collins 1967, Brown 1971): a positive scaling
+    moves no sign or root, and the coefficients stop growing.
+    :func:`real_zeros` locates the zeros on the same Sturm sequences.
     """
     if not isinstance(b, TrigPoly):
         raise MalformedInput("sign analysis expects a trig polynomial")
@@ -262,8 +263,9 @@ def sign_analysis(b: TrigPoly) -> str:
         return CHANGES_SIGN
     counts, g = [], q
     while len(g) > 1:
-        roots, g = _sturm(g)
-        counts.append(roots)
+        seq = _sturm(g)
+        counts.append(_variations(seq, -1, 0) - _variations(seq, 1, 0))
+        g = _primitive(seq[-1])
     if sum(counts[::2]) > sum(counts[1::2]):
         return CHANGES_SIGN
     return NON_NEGATIVE_NOT_ZERO if q[-1] > 0 else NON_POSITIVE_NOT_ZERO
@@ -326,18 +328,78 @@ def _poly_rem(num: list, den: list) -> list:
     return _primitive(rem)
 
 
-def _sturm(p: list) -> tuple:
-    """(number of distinct real roots of p, gcd(p, p') primitive) for p of
-    degree >= 1, from the Sturm sequence of p (Sturm 1829), whose last term
-    is gcd(p, p'): sign changes at -inf minus those at +inf.  Square-free p
-    is not needed, and positive factors on the remainders move no sign."""
+def _sturm(p: list) -> list:
+    """The Sturm sequence of p (Sturm 1829) for p of degree >= 1: p, p' and
+    the negated remainders down to gcd(p, p').  Its variations at -inf minus
+    those at +inf count the distinct real roots of p.  Square-free p is not
+    needed, and positive factors on the remainders move no sign.
+    :func:`real_zeros` isolates the roots on the same sequence."""
     seq = [p, [k * c for k, c in enumerate(p)][1:]]
     while rem := _poly_rem(seq[-2], seq[-1]):
         seq.append([-c for c in rem])
-    at_minus = [(q[-1] > 0) == (len(q) % 2 == 1) for q in seq]
-    at_plus = [q[-1] > 0 for q in seq]
-    minus, plus = (sum(x != y for x, y in zip(s, s[1:])) for s in (at_minus, at_plus))
-    return minus - plus, _primitive(seq[-1])
+    return seq
+
+
+def _value(p: list, n: int, d: int) -> int:
+    """d^deg(p) * p(n/d) in integers: the sign of p(n/d) for d > 0, and of p
+    at n * infinity for d = 0."""
+    v, dk = 0, 1
+    for c in reversed(p):
+        v, dk = v * n + c * dk, dk * d
+    return v
+
+
+def _variations(seq: list, n: int, d: int) -> int:
+    """Sign changes along ``seq`` at u = n/d, or at n * infinity for d = 0,
+    zero terms skipped."""
+    signs = [v > 0 for p in seq if (v := _value(p, n, d))]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _poly_quo(num: list, den: list) -> list:
+    """num / den for a primitive den that divides num in Z[u]."""
+    rem, quo = list(num), []
+    while len(rem) >= len(den):
+        quo.insert(0, rem.pop() // den[-1])
+        for j, d in enumerate(den[:-1], start=len(rem) - len(den) + 1):
+            rem[j] -= quo[0] * d
+    return quo
+
+
+def real_zeros(b: TrigPoly) -> list:
+    """The distinct zeros of b on the circle, as ascending angles.
+
+    Sturm counts on the square-free part p of the half-angle polynomial Q
+    isolate each real root u of Q in a dyadic interval (lo, hi]/scale, as p's
+    only root there, a simple one.  Exact signs of p then bisect it until
+    both ends round to one double (a midpoint that is a root is kept), and
+    t = 2*atan(u) mod 2*pi; t = pi is a zero when deg Q < 2 deg b.  A float
+    counts as the rational it holds."""
+    q = _halfangle_polynomial(b)
+    zeros = [math.pi] if q and len(q) <= 2 * b.degree else []
+    if len(q) < 2:
+        return zeros
+    seq = _sturm(q)
+    if len(seq[-1]) > 1:  # a repeated root: isolate on the square-free part
+        seq = _sturm(_poly_quo(q, _primitive(seq[-1])))
+    p = seq[0]
+    # Cauchy: every root has |u| < big, so the variations at +-big are those at +-inf
+    big = 1 << (max(map(abs, p)) // abs(p[-1]) + 1).bit_length()
+    todo = [(-big, big, 1, _variations(seq, -1, 0), _variations(seq, 1, 0))]
+    while todo:
+        lo, hi, scale, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi > 1:
+            mid, scale = lo + hi, 2 * scale
+            v_mid = _variations(seq, mid, scale)
+            todo += [(2 * lo, mid, scale, v_lo, v_mid), (mid, 2 * hi, scale, v_mid, v_hi)]
+        elif v_lo - v_hi == 1:
+            right = _value(p, hi, scale)  # 0 if hi is the root, else p's sign right of it
+            while right and lo / scale != hi / scale:
+                mid, lo, hi, scale = lo + hi, 2 * lo, 2 * hi, 2 * scale
+                v = _value(p, mid, scale)  # right's sign: root < mid; 0: root = mid
+                lo, hi = (lo, mid) if v * right > 0 else (mid, hi) if v else (mid, mid)
+            zeros.append(2 * math.atan(hi / scale) % (2 * math.pi))
+    return sorted(zeros)
 
 
 def analyze(spec: SystemSpec) -> SystemAnalysis:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from torus_hypo import singular
 from torus_hypo.diophantine import LiouvilleWitness
-from torus_hypo.errors import LadderMismatch, MeanNotZero
+from torus_hypo.errors import LadderMismatch, MeanNotZero, ProfileError
 from torus_hypo.gevrey import GevreyCutoff, TrigPoly
 from torus_hypo.singular import (
     build_expliouville_J,
@@ -22,7 +23,7 @@ from torus_hypo.singular import (
     build_rational_J,
 )
 from torus_hypo.solver import apply_tube_operator
-from torus_hypo.system import SystemSpec, analyze
+from torus_hypo.system import CHANGES_SIGN, SystemSpec, analyze, sign_analysis
 
 from conftest import load_fixture
 
@@ -102,22 +103,14 @@ def empty_profile_cache():
     singular._laplace_profile.cache_clear()
 
 
-def test_tubes_with_one_b_share_one_laplace_search(monkeypatch, empty_profile_cache):
-    """singular_allsign has two Prop52 tubes with b = sin t: the 1024² grid
-    search of the kernel exponent runs once for both."""
-    searches = []
-    kernel = singular._kernel_exponent
-
-    def counting(b0, Bper, t, r):
-        if np.shape(t) == (1024, 1):  # the search lattice, not a table row
-            searches.append(Bper)
-        return kernel(b0, Bper, t, r)
-
-    monkeypatch.setattr(singular, "_kernel_exponent", counting)
+def test_tubes_with_one_b_share_one_laplace_search(empty_profile_cache):
+    """singular_allsign has two Prop52 tubes with b = sin t: the search of
+    the kernel exponent's peak runs once for both."""
     spec = SystemSpec.from_json(load_fixture("singular_allsign.json"))
     ob = build_obstruction(spec, xi_max=64, grid=128, field_cap=16)
     assert ob.solution.construction == "Product"
-    assert len(searches) == 1
+    info = singular._laplace_profile.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_laplace_memo_keeps_exact_and_float_b_apart(empty_profile_cache):
@@ -127,6 +120,51 @@ def test_laplace_memo_keeps_exact_and_float_b_apart(empty_profile_cache):
     assert exact == floating
     assert singular.locate_laplace_profile(exact) == singular.locate_laplace_profile(floating)
     assert singular._laplace_profile.cache_info().currsize == 2
+
+
+def _sign_changing_b(rng, exact: bool) -> TrigPoly:
+    """A seeded b of degree <= 4 with mean <= 0 that changes sign."""
+    def draw():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if exact else rng.uniform(-1, 1)
+
+    while True:
+        k = rng.randint(1, 4)
+        b = TrigPoly(-abs(draw()) / 2, [draw() for _ in range(k)], [draw() for _ in range(k)])
+        if sign_analysis(b) == CHANGES_SIGN:
+            return b
+
+
+def test_peaks_are_critical_points_above_every_lattice_point():
+    """On seeded sign-changing b, exact and float: the Laplace peak (t0, r0)
+    pairs two zeros of b, and B0 is at least the kernel exponent on a 256²
+    lattice, so Im H ≤ B0 where u_rows clamps it; Prop51's B(t0) is at least
+    B on 4096 points."""
+    rng = random.Random(20261019)
+    lattice = 2 * math.pi * np.arange(256) / 256
+    grid = 2 * math.pi * np.arange(4096) / 4096
+    for case in range(40):
+        b = _sign_changing_b(rng, exact=case % 2 == 0)
+        size = sum(abs(float(c)) for c in (b.const, *b.cos, *b.sin))
+        profile = singular.locate_laplace_profile(b)
+        assert abs(float(b(profile.t0))) <= 1e-12 * size, b
+        assert abs(float(b(profile.t0 - profile.r0))) <= 1e-12 * size, b
+        expo = singular._kernel_exponent(
+            float(b.mean()), b.primitive_from_zero(), lattice[:, None], lattice[None, :]
+        )
+        assert profile.B0 >= float(expo.max()) - 1e-12, b
+
+        zero_mean = TrigPoly(0, b.cos, b.sin)
+        peak = build_prop51(Fraction(0), zero_mean, ladder=[1], grid_size=8).certificates
+        B = zero_mean.primitive_from_zero()
+        assert abs(float(zero_mean(peak["t0"]))) <= 1e-12 * size, b
+        assert peak["B_peak"] >= float(B(grid).max()) - 1e-12, b
+
+
+@pytest.mark.parametrize("b", [{"const": "1", "cos": ["1"]}, "0"], ids=["one-signed", "zero"])
+def test_laplace_profile_refuses_a_b_that_does_not_change_sign(b, empty_profile_cache):
+    """The one refusal the profile keeps: b must be certified sign-changing."""
+    with pytest.raises(ProfileError, match="certified sign-changing"):
+        singular.locate_laplace_profile(TrigPoly.from_json(b))
 
 
 def test_prop51_reads_a_float_mean_exactly():

@@ -146,6 +146,35 @@ def _sympy_profile(b: TrigPoly) -> str:
     return S.NON_NEGATIVE_NOT_ZERO if coeffs[-1] > 0 else S.NON_POSITIVE_NOT_ZERO
 
 
+def _sympy_roots(b: TrigPoly) -> list:
+    """sympy's real roots of the half-angle polynomial, ascending, each as
+    (the integer coefficients of the square-free part ``poly.sqf_part()``,
+    ascending; the root's isolating interval [a, c] from ``intervals()``)."""
+    sympy = pytest.importorskip("sympy")
+    coeffs = S._halfangle_polynomial(b)
+    if len(coeffs) < 2:
+        return []
+    poly = sympy.Poly([sympy.Integer(c) for c in reversed(coeffs)], sympy.Symbol("u"), domain="ZZ")
+    part = poly.sqf_part()
+    f = [int(c) for c in reversed(part.all_coeffs())]
+    return [(f, Fraction(a.p, a.q), Fraction(c.p, c.q)) for a, c in part.intervals(sqf=True)]
+
+
+def _within(t: float, root: tuple, tol: float = 1e-12) -> bool:
+    """Whether the simple root of f isolated in [a, c], mapped through
+    2 atan, is within tol of t in (-pi, pi): f changes sign on [a, c] cut
+    down to tan((t -+ tol) / 2), exactly in rationals, so the root is there."""
+    f, a, c = root
+    lo, hi = max(a, Fraction(math.tan((t - tol) / 2))), min(c, Fraction(math.tan((t + tol) / 2)))
+
+    def sign(u: Fraction) -> int:  # of den^deg f(num/den)
+        n, d = u.numerator, u.denominator
+        value = sum(k * n**i * d ** (len(f) - 1 - i) for i, k in enumerate(f))
+        return (value > 0) - (value < 0)
+
+    return lo <= hi and sign(lo) * sign(hi) <= 0
+
+
 def _random_factor(rng) -> TrigPoly:
     """One factor: generic, touching zero, or a Pythagorean r + p cos kt + q sin kt."""
     k = rng.randint(1, 3)
@@ -166,7 +195,8 @@ def test_exact_profile_matches_sympy_rule():
     """The exact sign certificate equals the sympy rule on random products of
     factors that change sign, touch zero, or repeat, and on float b: random
     floats of degree <= 3, dense floats of degree 8 and 12, and exact b moved
-    by ``translate``."""
+    by ``translate``.  Up to degree 6, the zeros that ``real_zeros`` isolates
+    on the same Sturm sequences are sympy's real roots, to 1e-12."""
     cases = [
         TrigPoly(const=1, cos=[-1]),
         _trig_product(TrigPoly(const=1, cos=[0, -1]), TrigPoly(const=1, cos=[0, -1])),
@@ -199,12 +229,24 @@ def test_exact_profile_matches_sympy_rule():
         cos, sin = [rng.uniform(-1, 1) for _ in range(k)], [rng.uniform(-1, 1) for _ in range(k)]
         const = rng.choice([1, -1]) * ratio * sum(map(abs, cos + sin))
         cases.append(TrigPoly(const=const, cos=cos, sin=sin))
-    profiles = set()
+    profiles, located = set(), 0
     for b in cases:
         want = _sympy_profile(b)
         assert S.sign_analysis(b) == want, b
         profiles.add(want)
+        if b.degree <= 6:
+            zeros = S.real_zeros(b)
+            assert zeros == sorted(set(zeros)) and all(0 <= t <= 2 * math.pi for t in zeros), b
+            # in u order: t in (-pi, pi), then t = pi, a zero when deg Q < 2 deg b
+            got = sorted(t - 2 * math.pi if t > math.pi else t for t in zeros)
+            q = S._halfangle_polynomial(b)
+            assert (got[-1:] == [math.pi]) == (0 < len(q) <= 2 * b.degree), b
+            got = got[:-1] if got[-1:] == [math.pi] else got
+            roots = _sympy_roots(b)
+            assert len(got) == len(roots) and all(map(_within, got, roots)), b
+            located += bool(zeros)
     assert profiles == {S.CHANGES_SIGN, S.NON_NEGATIVE_NOT_ZERO, S.NON_POSITIVE_NOT_ZERO}
+    assert located >= 200
 
 
 def test_sign_analysis_translation_invariance():
