@@ -354,8 +354,8 @@ def cmd_singular(args) -> int:
         "lower_bound_head": table[:8],
         "verdict": ob.verdict.to_json(),
     }
-    if len(table) >= 8:
-        body["table_power_fit"] = fit_lower_bound_power(solution)
+    if (fit := fit_lower_bound_power(solution)) is not None:
+        body["table_power_fit"] = fit
     if "residual_real_tubes" in solution.certificates:
         body["residual_real_tubes"] = solution.certificates["residual_real_tubes"]
     if "row_checks" in solution.certificates:

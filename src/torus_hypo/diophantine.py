@@ -10,12 +10,12 @@ through the convergent recurrence
     p_n = a_n*p_{n-1} + p_{n-2},   q_n = a_n*q_{n-1} + q_{n-2}   (n >= 3).
 
 The module keeps convergents exact (arbitrary-size integers) while q_n stays
-under a configurable decimal-digit cap, and keeps ln(p_n), ln(q_n) in
-high-precision floats in tables of their own, built by the same recurrence in
-log space when something first reads them (a log, or a pair past the cap).
-mpmath is imported inside the functions that compute logs or witnesses,
-so parsing and exact work (digits, exact convergents, brackets) load no
-mpmath.  On top of the engine it provides:
+under a configurable decimal-digit cap.  It works in one number system:
+exact integers and rationals, and doubles for their logarithms.  ln a_n,
+ln p_n and ln q_n are ``math.log`` of the exact integer under the cap (one
+rounding, for an int of any size), and the same recurrence in log space
+past it.  A boolean built on doubles certifies only with room to spare
+(:data:`CERTIFY_MARGIN`).  On top of the engine it provides:
 
 * exact two-sided brackets for |p_n - alpha*q_n| in terms of the digits only;
 * growth scores mu_n (power-law approximability) and beta_n (stretched-
@@ -57,8 +57,9 @@ from .gevrey import _parse_coeff
 #: default cap on the decimal-digit count of exactly materialized integers
 DEFAULT_DIGIT_CAP = 100_000
 
-#: working precision (decimal digits) for the log-scale mirrors
-LOG_DPS = 50
+#: relative room by which a double inequality must hold to certify a row,
+#: far above the rounding of the logs it compares
+CERTIFY_MARGIN = 1e-9
 
 # verdict kinds
 RATIONAL = "Rational"
@@ -140,10 +141,10 @@ class DigitStream:
 
     ``digit(n)`` materializes the exact integer (1-based), raising
     :class:`DigitCapExceeded` when its decimal size would exceed ``cap``
-    digits; ``ln_digit(n)`` returns ln(a_n) in the working precision, and a
-    stream whose digits can pass the cap computes it without materializing
-    the digit.  ``has(n)`` reports availability; infinite streams always
-    have every index.
+    digits; ``ln_digit(n)`` returns ln(a_n) as a double, and a stream whose
+    digits can pass the cap computes it without materializing the digit.
+    ``has(n)`` reports availability; infinite streams always have every
+    index.
     """
 
     kind: str = "abstract"
@@ -155,10 +156,8 @@ class DigitStream:
     def digit(self, n: int, cap: int = DEFAULT_DIGIT_CAP) -> int:
         raise NotImplementedError
 
-    def ln_digit(self, n: int):
-        from mpmath import mp
-
-        return mp.log(self.digit(n))
+    def ln_digit(self, n: int) -> float:
+        return math.log(self.digit(n))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -253,18 +252,19 @@ class FactorialPow10Digits(DigitStream):
 
     def digit(self, n: int, cap: int = DEFAULT_DIGIT_CAP) -> int:
         self._require(n)
-        ndigits = math.factorial(n) + 1
-        if ndigits > cap:
+        if math.factorial(n) + 1 > cap:
             raise DigitCapExceeded(
-                f"a_{n} = 10^{n}! has {ndigits} decimal digits, over the cap {cap}"
+                f"a_{n} = 10^{n}! has {n}! + 1 decimal digits, over the cap {cap}"
             )
         return 10 ** math.factorial(n)
 
-    def ln_digit(self, n: int):
-        from mpmath import mp
-
+    def ln_digit(self, n: int) -> float:
+        """n!·ln 10 as a double; inf from n = 171 on, where n! alone passes
+        the largest double."""
         self._require(n)
-        return mp.mpf(math.factorial(n)) * mp.log(10)
+        if n > 170:
+            return math.inf
+        return math.factorial(n) * math.log(10)
 
     def to_json(self) -> dict:
         return {"kind": "factorial_pow10"}
@@ -325,9 +325,9 @@ class _LogPair:
 
     __slots__ = ("ln_p", "ln_q")
 
-    def __init__(self, ln_p, ln_q):
-        self.ln_p = float(ln_p)
-        self.ln_q = float(ln_q)
+    def __init__(self, ln_p: float, ln_q: float):
+        self.ln_p = ln_p
+        self.ln_q = ln_q
 
     def __repr__(self):
         return f"_LogPair(ln_p={self.ln_p:.6g}, ln_q={self.ln_q:.6g})"
@@ -340,12 +340,12 @@ class ContinuedFraction:
     """Lazy convergent tables for one digit stream.
 
     Exact integers p_n, q_n are kept while their decimal size stays within
-    ``digit_cap`` (default 100000).  ln(a_n), ln(p_n), ln(q_n) at
-    ``LOG_DPS`` decimal digits, from the same recurrence in log space
-    (log-sum-exp), live in tables of their own that grow only when read
-    (:meth:`log_q`, :meth:`ln_digit`, a :meth:`pair` or :meth:`digit` past
-    the cap), so every classifier keeps working arbitrarily far past the
-    cap and exact reads load no mpmath.
+    ``digit_cap`` (default 100000).  ln(p_n), ln(q_n) live in double tables
+    of their own that grow only when read (:meth:`log_q`, a :meth:`pair`
+    past the cap): ``math.log`` of the exact pair under the cap, and the
+    same recurrence in log space (log-sum-exp) past it, so every classifier
+    keeps working past the cap.  A log past the double range reads inf
+    (``factorial_pow10`` from n = 171 on).
     """
 
     def __init__(self, stream: DigitStream, digit_cap: int = DEFAULT_DIGIT_CAP):
@@ -355,10 +355,9 @@ class ContinuedFraction:
         self._p: list = [0]
         self._q: list = [1]
         self._a: list = [None]
-        # the log tables; _ensure_logs seeds ln p_0 = -inf, ln q_0 = 0
-        self._ln_p: list = []
-        self._ln_q: list = []
-        self._ln_a: list = [None]
+        # the log tables, seeded with ln p_0 = -inf, ln q_0 = 0
+        self._ln_p: list = [-math.inf]
+        self._ln_q: list = [0.0]
 
     # -- table maintenance --------------------------------------------------
 
@@ -393,31 +392,18 @@ class ContinuedFraction:
 
     def _ensure_logs(self, n: int) -> None:
         """Extend the log convergent tables through index n."""
-        if len(self._ln_p) > n:
-            return
-        from mpmath import mp, workdps
-
-        self.ln_digit(n)
-        with workdps(LOG_DPS):
-            if not self._ln_p:
-                self._ln_p.append(mp.ninf)
-                self._ln_q.append(mp.mpf(0))
-            while len(self._ln_p) <= n:
-                i = len(self._ln_p)
-                ln_a = self._ln_a[i]
-                if i == 1:
-                    ln_p, ln_q = mp.mpf(0), ln_a
-                else:
-                    # ln(a*x + y) = ln_a + ln_x + log1p(exp(ln_y - ln_a - ln_x))
-                    def lse(ln_x, ln_y):
-                        if ln_y == mp.ninf:
-                            return ln_a + ln_x
-                        return ln_a + ln_x + mp.log1p(mp.e ** (ln_y - ln_a - ln_x))
-
-                    ln_p = lse(self._ln_p[i - 1], self._ln_p[i - 2])
-                    ln_q = lse(self._ln_q[i - 1], self._ln_q[i - 2])
-                self._ln_p.append(ln_p)
-                self._ln_q.append(ln_q)
+        self._ensure(n)
+        while len(self._ln_p) <= n:
+            i = len(self._ln_p)
+            if self._q[i] is not None:
+                p = self._p[i]
+                ln_p, ln_q = (math.log(p) if p else -math.inf), math.log(self._q[i])
+            else:
+                ln_a = self.ln_digit(i)
+                ln_p = _ln_axpy(ln_a, self._ln_p[i - 1], self._ln_p[i - 2])
+                ln_q = _ln_axpy(ln_a, self._ln_q[i - 1], self._ln_q[i - 2])
+            self._ln_p.append(ln_p)
+            self._ln_q.append(ln_q)
 
     # -- public accessors -----------------------------------------------------
 
@@ -425,23 +411,15 @@ class ContinuedFraction:
         """Exact digit a_n (1-based); DigitCapExceeded past the cap."""
         self._fetch_digit(n)
         if self._a[n] is None:
-            from mpmath import mp
-
-            ndig = int(self.ln_digit(n) / mp.log(10)) + 1
-            raise DigitCapExceeded(
-                f"a_{n} has about {ndig} decimal digits, over the cap {self.digit_cap}"
-            )
+            return self.stream.digit(n, cap=self.digit_cap)  # raises DigitCapExceeded
         return self._a[n]
 
-    def ln_digit(self, n: int):
-        """ln(a_n) at LOG_DPS digits; extends the table of ln a_i through n."""
-        if len(self._ln_a) <= n:
-            from mpmath import workdps
-
-            with workdps(LOG_DPS):
-                while len(self._ln_a) <= n:
-                    self._ln_a.append(self.stream.ln_digit(len(self._ln_a)))
-        return self._ln_a[n]
+    def ln_digit(self, n: int) -> float:
+        """ln(a_n) as a double: ``math.log`` of the exact digit under the
+        cap, the stream's own log past it."""
+        self._fetch_digit(n)
+        a = self._a[n]
+        return math.log(a) if a is not None else self.stream.ln_digit(n)
 
     def has_digit(self, n: int) -> bool:
         return self.stream.has(n)
@@ -464,8 +442,8 @@ class ContinuedFraction:
             )
         return got
 
-    def log_q(self, n: int):
-        """ln(q_n) at LOG_DPS digits (n = 0 gives ln 1 = 0)."""
+    def log_q(self, n: int) -> float:
+        """ln(q_n) as a double (n = 0 gives ln 1 = 0)."""
         self._ensure_logs(n)
         return self._ln_q[n]
 
@@ -503,6 +481,15 @@ class ContinuedFraction:
 
     def to_json(self) -> dict:
         return {"cf": self.stream.to_json()}
+
+
+def _ln_axpy(ln_a: float, ln_x: float, ln_y: float) -> float:
+    """ln(a*x + y) from the logs, for 0 <= y <= x: ln(a*x) + log1p(y/(a*x)).
+    An infinite ln(a*x) stays infinite."""
+    top = ln_a + ln_x
+    if top == math.inf or ln_y == -math.inf:
+        return top
+    return top + math.log1p(math.exp(ln_y - top))
 
 
 def _decimal_size(x: int) -> int:
@@ -653,38 +640,25 @@ def approx_interval(cf: ContinuedFraction, n: int) -> ApproxInterval:
     )
 
 
-def ln_approx_bounds(cf: ContinuedFraction, n: int):
-    """(ln lower, ln upper) of the |p_n - alpha*q_n| bracket, valid past the
-    exact-integer cap (uses ln-digit data only)."""
-    from mpmath import mp, workdps
-
-    with workdps(LOG_DPS):
-        ln_q = cf.log_q(n)
-        ln_a = cf.ln_digit(n + 1)
-        ln_upper = -(ln_a + ln_q)
-        # ln(a+2) = ln a + log1p(2/a)
-        ln_a2 = ln_a + mp.log1p(2 * mp.e ** (-ln_a))
-        ln_lower = -(ln_a2 + ln_q)
-        return ln_lower, ln_upper
+def _log_rows(cf: ContinuedFraction, first: int, n_max: int, name: str):
+    """(n, ln a_{n+1}, ln q_n) for first <= n <= n_max, stopping before the
+    first n whose logs leave the double range."""
+    for n in range(first, n_max + 1):
+        if not cf.has_digit(n + 1):
+            raise DigitStreamExhausted(f"{name}_{n} needs digit a_{n + 1}, stream ended")
+        ln_a, ln_q = cf.ln_digit(n + 1), cf.log_q(n)
+        if not math.isfinite(ln_a + ln_q):
+            return
+        yield n, ln_a, ln_q
 
 
 def liouville_exponent_trend(cf: ContinuedFraction, n_max: int) -> list:
     """Rows (n, mu_n) for 2 <= n <= n_max (none when n_max < 2) with
     mu_n = ln(a_{n+1} q_n^2)/ln(q_n): the power-law exponent certified by the
     bracket at level n.  Unbounded mu_n along a subsequence is the signature
-    of a Liouville number."""
-    from mpmath import workdps
-
-    rows = []
-    with workdps(LOG_DPS):
-        for n in range(2, n_max + 1):
-            if not cf.has_digit(n + 1):
-                raise DigitStreamExhausted(
-                    f"mu_{n} needs digit a_{n + 1}, stream ended"
-                )
-            mu = 2 + cf.ln_digit(n + 1) / cf.log_q(n)
-            rows.append((n, float(mu)))
-    return rows
+    of a Liouville number.  The rows stop where the logs pass the largest
+    double."""
+    return [(n, 2 + ln_a / ln_q) for n, ln_a, ln_q in _log_rows(cf, 2, n_max, "mu")]
 
 
 def exp_liouville_score(cf: ContinuedFraction, s: float, n_max: int) -> list:
@@ -692,22 +666,24 @@ def exp_liouville_score(cf: ContinuedFraction, s: float, n_max: int) -> list:
     beta_n = ln(a_{n+1} q_n)/q_n^{1/s}: the largest eps such that
     |p_n - alpha*q_n| <= exp(-eps * q_n^{1/s}) is certified at level n.
     beta_n bounded below by a positive margin indicates stretched-exponential
-    approximability at order s; beta_n -> 0 indicates its failure."""
-    from mpmath import mp, workdps
-
+    approximability at order s; beta_n -> 0 indicates its failure.  The rows
+    stop where the logs pass the largest double."""
     s = float(s)
     if s < 1:
         raise OrderError(f"order s={s} must be >= 1")
-    rows = []
-    with workdps(LOG_DPS):
-        for n in range(1, n_max + 1):
-            if not cf.has_digit(n + 1):
-                raise DigitStreamExhausted(
-                    f"beta_{n} needs digit a_{n + 1}, stream ended"
-                )
-            ln_q = cf.log_q(n)
-            rows.append((n, float((cf.ln_digit(n + 1) + ln_q) / mp.e ** (ln_q / s))))
-    return rows
+    return [
+        (n, (ln_a + ln_q) * math.exp(-ln_q / s))
+        for n, ln_a, ln_q in _log_rows(cf, 1, n_max, "beta")
+    ]
+
+
+def certified_le(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs between doubles, certified only when it holds with room
+    CERTIFY_MARGIN*(1 + |rhs|), far above the rounding of either side.  So
+    a row can read "not certified" where the exact inequality holds, never
+    True where it fails; an infinite rhs (past the double range) never
+    certifies."""
+    return math.isfinite(rhs) and lhs <= rhs - CERTIFY_MARGIN * (1 + abs(rhs))
 
 
 def condition_B_check(
@@ -719,13 +695,15 @@ def condition_B_check(
 ) -> list:
     """For each n in [N, n_max], certify
     |p_n - alpha*q_n| >= exp(-epsilon * q_{n-1}^{1/s})
-    using the exact lower bound 1/((a_{n+1}+2) q_n) of the bracket.
+    using the exact lower bound 1/((a_{n+1}+2) q_n) of the bracket.  In logs,
+    and so without overflow, that is
+    ln ln((a_{n+1}+2) q_n) <= ln epsilon + ln(q_{n-1})/s.
 
-    A True row is a proof (the lower bound already clears the threshold);
-    a False row is inconclusive, because the bracket is one-sided here.
+    A True row is a proof (the lower bound clears the threshold by
+    :data:`CERTIFY_MARGIN`); a False row is inconclusive, because the
+    bracket is one-sided here, and so is a row whose logs pass the largest
+    double.
     """
-    from mpmath import mp, workdps
-
     s = float(s)
     epsilon = float(epsilon)
     if epsilon <= 0:
@@ -735,11 +713,12 @@ def condition_B_check(
     if not 1 <= N <= n_max:
         raise MalformedInput(f"need 1 <= N <= n_max, got N={N}, n_max={n_max}")
     out = []
-    with workdps(LOG_DPS):
-        for n in range(N, n_max + 1):
-            ln_lower, _ = ln_approx_bounds(cf, n)
-            rhs_ln = -mp.mpf(epsilon) * mp.e ** (cf.log_q(n - 1) / s)
-            out.append(bool(ln_lower >= rhs_ln))
+    for n in range(N, n_max + 1):
+        ln_a = cf.ln_digit(n + 1)
+        # ln((a+2) q_n), with ln(a+2) = ln a + log1p(2/a)
+        ln_inv_lower = ln_a + math.log1p(2 * math.exp(-ln_a)) + cf.log_q(n)
+        rhs = math.log(epsilon) + cf.log_q(n - 1) / s
+        out.append(certified_le(math.log(ln_inv_lower), rhs))
     return out
 
 
@@ -772,12 +751,11 @@ def verify_witness_rows(
 
     Returns one bool per pair: True when every coordinate inequality
     |r^(j) + s_k*alpha_j| <= bound_scale*exp(-delta*s_k^{1/s}) is certified
-    from exact brackets of alpha_j (rational components are exact; digit-
-    defined components are bracketed by consecutive convergents at adaptive
-    depth).  False means "not certified", not "false".
+    in logs, with :func:`certified_le`'s margin, from exact brackets of
+    alpha_j (rational components are exact; digit-defined components are
+    bracketed by consecutive convergents at adaptive depth).  False means
+    "not certified", not "false".
     """
-    from mpmath import mp, workdps
-
     s = float(s)
     if s < 1:
         raise OrderError(f"order s={s} must be >= 1")
@@ -786,65 +764,59 @@ def verify_witness_rows(
             f"witness has {w.length} coordinates, vector has {len(components)}"
         )
     out = []
-    with workdps(LOG_DPS):
-        for r, s_k in w.pairs:
-            rhs_ln = mp.log(w.bound_scale) - mp.mpf(w.delta) * mp.mpf(s_k) ** (
-                mp.mpf(1) / s
-            )
-            ok = True
-            for j, comp in enumerate(components):
-                sup_ln = _sup_ln_linear_form(comp, r[j], s_k, rhs_ln)
-                if sup_ln is None or not (sup_ln <= rhs_ln):
-                    ok = False
-                    break
-            out.append(ok)
+    for r, s_k in w.pairs:
+        try:  # s_k^{1/s} through logs: s_k may pass the largest double
+            rhs_ln = math.log(w.bound_scale) - w.delta * math.exp(math.log(s_k) / s)
+        except OverflowError:  # a bound under exp(-delta * 1.8e308) certifies nothing
+            rhs_ln = -math.inf
+        out.append(
+            all(_linear_form_certified(c, r[j], s_k, rhs_ln) for j, c in enumerate(components))
+        )
     return out
 
 
-def _ln_fraction(x: Fraction):
-    """mp ln of a positive Fraction."""
-    from mpmath import mp
+def ln_abs_fraction(x: Fraction) -> float:
+    """ln|x| of an exact rational of any size as a double (-inf at 0).  An
+    int over 900 bits is read as its top 53 bits times a power of two."""
+    if x == 0:
+        return -math.inf
 
-    return mp.log(mp.mpf(x.numerator)) - mp.log(mp.mpf(x.denominator))
+    def ln_int(n: int) -> float:
+        if n.bit_length() <= 900:
+            return math.log(n)
+        shift = n.bit_length() - 53
+        return math.log(n >> shift) + shift * math.log(2.0)
+
+    return ln_int(abs(x.numerator)) - ln_int(x.denominator)
 
 
-def _sup_ln_linear_form(comp: "RealConstant", r: int, s_k: int, target_ln):
-    """ln of a certified upper bound for |r + s_k*alpha|, or None.
+def _linear_form_certified(comp: "RealConstant", r: int, s_k: int, target_ln: float) -> bool:
+    """Whether ln|r + s_k*alpha| <= target_ln is certified.
 
     Rational alpha: exact.  Digit-defined alpha: refine the convergent
     bracket until its far end certifies the target, or until its near end
-    already exceeds it (no refinement can certify the row then).
+    cannot (no refinement can certify the row then).
     """
-    from mpmath import mp
-
     if comp.kind == "rational":
-        val = abs(Fraction(r) + s_k * comp.fraction)
-        return mp.ninf if val == 0 else _ln_fraction(val)
+        return certified_le(ln_abs_fraction(Fraction(r) + s_k * comp.fraction), target_ln)
     if comp.kind != "cf":
-        return None
+        return False
     cf = comp.cf
-    n = 1
-    while True:
+    for n in range(1, 65):
         if not cf.has_digit(n + 2):
-            return None
+            return False
         try:
             lo, hi = cf.alpha_bracket(n)
         except DigitCapExceeded:
-            return None
+            return False
         a, b = Fraction(r) + s_k * lo, Fraction(r) + s_k * hi
-        sup = max(abs(a), abs(b))
-        if sup == 0:
-            return mp.ninf
-        sup_ln = _ln_fraction(sup)
-        if sup_ln <= target_ln:
-            return sup_ln
+        if certified_le(ln_abs_fraction(max(abs(a), abs(b))), target_ln):
+            return True
         # the bracket excludes 0 and its near end already misses the target:
         # |r + s_k*alpha| lies above it, whatever the refinement
-        if a * b > 0 and _ln_fraction(min(abs(a), abs(b))) > target_ln:
-            return sup_ln
-        n += 1
-        if n > 64:
-            return sup_ln
+        if a * b > 0 and not certified_le(ln_abs_fraction(min(abs(a), abs(b))), target_ln):
+            return False
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +838,9 @@ def classify(
     The kind and its certificate come from the digit stream's tail bound
     (:meth:`DigitStream.tail_certificate`), so no kind depends on
     ``n_max``.  The evidence holds the beta_n rows (Gevrey) or mu_n rows
-    (smooth) for n <= n_max, cut at the last digit of a finite stream.
+    (smooth) for n <= n_max, cut at the last digit of a finite stream and
+    at the last n whose logs ln a_{n+1}, ln q_n are finite doubles
+    (``factorial_pow10``: n = 169); ``n_used`` reports the cut.
     """
     if not cf.stream.is_infinite:
         n_max = min(n_max, cf._last_index() - 1)

@@ -36,7 +36,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .diophantine import LiouvilleWitness, RealConstant, scale_witness, verify_witness_rows
+from .diophantine import (
+    LiouvilleWitness,
+    RealConstant,
+    certified_le,
+    ln_abs_fraction,
+    scale_witness,
+    verify_witness_rows,
+)
 from .errors import (
     GridMismatch,
     InsufficientData,
@@ -280,12 +287,13 @@ def _laplace_profile(key: str, b: TrigPoly) -> LaplaceProfile:
 # ---------------------------------------------------------------------------
 
 
-def _power_fit(table: dict, lo: int, hi: int) -> dict:
-    """ln|v| ≈ ln C + p ln ξ over [lo, hi]; returns {power, C, fit_r2, n}."""
+def _power_fit(table: dict, lo: int, hi: int) -> dict | None:
+    """ln|v| ≈ ln C + p ln ξ over [lo, hi]; returns {power, C, fit_r2, n},
+    or None when the window holds fewer than 4 usable rows."""
     xs = [xi for xi, v in table.items() if lo <= xi <= hi and v > 0]
     xs.sort()
     if len(xs) < 4:
-        raise MalformedInput("power fit needs at least 4 usable rows")
+        return None
     x = np.log(np.asarray(xs, dtype=float))
     y = np.log(np.asarray([table[k] for k in xs], dtype=float))
     coef, r2 = least_squares(np.column_stack([np.ones_like(x), x]), y)
@@ -297,10 +305,11 @@ def _power_fit(table: dict, lo: int, hi: int) -> dict:
     }
 
 
-def fit_lower_bound_power(solution: SingularSolution) -> dict:
+def fit_lower_bound_power(solution: SingularSolution) -> dict | None:
     """Power-law fit of a solution's certified lower-bound table over
-    [max(16, 4·min rung), max rung].  A product of m Laplace-type tubes
-    should fit power ≈ −m/2.
+    [max(16, 4·min rung), max rung], or None when that window holds fewer
+    than 4 usable rows.  A product of m Laplace-type tubes should fit
+    power ≈ −m/2.
     """
     table = {int(xi): float(v) for xi, v in solution.certificates["lower_bound_table"]}
     rungs = sorted(table)
@@ -495,6 +504,8 @@ def build_prop52(
     f_table = dict(cert["f_table"])
     lo, hi = max(8, xi_max // 8), xi_max
     peak_fit = _power_fit(u_table, lo, hi)
+    if peak_fit is None:
+        raise MalformedInput("power fit needs at least 4 usable rows")
     u_decay = estimate_decay(u_table, s, xi_min=lo, xi_max=hi)
     f_decay = estimate_decay(f_table, s, xi_min=lo, xi_max=hi)
     cert["decay_fits"] = {
@@ -734,22 +745,6 @@ def build_rational_J(
     )
 
 
-def _ln_abs_fraction(x: Fraction) -> float:
-    """ln|x| for an arbitrary-size Fraction (never overflows)."""
-    if x == 0:
-        return -math.inf
-    num, den = abs(x.numerator), x.denominator
-
-    def ln_int(n: int) -> float:
-        bl = n.bit_length()
-        if bl <= 900:
-            return math.log(n)
-        shift = bl - 53
-        return math.log(n >> shift) + shift * math.log(2.0)
-
-    return ln_int(num) - ln_int(den)
-
-
 def build_expliouville_J(
     spec: SystemSpec,
     analysis: SystemAnalysis,
@@ -815,14 +810,14 @@ def build_expliouville_J(
             divisor = Fraction(p_vec[i]) + a_fracs[i] * xi
             d_float = float(divisor)
             d_floats[j].append(d_float)
-            ln_d = _ln_abs_fraction(divisor)
+            ln_d = ln_abs_fraction(divisor)
             row_checks.append(
                 {
                     "xi": xi,
                     "tube": j,
                     "ln_divisor": ln_d,
                     "ln_bound": ln_bound,
-                    "within_bound": bool(ln_d <= ln_bound + 1e-12),
+                    "within_bound": certified_le(ln_d, ln_bound),
                 }
             )
             f_tables[j].append([xi, abs(d_float) * v_max[xi]])
@@ -946,16 +941,17 @@ def build_obstruction(
     witness = None
     witness_rungs: list = []
     if J and not all_rational_J:
+        if not order.is_gevrey:
+            raise WitnessMismatch(
+                "the averaged vector over the real tubes is irrational, and "
+                "the witness-driven construction is defined on the Gevrey "
+                "scale only, not on the smooth scale; rerun with --s"
+            )
         if spec.vector_witness is None:
             raise WitnessMismatch(
                 "the averaged vector over the real tubes is irrational: the "
                 "construction needs an explicit approximation witness "
                 "(vector_witness) and none was supplied"
-            )
-        if not order.is_gevrey:
-            raise WitnessMismatch(
-                "the witness-driven construction is defined on the Gevrey "
-                "scale; rerun with --s"
             )
         scaled = scale_witness(spec.vector_witness, q, s)
         rows = [(r, s_k) for r, s_k in scaled.pairs if s_k <= xi_top]

@@ -229,7 +229,14 @@ def test_solve_loads_no_scipy_linalg_package(tmp_path):
 
 
 def test_cf_loads_no_numpy():
-    assert _loaded_after([case for case in CASES if case.startswith("cf-")]) == ["mpmath"]
+    assert _loaded_after([case for case in CASES if case.startswith("cf-")]) == []
+
+
+def test_no_verdict_cf_table_or_witness_check_loads_mpmath(tmp_path):
+    """The Diophantine layer works in exact integers and doubles: no verdict,
+    no cf command and no witness check (singular_expL) reads mpmath."""
+    cases = [case for case in CASES if case.split("-")[0] in ("classify", "diagnose", "cf")]
+    assert _loaded_after([*cases, "singular-singular_expL"], tmp_path, ("mpmath",)) == []
 
 
 def test_exact_b_verdicts_load_no_numpy():
@@ -802,6 +809,48 @@ def test_convergents_past_the_int_str_limit(capsys):
 
     assert cli.main(["cf", "classify", "factorial_pow10", "--s", "2", "--n", "8"]) == 0
     assert cli.main(["classify", str(FIXTURES / "ex64_factorial.json"), "--horizon", "7"]) == 0
+
+
+def test_factorial_rows_stop_where_the_logs_leave_the_double_range(capsys):
+    """ln a_n = n!·ln 10 passes the largest double at n = 171, and row n reads
+    ln a_{n+1}: the evidence stops at n = 169 and n_used says so, the kind
+    still rests on the tail certificate, and condition-B rows past the range
+    read not certified."""
+    kinds = []
+    for scale in ([], ["--s", "2"]):
+        assert cli.main(["cf", "classify", "factorial_pow10", "--n", "175", *scale]) == 0
+        verdict = json.loads(capsys.readouterr().out)["body"]["verdict"]
+        assert verdict["evidence"][-1]["n"] == 169
+        assert verdict["n_used"] == len(verdict["evidence"])
+        kinds.append(verdict["kind"])
+    assert kinds == ["LiouvilleTrend", "NotExpLiouvilleTrend"]
+    argv = ["cf", "condition-b", "factorial_pow10", "--s", "2", "--n", "175"]
+    assert cli.main(argv) == 0
+    rows = {row["n"]: row["certified"] for row in json.loads(capsys.readouterr().out)["body"]["rows"]}
+    assert rows[169] is True
+    assert [rows[n] for n in range(170, 176)] == [False] * 6
+
+
+@pytest.mark.parametrize("stem", ["singular_rationalJ", "singular_expL"])
+def test_singular_takes_every_small_xi_max(stem, tmp_path, capsys):
+    """Where the power-fit window [max(16, 4·min rung), max rung] holds under
+    4 rows, the report leaves table_power_fit out instead of failing."""
+    fitted = {}
+    for xi_max in range(8, 33):
+        argv = ["singular", str(FIXTURES / f"{stem}.json"), str(tmp_path / "out.json")]
+        assert cli.main([*argv, "--xi-max", str(xi_max)]) == 0, capsys.readouterr().err
+        fitted[xi_max] = "table_power_fit" in json.loads(capsys.readouterr().out)["body"]
+    assert not fitted[16]
+
+
+def test_smooth_scale_refusal_names_the_scale(tmp_path, capsys):
+    """The witness-driven lift is defined on the Gevrey scale only; no
+    witness could help on the smooth scale, so the refusal names the scale."""
+    argv = ["singular", str(FIXTURES / "ex64_factorial.json"), str(tmp_path / "out.json")]
+    assert cli.main([*argv, "--s", "smooth"]) == 41
+    err = capsys.readouterr().err
+    assert "smooth scale" in err and "vector_witness" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_golden_ratio_is_hypoelliptic_at_every_horizon(capsys):

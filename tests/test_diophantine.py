@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from torus_hypo import diophantine as D
 from torus_hypo.errors import (
+    DigitCapExceeded,
     DigitStreamExhausted,
     MalformedInput,
     NonPositiveDigit,
@@ -183,6 +185,14 @@ def test_log_tables_do_not_depend_on_the_read_order(stream):
     assert isinstance(cf.pair(1)[1], int) and isinstance(cf.pair(12), D._LogPair)
 
 
+def test_a_digit_past_the_cap_is_refused_without_writing_its_size_out():
+    """a_1800 = 10^1800! has 1800! + 1 decimal digits, a count itself over
+    5000 digits long, past what CPython converts to text; the refusal
+    names the count as 1800! + 1."""
+    with pytest.raises(DigitCapExceeded, match=r"10\^1800! has 1800! \+ 1 decimal digits"):
+        cf_from(FACTORIAL).digit(1800)
+
+
 def test_mpf_value_of_golden_type_cf():
     # all-ones CF in the purely fractional convention is 1/phi = (sqrt(5)-1)/2
     frac = cf_from(CONST_ONE).approx_fraction(45)
@@ -248,6 +258,43 @@ def test_exp_liouville_score_matches_direct_formula():
     for (n, beta), (_, q) in zip(D.exp_liouville_score(cf, 2.0, 4), pairs):
         want = math.log(digits[n] * q) / q**0.5
         assert beta == pytest.approx(want, rel=1e-12)
+
+
+def _reference_rows(stream: str, s, n_max: int) -> list:
+    """mu_n (s None) or beta_n rows at 50 digits, from the log-space
+    recurrence with ln a_n = n!*ln 10 for factorial_pow10."""
+    cf = cf_from(stream)
+    big = stream == "factorial_pow10"
+    with mpmath.workdps(50):
+        ln_a = [None]
+        for n in range(1, n_max + 2):
+            ln_a.append(math.factorial(n) * mpmath.log(10) if big else mpmath.log(cf.digit(n)))
+        ln_q = [mpmath.mpf(0), ln_a[1]]
+        for n in range(2, n_max + 1):
+            ln_q.append(ln_a[n] + ln_q[-1] + mpmath.log1p(mpmath.exp(ln_q[-2] - ln_a[n] - ln_q[-1])))
+        if s is None:
+            return [(n, float(2 + ln_a[n + 1] / ln_q[n])) for n in range(2, n_max + 1)]
+        return [(n, float((ln_a[n + 1] + ln_q[n]) / mpmath.exp(ln_q[n] / s))) for n in range(1, n_max + 1)]
+
+
+_SEEDED_DIGITS = ",".join(str(random.Random(27).randint(1, 10**6)) for _ in range(12))
+
+
+@pytest.mark.parametrize("s", [None, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "stream, n_max",
+    [("constant:1", 40), ("constant:2", 40), ("constant:6", 40), (_SEEDED_DIGITS, 11), ("factorial_pow10", 169)],
+)
+def test_double_rows_match_a_50_digit_reference(stream, n_max, s):
+    """The mu/beta rows, from logs of exact integers in doubles, stay within
+    1e-13 relative of the same rows at 50 digits, up to the last factorial
+    row whose logs are finite doubles."""
+    cf = cf_from(stream)
+    got = D.liouville_exponent_trend(cf, n_max) if s is None else D.exp_liouville_score(cf, s, n_max)
+    want = _reference_rows(stream, s, n_max)
+    assert [n for n, _ in got] == [n for n, _ in want]
+    for (n, value), (_, ref) in zip(got, want):
+        assert value == pytest.approx(ref, rel=1e-13, abs=0), n
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +402,37 @@ def test_condition_b_frozen_rows():
 def test_condition_b_huge_epsilon_trivially_true():
     rows = D.condition_B_check(cf_from(CONST_ONE), 1.0, 1e9, 1, 6)
     assert rows and all(rows)
+
+
+def test_rows_inside_the_certify_margin_are_not_certified():
+    """A condition-B row and a witness row whose inequality holds by 1e-12
+    in ln sit inside CERTIFY_MARGIN, so they read not certified; with room
+    of 1e-6 they certify."""
+    cf = cf_from(CONST_ONE)
+    n, s = 5, 2.0
+    _, q_n = cf.exact_pair(n)
+    _, q_prev = cf.exact_pair(n - 1)
+    # row n: ln ln((a_{n+1} + 2) q_n) <= ln eps + ln(q_{n-1})/s
+    edge = math.exp(math.log(math.log(3 * q_n)) - math.log(q_prev) / s)
+    assert D.condition_B_check(cf, s, edge * (1 + 1e-12), n, n) == [False]
+    assert D.condition_B_check(cf, s, edge * (1 + 1e-6), n, n) == [True]
+
+    # |-3 + 9*(10/29)| = 3/29 against exp(-delta * 9^{1/2})
+    alpha = D.RealConstant.from_json("10/29")
+    delta = -math.log(Fraction(3, 29)) / 3
+    for room, certified in ((1e-12, False), (1e-6, True)):
+        w = D.LiouvilleWitness(delta * (1 - room), [((-3,), 9)])
+        assert D.verify_witness_rows(w, [alpha], 2.0) == [certified]
+
+
+def test_witness_rows_past_the_double_range_are_checked_in_logs():
+    """|r + q/3| = 1/3 <= exp(-1e-201 * q^{1/2}) with q = 10^400: the row
+    certifies though q passes the largest double, and a row whose bound
+    q^{1/2} itself passes it (q = 10^700) reads not certified."""
+    third = D.RealConstant.from_json("1/3")
+    for q, delta, certified in ((10**400, 1e-201, True), (10**700, 1e-201, False)):
+        w = D.LiouvilleWitness(delta, [((-(q - 1) // 3,), q)])
+        assert D.verify_witness_rows(w, [third], 2.0) == [certified]
 
 
 def test_condition_b_independent_log_route():

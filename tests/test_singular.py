@@ -209,3 +209,17 @@ def test_both_lifts_refuse_a_v_that_does_not_fit(case):
     witness = LiouvilleWitness.from_json(expl["vector_witness"])
     with pytest.raises(LadderMismatch, match=refusal):
         build_expliouville_J(liouville, analyze(liouville), witness, v, 1, grid_size=32)
+
+
+def test_a_row_just_above_its_bound_is_not_within_it(monkeypatch):
+    """within_bound certifies with the Diophantine layer's margin: a divisor
+    5e-13 above its bound in ln reads False, one 1e-6 below it True.  The
+    witness check, which refuses the first row too, is bypassed here."""
+    monkeypatch.setattr(singular, "verify_witness_rows", lambda w, comps, s: [True] * len(w.pairs))
+    spec = SystemSpec.from_json({"s": "2", "tubes": [{"a": "10/29", "b": "0"}]})
+    # the divisor |-3 + 9*(10/29)| = 3/29 against exp(-delta * 9^{1/2})
+    ln_d = math.log(Fraction(3, 29))
+    for delta, within in (((-ln_d + 5e-13) / 3, False), (-ln_d / 3 * (1 - 1e-6), True)):
+        w = LiouvilleWitness(delta, [((-3,), 9)])
+        sol = build_expliouville_J(spec, analyze(spec), w, None, 1, grid_size=32)
+        assert [row["within_bound"] for row in sol.certificates["row_checks"]] == [within]
