@@ -249,24 +249,19 @@ class GevreyWitness:
     """Fitted stretched-exponential decay model  |c_xi| ~ C |xi|^power e^{-epsilon |xi|^{1/s}}.
 
     ``power`` is a nuisance parameter absorbing algebraic prefactors (Laplace
-    corrections, root singularities); the headline rate is ``epsilon``.  ``h``
-    is a derivative-side base constant that can only be estimated from
-    derivative samples; when none are supplied it is set to 1 and
-    ``h_fitted`` stays False.
+    corrections, root singularities); the headline rate is ``epsilon``.
     """
 
     s: float
     epsilon: float
     C: float
-    h: float = 1.0
     fit_r2: float = 0.0
     power: float = 0.0
-    h_fitted: bool = False
     n_points: int = 0
 
     def __post_init__(self):
-        if self.C <= 0 or self.h <= 0:
-            raise ValueError("C and h must be positive")
+        if self.C <= 0:
+            raise ValueError("C must be positive")
         if self.fit_r2 > 1 + 1e-12:
             raise ValueError("fit_r2 must be <= 1")
 
@@ -275,8 +270,6 @@ class GevreyWitness:
             "s": self.s,
             "epsilon": self.epsilon,
             "C": self.C,
-            "h": self.h,
-            "h_fitted": self.h_fitted,
             "fit_r2": self.fit_r2,
             "power": self.power,
             "n_points": self.n_points,
@@ -347,10 +340,8 @@ def estimate_decay(
         s=s,
         epsilon=max(eps_hat, UNDERFLOW_FLOOR),
         C=math.exp(min(float(coef[0]), 700.0)),
-        h=1.0,
         fit_r2=r2,
         power=float(coef[1]),
-        h_fitted=False,
         n_points=len(xs),
     )
 

@@ -24,6 +24,10 @@ product of per-axis factors (``_embed_factors``); both lifts share one core
 that are not certified irregular, chooses the ladder and the materialized
 field, dispatches each tube to Prop51 or Prop52, and chains the product and
 the lift over the identically-real tubes.
+
+A certificate stores rows, never a fitted number: each entry is a direct
+evaluation of a formula or a closed-form bound, which a checker reading only
+the spec and the artifact can recompute.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .diophantine import (
 )
 from .errors import (
     GridMismatch,
-    InsufficientData,
     IntegralityError,
     LadderMismatch,
     MalformedInput,
@@ -56,7 +59,7 @@ from .errors import (
     RefusedHypoelliptic,
     WitnessMismatch,
 )
-from .gevrey import TrigPoly, estimate_decay, least_squares, make_cutoff
+from .gevrey import TrigPoly, least_squares, make_cutoff
 from .solver import FourierField, apply_tube_operator
 from .system import (
     CHANGES_SIGN,
@@ -123,13 +126,6 @@ class LaplaceProfile:
     r0: float
     psi_curvature: float
     mirror: bool = False
-
-    def proof_constant(self) -> float:
-        """The conservative peak constant √(π/A) with A = |ψ''|/2."""
-        A = abs(self.psi_curvature) / 2.0
-        if A == 0:
-            return math.inf
-        return math.sqrt(math.pi / A)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -221,7 +217,6 @@ def build_prop51(
 
     cert = {
         "lower_bound_table": table,
-        "decay_fits": {},
         "a0": str(frac),
         "q": q,
         "t0": t0,
@@ -287,11 +282,19 @@ def _laplace_profile(key: str, b: TrigPoly) -> LaplaceProfile:
 # ---------------------------------------------------------------------------
 
 
-def _power_fit(table: dict, lo: int, hi: int) -> dict | None:
-    """ln|v| ≈ ln C + p ln ξ over [lo, hi]; returns {power, C, fit_r2, n},
-    or None when the window holds fewer than 4 usable rows."""
-    xs = [xi for xi, v in table.items() if lo <= xi <= hi and v > 0]
-    xs.sort()
+def fit_lower_bound_power(solution: SingularSolution) -> dict | None:
+    """Least-squares fit ln|v| ≈ ln C + power·ln ξ of a solution's certified
+    lower-bound table over [max(16, 4·min rung), max rung]: {power, C,
+    fit_r2, n_points}, or None when that window holds fewer than 4 positive
+    rows.  A product of m Laplace-type tubes should fit power ≈ −m/2.  The
+    fit is an observable of the report; no certificate stores it.
+    """
+    table = {int(xi): float(v) for xi, v in solution.certificates["lower_bound_table"]}
+    rungs = sorted(table)
+    if not rungs:
+        raise MalformedInput("solution carries no certified lower bounds")
+    lo = max(16, 4 * rungs[0])
+    xs = [xi for xi in rungs if xi >= lo and table[xi] > 0]
     if len(xs) < 4:
         return None
     x = np.log(np.asarray(xs, dtype=float))
@@ -303,19 +306,6 @@ def _power_fit(table: dict, lo: int, hi: int) -> dict | None:
         "fit_r2": r2,
         "n_points": len(xs),
     }
-
-
-def fit_lower_bound_power(solution: SingularSolution) -> dict | None:
-    """Power-law fit of a solution's certified lower-bound table over
-    [max(16, 4·min rung), max rung], or None when that window holds fewer
-    than 4 usable rows.  A product of m Laplace-type tubes should fit
-    power ≈ −m/2.
-    """
-    table = {int(xi): float(v) for xi, v in solution.certificates["lower_bound_table"]}
-    rungs = sorted(table)
-    if not rungs:
-        raise MalformedInput("solution carries no certified lower bounds")
-    return _power_fit(table, max(16, 4 * rungs[0]), rungs[-1])
 
 
 def _build_prop52_forward(
@@ -454,12 +444,12 @@ def build_prop52(
 
     with φ a Gevrey-s cutoff at the peak foot; the matching right-hand side
     is ``f̂(t, ξ) = (1 − e^{−i2πξc_0}) e^{−B_0 ξ} e^{−iξa_0(t−t_0)} φ(t)``.
-    Certificates store |û(t_0, ξ)| for ξ ≤ xi_max (the ``C·ξ^{−1/2}`` table),
-    the closed-form |f̂| table, the Gevrey-s row of φ (``cutoff_bound``,
-    derived in closed form), the peak power / stretched-exponential rates
-    fitted over [max(8, xi_max/8), xi_max], and the proof-side constant
-    √(π/A) for comparison.  Coefficient blocks are materialized for
-    ξ ≤ field_xi_cap.
+    Certificates store rows only: |û(t_0, ξ)| for 1 ≤ ξ ≤ xi_max (the
+    ``C·ξ^{−1/2}`` table), the closed-form |f̂| table (``f_table``), the
+    Gevrey-s row of φ (``cutoff_bound``, derived in closed form), the peak
+    ``profile`` and the cutoff's ``translation`` and half-width ``delta``;
+    no fitted number.  Any xi_max ≥ 1 is accepted.  Coefficient blocks are
+    materialized for ξ ≤ field_xi_cap.
 
     The solution rows are produced by the exact periodic solution operator
     (holonomy-phased wrap of the bump), so the stored pair satisfies the tube
@@ -469,8 +459,8 @@ def build_prop52(
     s = float(s)
     if s <= 1:
         raise OrderError(f"Gevrey order must exceed 1, got s={s}")
-    if xi_max < 8:
-        raise MalformedInput("xi_max must be at least 8")
+    if xi_max < 1:
+        raise MalformedInput("xi_max must be at least 1")
     a0_value = float(a0)
     b0 = float(b.mean())
     mirror = b0 > 0
@@ -499,23 +489,6 @@ def build_prop52(
         cert["profile"] = profile.to_json()
         cert["t0"] = profile.t0
         cert["mirror_mapped"] = True
-
-    u_table = dict(cert["lower_bound_table"])
-    f_table = dict(cert["f_table"])
-    lo, hi = max(8, xi_max // 8), xi_max
-    peak_fit = _power_fit(u_table, lo, hi)
-    if peak_fit is None:
-        raise MalformedInput("power fit needs at least 4 usable rows")
-    u_decay = estimate_decay(u_table, s, xi_min=lo, xi_max=hi)
-    f_decay = estimate_decay(f_table, s, xi_min=lo, xi_max=hi)
-    cert["decay_fits"] = {
-        "peak_power": peak_fit,
-        "u_at_t0": u_decay.to_json(),
-        "f": f_decay.to_json(),
-        "proof_constant": profile.proof_constant(),
-        "fit_window": [lo, hi],
-        "order": s,
-    }
     cert["a0"] = a0.to_json()
 
     return SingularSolution(
@@ -567,7 +540,10 @@ def build_product(
     table is grid-free and covers the full ladder either way.  Every per-tube
     solution must carry a coefficient block at each dense rung; missing rungs
     raise :class:`LadderMismatch`.  ``m`` counts the Laplace-type factors
-    (fitted decay ``(C/√ξ)^m``).
+    (bounds of order ``ξ^{−m/2}``).  ``per_tube`` keeps each tube's
+    construction and certificate rows (for Prop52: ``profile``,
+    ``cutoff_bound``, ``f_table``, ``translation``, ``delta``), all but its
+    ``lower_bound_table``, which the product table multiplies in.
 
     ``field_grid`` materializes the blocks on a grid dividing the per-tube
     grid: grid data are pointwise samples, so striding them is exact and
@@ -600,11 +576,14 @@ def build_product(
         "lower_bound_table": [
             [xi, math.prod(sol.lower_bound(xi) for sol in per_tube)] for xi in rungs
         ],
-        "decay_fits": {"per_tube": [sol.certificates.get("decay_fits", {}) for sol in per_tube]},
+        "per_tube": [
+            {"construction": sol.construction}
+            | {k: v for k, v in sol.certificates.items() if k != "lower_bound_table"}
+            for sol in per_tube
+        ],
         "m": sum(1 for sol in per_tube if sol.construction == "Prop52"),
         "q": q,
         "t0": [sol.certificates.get("t0") for sol in per_tube],
-        "per_tube_constructions": [sol.construction for sol in per_tube],
         "dense_rungs": len(dense),
     }
     return SingularSolution(
@@ -653,13 +632,20 @@ def _lift(spec: SystemSpec, v, rungs, phases: dict, grid: int) -> FourierField:
     return FourierField(spec.n, grid, rungs, stack)
 
 
-def _inherited(v: SingularSolution | None, rungs) -> tuple:
-    """(lower-bound table over ``rungs``, m, t0) that a lift takes from v:
-    bound 1.0, m = 0 and t0 = None when there is no v."""
+def _inherited(v: SingularSolution | None, rungs) -> dict:
+    """The certificate entries a lift takes from v: the lower-bound table
+    over ``rungs``, m, t0 and v's ``per_tube`` rows; bound 1.0, m = 0,
+    t0 = None and no tube rows when there is no v."""
     if v is None:
-        return [[xi, 1.0] for xi in rungs], 0, None
-    table = [[xi, v.lower_bound(xi)] for xi in rungs]
-    return table, v.certificates.get("m", 0), v.certificates.get("t0")
+        table, cert = [[xi, 1.0] for xi in rungs], {}
+    else:
+        table, cert = [[xi, v.lower_bound(xi)] for xi in rungs], v.certificates
+    return {
+        "lower_bound_table": table,
+        "m": cert.get("m", 0),
+        "t0": cert.get("t0"),
+        "per_tube": cert.get("per_tube", []),
+    }
 
 
 def build_rational_J(
@@ -725,17 +711,13 @@ def build_rational_J(
             phases[j].append(-mjk)
     out = _lift(spec, v, dense, phases, grid)
 
-    table, m, t0 = _inherited(v, rungs)
     cert = {
-        "lower_bound_table": table,
-        "decay_fits": dict(v.certificates.get("decay_fits", {})) if v is not None else {},
-        "m": m,
+        **_inherited(v, rungs),
         "q": q,
         "J": J,
         "a_J0": {str(j): str(fracs[j]) for j in J},
         # spectral residual of the real tubes (zero in exact arithmetic)
         "residual_real_tubes": [[j, apply_tube_operator(spec, j, out).max_abs()] for j in J],
-        "t0": t0,
     }
     return SingularSolution(
         construction="RationalJ",
@@ -761,8 +743,12 @@ def build_expliouville_J(
     increasing and ``max_j |p_k^{(j)} + ξ_k a_{j0}| ≤ scale·e^{−δ ξ_k^{1/s}}``.
     Rungs are resampled to ξ_k with ``û = v̂(t'', ξ_k) e^{i p_k·t'}``; the
     real tubes' right-hand sides ``f̂_j = i(p_k^{(j)} + a_{j0} ξ_k) û`` then
-    decay at the witness rate — the certificate verifies the row bounds in
-    exact arithmetic and stores the per-row divisors.  When every tube is
+    decay at the witness rate.  The certificate holds rows only, no fitted
+    number: the ``witness`` (with its δ and ``bound_scale``), ``order`` (the
+    s of each row's ``ln_bound``), ``row_checks`` (ln|p_k^{(j)} + ξ_k a_{j0}|
+    against ln(scale) − δ ξ_k^{1/s}, the witness verified in exact
+    arithmetic first) and ``f_tables`` (|f̂_j| per rung, the divisor times
+    max|v̂|), plus v's ``per_tube`` rows.  When every tube is
     real (ℓ = n), ``v`` must be None and the rungs are pure phase products
     with certified bound 1, on a ``grid_size`` grid; :class:`LadderMismatch`
     refuses a v that does not fit (see :func:`_lift`).  ``analysis`` is the
@@ -828,32 +814,14 @@ def build_expliouville_J(
         for j, d in d_floats.items()
     }
 
-    decay = {
-        "witness_delta": witness.delta,
-        "witness_scale": witness.bound_scale,
-        "order": s,
-        "f_tables": {str(j): rows for j, rows in f_tables.items()},
-        # Certified stretched-exponential rate of the real-tube data: the row
-        # bounds give |f̂_j| ≤ scale·max|v̂|·e^{−δ ξ^{1/s}} exactly.
-        "epsilon_certified": witness.delta,
-    }
-    if len(rungs) >= 8:
-        flat = {xi: val for xi, val in f_tables[J[0]]}
-        try:
-            decay["f_fit"] = estimate_decay(flat, s, xi_min=1).to_json()
-        except InsufficientData:  # pragma: no cover - under 8 usable rows skip the fit
-            pass
-
-    table, m, t0 = _inherited(v, rungs)
     cert = {
-        "lower_bound_table": table,
-        "decay_fits": decay,
-        "m": m,
+        **_inherited(v, rungs),
         "q": q,
         "J": J,
         "witness": witness.to_json(),
+        "order": s,
         "row_checks": row_checks,
-        "t0": t0,
+        "f_tables": {str(j): rows for j, rows in f_tables.items()},
     }
     return SingularSolution(
         construction="ExpLiouvilleJ",

@@ -831,16 +831,38 @@ def test_factorial_rows_stop_where_the_logs_leave_the_double_range(capsys):
     assert [rows[n] for n in range(170, 176)] == [False] * 6
 
 
-@pytest.mark.parametrize("stem", ["singular_rationalJ", "singular_expL"])
+#: fixture -> the --xi-max values it must build at, and extra arguments; the
+#: Prop52 fixtures run on a small grid and field cap to keep each build cheap
+SMALL_XI_MAX = {
+    "singular_rationalJ": (range(8, 33), []),
+    "singular_expL": (range(3, 33), []),
+    "crit9_three_tube": (range(1, 16), ["--field-cap", "8", "--grid", "32"]),
+    "singular_allsign": (range(1, 16), ["--field-cap", "8", "--grid", "32"]),
+}
+
+
+@pytest.mark.parametrize("stem", list(SMALL_XI_MAX))
 def test_singular_takes_every_small_xi_max(stem, tmp_path, capsys):
-    """Where the power-fit window [max(16, 4·min rung), max rung] holds under
-    4 rows, the report leaves table_power_fit out instead of failing."""
+    """No certificate holds a fit that needs rows, so a ladder of any length
+    builds; where the report's power-fit window [max(16, 4·min rung), max
+    rung] holds under 4 rows, table_power_fit is left out."""
+    xi_maxes, extra = SMALL_XI_MAX[stem]
+    argv = ["singular", str(FIXTURES / f"{stem}.json"), str(tmp_path / "out.json"), *extra]
     fitted = {}
-    for xi_max in range(8, 33):
-        argv = ["singular", str(FIXTURES / f"{stem}.json"), str(tmp_path / "out.json")]
-        assert cli.main([*argv, "--xi-max", str(xi_max)]) == 0, capsys.readouterr().err
+    for xi_max in xi_maxes:
+        assert cli.main([*argv, "--xi-max", str(xi_max)]) == 0, (xi_max, capsys.readouterr().err)
         fitted[xi_max] = "table_power_fit" in json.loads(capsys.readouterr().out)["body"]
-    assert not fitted[16]
+    assert not any(fitted[xi_max] for xi_max in xi_maxes if xi_max <= 16)
+
+
+def test_singular_below_the_first_witness_row_names_xi_max(tmp_path, capsys):
+    """singular_expL's first witness row has denominator 3: below it the
+    ladder is empty, and the refusal names the option that fixes it."""
+    argv = ["singular", str(FIXTURES / "singular_expL.json"), str(tmp_path / "out.json")]
+    for xi_max in (1, 2):
+        assert cli.main([*argv, "--xi-max", str(xi_max)]) == 41
+        assert "--xi-max" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_smooth_scale_refusal_names_the_scale(tmp_path, capsys):

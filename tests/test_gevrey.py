@@ -111,9 +111,8 @@ def test_estimate_decay_insufficient_data():
 def test_estimate_decay_witness_invariants():
     coeffs = {xi: 3.0 * math.exp(-1.5 * xi**0.5) for xi in range(16, 300)}
     w = estimate_decay(coeffs, 2.0)
-    assert w.epsilon > 0 and w.C > 0 and w.h > 0
+    assert w.epsilon > 0 and w.C > 0
     assert w.fit_r2 <= 1.0
-    assert not w.h_fitted  # no derivative data supplied
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,45 @@ def test_written_certificate_bounds_hold_on_its_stored_coefficients(stem, golden
         assert bounds[block["xi"]] <= peak * (1 + 1e-12), block["xi"]
 
 
+#: golden singular case -> the construction of each tube its certificate keeps
+PER_TUBE = {
+    "singular_expL": [],
+    "singular_rationalJ": ["Prop51"],
+    "crit9_three_tube": ["Prop52", "Prop52"],
+    "singular_allsign": ["Prop52", "Prop52"],
+}
+
+FITTED_KEYS = {"decay_fits", "f_fit", "peak_power", "u_at_t0", "proof_constant", "fit_r2"}
+
+
+def _keys(obj):
+    """Every dict key at any depth of a JSON value."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _keys(value)
+
+
+@pytest.mark.parametrize("stem", list(PER_TUBE))
+def test_written_certificates_hold_rows_not_fits(stem, golden_run):
+    """No stored certificate holds a fitted number, and each Prop52 tube's
+    rows (its profile, cutoff row and right-hand-side table over the whole
+    ladder) reach the artifact through the product's per_tube."""
+    code, _, _, workdir = golden_run(f"singular-{stem}")
+    assert code == 0
+    cert = json.loads((workdir / "out.json").read_text(encoding="utf-8"))["certificate"]
+    assert not FITTED_KEYS & set(_keys(cert))
+    assert [tube["construction"] for tube in cert["per_tube"]] == PER_TUBE[stem]
+    for tube in cert["per_tube"]:
+        assert "lower_bound_table" not in tube
+        if tube["construction"] == "Prop52":
+            assert {"profile", "cutoff_bound", "f_table", "translation", "delta"} <= set(tube)
+            assert [xi for xi, _ in tube["f_table"]] == list(range(1, cert["ladder"][-1] + 1))
+
+
 def _prop52(b_const: str):
     spec = SystemSpec.from_json(
         {"n": 1, "s": "2", "tubes": [{"a": {"cf": "constant:2"}, "b": {"const": b_const, "sin": ["1"]}}]}
