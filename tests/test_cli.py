@@ -178,7 +178,7 @@ def _fresh_python(code: str, cwd=TESTS, **env) -> str:
     return proc.stdout.decode()
 
 
-def _loaded_after(cases: list, cwd=TESTS, heavy=("numpy", "scipy", "sympy", "mpmath")) -> list:
+def _loaded_after(cases: list, cwd=TESTS, heavy=("numpy", "scipy", "sympy", "mpmath", "orjson")) -> list:
     """The ``heavy`` modules in sys.modules after the cases ran in-process,
     one after the other, in a fresh interpreter in ``cwd``; each exits as its
     golden does."""
@@ -199,7 +199,7 @@ def _loaded_after(cases: list, cwd=TESTS, heavy=("numpy", "scipy", "sympy", "mpm
 def test_cli_import_loads_no_numeric_package():
     code = "import json, sys, torus_hypo.cli; print(json.dumps(sorted(sys.modules)))"
     loaded = set(json.loads(_fresh_python(code)))
-    assert loaded.isdisjoint({"numpy", "scipy", "sympy", "mpmath"})
+    assert loaded.isdisjoint({"numpy", "scipy", "sympy", "mpmath", "orjson"})
     assert "torus_hypo.system" not in loaded
 
 
@@ -207,25 +207,27 @@ def test_verdict_commands_load_neither_scipy_nor_sympy():
     cases = [case for case in CASES if case.split("-")[0] in ("classify", "diagnose", "normalform")]
     assert len(cases) == 3 * len(SPECS) + 2  # and the two classify cases past SPECS
     loaded = _loaded_after(cases)
-    assert "scipy" not in loaded and "sympy" not in loaded
+    assert "scipy" not in loaded and "sympy" not in loaded and "orjson" not in loaded
 
 
 def test_solve_loads_no_scipy_linalg_package(tmp_path):
     """The banded solve reaches LAPACK through scipy's binding alone: the
     ``scipy.linalg`` package, whose import pulls in ``numpy.f2py`` and
-    ``numpy.testing``, stays unloaded."""
+    ``numpy.testing``, stays unloaded.  orjson prints the floats of JSON
+    artifacts only, so a binary field is written without it."""
+    argv = [*_argv("solve-solve_rhs")[:-1], "u.tff"]
     code = f"""if True:
         import contextlib, io, json, sys
         from torus_hypo import cli
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main({_argv("solve-solve_rhs")!r})
-        heavy = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+            code = cli.main({argv!r})
+        heavy = ("scipy.linalg", "numpy.f2py", "numpy.testing", "orjson")
         print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
     """
     proc = _fresh(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [_manifest()["solve-solve_rhs"]["exit"], []]
-    assert (tmp_path / ARTIFACTS["solve"]).is_file()
+    assert (tmp_path / "u.tff").is_file()
 
 
 def test_cf_loads_no_numpy():
@@ -282,8 +284,8 @@ def test_normalform_loads_no_numeric_package():
 
 def test_singular_on_rational_averages_loads_no_mpmath(tmp_path):
     """singular_rationalJ builds Prop51 and a RationalJ lift: no digit-defined
-    average, so nothing reads mpmath."""
-    assert _loaded_after(["singular-singular_rationalJ"], tmp_path) == ["numpy"]
+    average, so nothing reads mpmath; the certificate write loads orjson."""
+    assert _loaded_after(["singular-singular_rationalJ"], tmp_path) == ["numpy", "orjson"]
 
 
 def test_singular_on_prop52_tubes_loads_neither_mpmath_nor_numpy_ma(tmp_path):
@@ -292,13 +294,14 @@ def test_singular_on_prop52_tubes_loads_neither_mpmath_nor_numpy_ma(tmp_path):
     Prop52 builds load neither mpmath nor numpy.ma (which np.unique pulls
     in)."""
     cases = ["singular-crit9_three_tube", "singular-singular_allsign"]
-    heavy = ("numpy", "numpy.ma", "scipy", "mpmath")
-    assert _loaded_after(cases, tmp_path, heavy) == ["numpy"]
+    heavy = ("numpy", "numpy.ma", "scipy", "mpmath", "orjson")
+    assert _loaded_after(cases, tmp_path, heavy) == ["numpy", "orjson"]
 
 
 def test_division_solve_and_normalform_on_digit_defined_averages_load_no_mpmath(tmp_path):
-    """A digit-defined average is read as a float through one exact rational."""
-    assert _loaded_after(["solve-division", "normalform-ex63"], tmp_path) == ["numpy"]
+    """A digit-defined average is read as a float through one exact rational;
+    the JSON field write loads orjson."""
+    assert _loaded_after(["solve-division", "normalform-ex63"], tmp_path) == ["numpy", "orjson"]
 
 
 def test_package_root_exports_resolve():
@@ -396,6 +399,12 @@ def test_piecewise_certificate_write_matches_json_dumps(obj):
     assert fh.getvalue() == json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
+def _finite_random_bits(count: int) -> list:
+    """``count`` finite doubles drawn from uniform 64-bit patterns (seeded)."""
+    values = np.random.default_rng(29).integers(0, 2**64, 2 * count, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)][:count].tolist()
+
+
 #: float64 vectors -> what json.dumps(vector.tolist()) must give
 FLOAT_VECTORS = {
     "empty": [],
@@ -408,6 +417,17 @@ FLOAT_VECTORS = {
     "exponent-form": [1e16, 0.0, 1e-5, -2e-300, 1.7976931348623157e308, 0.0, 123456789012345680.0],
     "non-finite": [float("nan"), 0.0, float("inf"), -float("inf"), 0.0],
     "dense-random": np.random.default_rng(20).standard_normal(1000).tolist(),
+    # where orjson's format is moved to repr's: positional 1e-5 <= |x| < 1e-4,
+    # one-digit negative exponents, positive exponents
+    "format-boundaries": [
+        sign * x
+        for x in (
+            1e-5, np.nextafter(1e-4, 0), 1e-4, 1.25e-5, 1e-9, np.nextafter(1e-9, 0), 1e-10,
+            np.nextafter(1e16, 0), 1e16, np.nextafter(1e100, 0), 1e100, 1.7976931348623157e308, 5e-324,
+        )
+        for sign in (1.0, -1.0)
+    ],
+    "random-bits": _finite_random_bits(65536),
 }
 
 
