@@ -25,7 +25,8 @@ orjson's format differs from ``repr``'s in three places, each moved back:
 ``1.25e-05``), a one-digit negative exponent unpadded (``e-7`` for
 ``e-07``) and a positive exponent unsigned (``e16`` for ``e+16``).  A vector
 holding NaN or an infinity is encoded by the C encoder of ``json`` instead,
-since orjson writes ``null`` for those.
+since orjson writes ``null`` for those, and so is one whose orjson text is
+not laid out as the fix-ups expect.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def _write_floats(values, fh) -> None:
     :func:`_repr_format` moves orjson's text to ``repr``'s format.  A
     vector with NaN or an infinity goes through the C encoder instead,
     because orjson writes ``null`` where ``json.dumps`` writes ``NaN`` and
-    ``Infinity``.  Either way the text is what ``json.dumps`` writes.
+    ``Infinity``; so does one whose orjson text :func:`_repr_format` does
+    not recognise.  Either way the text is what ``json.dumps`` writes.
     """
     import numpy as np
 
@@ -145,11 +147,12 @@ def _write_floats(values, fh) -> None:
     zero = values.view(np.int64) == 0  # +0.0 is the one float whose bits are all 0
     starts = np.flatnonzero(np.diff(zero, prepend=~zero[:1])).tolist()
     nonzero = values[~zero]
-    if nonzero.size and np.isfinite(nonzero).all():
+    text = None
+    if np.isfinite(nonzero).all():
         import orjson
 
         text = _repr_format(orjson.dumps(nonzero, option=orjson.OPT_SERIALIZE_NUMPY), nonzero, np)
-    else:
+    if text is None:
         text = _ARTIFACT_ENCODER.encode(nonzero.tolist()).encode()
     cuts = _delimiters(text, np)
     runs, at = [], 0
@@ -169,13 +172,17 @@ def _delimiters(text: bytes, np):
     return np.flatnonzero(delimiter)
 
 
-def _repr_format(raw: bytes, finite, np) -> bytes:
-    """orjson's text of the nonempty finite float64 vector ``finite`` in
-    ``repr``'s format.
+def _repr_format(raw: bytes, finite, np):
+    """orjson's text of the finite float64 vector ``finite`` in ``repr``'s
+    format, or None if ``raw`` is not laid out as these fix-ups expect.
 
     Which of the three fix-ups (module docstring) a float needs is read off
     its value, and where it goes off the float's delimiters; all are applied
-    by one delete and one insert, without searching the text.
+    by one delete and one insert, without searching the text.  Before that
+    the bytes around each fix-up are checked (the ``0.0000`` to delete, the
+    ``e-`` before an unpadded digit, the ``e`` before an unsigned exponent),
+    so an orjson release that writes these floats otherwise is caught, not
+    given wrong digits.
     """
     cuts = _delimiters(raw, np)
     end = cuts[1:]
@@ -192,7 +199,11 @@ def _repr_format(raw: bytes, finite, np) -> bytes:
     if not at.size:
         return raw
     gone = (first[:, None] + np.arange(6)).ravel()
-    text = np.delete(np.frombuffer(raw, np.uint8), gone)
+    byte = np.frombuffer(raw, np.uint8)
+    seen = byte[np.concatenate([gone, pad - 2, pad - 1, plus - 1])].tobytes()
+    if seen != b"0.0000" * first.size + b"e" * pad.size + b"-" * pad.size + b"e" * plus.size:
+        return None
+    text = np.delete(byte, gone)
     new = b"." * dot.size + b"e-05" * last.size + b"0" * pad.size + b"+" * plus.size
     # np.insert keeps equal indices in order, so each "e-05" stays in order
     return np.insert(text, at - np.searchsorted(gone, at), np.frombuffer(new, np.uint8)).tobytes()

@@ -210,12 +210,10 @@ def test_verdict_commands_load_neither_scipy_nor_sympy():
     assert "scipy" not in loaded and "sympy" not in loaded and "orjson" not in loaded
 
 
-def test_solve_loads_no_scipy_linalg_package(tmp_path):
-    """The banded solve reaches LAPACK through scipy's binding alone: the
-    ``scipy.linalg`` package, whose import pulls in ``numpy.f2py`` and
-    ``numpy.testing``, stays unloaded.  orjson prints the floats of JSON
-    artifacts only, so a binary field is written without it."""
-    argv = [*_argv("solve-solve_rhs")[:-1], "u.tff"]
+def _solve_loads(tmp_path, output: str) -> list:
+    """The ``scipy.linalg``, ``numpy.f2py``, ``numpy.testing`` and orjson
+    modules loaded by a fresh-interpreter solve of solve_rhs into ``output``."""
+    argv = [*_argv("solve-solve_rhs")[:-1], output]
     code = f"""if True:
         import contextlib, io, json, sys
         from torus_hypo import cli
@@ -226,8 +224,23 @@ def test_solve_loads_no_scipy_linalg_package(tmp_path):
     """
     proc = _fresh(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [_manifest()["solve-solve_rhs"]["exit"], []]
-    assert (tmp_path / "u.tff").is_file()
+    code, loaded = json.loads(proc.stdout)
+    assert code == _manifest()["solve-solve_rhs"]["exit"]
+    assert (tmp_path / output).is_file()
+    return loaded
+
+
+def test_solve_loads_no_scipy_linalg_package(tmp_path):
+    """The banded solve reaches LAPACK through scipy's binding alone: the
+    ``scipy.linalg`` package, whose import pulls in ``numpy.f2py`` and
+    ``numpy.testing``, stays unloaded.  The JSON field write loads orjson."""
+    assert _solve_loads(tmp_path, ARTIFACTS["solve"]) == ["orjson"]
+
+
+def test_solve_to_binary_field_loads_no_orjson(tmp_path):
+    """orjson prints the floats of JSON artifacts only, so a binary field is
+    written without it."""
+    assert _solve_loads(tmp_path, "u.tff") == []
 
 
 def test_cf_loads_no_numpy():
@@ -451,6 +464,17 @@ def test_float_vector_is_written_as_json_dumps_writes_its_list(case):
     block = np.empty(values.size, dtype=complex)
     block.real, block.imag = values, 1.0
     assert _written(block.real) == want
+
+
+def test_float_vector_write_falls_back_on_text_it_does_not_recognise(monkeypatch):
+    """An orjson that lays its text out otherwise (here as repr does) is
+    caught at the fix-up sites, and the C encoder writes the vector."""
+    import orjson
+
+    values = np.array(FLOAT_VECTORS["format-boundaries"])
+    want = json.dumps(values.tolist(), separators=(",", ":"))
+    monkeypatch.setattr(orjson, "dumps", lambda vector, option: want.encode())
+    assert _written(values) == want
 
 
 @settings(max_examples=200, deadline=None)
