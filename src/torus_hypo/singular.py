@@ -191,7 +191,8 @@ def build_prop51(
     so ``t_0`` is the zero of b (:func:`real_zeros`) with the largest float
     B, the smallest such zero on a tie, and 0 when b ≡ 0.
 
-    ``ladder`` lists the multipliers k.
+    ``ladder`` lists the rungs ξ; one that q does not divide raises
+    :class:`IntegralityError`.
     """
     if not isinstance(b, TrigPoly):
         raise MalformedInput("b must be a TrigPoly")
@@ -200,9 +201,11 @@ def build_prop51(
         raise MeanNotZero(f"b must have zero mean, got {mean}")
     frac = Fraction(a0)
     q = frac.denominator
-    ks = [int(k) for k in ladder]
-    if not ks or any(k < 1 for k in ks):
-        raise MalformedInput("ladder multipliers must be positive")
+    xis = [int(xi) for xi in ladder]
+    if not xis or any(xi < 1 for xi in xis):
+        raise MalformedInput("ladder rungs must be positive")
+    if any(xi % q for xi in xis):
+        raise IntegralityError(f"every rung must be a multiple of q={q}, as a0={frac}")
 
     B = b.primitive_from_zero()
     t0 = max(real_zeros(b), key=lambda t: (float(B(t)), -t), default=0.0)
@@ -210,8 +213,7 @@ def build_prop51(
 
     t = TWO_PI * np.arange(grid_size) / grid_size
     B_vals = np.asarray(B(t), dtype=float)
-    xis = [q * k for k in ks]
-    phases = _integer_phases([-frac.numerator * k for k in ks], grid_size)  # qk * a0 ∈ ℤ
+    phases = _integer_phases([-frac.numerator * (xi // q) for xi in xis], grid_size)  # ξ a0 ∈ ℤ
     out = FourierField(1, grid_size, xis, phases * np.exp(np.multiply.outer(xis, B_vals - B_peak)))
     table = [[xi, 1.0] for xi in xis]
 
@@ -221,7 +223,6 @@ def build_prop51(
         "q": q,
         "t0": t0,
         "B_peak": B_peak,
-        "peak_is_exact_unit": True,
         "m": 0,
     }
     return SingularSolution(
@@ -313,7 +314,7 @@ def _build_prop52_forward(
     b: TrigPoly,
     s: float,
     xi_max: int,
-    field_xi_cap: int,
+    dense_rungs: Sequence[int],
     grid_size: int,
 ) -> tuple:
     """Core construction for the b0 ≤ 0 branch; returns (field, rhs, cert,
@@ -338,9 +339,7 @@ def _build_prop52_forward(
         (center_sh - delta / 2.0, center_sh + delta / 2.0),
     )
 
-    b_sh = b.translate(sigma)  # b'(t') = b(t' - sigma)
-    Bper_sh = b_sh.primitive_from_zero()
-    B_off = float(Bper_sh(t0_sh))  # additive constant; differences matter only
+    Bper_sh = b.translate(sigma).primitive_from_zero()  # b'(t') = b(t' - sigma)
 
     c0 = complex(a0_value, b0)
 
@@ -390,14 +389,14 @@ def _build_prop52_forward(
         f_table.append([xi, float(pref * math.exp(ln_f) if ln_f > -745.0 else 0.0)])
 
     # Dense coefficient blocks (and the matching right-hand side) on the
-    # low rungs, in the original frame: u(t) = u'(t + sigma).
+    # listed rungs, in the original frame: u(t) = u'(t + sigma).
     shift_steps = int(round(sigma / h)) % grid_size
-    dense = np.arange(1, min(xi_max, field_xi_cap) + 1)
-    u_dense = np.empty((dense.size, grid_size), dtype=complex)
+    dense = sorted({int(xi) for xi in dense_rungs if 1 <= xi <= xi_max})
+    u_dense = np.empty((len(dense), grid_size), dtype=complex)
     f_dense = np.empty_like(u_dense)
     # uniform grid is translation-invariant; roll below
     t_sh_grid = TWO_PI * np.arange(grid_size) / grid_size
-    for xi, u_sh in u_rows(t_sh_grid, dense.tolist()):
+    for row, (xi, u_sh) in enumerate(u_rows(t_sh_grid, dense)):
         pref = 1.0 - np.exp(-2j * math.pi * xi * c0)
         f_sh = (
             pref
@@ -406,21 +405,19 @@ def _build_prop52_forward(
             * cutoff(np.mod(t_sh_grid, TWO_PI))
         )
         # u(t_k) = u'(t_k + sigma): sample u' at shifted grid = roll by steps
-        u_dense[xi - 1] = np.roll(u_sh, -shift_steps)
-        f_dense[xi - 1] = np.roll(f_sh, -shift_steps)
+        u_dense[row] = np.roll(u_sh, -shift_steps)
+        f_dense[row] = np.roll(f_sh, -shift_steps)
     field_out = FourierField(1, grid_size, dense, u_dense)
     rhs_out = FourierField(1, grid_size, dense, f_dense)
 
     cert = {
         "lower_bound_table": u_table,
         "profile": profile.to_json(),
-        "t0": profile.t0,
         "translation": sigma,
         "delta": delta,
         "cutoff_bound": cutoff.bound.to_json(),
         "f_table": f_table,
         "m": 1,
-        "B_offset": B_off,
     }
     return field_out, rhs_out, cert, profile
 
@@ -432,7 +429,7 @@ def build_prop52(
     xi_max: int,
     *,
     grid_size: int,
-    field_xi_cap: int,
+    dense_rungs: Sequence[int],
 ) -> SingularSolution:
     """Laplace-peak solutions: Gevrey right-hand side, non-Gevrey solution.
 
@@ -448,8 +445,10 @@ def build_prop52(
     ``C·ξ^{−1/2}`` table), the closed-form |f̂| table (``f_table``), the
     Gevrey-s row of φ (``cutoff_bound``, derived in closed form), the peak
     ``profile`` and the cutoff's ``translation`` and half-width ``delta``;
-    no fitted number.  Any xi_max ≥ 1 is accepted.  Coefficient blocks are
-    materialized for ξ ≤ field_xi_cap.
+    no fitted number.  The peak t_0 is ``profile.t0``.  Any xi_max ≥ 1 is
+    accepted.  Coefficient blocks (and the right-hand side) are materialized
+    only on the rungs of ``dense_rungs`` up to xi_max; each row is the same
+    whatever else the list holds.
 
     The solution rows are produced by the exact periodic solution operator
     (holonomy-phased wrap of the bump), so the stored pair satisfies the tube
@@ -466,29 +465,26 @@ def build_prop52(
     mirror = b0 > 0
 
     if not mirror:
-        field_out, rhs_out, cert, profile = _build_prop52_forward(
-            a0_value, b, s, xi_max, field_xi_cap, grid_size
+        field_out, rhs_out, cert, _ = _build_prop52_forward(
+            a0_value, b, s, xi_max, dense_rungs, grid_size
         )
     else:
         # b0 > 0: build for c(t) = -b(-t) (same a0) and map back by
         # u(t) = conj(v(-t)), f(t) = -conj(g(-t)); magnitudes are unchanged.
         reflected = b.reflect().scale(-1)
         field_c, rhs_c, cert, profile_c = _build_prop52_forward(
-            a0_value, reflected, s, xi_max, field_xi_cap, grid_size
+            a0_value, reflected, s, xi_max, dense_rungs, grid_size
         )
         idx = (-np.arange(grid_size)) % grid_size
         field_out = FourierField(1, grid_size, field_c.xi, np.conj(field_c.data[:, idx]))
         rhs_out = FourierField(1, grid_size, rhs_c.xi, -np.conj(rhs_c.data[:, idx]))
-        profile = LaplaceProfile(
+        cert["profile"] = LaplaceProfile(
             B0=-profile_c.B0,
             t0=(-profile_c.t0) % TWO_PI,
             r0=profile_c.r0,
             psi_curvature=-profile_c.psi_curvature,
             mirror=True,
-        )
-        cert["profile"] = profile.to_json()
-        cert["t0"] = profile.t0
-        cert["mirror_mapped"] = True
+        ).to_json()
     cert["a0"] = a0.to_json()
 
     return SingularSolution(
@@ -543,7 +539,8 @@ def build_product(
     (bounds of order ``ξ^{−m/2}``).  ``per_tube`` keeps each tube's
     construction and certificate rows (for Prop52: ``profile``,
     ``cutoff_bound``, ``f_table``, ``translation``, ``delta``), all but its
-    ``lower_bound_table``, which the product table multiplies in.
+    ``lower_bound_table``, which the product table multiplies in.  A tube's
+    peak is its Prop51 ``t0`` or its Prop52 ``profile.t0``.
 
     ``field_grid`` materializes the blocks on a grid dividing the per-tube
     grid: grid data are pointwise samples, so striding them is exact and
@@ -583,8 +580,6 @@ def build_product(
         ],
         "m": sum(1 for sol in per_tube if sol.construction == "Prop52"),
         "q": q,
-        "t0": [sol.certificates.get("t0") for sol in per_tube],
-        "dense_rungs": len(dense),
     }
     return SingularSolution(
         construction="Product",
@@ -634,8 +629,8 @@ def _lift(spec: SystemSpec, v, rungs, phases: dict, grid: int) -> FourierField:
 
 def _inherited(v: SingularSolution | None, rungs) -> dict:
     """The certificate entries a lift takes from v: the lower-bound table
-    over ``rungs``, m, t0 and v's ``per_tube`` rows; bound 1.0, m = 0,
-    t0 = None and no tube rows when there is no v."""
+    over ``rungs``, m and v's ``per_tube`` rows, which hold each tube's peak;
+    bound 1.0, m = 0 and no tube rows when there is no v."""
     if v is None:
         table, cert = [[xi, 1.0] for xi in rungs], {}
     else:
@@ -643,7 +638,6 @@ def _inherited(v: SingularSolution | None, rungs) -> dict:
     return {
         "lower_bound_table": table,
         "m": cert.get("m", 0),
-        "t0": cert.get("t0"),
         "per_tube": cert.get("per_tube", []),
     }
 
@@ -670,10 +664,11 @@ def build_rational_J(
     :class:`SystemAnalysis`.
 
     The ladder is qk for k = 1..k_max.  Coefficient blocks are materialized
-    where v has them (all-real case: on ``dense_rungs``, on a ``grid_size``
-    grid); the bound table covers the full ladder.  A materialized phase
-    must stay below the grid Nyquist limit so the stored samples determine
-    the mode — :class:`GridMismatch` otherwise.
+    on the ladder rungs that ``dense_rungs`` lists, on v's grid (``grid_size``
+    when every tube is real), and v must hold a block at each; the bound
+    table covers the full ladder.  A materialized phase must stay below the
+    grid Nyquist limit so the stored samples determine the mode —
+    :class:`GridMismatch` otherwise.
     """
     J = _real_set(analysis)
     q = int(q)
@@ -693,11 +688,8 @@ def build_rational_J(
         fracs[j] = frac
 
     rungs = [q * k for k in range(1, k_max + 1)]
-    if v is None:
-        grid, held = grid_size, set(dense_rungs)
-    else:
-        grid, held = v.coefficients.grid_size, set(v.coefficients.xi.tolist())
-    dense = [xi for xi in rungs if xi in held]
+    grid = grid_size if v is None else v.coefficients.grid_size
+    dense = sorted({int(xi) for xi in dense_rungs} & set(rungs))
     phases = {j: [] for j in J}
     for xi in dense:
         for j in J:
@@ -863,9 +855,11 @@ def build_obstruction(
     Each tube with nonvanishing b gets Prop51 (rational average, zero-mean
     b) or Prop52 on ``grid``; their product is lifted across the
     identically-real tubes (RationalJ, or ExpLiouvilleJ along the spec's
-    rescaled ``vector_witness``).  Coefficient blocks are materialized up to
-    ``field_cap`` only, within a fixed sample budget; the certified bound
-    table always covers the full ladder.
+    rescaled ``vector_witness``).  The materialized rungs are chosen once:
+    the ladder rungs up to ``field_cap`` that fit a fixed sample budget, or
+    the witness rungs under ExpLiouvilleJ, which keeps only those.  Every
+    builder computes coefficient blocks on those rungs alone; the certified
+    bound table always covers the full ladder.
     """
     analysis, _, verdict = classify_system(spec)
     if verdict.decision != NOT_HYPOELLIPTIC:
@@ -881,7 +875,8 @@ def build_obstruction(
     # Common ladder multiple: clear every rational denominator in sight.
     q = math.lcm(*(a.approx_fraction().denominator for a in analysis.a0 if a.is_rational))
     k_max = max(1, xi_max // q)
-    xi_top = q * k_max
+    rungs = [q * k for k in range(1, k_max + 1)]
+    xi_top = rungs[-1]
 
     # Materialized n-dimensional blocks are limited two ways (the scalar
     # certificate tables are grid-free and always cover the full ladder):
@@ -899,15 +894,14 @@ def build_obstruction(
         cap = max(cap, 0)
         count = min(k_max, cap // q, _DENSE_SAMPLE_BUDGET // (g**spec.n))
         choices.append((count, g, cap))
-        if g % 2 or g // 2 < 32:
+        if g // 2 < 32:  # g is a power of two, so g // 2 divides it
             break
         g //= 2
     n_dense, field_grid, cap = max(choices)
-    dense = [q * k for k in range(1, n_dense + 1)]
+    dense = rungs[:n_dense]
 
     all_rational_J = bool(J) and all(analysis.a0[j - 1].is_rational for j in J)
     witness = None
-    witness_rungs: list = []
     if J and not all_rational_J:
         if not order.is_gevrey:
             raise WitnessMismatch(
@@ -930,8 +924,7 @@ def build_obstruction(
         witness = LiouvilleWitness(
             delta=scaled.delta, pairs=rows, bound_scale=scaled.bound_scale
         )
-        witness_rungs = [s_k for _, s_k in rows]
-    dense_all = sorted(set(dense) | set(witness_rungs))
+        dense = [s_k for _, s_k in rows]  # the only rungs ExpLiouvilleJ keeps
 
     per_tube = []
     chain = []
@@ -940,25 +933,15 @@ def build_obstruction(
         b0 = analysis.b0[j - 1]
         b = spec.tubes[j - 1].b
         if a0.is_rational and b0.is_rational and b0.approx_fraction() == 0:
-            frac = a0.approx_fraction()
-            sol = build_prop51(
-                frac,
-                b,
-                ladder=[(q * k) // frac.denominator for k in range(1, k_max + 1)],
-                grid_size=grid,
-            )
+            sol = build_prop51(a0.approx_fraction(), b, ladder=rungs, grid_size=grid)
         else:
-            sol = build_prop52(
-                a0, b, s, xi_top, grid_size=grid, field_xi_cap=max(dense_all, default=0)
-            )
+            sol = build_prop52(a0, b, s, xi_top, grid_size=grid, dense_rungs=dense)
         per_tube.append(sol)
         chain.append({"tube": j, "construction": sol.construction})
 
     solution = None
     if rest:
-        solution = build_product(
-            per_tube, q, k_max, dense_rungs=dense_all, field_grid=field_grid
-        )
+        solution = build_product(per_tube, q, k_max, dense_rungs=dense, field_grid=field_grid)
     if J:
         if all_rational_J:
             solution = build_rational_J(

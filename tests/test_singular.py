@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from torus_hypo import singular
-from torus_hypo.diophantine import LiouvilleWitness
-from torus_hypo.errors import LadderMismatch, MeanNotZero, ProfileError
+from torus_hypo.diophantine import LiouvilleWitness, RealConstant
+from torus_hypo.errors import IntegralityError, LadderMismatch, MeanNotZero, ProfileError
 from torus_hypo.gevrey import GevreyCutoff, TrigPoly
 from torus_hypo.singular import (
     build_expliouville_J,
@@ -47,6 +47,8 @@ def test_written_certificate_bounds_hold_on_its_stored_coefficients(stem, golden
         assert bounds[block["xi"]] <= peak * (1 + 1e-12), block["xi"]
 
 
+SINE = {"sin": ["1"]}
+
 #: golden singular case -> the construction of each tube its certificate keeps
 PER_TUBE = {
     "singular_expL": [],
@@ -56,6 +58,13 @@ PER_TUBE = {
 }
 
 FITTED_KEYS = {"decay_fits", "f_fit", "peak_power", "u_at_t0", "proof_constant", "fit_r2"}
+
+#: construction -> the keys a per-tube certificate leaves out, as each restates
+#: another (a Prop52 peak is profile.t0, its mirror flag profile.mirror)
+RESTATED_KEYS = {
+    "Prop51": {"peak_is_exact_unit"},
+    "Prop52": {"t0", "B_offset", "mirror_mapped"},
+}
 
 
 def _keys(obj):
@@ -71,16 +80,19 @@ def _keys(obj):
 
 @pytest.mark.parametrize("stem", list(PER_TUBE))
 def test_written_certificates_hold_rows_not_fits(stem, golden_run):
-    """No stored certificate holds a fitted number, and each Prop52 tube's
-    rows (its profile, cutoff row and right-hand-side table over the whole
-    ladder) reach the artifact through the product's per_tube."""
+    """No stored certificate holds a fitted number or restates a key, and
+    each Prop52 tube's rows (its profile, cutoff row and right-hand-side
+    table over the whole ladder) reach the artifact through the product's
+    per_tube, which alone holds each tube's peak."""
     code, _, _, workdir = golden_run(f"singular-{stem}")
     assert code == 0
     cert = json.loads((workdir / "out.json").read_text(encoding="utf-8"))["certificate"]
     assert not FITTED_KEYS & set(_keys(cert))
+    assert not {"t0", "dense_rungs"} & set(cert)
     assert [tube["construction"] for tube in cert["per_tube"]] == PER_TUBE[stem]
     for tube in cert["per_tube"]:
         assert "lower_bound_table" not in tube
+        assert not RESTATED_KEYS[tube["construction"]] & set(tube)
         if tube["construction"] == "Prop52":
             assert {"profile", "cutoff_bound", "f_table", "translation", "delta"} <= set(tube)
             assert [xi for xi, _ in tube["f_table"]] == list(range(1, cert["ladder"][-1] + 1))
@@ -91,7 +103,7 @@ def _prop52(b_const: str):
         {"n": 1, "s": "2", "tubes": [{"a": {"cf": "constant:2"}, "b": {"const": b_const, "sin": ["1"]}}]}
     )
     a0 = analyze(spec).a0[0]
-    sol = build_prop52(a0, spec.tubes[0].b, 2.0, 16, grid_size=128, field_xi_cap=16)
+    sol = build_prop52(a0, spec.tubes[0].b, 2.0, 16, grid_size=128, dense_rungs=range(1, 17))
     lu = apply_tube_operator(spec, 1, sol.coefficients)
     residual = {
         xi: float(np.abs(lu.take(xi) - sol.rhs[1].take(xi)).max())
@@ -112,8 +124,6 @@ def test_prop52_mirror_branch_matches_forward_branch(monkeypatch):
     # pair solves its own tube equation as well as the forward pair does.
     mirror, res_mirror = _prop52("1/2")
     forward, res_forward = _prop52("-1/2")
-    assert mirror.certificates["mirror_mapped"] is True
-    assert "mirror_mapped" not in forward.certificates
     assert mirror.certificates["lower_bound_table"] == forward.certificates["lower_bound_table"]
     # both builds put their cutoff on one geometry, so they derive one row,
     # and neither runs the high-precision transform
@@ -132,6 +142,40 @@ def test_prop52_mirror_branch_matches_forward_branch(monkeypatch):
         if xi >= 8:
             # 1.29e-4 at xi = 8, roughly halving per rung
             assert r <= 2e-4 * 0.53 ** (xi - 8)
+
+
+def test_prop52_rows_do_not_depend_on_the_other_listed_rungs():
+    """Rungs 2, 4 and 6 alone are the rows of a 1..6 build, bit for bit, on
+    both branches; a rung past xi_max is not built."""
+    for b in ({"const": "-1/2", "sin": ["1"]}, {"const": "1/2", "sin": ["1"]}):
+        args = (RealConstant.from_json({"cf": "constant:2"}), TrigPoly.from_json(b), 2.0, 8)
+        some = build_prop52(*args, grid_size=64, dense_rungs=[2, 4, 6, 9])
+        every = build_prop52(*args, grid_size=64, dense_rungs=range(1, 7))
+        assert some.coefficients.xi.tolist() == [2, 4, 6]
+        for xi in (2, 4, 6):
+            assert some.coefficients.take(xi).tobytes() == every.coefficients.take(xi).tobytes()
+            assert some.rhs[1].take(xi).tobytes() == every.rhs[1].take(xi).tobytes()
+        assert some.certificates == every.certificates
+
+
+def test_expliouville_lift_of_a_product_receives_only_the_witness_rungs(monkeypatch):
+    """On singular_expL with a Prop52 tube (a = constant:2, b = sin t) the
+    product is built on the three witness rungs the lift keeps, not on the
+    whole dense window as well."""
+    received = []
+    lift = singular.build_expliouville_J
+    monkeypatch.setattr(
+        singular,
+        "build_expliouville_J",
+        lambda *args, **kw: received.append(args[3].coefficients.xi.tolist()) or lift(*args, **kw),
+    )
+    expl = load_fixture("singular_expL.json")
+    expl["n"] = 2
+    expl["tubes"].append({"a": {"cf": "constant:2"}, "b": SINE})
+    ob = build_obstruction(SystemSpec.from_json(expl), xi_max=256, grid=128, field_cap=64)
+    assert [c["construction"] for c in ob.chain] == ["Prop52", "ExpLiouvilleJ"]
+    assert received == [[3, 34, 68]]
+    assert ob.solution.coefficients.xi.tolist() == [3, 34, 68]
 
 
 @pytest.fixture
@@ -211,10 +255,18 @@ def test_prop51_reads_a_float_mean_exactly():
     solve the tube equation, so Prop51 refuses it."""
     b = TrigPoly(const=1e-15, cos=(1.0,))
     with pytest.raises(MeanNotZero, match="1e-15"):
-        build_prop51(Fraction(1, 2), b, ladder=[1, 2, 3], grid_size=32)
+        build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6], grid_size=32)
 
 
-SINE = {"sin": ["1"]}
+def test_prop51_ladder_is_in_xi():
+    """Prop51's ladder lists rungs ξ, like every other builder's: with
+    a0 = 1/2 the rung 4 is ξ = 4, and the rung 3 is refused, as ξ·a0 is
+    not an integer there."""
+    b = TrigPoly.from_json(SINE)
+    assert build_prop51(Fraction(1, 2), b, ladder=[2, 4], grid_size=32).ladder == [2, 4]
+    with pytest.raises(IntegralityError, match="q=2"):
+        build_prop51(Fraction(1, 2), b, ladder=[3], grid_size=32)
+
 
 #: v condition -> (tubes outside J, v's rungs or None for no v, the refusal).
 #: RationalJ below lifts the rungs 1, 2 (a_J = 0, q = 1, k_max = 2);
