@@ -73,12 +73,61 @@ VERDICT_EXITS = {"Hypoelliptic": 0, "NotHypoelliptic": 10, "Unknown": 20}
 # ---------------------------------------------------------------------------
 
 
-def _read_json(path):
+#: ``bytes.translate`` table: a digit becomes "0", "." stays, any other
+#: byte becomes " "
+_DIGIT_SHAPE = bytes(48 if 48 <= b < 58 else 46 if b == 46 else 32 for b in range(256))
+
+#: the shortest integers that orjson may read as floats: below -2**63 or
+#: past 2**64 - 1
+_LONG_INTEGER = b"0" * 19
+
+
+def _holds_long_integer(raw: bytes) -> bool:
+    """Whether ``raw`` holds a run of 19 or more digits that does not follow
+    a "." (the digits of a fraction)."""
+    shape = raw.translate(_DIGIT_SHAPE)
+    # rfind: on digit-heavy text it is faster than find
+    return shape.startswith(_LONG_INTEGER) or shape.rfind(b" " + _LONG_INTEGER) >= 0
+
+
+def _read_json(path, native: bool = False):
+    """The JSON document in the file ``path``, read as ``json.load`` reads it
+    from the file opened as UTF-8 text.
+
+    With ``native``, orjson parses it where orjson's result is ``json``'s,
+    and ``json`` does elsewhere, so an input gives the same object or the
+    same error either way.  orjson 3.8 refuses some inputs that ``json``
+    reads (the ``NaN`` and ``Infinity`` literals, numbers past the double
+    range, a BOM, lone surrogates): those go to ``json`` on orjson's error.
+    It reads an integer outside [-2**63, 2**64) as a float without a word,
+    so a document that :func:`_holds_long_integer` goes to ``json``
+    unparsed.  One difference stays: orjson has no nesting limit, where
+    ``json`` raises RecursionError past about a thousand levels.
+
+    The text that ``json`` parses is decoded as a text-mode read decodes
+    it, with universal newlines, so its error messages name the same
+    positions.  A file that is not UTF-8 is malformed input naming the
+    path.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
+    if native and not _holds_long_integer(raw):
+        import orjson
+
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
+    del raw
+    try:
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
 
@@ -134,16 +183,19 @@ def _load_spec(args):
 
 
 def _load_field(path) -> list:
-    """The right-hand side fields: one, or a JSON ``{"fields": [...]}``."""
-    from .solver import FourierField
+    """The right-hand side fields: one, or a JSON ``{"fields": [...]}``.
 
+    A JSON file is parsed before numpy is imported: the parser's buffers are
+    gone by the time numpy's pages and the field arrays are in memory."""
     try:
-        if path.endswith((".bin", ".tff")):
+        obj = None if path.endswith((".bin", ".tff")) else _read_json(path, native=True)
+        from .solver import FourierField
+
+        if obj is None:
             try:
                 return [FourierField.load_binary(path)]
             except OSError as exc:
                 raise MalformedInput(f"cannot read {path}: {exc}") from exc
-        obj = _read_json(path)
         if not (isinstance(obj, dict) and "fields" in obj):
             return [FourierField.from_json_obj(obj)]
         fields = _parse_field("fields", list, obj["fields"])
@@ -297,11 +349,13 @@ def cmd_normalform(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    spec = _load_spec(args)
+    f_list = _load_field(args.rhs)  # first: it imports numpy after a JSON parse
     from .solver import solve_system
 
-    spec = _load_spec(args)
-    f_list = _load_field(args.rhs)
     u, body = solve_system(spec, f_list)
+    rhs_fields = len(f_list)
+    del f_list  # the write holds u alone
     _write_field(u, args.out_field)
     counters = body.pop("runtime", {})
     body["output"] = args.out_field
@@ -312,7 +366,7 @@ def cmd_solve(args) -> int:
         runtime={
             "frequencies": len(u.xi),
             "grid": u.grid_size,
-            "rhs_fields": len(f_list),
+            "rhs_fields": rhs_fields,
             **counters,
         },
     )

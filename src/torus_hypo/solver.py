@@ -113,6 +113,10 @@ MIN_INTERNAL_MODES = 1024
 #: residual; bounds the size of the temporary arrays.
 _XI_CHUNK = 64
 
+#: Grid values per chunk of a field's serialized forms and magnitudes
+#: (1 MB of coefficients); a block larger than this is a chunk of its own.
+_CHUNK_ENTRIES = 1 << 16
+
 #: Significant digits of the averaged constants in the division solver.
 DIVISION_DIGITS = 60
 
@@ -269,6 +273,11 @@ class FourierField:
         such an entry cannot be told from zero at the transform's precision.
         Both serialized forms store these coefficients, so a stored 0.0 means
         |c| ≤ ε·max|c| of its block.
+
+        Each block is transformed and floored on its own, so a block's bits
+        do not depend on ``rows``: the serialized forms take the stack a
+        chunk of rows at a time (:meth:`_coeff_chunks`) and never hold a
+        whole-field copy.
         """
         values, axes = self.data[rows], tuple(range(1, self.n + 1))
         c = np.fft.fftn(values, axes=axes, out=np.empty_like(values))
@@ -276,6 +285,16 @@ class FourierField:
         mag = np.abs(c)
         c[mag <= np.finfo(float).eps * mag.max(axis=axes, keepdims=True)] = 0.0
         return c
+
+    def _chunks(self):
+        """Consecutive row slices of the stack, each of ``_CHUNK_ENTRIES``
+        grid values or one row."""
+        step = max(1, _CHUNK_ENTRIES // self.grid_size**self.n)
+        return (slice(lo, lo + step) for lo in range(0, self.xi.size, step))
+
+    def _coeff_chunks(self):
+        """:meth:`coeffs` of the stack, one :meth:`_chunks` slice at a time."""
+        return (self.coeffs(rows) for rows in self._chunks())
 
     def t_grid(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
@@ -312,9 +331,12 @@ class FourierField:
         return float(np.abs(self.data).max()) if self.xi.size else 0.0
 
     def magnitudes(self) -> dict:
-        """{ξ: max_t |û(t, ξ)|} — the decay profile the Gevrey fits consume."""
-        peaks = np.abs(self.data).max(axis=tuple(range(1, self.n + 1)))
-        return dict(zip(self.xi.tolist(), peaks.tolist()))
+        """{ξ: max_t |û(t, ξ)|} — the decay profile the Gevrey fits consume,
+        taken one :meth:`_chunks` slice at a time."""
+        axes, peaks = tuple(range(1, self.n + 1)), []
+        for rows in self._chunks():
+            peaks += np.abs(self.data[rows]).max(axis=axes).tolist()
+        return dict(zip(self.xi.tolist(), peaks))
 
     # -- serialization ---------------------------------------------------------------
 
@@ -324,10 +346,18 @@ class FourierField:
     def to_json_obj(self) -> dict:
         """The JSON form, each block's ``re`` and ``im`` a float64 vector
         (views of its coefficients), which :func:`~.report.write_json`
-        writes as the list of its floats."""
+        writes as the list of its floats.
+
+        ``blocks`` is an iterator over the block dicts: the coefficients are
+        computed a chunk of rows at a time as it is consumed, so writing
+        the form holds one chunk of them, not a copy of the field.
+        :func:`~.report.write_json` writes it as a list, and ``list()``
+        materializes it."""
         lo, hi = self._window()
-        rows = self.coeffs().reshape(self.xi.size, self.grid_size**self.n)
-        blocks = [{"xi": xi, "re": c.real, "im": c.imag} for xi, c in zip(self.xi.tolist(), rows)]
+        size = self.grid_size**self.n
+        chunks = (c.reshape(-1, size) for c in self._coeff_chunks())
+        rows = itertools.chain.from_iterable(chunks)
+        blocks = ({"xi": xi, "re": c.real, "im": c.imag} for xi, c in zip(self.xi.tolist(), rows))
         return {
             "format": "tff",
             "version": _BINARY_VERSION,
@@ -396,12 +426,14 @@ class FourierField:
         """
         return b"".join(self._binary_parts())
 
-    def _binary_parts(self) -> list:
-        """Header, ξ list and coefficient stack of :meth:`to_bytes`."""
+    def _binary_parts(self):
+        """Header, ξ list and the coefficient stack of :meth:`to_bytes`, the
+        stack a chunk of rows at a time."""
         layout = (self.n, self.grid_size, *self._window(), len(self.xi))
-        head = struct.pack("<4sIqqqqq", _BINARY_MAGIC, _BINARY_VERSION, *layout)
-        body = np.ascontiguousarray(self.coeffs(), dtype="<c16")
-        return [head, self.xi.astype("<i8").tobytes(), body]
+        yield struct.pack("<4sIqqqqq", _BINARY_MAGIC, _BINARY_VERSION, *layout)
+        yield self.xi.astype("<i8").tobytes()
+        for c in self._coeff_chunks():
+            yield np.ascontiguousarray(c, dtype="<c16")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "FourierField":
@@ -423,7 +455,9 @@ class FourierField:
         return cls.from_coeffs(layout.n, layout.grid_size, xi, coeffs.reshape(shape))
 
     def save_binary(self, path) -> None:
-        # part by part: joining them would copy the coefficients once more
+        """Write :meth:`to_bytes` to ``path`` part by part: one chunk of
+        coefficients is held at a time, and the bytes are those of
+        :meth:`to_bytes`."""
         with open(path, "wb") as fh:
             fh.writelines(self._binary_parts())
 
@@ -574,7 +608,8 @@ def _stacked_band_system(
 
     grid_size = rhs_hat.shape[1]
     freqs = np.fft.fftfreq(grid_size, 1.0 / grid_size).astype(int)
-    rhs = np.zeros((m.size, rhs_hat.shape[2]), dtype=complex)
+    # Fortran order: LAPACK solves it in place, without f2py's copy
+    rhs = np.zeros((m.size, rhs_hat.shape[2]), dtype=complex, order="F")
     rhs[(starts + halves)[:, None] + freqs] = rhs_hat
     return ab, rhs
 
@@ -612,7 +647,7 @@ def _adaptive_band_solve(
     xis: np.ndarray,
     a0: float,
     b_exp: np.ndarray,
-    rhs_hat: np.ndarray,
+    coeffs: np.ndarray,
 ) -> tuple:
     """:func:`_stacked_band_solve` with each ξ's mode count chosen a posteriori.
 
@@ -623,34 +658,39 @@ def _adaptive_band_solve(
     it is accepted as it stands.  Constant b (d = 0) is diagonal, so the
     first pass is exact.  The ξ still open are solved together each round.
 
-    Returns the solution coefficients (shape and layout of ``rhs_hat``), the
-    half-width each ξ ended at, and whether it reached the ceiling without
-    passing the edge test.
+    ``coeffs`` holds the right-hand side's coefficients (``rhs_hat`` of
+    :func:`_stacked_band_solve`) and is overwritten with the solution's, row
+    by row as each ξ is accepted: a solved row's right-hand side is not read
+    again.  Returns the half-width each ξ ended at, and whether it reached
+    the ceiling without passing the edge test.
     """
-    grid_size = rhs_hat.shape[1]
+    grid_size = coeffs.shape[1]
     d = (b_exp.size - 1) // 2
     eps = np.finfo(float).eps
     freqs = np.fft.fftfreq(grid_size, 1.0 / grid_size).astype(int)
     ceiling = _mode_ceiling(xis, grid_size, d)
     halves = np.minimum(grid_size // 2 + 2 * d + 1, ceiling)
     capped = np.zeros(xis.size, dtype=bool)
-    u_hat = np.empty_like(rhs_hat)
     todo = np.arange(xis.size)
     while todo.size:
         half = halves[todo]
         starts = _block_starts(half)
-        sol = _stacked_band_solve(xis[todo], half, a0, b_exp, rhs_hat[todo])
-        row_max = np.abs(sol).max(axis=1)
+        rhs_hat = coeffs if todo.size == xis.size else coeffs[todo]  # no copy in round 1
+        sol = _stacked_band_solve(xis[todo], half, a0, b_exp, rhs_hat)
+        del rhs_hat
+        row_max = np.zeros(sol.shape[0])
+        for column in sol.T:  # max |sol| per row without a temporary of sol's size
+            np.maximum(row_max, np.abs(column), out=row_max)
         ends = starts + 2 * half + 1
         outer = np.hstack([starts[:, None] + np.arange(d), ends[:, None] - np.arange(1, d + 1)])
         edge = row_max[outer].max(axis=1, initial=0.0)
         resolved = edge <= eps * np.maximum.reduceat(row_max, starts)
         done = resolved | (half == ceiling[todo])
-        u_hat[todo[done]] = sol[(starts + half)[done, None] + freqs]
+        coeffs[todo[done]] = sol[(starts + half)[done, None] + freqs]
         capped[todo[done]] = ~resolved[done]
         todo = todo[~done]
         halves[todo] = np.minimum(2 * halves[todo], ceiling[todo])
-    return u_hat, halves, capped
+    return halves, capped
 
 
 def solve_single_tube(tube_index: int, spec: SystemSpec, f: FourierField) -> FourierField:
@@ -665,7 +705,9 @@ def solve_single_tube(tube_index: int, spec: SystemSpec, f: FourierField) -> Fou
 
     The other ξ are solved in chunks of ``_XI_CHUNK``, one stacked banded LU
     per chunk and round, each ξ on the mode count :func:`_adaptive_band_solve`
-    picks for it.  A ξ's result does not depend on the rest of its chunk.
+    picks for it.  A ξ's result does not depend on the rest of its chunk.  A
+    chunk's coefficients are transformed, solved and scaled in place, so the
+    solve holds f, u and one chunk's temporaries.
     ``meta`` records ``internal_modes_max``, the largest K any ξ used, and
     ``internal_modes_capped``, the number of ξ accepted at the ceiling
     without passing the edge test.
@@ -697,9 +739,13 @@ def solve_single_tube(tube_index: int, spec: SystemSpec, f: FourierField) -> Fou
     modes_max = capped = 0
     for lo in range(0, nonzero.size, _XI_CHUNK):
         rows = nonzero[lo : lo + _XI_CHUNK]
-        rhs_hat = np.fft.fft(f_t[rows].reshape(rows.size, N, -1), axis=1) / N
-        u_hat, halves, at_ceiling = _adaptive_band_solve(f.xi[rows], a0, b_exp, rhs_hat)
-        u_t[rows] = np.fft.ifft(u_hat * N, axis=1).reshape((rows.size,) + f_t.shape[1:])
+        if rows[-1] - rows[0] == rows.size - 1:  # consecutive: a view, not a copy
+            rows = slice(rows[0], rows[-1] + 1)
+        coeffs = np.fft.fft(f_t[rows].reshape(len(f.xi[rows]), N, -1), axis=1)
+        coeffs /= N
+        halves, at_ceiling = _adaptive_band_solve(f.xi[rows], a0, b_exp, coeffs)
+        coeffs *= N
+        u_t[rows] = np.fft.ifft(coeffs, axis=1, out=coeffs).reshape(u_t[rows].shape)
         modes_max = max(modes_max, 2 * int(halves.max()))
         capped += int(at_ceiling.sum())
     meta = {"method": "banded-mode-solve", "tube": tube_index, "internal_modes_max": modes_max}

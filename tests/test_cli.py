@@ -210,10 +210,12 @@ def test_verdict_commands_load_neither_scipy_nor_sympy():
     assert "scipy" not in loaded and "sympy" not in loaded and "orjson" not in loaded
 
 
-def _solve_loads(tmp_path, output: str) -> list:
+def _solve_loads(tmp_path, output: str, rhs: str | None = None) -> list:
     """The ``scipy.linalg``, ``numpy.f2py``, ``numpy.testing`` and orjson
-    modules loaded by a fresh-interpreter solve of solve_rhs into ``output``."""
-    argv = [*_argv("solve-solve_rhs")[:-1], output]
+    modules loaded by a fresh-interpreter solve of solve_rhs (or of ``rhs``,
+    the same field in another file) into ``output``."""
+    argv = _argv("solve-solve_rhs")
+    argv[2:] = [rhs or argv[2], output]
     code = f"""if True:
         import contextlib, io, json, sys
         from torus_hypo import cli
@@ -233,14 +235,18 @@ def _solve_loads(tmp_path, output: str) -> list:
 def test_solve_loads_no_scipy_linalg_package(tmp_path):
     """The banded solve reaches LAPACK through scipy's binding alone: the
     ``scipy.linalg`` package, whose import pulls in ``numpy.f2py`` and
-    ``numpy.testing``, stays unloaded.  The JSON field write loads orjson."""
+    ``numpy.testing``, stays unloaded.  The JSON rhs read and the JSON field
+    write load orjson."""
     assert _solve_loads(tmp_path, ARTIFACTS["solve"]) == ["orjson"]
 
 
 def test_solve_to_binary_field_loads_no_orjson(tmp_path):
-    """orjson prints the floats of JSON artifacts only, so a binary field is
-    written without it."""
-    assert _solve_loads(tmp_path, "u.tff") == []
+    """orjson parses JSON right-hand sides and prints the floats of JSON
+    artifacts only: a binary rhs solved into a binary field is read and
+    written without it, and a JSON rhs loads it at the read."""
+    FourierField.load_json(FIXTURES / "solve_rhs.json").save_binary(tmp_path / "rhs.tff")
+    assert _solve_loads(tmp_path, "u.tff", str(tmp_path / "rhs.tff")) == []
+    assert _solve_loads(tmp_path, "u2.tff") == ["orjson"]
 
 
 def test_cf_loads_no_numpy():
