@@ -181,6 +181,7 @@ def build_prop51(
     *,
     ladder: Sequence[int],
     grid_size: int,
+    dense_rungs: Sequence[int] | None = None,
 ) -> SingularSolution:
     """Homogeneous ladder solutions for a rational average p/q.
 
@@ -192,7 +193,9 @@ def build_prop51(
     B, the smallest such zero on a tie, and 0 when b ≡ 0.
 
     ``ladder`` lists the rungs ξ; one that q does not divide raises
-    :class:`IntegralityError`.
+    :class:`IntegralityError`.  The bound table covers the ladder, and the
+    coefficient blocks are computed on the ladder rungs that ``dense_rungs``
+    lists (default: all of them).
     """
     if not isinstance(b, TrigPoly):
         raise MalformedInput("b must be a TrigPoly")
@@ -213,8 +216,10 @@ def build_prop51(
 
     t = TWO_PI * np.arange(grid_size) / grid_size
     B_vals = np.asarray(B(t), dtype=float)
-    phases = _integer_phases([-frac.numerator * (xi // q) for xi in xis], grid_size)  # ξ a0 ∈ ℤ
-    out = FourierField(1, grid_size, xis, phases * np.exp(np.multiply.outer(xis, B_vals - B_peak)))
+    dense = xis if dense_rungs is None else sorted({int(xi) for xi in dense_rungs} & set(xis))
+    phases = _integer_phases([-frac.numerator * (xi // q) for xi in dense], grid_size)  # ξ a0 ∈ ℤ
+    blocks = phases * np.exp(np.multiply.outer(dense, B_vals - B_peak))
+    out = FourierField(1, grid_size, dense, blocks)
     table = [[xi, 1.0] for xi in xis]
 
     cert = {
@@ -933,7 +938,8 @@ def build_obstruction(
         b0 = analysis.b0[j - 1]
         b = spec.tubes[j - 1].b
         if a0.is_rational and b0.is_rational and b0.approx_fraction() == 0:
-            sol = build_prop51(a0.approx_fraction(), b, ladder=rungs, grid_size=grid)
+            frac = a0.approx_fraction()
+            sol = build_prop51(frac, b, ladder=rungs, grid_size=grid, dense_rungs=dense)
         else:
             sol = build_prop52(a0, b, s, xi_top, grid_size=grid, dense_rungs=dense)
         per_tube.append(sol)

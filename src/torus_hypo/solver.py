@@ -154,11 +154,40 @@ def _along(vec: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return vec.reshape(shape)
 
 
-def _check_grid_size(grid_size: int) -> int:
-    grid_size = int(grid_size)
+#: Largest block, in bits of its grid_size**n values: numpy refuses an
+#: array past 2**63 bytes, even an empty stack of such blocks.
+_MAX_BLOCK_BITS = 58
+
+
+def _check_layout(n: int, grid_size: int) -> tuple:
+    """``(n, grid_size)`` as ints: n >= 1 axes of a power-of-two grid >= 4,
+    with blocks of at most 2**_MAX_BLOCK_BITS values.  The bound is checked
+    on the exponents, so a huge n costs nothing."""
+    n, grid_size = int(n), int(grid_size)
+    if n < 1:
+        raise MalformedInput(f"need n >= 1 t-variables, got {n}")
     if grid_size < 4 or grid_size & (grid_size - 1):
         raise MalformedInput(f"grid_size must be a power of two >= 4, got {grid_size}")
-    return grid_size
+    if 2 * n > _MAX_BLOCK_BITS:  # grid_size >= 4 adds 2 bits per axis
+        raise MalformedInput(f"n = {n} t-variables make blocks past 2**{_MAX_BLOCK_BITS} values")
+    bits = n * (grid_size.bit_length() - 1)
+    if bits > _MAX_BLOCK_BITS:
+        raise MalformedInput(
+            f"grid_size {grid_size} over n = {n} t-variables makes blocks of 2**{bits} values, "
+            f"past 2**{_MAX_BLOCK_BITS}"
+        )
+    return n, grid_size
+
+
+def _block_part(block, part: str, size: int):
+    """``block[part]``, a list (or 1-D array) of ``size`` numbers; a scalar
+    would be broadcast over the block, so it is refused."""
+    values = block[part]
+    if not isinstance(values, (list, np.ndarray)):
+        raise MalformedInput(f"{part}: expected a list of {size} numbers, got {type(values).__name__}")
+    if len(values) != size:
+        raise MalformedInput(f"{part}: expected {size} numbers (grid_size**n), got {len(values)}")
+    return values
 
 
 @dataclass(eq=False)  # arrays have no single truth value
@@ -187,10 +216,7 @@ class FourierField:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.n = int(self.n)
-        if self.n < 1:
-            raise MalformedInput(f"need n >= 1 t-variables, got {self.n}")
-        self.grid_size = _check_grid_size(self.grid_size)
+        self.n, self.grid_size = _check_layout(self.n, self.grid_size)
         self.xi = np.asarray(self.xi, dtype=np.int64).reshape(-1)
         shape = (self.xi.size,) + (self.grid_size,) * self.n
         data = np.zeros(shape) if self.data is None else self.data
@@ -208,9 +234,10 @@ class FourierField:
         returns) is ``coeffs``, row k at ξ = ``xi[k]``: one inverse FFT over
         axes 1..n.
 
-        The rows may come in any order; they are sorted by ξ.  A repeated ξ
-        or a coefficient that is not finite raises :class:`MalformedInput`
-        naming the row by ``labels[k]`` (default ``xi: <ξ>``).
+        The rows may come in any order; they are sorted by ξ.  A repeated ξ,
+        a coefficient that is not finite, or finite coefficients whose grid
+        values pass the float range raise :class:`MalformedInput` naming the
+        row by ``labels[k]`` (default ``xi: <ξ>``).
         """
         layout = cls(n=n, grid_size=grid_size)
         xi = np.asarray(xi, dtype=np.int64).reshape(-1)
@@ -225,8 +252,12 @@ class FourierField:
         repeats = np.flatnonzero(ascending[1:] == ascending[:-1])
         if repeats.size:
             raise MalformedInput(f"{labels[order[repeats[0] + 1]]} repeats an earlier block")
-        data = np.fft.ifftn(coeffs, axes=axes, out=np.empty_like(coeffs))
-        data *= layout.grid_size**layout.n
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            data = np.fft.ifftn(coeffs, axes=axes, out=np.empty_like(coeffs))
+            data *= layout.grid_size**layout.n
+        finite = np.isfinite(data).all(axis=axes)
+        if not finite.all():
+            raise MalformedInput(f"{labels[np.argmin(finite)]} has grid values past the float range")
         if np.any(order[1:] < order[:-1]):
             data = data[order]
         return cls(layout.n, layout.grid_size, ascending, data)
@@ -381,6 +412,10 @@ class FourierField:
         meta = _parse_field("meta", dict, obj.get("meta", {}))
         blocks = _parse_field("blocks", list, obj.get("blocks"))
         shape = (layout.grid_size,) * layout.n
+        size = layout.grid_size**layout.n
+        for k, block in enumerate(blocks):  # every block's size, before allocating
+            for part in ("re", "im"):
+                _parse_field(f"blocks[{k}]", lambda b: _block_part(b, part, size), block)
         xi = np.empty(len(blocks), dtype=np.int64)
         coeffs = np.empty((len(blocks),) + shape, dtype=complex)
 
@@ -470,6 +505,18 @@ class FourierField:
 # ---------------------------------------------------------------------------
 # Single-tube solver
 # ---------------------------------------------------------------------------
+
+
+def _check_solved(xis: np.ndarray, coeffs: np.ndarray) -> None:
+    """Refuse solved coefficients (row k at ξ = ``xis[k]``) that are not
+    finite: the right-hand side is finite but its solution passes the float
+    range.  :class:`MalformedInput` names rhs and the first such ξ."""
+    finite = np.isfinite(coeffs).reshape(len(xis), -1).all(axis=1)
+    if not finite.all():
+        raise MalformedInput(
+            f"rhs: the solution at xi = {xis[np.argmin(finite)]} passes the float range; "
+            "scale the right-hand side down"
+        )
 
 
 def _constant_tube_coefficients(spec: SystemSpec, tube_index: int):
@@ -744,6 +791,7 @@ def solve_single_tube(tube_index: int, spec: SystemSpec, f: FourierField) -> Fou
         coeffs = np.fft.fft(f_t[rows].reshape(len(f.xi[rows]), N, -1), axis=1)
         coeffs /= N
         halves, at_ceiling = _adaptive_band_solve(f.xi[rows], a0, b_exp, coeffs)
+        _check_solved(f.xi[rows], coeffs)
         coeffs *= N
         u_t[rows] = np.fft.ifft(coeffs, axis=1, out=coeffs).reshape(u_t[rows].shape)
         modes_max = max(modes_max, 2 * int(halves.max()))
@@ -827,7 +875,7 @@ def solve_by_division(
         for j in range(n):
             d_j = divisors[j][rows].reshape((-1,) + tuple(N if i == j else 1 for i in range(n)))
             f_hat = np.fft.fftn(f_list[j].data[rows], axes=axes) / N**n
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 quotient = -1j * f_hat / d_j
             size = np.abs(d_j)
             np.copyto(u_hat, quotient, where=size > best)
@@ -846,6 +894,7 @@ def solve_by_division(
             )
         min_divisor = min(min_divisor, float(worst.min()))
         u_hat[zero] = 0.0
+        _check_solved(base.xi[rows], u_hat)
         u[rows] = np.fft.ifftn(u_hat * N**n, axes=axes)
 
     meta = {"method": "division", "digits": DIVISION_DIGITS}
@@ -970,7 +1019,8 @@ def solve_system(
     field per tube is given, else the solved tube's), the division ``meta``,
     for a Gevrey order the ``decay_fit`` of u, and on the single-tube route
     the ``runtime`` counters ``internal_modes_max`` and
-    ``internal_modes_capped`` of :func:`solve_single_tube`.
+    ``internal_modes_capped`` of :func:`solve_single_tube`.  Both routes
+    refuse a solution past the float range (:func:`_check_solved`).
     """
     n = spec.n
     if len(f_list) == n:

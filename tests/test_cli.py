@@ -499,6 +499,145 @@ def test_non_float_vector_is_refused():
         _written(np.arange(3))
 
 
+def _as_lists(obj):
+    """``obj`` with each float vector as its list and each iterator as a list."""
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, list) or hasattr(obj, "__next__"):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("batch", ["default", "small"])
+def test_batched_write_of_every_float_vector_matches_json_dumps(batch, monkeypatch):
+    """Every FLOAT_VECTORS case at once, as sibling leaves and as a list (and
+    an iterator) of blocks: batches of consecutive vectors, a zero run that
+    ends one batch and one that starts the next, and a NaN vector between
+    finite ones, which sends its batch to the C encoder."""
+    from torus_hypo import report
+
+    if batch == "small":  # a batch closes after a vector or two
+        monkeypatch.setattr(report, "_BATCH_ENTRIES", 9)
+        monkeypatch.setattr(report, "_BATCH_CHARS", 64)
+    vectors = {case: np.array(values, dtype=float) for case, values in FLOAT_VECTORS.items()}
+    zeros = np.zeros(report._LONG_ZERO_RUN + 3)
+    tail = np.concatenate([[1.5, -2.0], zeros])  # a zero run at the end of a vector
+    head = np.concatenate([zeros, [3.25]])  # and at the start of the next
+    blocks = [{"re": v, "im": v[::-1].copy(), "xi": k} for k, v in enumerate(vectors.values())]
+    blocks += [{"re": tail, "im": head, "xi": -1}, {"re": np.array([1.0, np.nan]), "im": tail, "xi": -2}]
+    obj = {"leaves": vectors, "blocks": blocks, "lazy": iter(blocks[-4:]), "n": 3}
+    want = json.dumps(_as_lists({**obj, "lazy": blocks[-4:]}), separators=(",", ":"), sort_keys=True)
+    assert _written(obj) == want
+
+
+def _same(a, b) -> bool:
+    """Equal JSON objects, each float compared by its bits (``hex``)."""
+    if isinstance(a, float):
+        return isinstance(b, float) and a.hex() == b.hex()
+    if isinstance(a, dict):
+        return type(b) is dict and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return type(b) is list and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+def _coldbench_division_rhs(path: Path) -> None:
+    """A two-field right-hand side as coldbench's solve.division kind writes
+    it (n = 2, grid 16, |xi| <= 96; about 4 MB of repr floats)."""
+    sys.path.insert(0, str(TESTS.parent / "coldbench"))
+    try:
+        import checks
+        import workloads
+    finally:
+        sys.path.pop(0)
+    u_true = workloads._u_true(np.random.default_rng(2), 2, 16, 96, 7)
+    fields = [workloads.apply_tube(u_true, j, alpha, "0") for j, alpha in enumerate((0.38, 0.12))]
+    workloads._write_json(path, {"fields": [checks.field_json(2, 16, f) for f in fields]})
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")) + ["coldbench_division_rhs"])
+def test_native_read_gives_the_objects_of_json_load(name, tmp_path):
+    """The rhs reader parses with orjson wherever that gives json.load's
+    objects, and with json elsewhere: every fixture (the ones holding long
+    digit runs take json) and a coldbench division rhs, which takes orjson."""
+    path = FIXTURES / f"{name}.json"
+    if name == "coldbench_division_rhs":
+        path = tmp_path / "rhs.json"
+        _coldbench_division_rhs(path)
+        assert not cli._holds_long_integer(path.read_bytes())
+    with open(path, encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert _same(cli._read_json(str(path), native=True), want)
+
+
+_NUMBERS = b'"xi": 1, "re": [%s, 0, 0, 0, 0, 0, 0, 0], "im": [0, 0, 0, 0, 0, 0, 0, 0]'
+_RHS_TEXT = b'{"format": "tff", "n": 1, "grid_size": 8, "meta": {%s}, "blocks": [{%s}]}'
+
+
+#: rhs files that orjson 3.8 reads otherwise than json, or refuses
+NATIVE_EDGES = {
+    "nan": (_RHS_TEXT % (b"", _NUMBERS % b"NaN"), 2),
+    "infinity": (_RHS_TEXT % (b"", _NUMBERS % b"-Infinity"), 2),
+    "past-the-double-range": (_RHS_TEXT % (b"", _NUMBERS % b"1e400"), 2),
+    "integer-past-64-bits": (_RHS_TEXT % (b"", _NUMBERS % b"100000000000000000000000"), 0),
+    "xi-past-64-bits": (_RHS_TEXT % (b"", _NUMBERS.replace(b'"xi": 1', b'"xi": 100000000000000000000000') % b"1"), 2),
+    "negative-past-63-bits": (_RHS_TEXT % (b'"k": -9223372036854775809', _NUMBERS % b"1"), 0),
+    "bom": (b"\xef\xbb\xbf" + _RHS_TEXT % (b"", _NUMBERS % b"1"), 2),
+    "lone-surrogate": (_RHS_TEXT % (b'"k": "\\ud800"', _NUMBERS % b"1"), 0),
+    "crlf-and-a-bad-token": (_RHS_TEXT.replace(b", ", b",\r\n") % (b"", _NUMBERS % b"1.5.0"), 2),
+    "not-utf8": (_RHS_TEXT % (b'"\xff": 1', _NUMBERS % b"1"), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NATIVE_EDGES))
+def test_native_read_ends_as_the_json_read(case, tmp_path, capsys, monkeypatch):
+    """Each input gives the exit code, report and message it gives when json
+    reads it (the reader before orjson), including the line and column of a
+    JSON error in a CRLF file."""
+    raw, code = NATIVE_EDGES[case]
+    path = tmp_path / "rhs.json"
+    path.write_bytes(raw)
+    argv = ["solve", str(FIXTURES / "solve_spec.json"), str(path), str(tmp_path / "u.json")]
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for native in (True, False):
+        if not native:
+            monkeypatch.setattr(cli, "_holds_long_integer", lambda raw: True)
+        runs.append((cli.main(argv), *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    if code:
+        assert runs[0][2].startswith("error: rhs: ") and runs[0][2].count("\n") == 1
+    try:  # the read before orjson: json.load on the file opened as text
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    except json.JSONDecodeError as exc:
+        assert runs[0][2] == f"error: rhs: {path} is not valid JSON: {exc}\n"
+    except UnicodeDecodeError:
+        assert case == "not-utf8"
+
+
+@pytest.mark.parametrize(
+    "tube, top, route",
+    [({"a": "0", "b": "1e-300"}, 1e10, "single-tube"), ({"a": {"cf": "constant:29"}, "b": "0"}, 1e307, "division")],
+    ids=["single-tube", "division"],
+)
+def test_solution_past_the_float_range_is_refused(tube, top, route, tmp_path, capsys):
+    """A finite right-hand side whose solution overflows (damping 1e-300, or
+    a divisor of 0.034 against 1e307) exits 2 naming rhs and the ξ, with no
+    numpy warning, instead of writing a field of infinities and NaN."""
+    spec, data = tmp_path / "spec.json", tmp_path / "rhs.json"
+    spec.write_text(json.dumps({"n": 1, "s": "2", "tubes": [tube]}), encoding="utf-8")
+    field = {**_RHS, "blocks": [{**_BLOCK, "re": [top] + [0.0] * 7}]}
+    data.write_text(json.dumps({"fields": [field]} if route == "division" else field), encoding="utf-8")
+    assert cli.main(["solve", str(spec), str(data), str(tmp_path / "u.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rhs: the solution at xi = 1 passes the float range; scale the right-hand side down\n"
+
+
 def test_canonical_json_renders_numpy_values_as_python_values():
     from torus_hypo.report import canonical_json
 
@@ -532,8 +671,9 @@ def _witness(row: dict) -> dict:
 
 #: case -> (what is malformed, the named field).  What is malformed is spec
 #: fields over {"n": 1, "s": "2"} (run by classify), an rhs object or TFF
-#: bytes (run by solve on fixtures/solve_spec.json) or an argv ("@name" as in
-#: CASES; relative paths are inside an empty working directory).
+#: bytes (run by solve on fixtures/solve_spec.json), the bytes of a spec or
+#: JSON rhs file, or an argv ("@name" as in CASES; relative paths are inside
+#: an empty working directory).  "{path}" in the field is the input's path.
 MALFORMED = {
     "a-not-a-number": (("spec", {"tubes": [{"a": "abc", "b": "0"}]}), "tubes[0]: a:"),
     "s-zero-denominator": (("spec", {"s": "1/0", "tubes": [{"a": "1/2", "b": "0"}]}), "s:"),
@@ -717,6 +857,20 @@ MALFORMED = {
         ("spec", {"tubes": [{"a": "1/2", "b": "0"}], "vector_assertion": "Liouville"}),
         "vector_assertion:",
     ),
+    "rhs-n-past-the-float-grid": (("rhs", {**_RHS, "n": 1e308}), "rhs: n ="),
+    "rhs-n-huge-integer": (("rhs", {**_RHS, "n": 10**29}), "rhs: n ="),
+    "rhs-grid-past-64-bits": (("rhs", {**_RHS, "grid_size": 2**64}), "rhs: grid_size"),
+    "rhs-im-scalar": (("rhs", {**_RHS, "blocks": [{**_BLOCK, "im": 1.0}]}), "rhs: blocks[0]: im:"),
+    "rhs-re-scalar": (("rhs", {**_RHS, "blocks": [{**_BLOCK, "re": 1.0}]}), "rhs: blocks[0]: re:"),
+    "rhs-grid-values-overflow": (
+        ("rhs", {**_RHS, "blocks": [{**_BLOCK, "im": [1e308] * 8}]}),
+        "rhs: blocks[0]: xi: 1",
+    ),
+    "spec-not-utf8": (("spec-bytes", b'{"n": 1, "tubes": [\xff]}'), "{path} is not UTF-8 text:"),
+    "rhs-not-utf8": (
+        ("rhs-bytes", b'{"format": "tff", "n": 1, "grid_size": 8, "meta": {"\xff": 1}}'),
+        "rhs: {path} is not UTF-8 text:",
+    ),
 }
 
 
@@ -730,9 +884,14 @@ def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys, monkey
     elif kind == "spec":
         path.write_text(json.dumps({"n": 1, "s": "2", **given}), encoding="utf-8")
         argv = ["classify", str(path)]
-    elif kind in ("rhs", "tff"):
+    elif kind == "spec-bytes":
+        path.write_bytes(given)
+        argv = ["classify", str(path)]
+    elif kind in ("rhs", "tff", "rhs-bytes"):
         if kind == "tff":
             path = tmp_path / "rhs.tff"
+            path.write_bytes(given)
+        elif kind == "rhs-bytes":
             path.write_bytes(given)
         else:
             path.write_text(json.dumps(given), encoding="utf-8")
@@ -740,7 +899,7 @@ def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys, monkey
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {field} ")
+    assert captured.err.startswith(f"error: {field.format(path=path)} ")
     assert captured.err.count("\n") == 1
 
 

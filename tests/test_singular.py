@@ -268,6 +268,18 @@ def test_prop51_ladder_is_in_xi():
         build_prop51(Fraction(1, 2), b, ladder=[3], grid_size=32)
 
 
+def test_prop51_builds_blocks_on_the_dense_rungs_alone():
+    """The bound table covers the ladder; the blocks are the dense rungs'
+    (those on the ladder), each with the bits of the full-ladder build."""
+    b = TrigPoly.from_json(SINE)
+    full = build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6, 8], grid_size=32)
+    some = build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6, 8], grid_size=32, dense_rungs=[8, 4, 5])
+    assert some.ladder == [2, 4, 6, 8]
+    assert some.certificates == full.certificates
+    assert some.coefficients.xi.tolist() == [4, 8]
+    assert some.coefficients.take([4, 8]).tobytes() == full.coefficients.take([4, 8]).tobytes()
+
+
 #: v condition -> (tubes outside J, v's rungs or None for no v, the refusal).
 #: RationalJ below lifts the rungs 1, 2 (a_J = 0, q = 1, k_max = 2);
 #: ExpLiouvilleJ lifts the singular_expL witness rungs 3, 34, 68.

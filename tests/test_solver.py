@@ -194,6 +194,29 @@ def test_coeffs_floor_zeroes_only_fft_rounding_noise(n, grid):
         assert zeroed > 0
 
 
+@pytest.mark.parametrize("entries", [1, 3 * 64, 1 << 16])
+def test_chunked_serialized_forms_equal_the_whole_field_transform(entries, tmp_path, monkeypatch):
+    """save_binary, to_bytes, to_json_obj and magnitudes take the field a
+    chunk of rows at a time (one row, three rows and all seven here).  Each
+    block is transformed and floored on its own, so the bytes are those of
+    the whole-field transform and the magnitudes those of the whole stack."""
+    rng = np.random.default_rng(31)
+    data = rng.standard_normal((7, 8, 8)) + 1j * rng.standard_normal((7, 8, 8))
+    data[2] = 0.0  # an all-zero block
+    f = FourierField(2, 8, np.arange(-3, 4), data)
+    whole = f.coeffs()  # every row in one transform
+    head = f.to_bytes()[: 48 + 8 * 7]
+    want_magnitudes = dict(zip(range(-3, 4), np.abs(data).max(axis=(1, 2)).tolist()))
+    monkeypatch.setattr("torus_hypo.solver._CHUNK_ENTRIES", entries)
+    f.save_binary(tmp_path / "f.tff")
+    assert (tmp_path / "f.tff").read_bytes() == f.to_bytes() == head + _bits(whole).tobytes()
+    blocks = list(f.to_json_obj()["blocks"])
+    assert [b["xi"] for b in blocks] == list(range(-3, 4))
+    for block, c in zip(blocks, whole.reshape(7, -1)):
+        assert block["re"].tobytes() == c.real.tobytes() and block["im"].tobytes() == c.imag.tobytes()
+    assert f.magnitudes() == want_magnitudes
+
+
 def test_all_zero_and_exact_single_mode_blocks_round_trip_exactly():
     """A zero block stays zero; a mode with η_i ∈ {0, ±N/4} has exact samples
     (powers of i), so it is stored as the one coefficient it was built from
