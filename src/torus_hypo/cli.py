@@ -43,9 +43,10 @@ Exit codes
 A failure prints ``error: <message>`` to stderr and exits with the
 ``exit_code`` of its error class (see :mod:`torus_hypo.errors`):
 
-2    malformed input: bad JSON/flags/paths/fields, unusable parameters, an
-     output path that cannot be written (a missing or read-only directory
-     is refused before any work)
+2    malformed input: bad JSON (or not UTF-8)/flags/paths/fields, unusable
+     parameters, an rhs whose solution passes the float range, an output
+     path that cannot be written (a missing or read-only directory is
+     refused before any work)
 30   SolvabilityError          31   CompatibilityError
 32   ZeroDivisorError          33   ProfileError / GeometryError / GridMismatch
 34   MeanNotZero               40   RefusedHypoelliptic
@@ -81,13 +82,25 @@ _DIGIT_SHAPE = bytes(48 if 48 <= b < 58 else 46 if b == 46 else 32 for b in rang
 #: past 2**64 - 1
 _LONG_INTEGER = b"0" * 19
 
+#: bytes per window of :func:`_holds_long_integer`
+_SCAN_WINDOW = 1 << 16
+
 
 def _holds_long_integer(raw: bytes) -> bool:
     """Whether ``raw`` holds a run of 19 or more digits that does not follow
-    a "." (the digits of a fraction)."""
-    shape = raw.translate(_DIGIT_SHAPE)
-    # rfind: on digit-heavy text it is faster than find
-    return shape.startswith(_LONG_INTEGER) or shape.rfind(b" " + _LONG_INTEGER) >= 0
+    a "." (the digits of a fraction).
+
+    It is read in overlapping windows: a whole translated copy of a large
+    file, once freed, raises glibc's mmap threshold and leaves the parse
+    that follows a few MB more resident."""
+    if raw[: len(_LONG_INTEGER)].isdigit() and len(raw) >= len(_LONG_INTEGER):
+        return True
+    after = b" " + _LONG_INTEGER  # a digit run that follows neither a digit nor a "."
+    for at in range(0, len(raw), _SCAN_WINDOW):
+        window = raw[max(at - 1, 0) : at + _SCAN_WINDOW + 19].translate(_DIGIT_SHAPE)
+        if window.rfind(after) >= 0:  # rfind: on digit-heavy text it is faster than find
+            return True
+    return False
 
 
 def _read_json(path, native: bool = False):

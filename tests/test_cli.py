@@ -572,6 +572,21 @@ def test_native_read_gives_the_objects_of_json_load(name, tmp_path):
     assert _same(cli._read_json(str(path), native=True), want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=80).map(lambda b: b.translate(bytes(b"0123456789012 .-"[i % 16] for i in range(256)))))
+def test_long_integer_scan_matches_its_definition(raw):
+    """A run of 19 or more digits not after a digit or a ".", also across the
+    edges of the scan's windows (8 bytes here)."""
+    import re
+
+    want = re.search(rb"(?:^|[^0-9.])[0-9]{19}", raw) is not None
+    window, cli._SCAN_WINDOW = cli._SCAN_WINDOW, 8
+    try:
+        assert cli._holds_long_integer(raw) == want
+    finally:
+        cli._SCAN_WINDOW = window
+
+
 _NUMBERS = b'"xi": 1, "re": [%s, 0, 0, 0, 0, 0, 0, 0], "im": [0, 0, 0, 0, 0, 0, 0, 0]'
 _RHS_TEXT = b'{"format": "tff", "n": 1, "grid_size": 8, "meta": {%s}, "blocks": [{%s}]}'
 
