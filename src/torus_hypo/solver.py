@@ -229,10 +229,13 @@ class FourierField:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, n: int, grid_size: int, xi, coeffs, labels=None) -> "FourierField":
+    def from_coeffs(
+        cls, n: int, grid_size: int, xi, coeffs, labels=None, *, overwrite: bool = False
+    ) -> "FourierField":
         """The field whose coefficient stack (the layout :meth:`coeffs`
         returns) is ``coeffs``, row k at ξ = ``xi[k]``: one inverse FFT over
-        axes 1..n.
+        axes 1..n, in place in ``coeffs`` when ``overwrite`` is set and it is
+        a complex array (a reader's own buffer).
 
         The rows may come in any order; they are sorted by ξ.  A repeated ξ,
         a coefficient that is not finite, or finite coefficients whose grid
@@ -253,7 +256,8 @@ class FourierField:
         if repeats.size:
             raise MalformedInput(f"{labels[order[repeats[0] + 1]]} repeats an earlier block")
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            data = np.fft.ifftn(coeffs, axes=axes, out=np.empty_like(coeffs))
+            out = coeffs if overwrite else np.empty_like(coeffs)
+            data = np.fft.ifftn(coeffs, axes=axes, out=out)
             data *= layout.grid_size**layout.n
         finite = np.isfinite(data).all(axis=axes)
         if not finite.all():
@@ -280,7 +284,7 @@ class FourierField:
                 if abs(e) >= N // 2:
                     raise MalformedInput(f"t-frequency {e} outside representable band for grid {N}")
             coeffs[(row[int(xi)],) + tuple(e % N for e in eta)] = complex(coeff)
-        return cls.from_coeffs(layout.n, N, list(row), coeffs)
+        return cls.from_coeffs(layout.n, N, list(row), coeffs, overwrite=True)
 
     # -- access ----------------------------------------------------------------
 
@@ -428,7 +432,7 @@ class FourierField:
         for k, block in enumerate(blocks):
             _parse_field(f"blocks[{k}]", lambda b: read_block(k, b), block)
         labels = [f"blocks[{k}]: xi: {x}" for k, x in enumerate(xi.tolist())]
-        out = cls.from_coeffs(layout.n, layout.grid_size, xi, coeffs, labels)
+        out = cls.from_coeffs(layout.n, layout.grid_size, xi, coeffs, labels, overwrite=True)
         out.meta = meta
         return out
 
