@@ -217,11 +217,11 @@ def _render_floats(vectors: list) -> list:
     cuts, moved = cuts[: nonzero.size + 1], moved[: nonzero.size + 1]  # "[]" holds no float
 
     ends = np.cumsum([v.size for v in vectors])
-    first = np.empty(values.size, bool)  # a run starts here
-    first[0] = True
-    np.not_equal(zero[1:], zero[:-1], out=first[1:])
-    first[ends[:-1]] = True
-    start = np.flatnonzero(first)
+    begins = np.empty(values.size, bool)  # a run begins here
+    begins[0] = True
+    np.not_equal(zero[1:], zero[:-1], out=begins[1:])
+    begins[ends[:-1]] = True
+    start = np.flatnonzero(begins)
     length = np.append(start[1:], values.size) - start
     is_zero = zero[start]
     # An entry's unit is its text and the delimiter after it.  A run of k
@@ -234,9 +234,8 @@ def _render_floats(vectors: list) -> list:
     long = is_zero & (length >= _LONG_ZERO_RUN)
     size[long] = 0
     short = is_zero & ~long
-    zeros = size[short] // 4
-    at = np.concatenate([at, np.repeat(cuts[seen[short]] + 1, 4 * zeros)])
-    new = np.frombuffer(new + b"0.0," * int(zeros.sum()), np.uint8)
+    at = np.concatenate([at, np.repeat(cuts[seen[short]] + 1, 4 * length[short])])
+    new = np.frombuffer(new + b"0.0," * int(length[short].sum()), np.uint8)
     # the text without its "[" (and the "]" of an empty one), so every
     # position moves down by 1
     out = _splice(text[1 : cuts[-1] + 1], gone - 1, at - 1, new, np)
@@ -250,16 +249,16 @@ def _render_floats(vectors: list) -> list:
     stop, length = stop.tolist(), length.tolist()
     splices = iter(np.flatnonzero(long).tolist() + [start.size])
     splice = next(splices)
-    texts, at = [], 0
+    texts, pos = [], 0
     for end in last.tolist():
         parts = ["["]
         while splice <= end:
-            parts += [text[at : stop[splice]], "0.0," * length[splice]]
-            at = stop[splice]
+            parts += [text[pos : stop[splice]], "0.0," * length[splice]]
+            pos = stop[splice]
             splice = next(splices)
-        if at < stop[end]:
-            parts.append(text[at : stop[end]])
-            at = stop[end]
+        if pos < stop[end]:
+            parts.append(text[pos : stop[end]])
+            pos = stop[end]
         else:  # the vector ends in a long run
             parts[-1] = parts[-1][:-1] + "]"
         texts.append(parts)

@@ -181,7 +181,7 @@ def build_prop51(
     *,
     ladder: Sequence[int],
     grid_size: int,
-    dense_rungs: Sequence[int] | None = None,
+    dense_rungs: Sequence[int],
 ) -> SingularSolution:
     """Homogeneous ladder solutions for a rational average p/q.
 
@@ -195,7 +195,7 @@ def build_prop51(
     ``ladder`` lists the rungs ξ; one that q does not divide raises
     :class:`IntegralityError`.  The bound table covers the ladder, and the
     coefficient blocks are computed on the ladder rungs that ``dense_rungs``
-    lists (default: all of them).
+    lists.
     """
     if not isinstance(b, TrigPoly):
         raise MalformedInput("b must be a TrigPoly")
@@ -216,7 +216,7 @@ def build_prop51(
 
     t = TWO_PI * np.arange(grid_size) / grid_size
     B_vals = np.asarray(B(t), dtype=float)
-    dense = xis if dense_rungs is None else sorted({int(xi) for xi in dense_rungs} & set(xis))
+    dense = sorted({int(xi) for xi in dense_rungs} & set(xis))
     phases = _integer_phases([-frac.numerator * (xi // q) for xi in dense], grid_size)  # ξ a0 ∈ ℤ
     blocks = phases * np.exp(np.multiply.outer(dense, B_vals - B_peak))
     out = FourierField(1, grid_size, dense, blocks)

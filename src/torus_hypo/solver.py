@@ -42,10 +42,11 @@ residual rows.
 :class:`FourierField` is the shared container: a sorted int64 vector of the
 stored ξ and one complex array stacking their grid values over the
 n-dimensional t-torus, axis 0 running over ξ.  Whole-field operations (the
-FFTs, t-derivatives, tube operators, norms and both serialized forms, which
-store the trigonometric coefficients) act on the whole stack at once; the
-solvers above take its rows in chunks or one by one.  Only this module reads
-or writes single rows of a field.
+FFTs, t-derivatives, tube operators and norms) act on the whole stack at
+once; both serialized forms, which store the trigonometric coefficients,
+and the magnitudes take it a chunk of rows at a time, and the solvers above
+take its rows in chunks or one by one.  Only this module reads or writes
+single rows of a field.
 """
 
 from __future__ import annotations
@@ -204,9 +205,10 @@ class FourierField:
     coefficient stack (``fftn(values)/N^n`` over axes 1..n, ``fftfreq``
     layout), which is also what the serialized forms store.
 
-    Whole-field operations act on the stack at once.  Only this module reads
-    or writes single rows; other modules build a stack and hand it to the
-    constructor or to :meth:`from_coeffs`, and read rows with :meth:`take`.
+    Whole-field operations act on the stack at once, the serialized forms a
+    chunk of rows at a time.  Only this module reads or writes single rows;
+    other modules build a stack and hand it to the constructor or to
+    :meth:`from_coeffs`, and read rows with :meth:`take`.
     """
 
     n: int

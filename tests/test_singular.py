@@ -237,7 +237,7 @@ def test_peaks_are_critical_points_above_every_lattice_point():
         assert profile.B0 >= float(expo.max()) - 1e-12, b
 
         zero_mean = TrigPoly(0, b.cos, b.sin)
-        peak = build_prop51(Fraction(0), zero_mean, ladder=[1], grid_size=8).certificates
+        peak = build_prop51(Fraction(0), zero_mean, ladder=[1], grid_size=8, dense_rungs=[1]).certificates
         B = zero_mean.primitive_from_zero()
         assert abs(float(zero_mean(peak["t0"]))) <= 1e-12 * size, b
         assert peak["B_peak"] >= float(B(grid).max()) - 1e-12, b
@@ -255,7 +255,7 @@ def test_prop51_reads_a_float_mean_exactly():
     solve the tube equation, so Prop51 refuses it."""
     b = TrigPoly(const=1e-15, cos=(1.0,))
     with pytest.raises(MeanNotZero, match="1e-15"):
-        build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6], grid_size=32)
+        build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6], grid_size=32, dense_rungs=[])
 
 
 def test_prop51_ladder_is_in_xi():
@@ -263,16 +263,16 @@ def test_prop51_ladder_is_in_xi():
     a0 = 1/2 the rung 4 is ξ = 4, and the rung 3 is refused, as ξ·a0 is
     not an integer there."""
     b = TrigPoly.from_json(SINE)
-    assert build_prop51(Fraction(1, 2), b, ladder=[2, 4], grid_size=32).ladder == [2, 4]
+    assert build_prop51(Fraction(1, 2), b, ladder=[2, 4], grid_size=32, dense_rungs=[4]).ladder == [2, 4]
     with pytest.raises(IntegralityError, match="q=2"):
-        build_prop51(Fraction(1, 2), b, ladder=[3], grid_size=32)
+        build_prop51(Fraction(1, 2), b, ladder=[3], grid_size=32, dense_rungs=[3])
 
 
 def test_prop51_builds_blocks_on_the_dense_rungs_alone():
     """The bound table covers the ladder; the blocks are the dense rungs'
     (those on the ladder), each with the bits of the full-ladder build."""
     b = TrigPoly.from_json(SINE)
-    full = build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6, 8], grid_size=32)
+    full = build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6, 8], grid_size=32, dense_rungs=[2, 4, 6, 8])
     some = build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6, 8], grid_size=32, dense_rungs=[8, 4, 5])
     assert some.ladder == [2, 4, 6, 8]
     assert some.certificates == full.certificates
@@ -297,7 +297,7 @@ def test_both_lifts_refuse_a_v_that_does_not_fit(case):
     rest, rungs, refusal = LIFT_MISFITS[case]
     # v: Prop51 for a = 0, b = sin t, one variable, at the given rungs
     v = None if rungs is None else build_prop51(
-        Fraction(0), TrigPoly.from_json(SINE), ladder=rungs, grid_size=32
+        Fraction(0), TrigPoly.from_json(SINE), ladder=rungs, grid_size=32, dense_rungs=rungs
     )
     others = [{"a": "0", "b": SINE}] * rest
 
