@@ -149,7 +149,9 @@ def _pieces(obj):
             yield f"{',' if i else ''}{_ARTIFACT_ENCODER.encode(key)}:"
             yield from _pieces(obj[key])
         yield "}"
-    elif isinstance(obj, Iterator) or (isinstance(obj, list) and obj and isinstance(obj[0], (dict, list))):
+    elif isinstance(obj, Iterator) or (
+        isinstance(obj, list) and obj and isinstance(obj[0], (dict, list))
+    ):
         yield "["
         for i, value in enumerate(obj):
             if i:

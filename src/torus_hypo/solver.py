@@ -185,7 +185,8 @@ def _block_part(block, part: str, size: int):
     would be broadcast over the block, so it is refused."""
     values = block[part]
     if not isinstance(values, (list, np.ndarray)):
-        raise MalformedInput(f"{part}: expected a list of {size} numbers, got {type(values).__name__}")
+        kind = type(values).__name__
+        raise MalformedInput(f"{part}: expected a list of {size} numbers, got {kind}")
     if len(values) != size:
         raise MalformedInput(f"{part}: expected {size} numbers (grid_size**n), got {len(values)}")
     return values
@@ -263,7 +264,8 @@ class FourierField:
             data *= layout.grid_size**layout.n
         finite = np.isfinite(data).all(axis=axes)
         if not finite.all():
-            raise MalformedInput(f"{labels[np.argmin(finite)]} has grid values past the float range")
+            label = labels[np.argmin(finite)]
+            raise MalformedInput(f"{label} has grid values past the float range")
         if np.any(order[1:] < order[:-1]):
             data = data[order]
         return cls(layout.n, layout.grid_size, ascending, data)
@@ -799,7 +801,8 @@ def solve_single_tube(tube_index: int, spec: SystemSpec, f: FourierField) -> Fou
         halves, at_ceiling = _adaptive_band_solve(f.xi[rows], a0, b_exp, coeffs)
         _check_solved(f.xi[rows], coeffs)
         coeffs *= N
-        u_t[rows] = np.fft.ifft(coeffs, axis=1, out=coeffs).reshape(u_t[rows].shape)
+        np.fft.ifft(coeffs, axis=1, out=coeffs)
+        u_t[rows] = coeffs.reshape((len(coeffs),) + u_t.shape[1:])
         modes_max = max(modes_max, 2 * int(halves.max()))
         capped += int(at_ceiling.sum())
     meta = {"method": "banded-mode-solve", "tube": tube_index, "internal_modes_max": modes_max}

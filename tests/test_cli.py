@@ -573,7 +573,7 @@ def test_native_read_gives_the_objects_of_json_load(name, tmp_path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=80).map(lambda b: b.translate(bytes(b"0123456789012 .-"[i % 16] for i in range(256)))))
+@given(st.binary(max_size=80).map(lambda b: b.translate(bytes(b"0123456789012 .-" * 16))))
 def test_long_integer_scan_matches_its_definition(raw):
     """A run of 19 or more digits not after a digit or a ".", also across the
     edges of the scan's windows (8 bytes here)."""
@@ -597,7 +597,10 @@ NATIVE_EDGES = {
     "infinity": (_RHS_TEXT % (b"", _NUMBERS % b"-Infinity"), 2),
     "past-the-double-range": (_RHS_TEXT % (b"", _NUMBERS % b"1e400"), 2),
     "integer-past-64-bits": (_RHS_TEXT % (b"", _NUMBERS % b"100000000000000000000000"), 0),
-    "xi-past-64-bits": (_RHS_TEXT % (b"", _NUMBERS.replace(b'"xi": 1', b'"xi": 100000000000000000000000') % b"1"), 2),
+    "xi-past-64-bits": (
+        _RHS_TEXT % (b"", _NUMBERS.replace(b'"xi": 1', b'"xi": 100000000000000000000000') % b"1"),
+        2,
+    ),
     "negative-past-63-bits": (_RHS_TEXT % (b'"k": -9223372036854775809', _NUMBERS % b"1"), 0),
     "bom": (b"\xef\xbb\xbf" + _RHS_TEXT % (b"", _NUMBERS % b"1"), 2),
     "lone-surrogate": (_RHS_TEXT % (b'"k": "\\ud800"', _NUMBERS % b"1"), 0),
@@ -636,7 +639,10 @@ def test_native_read_ends_as_the_json_read(case, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "tube, top, route",
-    [({"a": "0", "b": "1e-300"}, 1e10, "single-tube"), ({"a": {"cf": "constant:29"}, "b": "0"}, 1e307, "division")],
+    [
+        ({"a": "0", "b": "1e-300"}, 1e10, "single-tube"),
+        ({"a": {"cf": "constant:29"}, "b": "0"}, 1e307, "division"),
+    ],
     ids=["single-tube", "division"],
 )
 def test_solution_past_the_float_range_is_refused(tube, top, route, tmp_path, capsys):
@@ -650,7 +656,9 @@ def test_solution_past_the_float_range_is_refused(tube, top, route, tmp_path, ca
     assert cli.main(["solve", str(spec), str(data), str(tmp_path / "u.json")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: rhs: the solution at xi = 1 passes the float range; scale the right-hand side down\n"
+    assert captured.err == (
+        "error: rhs: the solution at xi = 1 passes the float range; scale the right-hand side down\n"
+    )
 
 
 def test_canonical_json_renders_numpy_values_as_python_values():
