@@ -114,13 +114,13 @@ def _read_json(path, native: bool = False):
     range, a BOM, lone surrogates): those go to ``json`` on orjson's error.
     It reads an integer outside [-2**63, 2**64) as a float without a word,
     so a document that :func:`_holds_long_integer` goes to ``json``
-    unparsed.  One difference stays: orjson has no nesting limit, where
-    ``json`` raises RecursionError past about a thousand levels.
+    unparsed.  One difference stays: orjson has no nesting limit, so with
+    ``native`` it reads a document that ``json`` refuses as too deep.
 
     The text that ``json`` parses is decoded as a text-mode read decodes
     it, with universal newlines, so its error messages name the same
-    positions.  A file that is not UTF-8 is malformed input naming the
-    path.
+    positions.  A file that is not UTF-8, or that ``json`` finds nested past
+    about a thousand levels, is malformed input naming the path.
     """
     try:
         with open(path, "rb") as fh:
@@ -141,7 +141,7 @@ def _read_json(path, native: bool = False):
     del raw
     try:
         return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -176,8 +176,8 @@ def _check_positive(flag: str, value: int) -> None:
         raise MalformedInput(f"{flag}: {value} is not a positive integer")
 
 
-#: largest ``singular --grid``: the Laplace tables take grid x max(1024, 4 xi)
-#: entries, and 2048 already peaks near 300 MB
+#: largest ``singular --grid``: at 2048, one Prop52 tube with 256 dense rungs
+#: (``--xi-max 1024 --field-cap 1024``) peaks near 160 MB
 MAX_SINGULAR_GRID = 2048
 
 

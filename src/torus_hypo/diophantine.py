@@ -538,11 +538,13 @@ class LiouvilleWitness:
             raise MalformedInput("witness delta must be positive")
         cleaned = []
         prev = 0
-        for r, s_k in self.pairs:
+        for k, (r, s_k) in enumerate(self.pairs):
             r = tuple(int(x) for x in r)
             s_k = int(s_k)
             if s_k <= prev:
                 raise MalformedInput("witness denominators must be strictly increasing")
+            if cleaned and len(r) != (first := len(cleaned[0][0])):
+                raise MalformedInput(f"pairs[{k}]: r has {len(r)} entries, pairs[0] has {first}")
             prev = s_k
             cleaned.append((r, s_k))
         self.pairs = cleaned

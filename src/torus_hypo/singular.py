@@ -33,6 +33,7 @@ the spec and the artifact can recompute.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -58,6 +59,7 @@ from .errors import (
     ProfileError,
     RefusedHypoelliptic,
     WitnessMismatch,
+    _parse_field,
 )
 from .gevrey import TrigPoly, least_squares, make_cutoff
 from .solver import FourierField, apply_tube_operator
@@ -323,7 +325,16 @@ def _build_prop52_forward(
     grid_size: int,
 ) -> tuple:
     """Core construction for the b0 ≤ 0 branch; returns (field, rhs, cert,
-    profile)."""
+    profile).
+
+    A rung sums the exact periodic solution operator applied to f̂ over n_r
+    r-nodes, with the holonomy e^{−i2πξa₀} where t' − r wraps below 0.  With
+    s = t' − r, ξ(Im H − B0) = ξ(b0 t' + B(t') − B0) − ξ(b0 s + B(s)), plus
+    2πξb0 on a wrapped node.  So, with n_r a multiple of the grid, a dense row
+    is e^{ξ(b0 t' + B(t') − B0)} times a log-domain prefix sum of g(s) =
+    e^{−ξ(b0 s + B(s))} φ(s) over the support cells s ≤ t', plus the holonomy
+    times e^{2πξb0} times the suffix sum over s > t'.
+    """
     profile = locate_laplace_profile(b)
     b0 = float(b.mean())
 
@@ -347,71 +358,69 @@ def _build_prop52_forward(
     Bper_sh = b.translate(sigma).primitive_from_zero()  # b'(t') = b(t' - sigma)
 
     c0 = complex(a0_value, b0)
+    lo, hi = cutoff.support
+    t_sh_grid = TWO_PI * np.arange(grid_size) / grid_size
 
-    def u_rows(t_points: np.ndarray, xis):
-        """(ξ, û'(t', ξ)) on the given t' points for each ξ, by trapezoid over r.
-
-        This is the exact periodic solution operator applied to f̂: where the
-        bump argument t' − r wraps below 0 the data picks up the holonomy
-        phase e^{−i2πξa₀} (the cutoff vanishes near the seam, so the phase
-        switch multiplies zero and the integrand stays smooth and periodic).
-        The ξ-free Laplace tables depend only on n_r = max(1024, 4ξ); they
-        are rebuilt only when n_r changes, and they keep only the (t', r)
-        cells where the bump is nonzero, evaluating it only where t' − r lies
-        strictly inside its support (most of the table lies outside).  Off
-        the support every summand is ±0, so the row sums over a zeroed table
-        with the support cells filled in are the sums over the full table,
-        bit for bit.
-        """
-        lo, hi = cutoff.support
-        n_r = None
-        for xi in xis:
-            if n_r != max(1024, 4 * xi):
-                n_r = max(1024, 4 * xi)
-                r = TWO_PI * np.arange(n_r) / n_r
-                arg = np.mod(t_points[:, None] - r[None, :], TWO_PI)
-                cells = np.nonzero((arg > lo) & (arg < hi))
-                bump = cutoff(arg[cells])
-                keep = bump != 0
-                cells, bump = tuple(c[keep] for c in cells), bump[keep]
-                t_c, r_c = t_points[cells[0]], r[cells[1]]
-                wrapped = t_c < r_c  # t' − r < 0
-                expo = _kernel_exponent(b0, Bper_sh, t_c, r_c) - profile.B0
-                integral = np.zeros((t_points.size, n_r), dtype=complex)
-            holonomy = np.where(wrapped, np.exp(-2j * math.pi * xi * a0_value), 1.0)
-            # B0 tops Im H at every critical point: Im H ≤ B0 up to rounding
-            integral[cells] = np.exp(np.minimum(expo * xi, 0.0)) * bump * holonomy
-            vals = integral.sum(axis=1) * (TWO_PI / n_r)
-            yield xi, np.exp(-1j * xi * a0_value * (t_points - t0_sh)) * vals
+    def peak_table(xis):
+        """|û'(t0', ξ)| for each ξ of ``xis`` on n_r = max(1024, 4ξ) nodes.  The
+        rungs of one n_r fill a zeroed (rungs × n_r) table, 64 at a time, at the
+        cells inside the support where the bump is nonzero; the other summands
+        are ±0, so each row sum is the full row's sum, bit for bit."""
+        peaks = []
+        for n_r, group in itertools.groupby(xis, lambda xi: max(1024, 4 * xi)):
+            r = TWO_PI * np.arange(n_r) / n_r
+            arg = np.mod(t0_sh - r, TWO_PI)
+            cells = np.nonzero((arg > lo) & (arg < hi))[0]
+            bump = cutoff(arg[cells])
+            cells, bump = cells[bump != 0], bump[bump != 0]
+            wrapped = t0_sh < r[cells]
+            expo = _kernel_exponent(b0, Bper_sh, np.full(cells.size, t0_sh), r[cells]) - profile.B0
+            group = np.array(list(group))
+            for xs in np.split(group, range(64, group.size, 64)):
+                table = np.zeros((xs.size, n_r), dtype=complex)
+                hol = np.where(wrapped, np.exp(-2j * math.pi * xs * a0_value)[:, None], 1.0)
+                # B0 tops Im H at every critical point: Im H ≤ B0 up to rounding
+                table[:, cells] = np.exp(np.minimum(np.multiply.outer(xs, expo), 0.0)) * bump * hol
+                peaks += np.abs(table.sum(axis=1) * (TWO_PI / n_r)).tolist()
+        return peaks
 
     # Certificate tables over the full frequency range (peak value is the
-    # integral at t' = t0'; the phase there is 1).
+    # integral at t' = t0').
     u_table, f_table = [], []
-    for xi, u_peak in u_rows(np.array([t0_sh]), range(1, xi_max + 1)):
+    for xi, peak in zip(range(1, xi_max + 1), peak_table(range(1, xi_max + 1))):
         pref = abs(1.0 - np.exp(-2j * math.pi * xi * c0))
         ln_f = -profile.B0 * xi
-        u_table.append([xi, float(np.abs(u_peak)[0])])
+        u_table.append([xi, peak])
         f_table.append([xi, float(pref * math.exp(ln_f) if ln_f > -745.0 else 0.0)])
 
-    # Dense coefficient blocks (and the matching right-hand side) on the
-    # listed rungs, in the original frame: u(t) = u'(t + sigma).
+    # Dense blocks (and the matching right-hand side) on the listed rungs by the
+    # window sums, the ξ-free cells once per n_r (the least multiple of the grid
+    # ≥ max(1024, 4ξ)), rolled to the original frame: u(t) = u'(t + sigma).
+    dense = np.array(sorted({int(xi) for xi in dense_rungs if 1 <= xi <= xi_max}), dtype=np.int64)
+    lead = b0 * t_sh_grid + np.asarray(Bper_sh(t_sh_grid), dtype=float) - profile.B0
+    rows = [np.empty((0, grid_size), dtype=complex)]
+    for n_r, group in itertools.groupby(dense, lambda xi: -(-max(1024, 4 * xi) // grid_size)):
+        xs, n_r = np.array(list(group)), n_r * grid_size
+        nodes = TWO_PI * np.arange(n_r) / n_r
+        cells = np.nonzero((nodes > lo) & (nodes < hi))[0]
+        bump = cutoff(nodes[cells])
+        cells, bump = cells[bump > 0], bump[bump > 0]
+        ln_g = np.log(bump) - np.multiply.outer(xs, b0 * nodes[cells] + Bper_sh(nodes[cells]))
+        top = ln_g.max(axis=1, keepdims=True)
+        ln_g = np.pad(ln_g - top, ((0, 0), (1, 1)), constant_values=-np.inf)
+        k = np.searchsorted(cells, np.arange(grid_size) * (n_r // grid_size), side="right")
+        upto = np.logaddexp.accumulate(ln_g[:, :-1], axis=1)[:, k]  # cells s ≤ t'
+        past = np.logaddexp.accumulate(ln_g[:, :0:-1], axis=1)[:, ::-1][:, k]  # s > t'
+        ln_lead = np.multiply.outer(xs, lead) + top
+        hol = np.exp(-2j * math.pi * xs * a0_value)[:, None]
+        u = np.exp(ln_lead + upto) + hol * np.exp(ln_lead + (TWO_PI * b0) * xs[:, None] + past)
+        rows.append(u * (TWO_PI / n_r))
     shift_steps = int(round(sigma / h)) % grid_size
-    dense = sorted({int(xi) for xi in dense_rungs if 1 <= xi <= xi_max})
-    u_dense = np.empty((len(dense), grid_size), dtype=complex)
-    f_dense = np.empty_like(u_dense)
-    # uniform grid is translation-invariant; roll below
-    t_sh_grid = TWO_PI * np.arange(grid_size) / grid_size
-    for row, (xi, u_sh) in enumerate(u_rows(t_sh_grid, dense)):
-        pref = 1.0 - np.exp(-2j * math.pi * xi * c0)
-        f_sh = (
-            pref
-            * math.exp(max(-profile.B0 * xi, -745.0))
-            * np.exp(-1j * xi * a0_value * (t_sh_grid - t0_sh))
-            * cutoff(np.mod(t_sh_grid, TWO_PI))
-        )
-        # u(t_k) = u'(t_k + sigma): sample u' at shifted grid = roll by steps
-        u_dense[row] = np.roll(u_sh, -shift_steps)
-        f_dense[row] = np.roll(f_sh, -shift_steps)
+    phase = np.exp(-1j * np.multiply.outer(dense * a0_value, t_sh_grid - t0_sh))
+    pref = 1.0 - np.exp(-2j * math.pi * dense * c0)
+    pref *= np.exp(np.maximum(-profile.B0 * dense, -745.0))
+    u_dense = np.roll(np.concatenate(rows) * phase, -shift_steps, axis=1)
+    f_dense = np.roll(pref[:, None] * phase * cutoff(t_sh_grid), -shift_steps, axis=1)
     field_out = FourierField(1, grid_size, dense, u_dense)
     rhs_out = FourierField(1, grid_size, dense, f_dense)
 
@@ -455,10 +464,10 @@ def build_prop52(
     only on the rungs of ``dense_rungs`` up to xi_max; each row is the same
     whatever else the list holds.
 
-    The solution rows are produced by the exact periodic solution operator
-    (holonomy-phased wrap of the bump), so the stored pair satisfies the tube
-    equation to quadrature/roundoff accuracy; all certified quantities are
-    direct evaluations of the formulas.
+    The solution rows apply the exact periodic solution operator to f̂ (one
+    prefix and one suffix sum per rung, see :func:`_build_prop52_forward`), so
+    the stored pair satisfies the tube equation to quadrature/roundoff
+    accuracy; all certified quantities are direct evaluations of the formulas.
     """
     s = float(s)
     if s <= 1:
@@ -601,10 +610,11 @@ def _real_set(analysis: SystemAnalysis) -> list:
     return list(analysis.J)
 
 
-def _lift(spec: SystemSpec, v, rungs, phases: dict, grid: int) -> FourierField:
+def _lift(spec: SystemSpec, v, rungs, phases: dict, grid: int) -> tuple:
     """The lifted blocks at ``rungs``: v's block on the tubes outside J times
     the phase e^{i m t_j} on each real tube j, ``phases`` mapping j to one
-    integer m per rung.
+    integer m per rung; returns the field and the phase rows, axis j − 1
+    mapping to one grid row per rung.
 
     v must be None exactly when every tube is real, and the blocks then live
     on a ``grid`` grid; otherwise v must cover the other tubes' variables and
@@ -629,7 +639,7 @@ def _lift(spec: SystemSpec, v, rungs, phases: dict, grid: int) -> FourierField:
         grid, blocks = v.coefficients.grid_size, v.coefficients.take(rungs)
     axis_rows = {j - 1: _integer_phases(ms, grid) for j, ms in phases.items()}
     stack = _embed_factors(spec.n, grid, len(rungs), axis_rows, blocks, [j - 1 for j in rest])
-    return FourierField(spec.n, grid, rungs, stack)
+    return FourierField(spec.n, grid, rungs, stack), axis_rows
 
 
 def _inherited(v: SingularSolution | None, rungs) -> dict:
@@ -706,7 +716,18 @@ def build_rational_J(
                     f"lower the dense-rung cap"
                 )
             phases[j].append(-mjk)
-    out = _lift(spec, v, dense, phases, grid)
+    out, rows = _lift(spec, v, dense, phases, grid)
+    # L_j acts on t_j alone: on each rung, max|L_j u| is max|L_j e^{imt_j}|
+    # times max|v| and the other real tubes' phase peaks
+    mags = v.coefficients.magnitudes() if v is not None else dict.fromkeys(dense, 1.0)
+    v_peaks = np.array([mags[xi] for xi in dense])
+    peaks = {j: np.abs(rows[j - 1]).max(axis=1) for j in J}
+    residual = []
+    for j in J:
+        line = FourierField(1, grid, dense, rows[j - 1])
+        lu = apply_tube_operator(SystemSpec(1, [spec.tubes[j - 1]], spec.order), 1, line)
+        scale = math.prod((peaks[k] for k in J if k != j), start=v_peaks)
+        residual.append([j, float((np.abs(lu.data).max(axis=1) * scale).max(initial=0.0))])
 
     cert = {
         **_inherited(v, rungs),
@@ -714,7 +735,7 @@ def build_rational_J(
         "J": J,
         "a_J0": {str(j): str(fracs[j]) for j in J},
         # spectral residual of the real tubes (zero in exact arithmetic)
-        "residual_real_tubes": [[j, apply_tube_operator(spec, j, out).max_abs()] for j in J],
+        "residual_real_tubes": residual,
     }
     return SingularSolution(
         construction="RationalJ",
@@ -780,7 +801,7 @@ def build_expliouville_J(
 
     rungs = [s_k for _, s_k in witness.pairs]
     phases = {j: [p_vec[i] for p_vec, _ in witness.pairs] for i, j in enumerate(J)}
-    out = _lift(spec, v, rungs, phases, grid_size)
+    out, _ = _lift(spec, v, rungs, phases, grid_size)
     v_max = v.coefficients.magnitudes() if v is not None else dict.fromkeys(rungs, 1.0)
 
     a_fracs = [c.approx_fraction(60) for c in components]
@@ -889,7 +910,9 @@ def build_obstruction(
     # Nyquist limit, and the total sample count must fit a fixed budget.
     # The field may live on a coarser divisor grid — grid data are pointwise
     # samples, so striding is exact — picked to maximize the dense rungs.
-    rate = max(abs(float(a)) for a in analysis.a0)
+    rate = max(
+        _parse_field(f"tubes[{i}]: a", lambda x: abs(float(x)), a) for i, a in enumerate(analysis.a0)
+    )
     choices = []
     g = grid
     while True:

@@ -692,8 +692,16 @@ def _witness(row: dict) -> dict:
     return {"delta": 1, "pairs": [row]}
 
 
+def _fixture_with(stem: str, edit) -> dict:
+    """The spec fixture ``stem`` after ``edit`` has changed it in place."""
+    spec = json.loads((FIXTURES / f"{stem}.json").read_text(encoding="utf-8"))
+    edit(spec)
+    return spec
+
+
 #: case -> (what is malformed, the named field).  What is malformed is spec
-#: fields over {"n": 1, "s": "2"} (run by classify), an rhs object or TFF
+#: fields over {"n": 1, "s": "2"} (run by classify, or by singular for
+#: "singular-spec"), an rhs object or TFF
 #: bytes (run by solve on fixtures/solve_spec.json), the bytes of a spec or
 #: JSON rhs file, or an argv ("@name" as in CASES; relative paths are inside
 #: an empty working directory).  "{path}" in the field is the input's path.
@@ -890,6 +898,18 @@ MALFORMED = {
         "rhs: blocks[0]: xi: 1",
     ),
     "spec-not-utf8": (("spec-bytes", b'{"n": 1, "tubes": [\xff]}'), "{path} is not UTF-8 text:"),
+    "spec-nested-1200-deep": (
+        ("spec-bytes", b'{"n": 1, "tubes": ' + b"[" * 1200 + b"]" * 1200 + b"}"),
+        "{path} is not valid JSON: maximum recursion depth",
+    ),
+    "witness-r-lengths-differ": (
+        ("spec", _fixture_with("singular_expL", lambda s: s["vector_witness"]["pairs"][1].update(r=[]))),
+        "vector_witness: pairs[1]: r has 0 entries,",
+    ),
+    "singular-average-past-the-float-range": (
+        ("singular-spec", _fixture_with("singular_rationalJ", lambda s: s["tubes"][0].update(a=10**400))),
+        "tubes[0]: a:",
+    ),
     "rhs-not-utf8": (
         ("rhs-bytes", b'{"format": "tff", "n": 1, "grid_size": 8, "meta": {"\xff": 1}}'),
         "rhs: {path} is not UTF-8 text:",
@@ -904,9 +924,9 @@ def test_malformed_input_exits_2_naming_the_field(case, tmp_path, capsys, monkey
     path = tmp_path / f"{kind}.json"
     if kind == "argv":
         argv = [str(FIXTURES / f"{a[1:]}.json") if a[:1] == "@" else a for a in given]
-    elif kind == "spec":
+    elif kind in ("spec", "singular-spec"):
         path.write_text(json.dumps({"n": 1, "s": "2", **given}), encoding="utf-8")
-        argv = ["classify", str(path)]
+        argv = ["classify", str(path)] if kind == "spec" else ["singular", str(path), "out.json"]
     elif kind == "spec-bytes":
         path.write_bytes(given)
         argv = ["classify", str(path)]

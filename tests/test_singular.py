@@ -14,7 +14,7 @@ import pytest
 from torus_hypo import singular
 from torus_hypo.diophantine import LiouvilleWitness, RealConstant
 from torus_hypo.errors import IntegralityError, LadderMismatch, MeanNotZero, ProfileError
-from torus_hypo.gevrey import GevreyCutoff, TrigPoly
+from torus_hypo.gevrey import GevreyCutoff, TrigPoly, make_cutoff
 from torus_hypo.singular import (
     build_expliouville_J,
     build_obstruction,
@@ -220,7 +220,7 @@ def _sign_changing_b(rng, exact: bool) -> TrigPoly:
 def test_peaks_are_critical_points_above_every_lattice_point():
     """On seeded sign-changing b, exact and float: the Laplace peak (t0, r0)
     pairs two zeros of b, and B0 is at least the kernel exponent on a 256²
-    lattice, so Im H ≤ B0 where u_rows clamps it; Prop51's B(t0) is at least
+    lattice, so Im H ≤ B0 where the peak table clamps it; Prop51's B(t0) is at least
     B on 4096 points."""
     rng = random.Random(20261019)
     lattice = 2 * math.pi * np.arange(256) / 256
@@ -241,6 +241,103 @@ def test_peaks_are_critical_points_above_every_lattice_point():
         B = zero_mean.primitive_from_zero()
         assert abs(float(zero_mean(peak["t0"]))) <= 1e-12 * size, b
         assert peak["B_peak"] >= float(B(grid).max()) - 1e-12, b
+
+
+def _table_rows(a0: float, b: TrigPoly, s: float, grid: int, xis, cert: dict) -> np.ndarray:
+    """Forward Prop52 rows by the (t', r) table route, the reference for the
+    window form: e^{ξ(Im H(t', r) − B0)} φ(t' − r), times the holonomy where
+    t' − r wraps below 0, over every output point t' and r-node whose bump
+    argument lies in the cutoff's support, summed per t' on the build's n_r
+    nodes, then phased and rolled back to the original frame."""
+    profile = singular.locate_laplace_profile(b)
+    sigma, delta, b0, two_pi = cert["translation"], cert["delta"], float(b.mean()), 2 * math.pi
+    center = ((profile.t0 - profile.r0) % two_pi + sigma) % two_pi
+    t0_sh = (profile.t0 + sigma) % two_pi
+    cutoff = make_cutoff(s, (center - delta, center + delta), (center - delta / 2, center + delta / 2))
+    Bper = b.translate(sigma).primitive_from_zero()
+    t = two_pi * np.arange(grid) / grid
+    rows = []
+    for xi in xis:
+        n_r = -(-max(1024, 4 * xi) // grid) * grid
+        support = np.nonzero(cutoff(two_pi * np.arange(n_r) / n_r) > 0)[0]
+        j, i = np.divmod(np.arange(grid * support.size), support.size)
+        r = two_pi * ((j * (n_r // grid) - support[i]) % n_r) / n_r  # t'_j − r ≡ s_i
+        expo = singular._kernel_exponent(b0, Bper, t[j], r) - profile.B0
+        vals = np.exp(xi * expo) * cutoff(np.mod(t[j] - r, two_pi))
+        vals = vals * np.where(t[j] < r, np.exp(-2j * math.pi * xi * a0), 1.0)
+        u = np.bincount(j, vals.real, grid) + 1j * np.bincount(j, vals.imag, grid)
+        rows.append(np.exp(-1j * xi * a0 * (t - t0_sh)) * u * (two_pi / n_r))
+    return np.roll(np.array(rows), -round(sigma * grid / two_pi) % grid, axis=1)
+
+
+def _mirror(b: TrigPoly) -> TrigPoly:
+    """c(t) = −b(−t): the b that Prop52's mirror branch builds on."""
+    return b.reflect().scale(-1)
+
+
+#: case -> (b per draw, grid, rungs); b0 ≤ 0 unless the mirror maps it.
+WINDOW_CASES = {
+    "exact-b": ("exact", 64, [1, 7, 64, 200]),
+    "float-b": ("float", 64, [1, 7, 64, 200]),
+    "mirror-branch": ("mirror", 64, [3, 50, 256]),
+    "grid-2048": ("sine", 2048, [1, 100, 600]),
+    "large-xi": ("sine", 128, [400, 1000]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_window_rows_match_the_table_route(case):
+    """The dense Prop52 rows from the prefix/suffix window sums agree with the
+    (t', r) table route at every grid point, to 1e-12 of each row's maximum:
+    on seeded sign-changing b, exact and float, through the mirror branch, on
+    a grid (2048) whose n_r differs from max(1024, 4ξ), and at ξ with
+    ξ·(max B − min B) > 745, where the split exponentials would overflow
+    outside the log domain.  The average √2 − 1 makes the holonomy differ
+    from 1 on every rung."""
+    kind, grid, xis = WINDOW_CASES[case]
+    a0 = RealConstant.from_json({"cf": "constant:2"})
+    rng = random.Random(20261019)
+    draws = [_sign_changing_b(rng, exact=kind == "exact") for _ in range(3)]
+    draws = [TrigPoly.from_json({"const": "-1/5", "sin": ["1"]})] if kind == "sine" else draws
+    for b in draws:
+        built = _mirror(b) if kind == "mirror" else b
+        sol = build_prop52(a0, built, 2.0, max(xis), grid_size=grid, dense_rungs=xis)
+        want = _table_rows(float(a0), b, 2.0, grid, xis, sol.certificates)
+        if kind == "mirror":
+            want = np.conj(want[:, (-np.arange(grid)) % grid])
+        got = sol.coefficients.take(xis)
+        assert np.isfinite(got).all()
+        top = np.abs(want).max(axis=1)
+        assert (np.abs(got - want).max(axis=1) <= 1e-12 * top).all(), (b, xis)
+    assert all(abs(np.exp(-2j * math.pi * xi * float(a0)) - 1) > 1e-3 for xi in xis)
+    if case == "large-xi":
+        B = b.primitive_from_zero()(2 * math.pi * np.arange(4096) / 4096)
+        assert xis[0] * (B.max() - B.min()) > 745
+
+
+@pytest.mark.parametrize("stem", ["singular_rationalJ", "crit9_three_tube"])
+def test_real_tube_residual_on_the_factor_is_the_block_residual(stem, monkeypatch):
+    """residual_real_tubes, from L_j on the 1-D phase rows, equals
+    max|L_j u| on the assembled n-dimensional block to 1e-13; with one
+    phase m off by one both routes report that rung's max|v|, not ~0."""
+    spec = SystemSpec.from_json(load_fixture(f"{stem}.json"))
+
+    def both_routes():
+        sol = build_obstruction(spec, xi_max=256, grid=128, field_cap=64).solution
+        block = [apply_tube_operator(spec, j, sol.coefficients).max_abs() for j in sol.certificates["J"]]
+        return [r for _, r in sol.certificates["residual_real_tubes"]], block
+
+    factor, block = both_routes()
+    assert np.allclose(factor, block, rtol=0, atol=1e-13) and max(block) < 1e-12
+    lift = singular._lift
+
+    def off_by_one(spec_, v, rungs, phases, grid):
+        phases[min(phases)][0] += 1
+        return lift(spec_, v, rungs, phases, grid)
+
+    monkeypatch.setattr(singular, "_lift", off_by_one)
+    factor, block = both_routes()
+    assert np.allclose(factor, block, rtol=1e-12) and min(block) > 0.1
 
 
 @pytest.mark.parametrize("b", [{"const": "1", "cos": ["1"]}, "0"], ids=["one-signed", "zero"])
