@@ -44,9 +44,10 @@ A failure prints ``error: <message>`` to stderr and exits with the
 ``exit_code`` of its error class (see :mod:`torus_hypo.errors`):
 
 2    malformed input: bad JSON (or not UTF-8)/flags/paths/fields, unusable
-     parameters, an rhs whose solution passes the float range, an output
-     path that cannot be written (a missing or read-only directory is
-     refused before any work)
+     parameters, a ``singular`` spec whose a_j is not constant or whose
+     exponents pass 1e300, an rhs whose transform or solution passes the
+     float range, an output path that cannot be written (a missing or
+     read-only directory is refused before any work)
 30   SolvabilityError          31   CompatibilityError
 32   ZeroDivisorError          33   ProfileError / GeometryError / GridMismatch
 34   MeanNotZero               40   RefusedHypoelliptic

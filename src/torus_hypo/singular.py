@@ -330,10 +330,13 @@ def _build_prop52_forward(
     A rung sums the exact periodic solution operator applied to f̂ over n_r
     r-nodes, with the holonomy e^{−i2πξa₀} where t' − r wraps below 0.  With
     s = t' − r, ξ(Im H − B0) = ξ(b0 t' + B(t') − B0) − ξ(b0 s + B(s)), plus
-    2πξb0 on a wrapped node.  So, with n_r a multiple of the grid, a dense row
-    is e^{ξ(b0 t' + B(t') − B0)} times a log-domain prefix sum of g(s) =
-    e^{−ξ(b0 s + B(s))} φ(s) over the support cells s ≤ t', plus the holonomy
-    times e^{2πξb0} times the suffix sum over s > t'.
+    2πξb0 on a wrapped node.  So, on the s-nodes of n_r, the least multiple
+    of the grid ≥ max(1024, 4ξ), û' at a point t' is e^{ξ(b0 t' + B(t') − B0)}
+    times a log-domain prefix sum of g(s) = e^{−ξ(b0 s + B(s))} φ(s) over the
+    support cells s ≤ t', plus the holonomy times e^{2πξb0} times the suffix
+    sum over s > t', times the phase e^{−iξa₀(t' − t0')}.  One helper sums
+    them: at the grid points for the dense rows, and at t0' alone for the
+    ``lower_bound_table`` row |û'(t0', ξ)| of every ξ ≤ xi_max.
     """
     profile = locate_laplace_profile(b)
     b0 = float(b.mean())
@@ -361,65 +364,53 @@ def _build_prop52_forward(
     lo, hi = cutoff.support
     t_sh_grid = TWO_PI * np.arange(grid_size) / grid_size
 
-    def peak_table(xis):
-        """|û'(t0', ξ)| for each ξ of ``xis`` on n_r = max(1024, 4ξ) nodes.  The
-        rungs of one n_r fill a zeroed (rungs × n_r) table, 64 at a time, at the
-        cells inside the support where the bump is nonzero; the other summands
-        are ±0, so each row sum is the full row's sum, bit for bit."""
-        peaks = []
-        for n_r, group in itertools.groupby(xis, lambda xi: max(1024, 4 * xi)):
-            r = TWO_PI * np.arange(n_r) / n_r
-            arg = np.mod(t0_sh - r, TWO_PI)
-            cells = np.nonzero((arg > lo) & (arg < hi))[0]
-            bump = cutoff(arg[cells])
-            cells, bump = cells[bump != 0], bump[bump != 0]
-            wrapped = t0_sh < r[cells]
-            expo = _kernel_exponent(b0, Bper_sh, np.full(cells.size, t0_sh), r[cells]) - profile.B0
-            group = np.array(list(group))
-            for xs in np.split(group, range(64, group.size, 64)):
-                table = np.zeros((xs.size, n_r), dtype=complex)
-                hol = np.where(wrapped, np.exp(-2j * math.pi * xs * a0_value)[:, None], 1.0)
-                # B0 tops Im H at every critical point: Im H ≤ B0 up to rounding
-                table[:, cells] = np.exp(np.minimum(np.multiply.outer(xs, expo), 0.0)) * bump * hol
-                peaks += np.abs(table.sum(axis=1) * (TWO_PI / n_r)).tolist()
-        return peaks
+    def laplace_rows(xis, points):
+        """The Laplace integral e^{iξa0(t' − t0')} û'(t', ξ) at each t' of
+        ``points``, one row per ξ of the ascending ``xis``, by the window sums.
+        The ξ-free cells come once per n_r, the least multiple of the grid
+        ≥ max(1024, 4ξ); each sum stops at the last cell a point needs."""
+        points = np.asarray(points, dtype=float)
+        lead = b0 * points + np.asarray(Bper_sh(points), dtype=float) - profile.B0
+        rows = [np.empty((0, points.size), dtype=complex)]
+        for n_r, group in itertools.groupby(xis, lambda xi: -(-max(1024, 4 * xi) // grid_size)):
+            xs, n_r = np.array(list(group)), n_r * grid_size
+            nodes = TWO_PI * np.arange(n_r) / n_r
+            cells = np.nonzero((nodes > lo) & (nodes < hi))[0]
+            bump = cutoff(nodes[cells])
+            cells, bump = cells[bump > 0], bump[bump > 0]
+            ln_g = np.log(bump) - np.multiply.outer(xs, b0 * nodes[cells] + Bper_sh(nodes[cells]))
+            top = ln_g.max(axis=1, keepdims=True)
+            ln_g = np.pad(ln_g - top, ((0, 0), (1, 1)), constant_values=-np.inf)
+            # the node at t', even a rounding away from it, counts as s ≤ t'
+            at = np.floor(points * (n_r / TWO_PI) + 1e-6).astype(np.int64)
+            k = np.searchsorted(cells, at, side="right")
+            k_lo, k_hi = int(k.min()), int(k.max())
+            upto = np.logaddexp.accumulate(ln_g[:, : k_hi + 1], axis=1)[:, k]  # cells s ≤ t'
+            past = np.logaddexp.accumulate(ln_g[:, :k_lo:-1], axis=1)[:, ::-1][:, k - k_lo]  # s > t'
+            ln_lead = np.multiply.outer(xs, lead) + top
+            hol = np.exp(-2j * math.pi * xs * a0_value)[:, None]
+            u = np.exp(ln_lead + upto) + hol * np.exp(ln_lead + (TWO_PI * b0) * xs[:, None] + past)
+            rows.append(u * (TWO_PI / n_r))
+        return np.concatenate(rows)
 
-    # Certificate tables over the full frequency range (peak value is the
-    # integral at t' = t0').
+    # Certificate tables over the full frequency range: |û'(t0', ξ)|, the
+    # integral at t0', and |f̂|.
+    xis = np.arange(1, xi_max + 1)
     u_table, f_table = [], []
-    for xi, peak in zip(range(1, xi_max + 1), peak_table(range(1, xi_max + 1))):
+    for xi, peak in zip(xis.tolist(), np.abs(laplace_rows(xis, [t0_sh])[:, 0]).tolist()):
         pref = abs(1.0 - np.exp(-2j * math.pi * xi * c0))
         ln_f = -profile.B0 * xi
         u_table.append([xi, peak])
         f_table.append([xi, float(pref * math.exp(ln_f) if ln_f > -745.0 else 0.0)])
 
-    # Dense blocks (and the matching right-hand side) on the listed rungs by the
-    # window sums, the ξ-free cells once per n_r (the least multiple of the grid
-    # ≥ max(1024, 4ξ)), rolled to the original frame: u(t) = u'(t + sigma).
+    # Dense blocks (and the matching right-hand side) on the listed rungs,
+    # rolled to the original frame: u(t) = u'(t + sigma).
     dense = np.array(sorted({int(xi) for xi in dense_rungs if 1 <= xi <= xi_max}), dtype=np.int64)
-    lead = b0 * t_sh_grid + np.asarray(Bper_sh(t_sh_grid), dtype=float) - profile.B0
-    rows = [np.empty((0, grid_size), dtype=complex)]
-    for n_r, group in itertools.groupby(dense, lambda xi: -(-max(1024, 4 * xi) // grid_size)):
-        xs, n_r = np.array(list(group)), n_r * grid_size
-        nodes = TWO_PI * np.arange(n_r) / n_r
-        cells = np.nonzero((nodes > lo) & (nodes < hi))[0]
-        bump = cutoff(nodes[cells])
-        cells, bump = cells[bump > 0], bump[bump > 0]
-        ln_g = np.log(bump) - np.multiply.outer(xs, b0 * nodes[cells] + Bper_sh(nodes[cells]))
-        top = ln_g.max(axis=1, keepdims=True)
-        ln_g = np.pad(ln_g - top, ((0, 0), (1, 1)), constant_values=-np.inf)
-        k = np.searchsorted(cells, np.arange(grid_size) * (n_r // grid_size), side="right")
-        upto = np.logaddexp.accumulate(ln_g[:, :-1], axis=1)[:, k]  # cells s ≤ t'
-        past = np.logaddexp.accumulate(ln_g[:, :0:-1], axis=1)[:, ::-1][:, k]  # s > t'
-        ln_lead = np.multiply.outer(xs, lead) + top
-        hol = np.exp(-2j * math.pi * xs * a0_value)[:, None]
-        u = np.exp(ln_lead + upto) + hol * np.exp(ln_lead + (TWO_PI * b0) * xs[:, None] + past)
-        rows.append(u * (TWO_PI / n_r))
     shift_steps = int(round(sigma / h)) % grid_size
     phase = np.exp(-1j * np.multiply.outer(dense * a0_value, t_sh_grid - t0_sh))
     pref = 1.0 - np.exp(-2j * math.pi * dense * c0)
     pref *= np.exp(np.maximum(-profile.B0 * dense, -745.0))
-    u_dense = np.roll(np.concatenate(rows) * phase, -shift_steps, axis=1)
+    u_dense = np.roll(laplace_rows(dense, t_sh_grid) * phase, -shift_steps, axis=1)
     f_dense = np.roll(pref[:, None] * phase * cutoff(t_sh_grid), -shift_steps, axis=1)
     field_out = FourierField(1, grid_size, dense, u_dense)
     rhs_out = FourierField(1, grid_size, dense, f_dense)
@@ -467,7 +458,10 @@ def build_prop52(
     The solution rows apply the exact periodic solution operator to f̂ (one
     prefix and one suffix sum per rung, see :func:`_build_prop52_forward`), so
     the stored pair satisfies the tube equation to quadrature/roundoff
-    accuracy; all certified quantities are direct evaluations of the formulas.
+    accuracy.  The |û(t_0, ξ)| table comes from the same sums at t_0 alone,
+    so where t_0 is a grid point a dense rung's row is the stored row's
+    modulus there; all certified quantities are direct evaluations of the
+    formulas.
     """
     s = float(s)
     if s <= 1:
@@ -855,6 +849,21 @@ def build_expliouville_J(
 # ---------------------------------------------------------------------------
 
 
+def _exponent_bound(b: TrigPoly, xi_top: int) -> float:
+    """xi_top·(2·Σ_k (|c_k| + |s_k|)/k + 2π|b0|) for b = b0 + Σ_k c_k cos kt
+    + s_k sin kt, or inf past the float range.  For ξ ≤ xi_top it bounds
+    ξ·|b0 t + B(t)| on [0, 2π], ξ·|B(t) − B(t')| and ξ·|Im H|, the exponents
+    from which Prop51 and Prop52 build their rows."""
+    try:
+        size = sum(
+            (abs(b.coefficient("cos", k)) + abs(b.coefficient("sin", k))) / k
+            for k in range(1, b.degree + 1)
+        )
+        return xi_top * (2.0 * float(size) + TWO_PI * abs(float(b.mean())))
+    except OverflowError:
+        return math.inf
+
+
 @dataclass
 class Obstruction:
     """A certified obstruction with the verdict that licenses it and the
@@ -876,8 +885,14 @@ def build_obstruction(
     """Build the slow-decay family of a system certified not regular.
 
     Raises :class:`RefusedHypoelliptic` unless the verdict is
-    NotHypoelliptic.  The ladder is qk for k = 1..max(1, xi_max // q), with
-    q the least common multiple of the rational averages' denominators.
+    NotHypoelliptic.  Refuses with :class:`MalformedInput` a tube whose a_j
+    is not constant (the constructions use its average alone; ``normalform``
+    prints the normalized spec), and a tube with nonvanishing b whose
+    :func:`_exponent_bound` or holonomy phase 2π·ξ·|a0| at the top rung
+    passes 1e300, which keeps every sum of the builders' exponents and
+    phases far inside the float range.  The ladder is qk for
+    k = 1..max(1, xi_max // q), with q the least common multiple of the
+    rational averages' denominators.
     Each tube with nonvanishing b gets Prop51 (rational average, zero-mean
     b) or Prop52 on ``grid``; their product is lifted across the
     identically-real tubes (RationalJ, or ExpLiouvilleJ along the spec's
@@ -887,6 +902,12 @@ def build_obstruction(
     builder computes coefficient blocks on those rungs alone; the certified
     bound table always covers the full ladder.
     """
+    for i, tube in enumerate(spec.tubes):
+        if not tube.a_is_constant:
+            raise MalformedInput(
+                f"tubes[{i}]: a: the real part is not constant; run singular on the "
+                '"normalized" spec that normalform prints'
+            )
     analysis, _, verdict = classify_system(spec)
     if verdict.decision != NOT_HYPOELLIPTIC:
         raise RefusedHypoelliptic(
@@ -903,6 +924,20 @@ def build_obstruction(
     k_max = max(1, xi_max // q)
     rungs = [q * k for k in range(1, k_max + 1)]
     xi_top = rungs[-1]
+    rates = [
+        _parse_field(f"tubes[{i}]: a", lambda x: abs(float(x)), a) for i, a in enumerate(analysis.a0)
+    ]
+    for j in rest:
+        if not (bound := _exponent_bound(spec.tubes[j - 1].b, xi_top)) <= 1e300:
+            raise MalformedInput(
+                f"tubes[{j - 1}]: b: its exponents reach {bound:.3g} at xi = {xi_top}, "
+                "past 1e300; scale b down or lower --xi-max"
+            )
+        if not (phase := TWO_PI * xi_top * rates[j - 1]) <= 1e300:
+            raise MalformedInput(
+                f"tubes[{j - 1}]: a: the phase 2*pi*xi*a0 reaches {phase:.3g} at xi = {xi_top}, "
+                "past 1e300; lower --xi-max"
+            )
 
     # Materialized n-dimensional blocks are limited two ways (the scalar
     # certificate tables are grid-free and always cover the full ladder):
@@ -910,9 +945,7 @@ def build_obstruction(
     # Nyquist limit, and the total sample count must fit a fixed budget.
     # The field may live on a coarser divisor grid — grid data are pointwise
     # samples, so striding is exact — picked to maximize the dense rungs.
-    rate = max(
-        _parse_field(f"tubes[{i}]: a", lambda x: abs(float(x)), a) for i, a in enumerate(analysis.a0)
-    )
+    rate = max(rates)
     choices = []
     g = grid
     while True:

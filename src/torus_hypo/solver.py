@@ -76,7 +76,7 @@ from .errors import (
     ZeroDivisorError,
     _parse_field,
 )
-from .gevrey import GevreyWitness, TrigPoly, estimate_decay
+from .gevrey import GevreyWitness, estimate_decay
 from .normalform import apply_gauge, build_normal_form
 from .report import write_json
 from .system import (
@@ -515,14 +515,15 @@ class FourierField:
 # ---------------------------------------------------------------------------
 
 
-def _check_solved(xis: np.ndarray, coeffs: np.ndarray) -> None:
-    """Refuse solved coefficients (row k at ξ = ``xis[k]``) that are not
-    finite: the right-hand side is finite but its solution passes the float
-    range.  :class:`MalformedInput` names rhs and the first such ξ."""
+def _check_finite(xis, coeffs: np.ndarray, what: str = "the solution") -> None:
+    """Refuse coefficients (row k at ξ = ``xis[k]``) that are not finite: the
+    right-hand side is finite but ``what`` (its solution, or its transform
+    along the solved axes) passes the float range.  :class:`MalformedInput`
+    names rhs and the first such ξ."""
     finite = np.isfinite(coeffs).reshape(len(xis), -1).all(axis=1)
     if not finite.all():
         raise MalformedInput(
-            f"rhs: the solution at xi = {xis[np.argmin(finite)]} passes the float range; "
+            f"rhs: {what} at xi = {xis[np.argmin(finite)]} passes the float range; "
             "scale the right-hand side down"
         )
 
@@ -532,22 +533,20 @@ def _constant_tube_coefficients(spec: SystemSpec, tube_index: int):
     if not 1 <= tube_index <= spec.n:
         raise MalformedInput(f"tube index {tube_index} out of range 1..{spec.n}")
     tube = spec.tubes[tube_index - 1]
-    a = tube.a
-    if isinstance(a, RealConstant):
-        a0 = float(a)
-    elif isinstance(a, TrigPoly):
-        if a.degree > 0:
-            raise MalformedInput(
-                f"tube {tube_index} has non-constant real part; normalize the "
-                "system first (build_normal_form)"
-            )
-        a0 = float(a.mean())
+    if not tube.a_is_constant:
+        raise MalformedInput(
+            f"tube {tube_index} has non-constant real part; normalize the "
+            "system first (build_normal_form)"
+        )
+    a0 = float(tube.a) if isinstance(tube.a, RealConstant) else float(tube.a.mean())
     return a0, tube.b
 
 
 def _solve_zero_frequency(block: np.ndarray, grid_size: int) -> np.ndarray:
     """Spectral antidifferentiation along axis 0; mean must vanish."""
-    hat = np.fft.fft(block, axis=0) / grid_size
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        hat = np.fft.fft(block, axis=0) / grid_size
+    _check_finite([0], hat, "the transform")
     scale = float(np.abs(hat).max())
     mean_size = float(np.abs(hat[0]).max()) if hat.size else 0.0
     if mean_size > MEAN_TOL * (1.0 + scale):
@@ -796,10 +795,12 @@ def solve_single_tube(tube_index: int, spec: SystemSpec, f: FourierField) -> Fou
         rows = nonzero[lo : lo + _XI_CHUNK]
         if rows[-1] - rows[0] == rows.size - 1:  # consecutive: a view, not a copy
             rows = slice(rows[0], rows[-1] + 1)
-        coeffs = np.fft.fft(f_t[rows].reshape(len(f.xi[rows]), N, -1), axis=1)
-        coeffs /= N
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            coeffs = np.fft.fft(f_t[rows].reshape(len(f.xi[rows]), N, -1), axis=1)
+            coeffs /= N
+        _check_finite(f.xi[rows], coeffs, "the transform")
         halves, at_ceiling = _adaptive_band_solve(f.xi[rows], a0, b_exp, coeffs)
-        _check_solved(f.xi[rows], coeffs)
+        _check_finite(f.xi[rows], coeffs)
         coeffs *= N
         np.fft.ifft(coeffs, axis=1, out=coeffs)
         u_t[rows] = coeffs.reshape((len(coeffs),) + u_t.shape[1:])
@@ -883,7 +884,9 @@ def solve_by_division(
         best = np.full(shape, -1.0)
         for j in range(n):
             d_j = divisors[j][rows].reshape((-1,) + tuple(N if i == j else 1 for i in range(n)))
-            f_hat = np.fft.fftn(f_list[j].data[rows], axes=axes) / N**n
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                f_hat = np.fft.fftn(f_list[j].data[rows], axes=axes) / N**n
+            _check_finite(base.xi[rows], f_hat, "the transform")
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 quotient = -1j * f_hat / d_j
             size = np.abs(d_j)
@@ -903,7 +906,7 @@ def solve_by_division(
             )
         min_divisor = min(min_divisor, float(worst.min()))
         u_hat[zero] = 0.0
-        _check_solved(base.xi[rows], u_hat)
+        _check_finite(base.xi[rows], u_hat)
         u[rows] = np.fft.ifftn(u_hat * N**n, axes=axes)
 
     meta = {"method": "division", "digits": DIVISION_DIGITS}
@@ -956,7 +959,7 @@ def _residual_row(spec: SystemSpec, j: int, u: FourierField, fj: FourierField) -
         rows = slice(lo, lo + _XI_CHUNK)
         lu = apply_tube_operator(spec, j, _rows(u, rows))
         lu.data -= fj.data[rows]
-        worst = max(worst, lu.max_abs())
+        worst = float(np.maximum(worst, lu.max_abs()))  # a NaN row stays NaN
     return worst
 
 
@@ -1029,7 +1032,8 @@ def solve_system(
     for a Gevrey order the ``decay_fit`` of u, and on the single-tube route
     the ``runtime`` counters ``internal_modes_max`` and
     ``internal_modes_capped`` of :func:`solve_single_tube`.  Both routes
-    refuse a solution past the float range (:func:`_check_solved`).
+    refuse an rhs whose transform, or whose solution, passes the float range
+    (:func:`_check_finite`), the ξ = 0 row included.
     """
     n = spec.n
     if len(f_list) == n:

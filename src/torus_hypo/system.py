@@ -76,6 +76,12 @@ class Tube:
         if not isinstance(self.a, (TrigPoly, RealConstant)):
             raise MalformedInput("a must be a trig polynomial or a real constant")
 
+    @property
+    def a_is_constant(self) -> bool:
+        """Whether a_j is constant: a real constant, or a trig polynomial
+        whose cos and sin coefficients are all zero."""
+        return isinstance(self.a, RealConstant) or not any(self.a.cos + self.a.sin)
+
     @classmethod
     def from_json(cls, obj: dict) -> "Tube":
         if not isinstance(obj, dict):

@@ -688,6 +688,10 @@ def _tff_holding_nan() -> bytes:
     return raw[:at] + struct.pack("<d", float("nan")) + raw[at + 8 :]
 
 
+#: a real part 1/2 + cos t, whose average is 1/2
+_COS_A = {"const": "1/2", "cos": ["1"]}
+
+
 def _witness(row: dict) -> dict:
     return {"delta": 1, "pairs": [row]}
 
@@ -909,6 +913,35 @@ MALFORMED = {
     "singular-average-past-the-float-range": (
         ("singular-spec", _fixture_with("singular_rationalJ", lambda s: s["tubes"][0].update(a=10**400))),
         "tubes[0]: a:",
+    ),
+    # a_j that is not constant: every construction uses its average alone
+    "singular-a-not-constant-beside-a-real-tube": (
+        ("singular-spec", {"n": 2, "tubes": [{"a": _COS_A, "b": "0"}, {"a": "0", "b": {"sin": ["1"]}}]}),
+        "tubes[0]: a:",
+    ),
+    "singular-a-not-constant-prop51": (
+        ("singular-spec", {"tubes": [{"a": _COS_A, "b": {"sin": ["1"]}}]}),
+        "tubes[0]: a:",
+    ),
+    "singular-b-past-the-float-range": (
+        ("singular-spec", _fixture_with("cond1", lambda s: s["tubes"][0].update(b={"sin": ["1e400"]}))),
+        "tubes[0]: b:",
+    ),
+    "singular-b-exponent-past-the-float-range": (
+        ("singular-spec", _fixture_with("cond1", lambda s: s["tubes"][0]["b"]["cos"].__setitem__(0, 1e308))),
+        "tubes[0]: b:",
+    ),
+    "singular-phase-past-the-float-range": (
+        ("singular-spec", _fixture_with("singular_rationalJ", lambda s: s["tubes"][1].update(a=1e308))),
+        "tubes[1]: a:",
+    ),
+    "rhs-transform-overflows": (
+        ("rhs", {**_RHS, "blocks": [{**_BLOCK, "im": [1e308] + [0.0] * 7}]}),
+        "rhs: the transform at xi = 1",
+    ),
+    "rhs-transform-overflows-at-xi-0": (
+        ("rhs", {**_RHS, "blocks": [{**_BLOCK, "xi": 0, "im": [1e308] + [0.0] * 7}]}),
+        "rhs: the transform at xi = 0",
     ),
     "rhs-not-utf8": (
         ("rhs-bytes", b'{"format": "tff", "n": 1, "grid_size": 8, "meta": {"\xff": 1}}'),

@@ -220,8 +220,8 @@ def _sign_changing_b(rng, exact: bool) -> TrigPoly:
 def test_peaks_are_critical_points_above_every_lattice_point():
     """On seeded sign-changing b, exact and float: the Laplace peak (t0, r0)
     pairs two zeros of b, and B0 is at least the kernel exponent on a 256²
-    lattice, so Im H ≤ B0 where the peak table clamps it; Prop51's B(t0) is at least
-    B on 4096 points."""
+    lattice, so the Laplace kernel e^{ξ(Im H − B0)} is at most 1 up to
+    rounding; Prop51's B(t0) is at least B on 4096 points."""
     rng = random.Random(20261019)
     lattice = 2 * math.pi * np.arange(256) / 256
     grid = 2 * math.pi * np.arange(4096) / 4096
@@ -243,30 +243,39 @@ def test_peaks_are_critical_points_above_every_lattice_point():
         assert peak["B_peak"] >= float(B(grid).max()) - 1e-12, b
 
 
-def _table_rows(a0: float, b: TrigPoly, s: float, grid: int, xis, cert: dict) -> np.ndarray:
+def _table_rows(a0: float, b: TrigPoly, s: float, grid: int, xis, cert: dict, at=None) -> np.ndarray:
     """Forward Prop52 rows by the (t', r) table route, the reference for the
     window form: e^{ξ(Im H(t', r) − B0)} φ(t' − r), times the holonomy where
     t' − r wraps below 0, over every output point t' and r-node whose bump
     argument lies in the cutoff's support, summed per t' on the build's n_r
-    nodes, then phased and rolled back to the original frame."""
+    nodes, then phased and rolled back to the original frame.  With ``at``,
+    the one point t' = ``at`` of the translated frame instead, with
+    r = t' − s mod 2π over the support's s-nodes, one column per row."""
     profile = singular.locate_laplace_profile(b)
     sigma, delta, b0, two_pi = cert["translation"], cert["delta"], float(b.mean()), 2 * math.pi
     center = ((profile.t0 - profile.r0) % two_pi + sigma) % two_pi
     t0_sh = (profile.t0 + sigma) % two_pi
     cutoff = make_cutoff(s, (center - delta, center + delta), (center - delta / 2, center + delta / 2))
     Bper = b.translate(sigma).primitive_from_zero()
-    t = two_pi * np.arange(grid) / grid
-    rows = []
+    t = two_pi * np.arange(grid) / grid if at is None else np.array([at])
+    rows, supports = [], {}
     for xi in xis:
         n_r = -(-max(1024, 4 * xi) // grid) * grid
-        support = np.nonzero(cutoff(two_pi * np.arange(n_r) / n_r) > 0)[0]
-        j, i = np.divmod(np.arange(grid * support.size), support.size)
-        r = two_pi * ((j * (n_r // grid) - support[i]) % n_r) / n_r  # t'_j − r ≡ s_i
+        if n_r not in supports:
+            supports[n_r] = np.nonzero(cutoff(two_pi * np.arange(n_r) / n_r) > 0)[0]
+        support = supports[n_r]
+        j, i = np.divmod(np.arange(t.size * support.size), support.size)
+        if at is None:
+            r = two_pi * ((j * (n_r // grid) - support[i]) % n_r) / n_r  # t'_j − r ≡ s_i
+        else:
+            r = np.mod(at - two_pi * support[i] / n_r, two_pi)
         expo = singular._kernel_exponent(b0, Bper, t[j], r) - profile.B0
         vals = np.exp(xi * expo) * cutoff(np.mod(t[j] - r, two_pi))
         vals = vals * np.where(t[j] < r, np.exp(-2j * math.pi * xi * a0), 1.0)
-        u = np.bincount(j, vals.real, grid) + 1j * np.bincount(j, vals.imag, grid)
+        u = np.bincount(j, vals.real, t.size) + 1j * np.bincount(j, vals.imag, t.size)
         rows.append(np.exp(-1j * xi * a0 * (t - t0_sh)) * u * (two_pi / n_r))
+    if at is not None:
+        return np.array(rows)
     return np.roll(np.array(rows), -round(sigma * grid / two_pi) % grid, axis=1)
 
 
@@ -313,6 +322,36 @@ def test_window_rows_match_the_table_route(case):
     if case == "large-xi":
         B = b.primitive_from_zero()(2 * math.pi * np.arange(4096) / 4096)
         assert xis[0] * (B.max() - B.min()) > 745
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_peak_table_is_the_table_route_at_the_peak(case):
+    """Each lower_bound_table row, the window sums at t0' alone, agrees with
+    the (t', r) table route at t0' to 1e-12 relative for every ξ ≤ xi_max,
+    on the draws of test_window_rows_match_the_table_route.  On b = sin t,
+    t0' is the grid point 0 (a node, counted as s ≤ t0'), and there each
+    row is the modulus of the stored row at t0 to 1e-14."""
+    kind, grid, xis = WINDOW_CASES[case]
+    a0 = RealConstant.from_json({"cf": "constant:2"})
+    rng = random.Random(20261019)
+    draws = [_sign_changing_b(rng, exact=kind == "exact") for _ in range(3)]
+    if kind == "sine":
+        draws = [TrigPoly.from_json(b) for b in ({"const": "-1/5", "sin": ["1"]}, SINE)]
+    for b in draws:
+        built = _mirror(b) if kind == "mirror" else b
+        sol = build_prop52(a0, built, 2.0, max(xis), grid_size=grid, dense_rungs=xis)
+        cert = sol.certificates
+        t0_sh = (singular.locate_laplace_profile(b).t0 + cert["translation"]) % (2 * math.pi)
+        rungs = range(1, max(xis) + 1)
+        want = np.abs(_table_rows(float(a0), b, 2.0, grid, rungs, cert, at=t0_sh)[:, 0])
+        table = np.array(cert["lower_bound_table"])
+        assert table[:, 0].tolist() == list(rungs)
+        assert (np.abs(table[:, 1] - want) <= 1e-12 * want).all(), b
+        if b == TrigPoly.from_json(SINE):
+            assert t0_sh == 0.0
+            at = round(cert["profile"]["t0"] * grid / (2 * math.pi)) % grid
+            stored = np.abs(sol.coefficients.take(xis)[:, at])
+            assert np.allclose(stored, table[np.array(xis) - 1, 1], rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("stem", ["singular_rationalJ", "crit9_three_tube"])

@@ -748,6 +748,15 @@ def test_residual_scales_linearly_with_mode_perturbation():
         assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_residual_propagates_a_nan_row():
+    """A NaN in the last chunk of u reads NaN in the residual, where the
+    running max(0.0, nan) of the earlier rows would read 0.0."""
+    spec = spec_from(1, [{"a": "1/3", "b": "-1"}])
+    u = FourierField(1, 8, range(_XI_CHUNK + 1))
+    u.data[-1, 3] = np.nan
+    assert math.isnan(residual(spec, u, [FourierField(1, 8, range(_XI_CHUNK + 1))])[0])
+
+
 def test_decay_report_delegates_to_fit():
     modes = {(0, xi): math.exp(-1.5 * xi**0.5) for xi in range(8, 200)}
     f = FourierField.from_modes(1, 32, modes)
