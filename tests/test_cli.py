@@ -13,6 +13,7 @@ After a deliberate change to the output, regenerate both with
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -162,14 +163,17 @@ EXPORTS = """
 """.split()
 
 
-def _fresh(args: list, cwd=TESTS, **env) -> subprocess.CompletedProcess:
+def _fresh(
+    args: list, cwd=TESTS, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env
+) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter on this checkout's src/, with
-    no thread variables inherited."""
+    no thread variables inherited; stdout and stderr are captured unless
+    given."""
     full = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     paths = [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")]
     full.update(PYTHONPATH=os.pathsep.join(filter(None, paths)), **env)
     cmd = [sys.executable, *args]
-    return subprocess.run(cmd, capture_output=True, env=full, cwd=cwd, timeout=300)
+    return subprocess.run(cmd, stdout=stdout, stderr=stderr, env=full, cwd=cwd, timeout=300)
 
 
 def _fresh_python(code: str, cwd=TESTS, **env) -> str:
@@ -345,6 +349,139 @@ def test_reports_do_not_depend_on_the_thread_count(case, tmp_path):
         assert proc.stdout == (GOLDEN / f"{case}.json").read_bytes()
         artifact = tmp_path / ARTIFACTS[CASES[case][0]]
         assert hashlib.sha256(artifact.read_bytes()).hexdigest() == want["artifact_sha256"]
+
+
+# ---------------------------------------------------------------------------
+# The end of a command: cli.run flushes, then skips interpreter teardown
+# ---------------------------------------------------------------------------
+
+COND1 = str(FIXTURES / "cond1.json")
+
+
+def test_large_report_on_a_pipe_arrives_whole(tmp_path):
+    """A report far past a pipe's buffer reaches the reader whole before the
+    process ends, the same bytes as its ``--out`` copy."""
+    out = tmp_path / "report.json"
+    argv = ["cf", "convergents", "constant:2", "--n", "1000", "--out", str(out)]
+    proc = _fresh(["-m", "torus_hypo.cli", *argv], PYTHONUNBUFFERED="")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert len(proc.stdout) >= 256 * 1024
+    assert proc.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["classify"], 2)], ids=["help", "usage"])
+def test_argparse_exits_keep_their_code_and_text(argv, code, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    # a buffered stdout, which run must flush before the process ends
+    proc = _fresh(["-m", "torus_hypo.cli", *argv], COLUMNS="80", PYTHONUNBUFFERED="")
+    assert proc.returncode == code
+    assert proc.stdout.decode() == captured.out
+    assert proc.stderr.decode() == captured.err
+
+
+def test_main_returns_its_code_and_leaves_the_interpreter_running():
+    code = f"""if True:
+        import contextlib, io
+        from torus_hypo import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["classify", {COND1!r}])
+        print(type(code).__name__, code)
+    """
+    assert _fresh_python(code).split() == ["int", str(_manifest()["classify-cond1"]["exit"])]
+
+
+def test_an_unhandled_exception_prints_its_traceback_and_exits_1():
+    proc = _fresh(["-c", "from torus_hypo import cli; cli.main = lambda argv=None: 1 / 0; cli.run()"])
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("Traceback") and err.endswith("ZeroDivisionError: division by zero\n")
+
+
+def test_console_script_goes_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    with open(TESTS.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"torus-hypo": "torus_hypo.cli:run"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["classify", COND1], "1"),
+        (["classify", COND1], ""),
+        # argparse drops its own write error, so the help text fails at
+        # run's final flush, and only when stdout is buffered
+        (["--help"], ""),
+    ],
+    ids=["unbuffered", "buffered", "help-buffered"],
+)
+def test_a_full_stdout_exits_2_naming_stdout(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = _fresh(["-m", "torus_hypo.cli", *argv], stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_pipe_on_stdout_exits_2_naming_stdout(unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _fresh(["-m", "torus_hypo.cli", "classify", COND1], stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_error_on_a_full_stderr_keeps_its_exit_code(tmp_path):
+    with open("/dev/full", "wb") as full:
+        proc = _fresh(["-m", "torus_hypo.cli", "classify", str(tmp_path / "missing.json")], stderr=full)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+
+
+def test_no_command_leaves_work_to_interpreter_teardown(tmp_path):
+    """Each command kind, run in-process in a fresh interpreter, registers no
+    ``atexit`` handler and closes every file it opens (an unclosed file warns
+    when it is freed), so ending the process with ``os._exit`` loses nothing."""
+    spec, rhs = str(FIXTURES / "solve_spec.json"), str(FIXTURES / "solve_rhs.json")
+    runs = [
+        ["classify", COND1, "--out", "report.json"],
+        ["diagnose", str(FIXTURES / "ex64_factorial.json")],
+        ["cf", "convergents", "constant:2", "--out", "cf.json"],
+        ["normalform", spec],
+        ["solve", spec, rhs, "u.json"],
+        ["solve", spec, rhs, "u.tff"],
+        ["solve", spec, "u.tff", "v.json"],
+        ["singular", str(FIXTURES / "singular_expL.json"), "out.json"],
+        ["singular", str(FIXTURES / "singular_rationalJ.json"), "out.json"],
+    ]
+    code = f"""if True:
+        import atexit, contextlib, gc, io, json, warnings
+        from torus_hypo import cli
+        rows = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for argv in {runs!r}:
+                before = atexit._ncallbacks()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                gc.collect()
+                rows.append([code, atexit._ncallbacks() - before])
+        print(json.dumps([rows, [str(w.message) for w in caught]]))
+    """
+    rows, warned = json.loads(_fresh_python(code, tmp_path))
+    assert rows == [[0, 0]] * len(runs)
+    assert warned == []
 
 
 def test_tracer_names_resolve():
