@@ -32,7 +32,8 @@ needs a Gevrey order.
 Each command loads its inputs, calls the library and renders the result.
 ``classify``/``diagnose``, ``solve`` and ``singular`` each call one pipeline:
 :func:`torus_hypo.system.classify_system`, :func:`torus_hypo.solver.solve_system`
-and :func:`torus_hypo.singular.build_obstruction`.
+and :func:`torus_hypo.singular.build_obstruction`; ``solve`` and ``singular``
+take their report body, runtime counters included, from it.
 
 A command ends at its last byte.  :func:`main` returns the exit code, so the
 tests and coldbench's tracer call it in-process; the console script and
@@ -42,10 +43,10 @@ teardown (module cleanup, the garbage collector, ``atexit`` handlers and the
 C libraries' destructors, such as OpenBLAS's thread shutdown): on 2 vCPU,
 about 6 ms of a bare interpreter and 25 ms once numpy is loaded, none of it
 work of the command.  So every file a command writes is closed before
-:func:`main` returns, and nothing may rely on teardown.  A report that
-cannot be written to stdout (a full device, a pipe whose reader has gone)
-ends with ``error: cannot write stdout: ...`` and exit 2; an error whose
-line cannot be written to stderr still exits with its code.
+:func:`main` returns, and nothing may rely on teardown.  A report or help
+text that cannot be written to stdout (a full device, a pipe whose reader
+has gone) ends with ``error: cannot write stdout: ...`` and exit 2; an error
+whose line cannot be written to stderr still exits with its code.
 
 Exit codes
 ----------
@@ -192,8 +193,8 @@ def _check_positive(flag: str, value: int) -> None:
         raise MalformedInput(f"{flag}: {value} is not a positive integer")
 
 
-#: largest ``singular --grid``: at 2048, one Prop52 tube with 256 dense rungs
-#: (``--xi-max 1024 --field-cap 1024``) peaks near 160 MB
+#: largest ``singular --grid``: at 2048, ``singular_allsign.json --xi-max
+#: 1024`` peaks at 53 MB resident, cold (Python 3.11, numpy 2.4)
 MAX_SINGULAR_GRID = 2048
 
 
@@ -386,22 +387,11 @@ def cmd_solve(args) -> int:
     from .solver import solve_system
 
     u, body = solve_system(spec, f_list)
-    rhs_fields = len(f_list)
     del f_list  # the write holds u alone
     _write_field(u, args.out_field)
-    counters = body.pop("runtime", {})
+    runtime = body.pop("runtime")
     body["output"] = args.out_field
-    report = Report(
-        command=["solve"],
-        body=body,
-        digest=input_digest(args.spec),
-        runtime={
-            "frequencies": len(u.xi),
-            "grid": u.grid_size,
-            "rhs_fields": rhs_fields,
-            **counters,
-        },
-    )
+    report = Report(command=["solve"], body=body, digest=input_digest(args.spec), runtime=runtime)
     _emit(report, args)
     return 0
 
@@ -412,54 +402,21 @@ def cmd_solve(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    from .singular import build_obstruction, fit_lower_bound_power
+    from .singular import build_obstruction
 
     if not 4 <= args.grid <= MAX_SINGULAR_GRID or args.grid & (args.grid - 1):
         raise MalformedInput(
             f"--grid: {args.grid} is not a power of two in 4..{MAX_SINGULAR_GRID}"
         )
     _check_positive("--xi-max", args.xi_max)
-    _check_positive("--field-cap", args.field_cap)
     spec = _load_spec(args)
-    ob = build_obstruction(
-        spec, xi_max=args.xi_max, grid=args.grid, field_cap=args.field_cap
-    )
-    solution = ob.solution
-    table = solution.certificates["lower_bound_table"]
-    body = {
-        "construction": solution.construction,
-        "chain": ob.chain,
-        "q": ob.q,
-        "k_max": ob.k_max,
-        "field_cap": ob.field_cap,
-        "field_grid": solution.coefficients.grid_size,
-        "dense_rungs": len(solution.coefficients.xi),
-        "m": solution.certificates.get("m", 0),
-        "ladder_head": solution.ladder[:8],
-        "ladder_size": len(solution.ladder),
-        "lower_bound_head": table[:8],
-        "verdict": ob.verdict.to_json(),
-    }
-    if (fit := fit_lower_bound_power(solution)) is not None:
-        body["table_power_fit"] = fit
-    if "residual_real_tubes" in solution.certificates:
-        body["residual_real_tubes"] = solution.certificates["residual_real_tubes"]
-    if "row_checks" in solution.certificates:
-        body["row_checks"] = solution.certificates["row_checks"]
-
+    solution, body = build_obstruction(spec, xi_max=args.xi_max, grid=args.grid)
     with _writing(args.out_solution), open(args.out_solution, "w", encoding="utf-8") as fh:
         write_json(solution.to_json_obj(), fh)
+    runtime = body.pop("runtime")
     body["output"] = args.out_solution
-
     report = Report(
-        command=["singular"],
-        body=body,
-        digest=input_digest(args.spec),
-        runtime={
-            "rungs": len(solution.ladder),
-            "grid": args.grid,
-            "tubes": spec.n,
-        },
+        command=["singular"], body=body, digest=input_digest(args.spec), runtime=runtime
     )
     _emit(report, args)
     return 0
@@ -470,8 +427,20 @@ def cmd_singular(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops an error writing its ``--help`` text; here, as in
+    :func:`_emit`, a stdout that cannot take the text is an error naming it."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        with _writing("stdout"):
+            file.write(message)
+            file.flush()
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="torus-hypo",
         description="Certified global regularity analysis for tube systems on the torus.",
     )
@@ -518,14 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_solution", help="output path for the solution + certificate JSON")
     p.add_argument("--xi-max", dest="xi_max", type=int, default=256)
     p.add_argument("--grid", type=int, default=128)
-    p.add_argument(
-        "--field-cap",
-        dest="field_cap",
-        type=int,
-        default=64,
-        help="materialize coefficient blocks only up to this frequency "
-        "(the certified bound table always covers the full ladder)",
-    )
 
     return top
 
@@ -539,8 +500,6 @@ def _fail(exc: TorusHypoError) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     commands = {
         "classify": cmd_classify,
         "diagnose": lambda a: cmd_classify(a, verbose=True),
@@ -550,6 +509,7 @@ def main(argv=None) -> int:
         "singular": cmd_singular,
     }
     try:
+        args = _build_parser().parse_args(argv)
         for name in OUTPUT_ARGS:
             if path := getattr(args, name, None):
                 _check_writable(path)

@@ -22,8 +22,8 @@ product of per-axis factors (``_embed_factors``); both lifts share one core
 
 :func:`build_obstruction` is the pipeline entry point: it refuses systems
 that are not certified irregular, chooses the ladder and the materialized
-field, dispatches each tube to Prop51 or Prop52, and chains the product and
-the lift over the identically-real tubes.
+field, dispatches each tube to Prop51 or Prop52, chains the product and the
+lift over the identically-real tubes, and returns the ``singular`` report body.
 
 A certificate stores rows, never a fitted number: each entry is a direct
 evaluation of a formula or a closed-form bound, which a checker reading only
@@ -68,7 +68,6 @@ from .system import (
     NOT_HYPOELLIPTIC,
     SystemAnalysis,
     SystemSpec,
-    Verdict,
     classify_system,
     real_zeros,
     sign_analysis,
@@ -76,7 +75,6 @@ from .system import (
 
 __all__ = [
     "LaplaceProfile",
-    "Obstruction",
     "SingularSolution",
     "build_obstruction",
     "build_prop51",
@@ -92,6 +90,9 @@ TWO_PI = 2.0 * math.pi
 
 #: Complex samples allowed in a singular solution's materialized blocks.
 _DENSE_SAMPLE_BUDGET = 1 << 19
+
+#: Highest rung that :func:`build_obstruction` materializes.
+_FIELD_CAP = 64
 
 
 def _integer_phases(ms: Sequence[int], grid: int) -> np.ndarray:
@@ -707,7 +708,7 @@ def build_rational_J(
                 raise GridMismatch(
                     f"tube {j} phase frequency {mjk} at rung xi={xi} reaches the "
                     f"grid Nyquist limit {grid // 2}; raise the grid size or "
-                    f"lower the dense-rung cap"
+                    f"leave xi={xi} out of dense_rungs"
                 )
             phases[j].append(-mjk)
     out, rows = _lift(spec, v, dense, phases, grid)
@@ -864,25 +865,10 @@ def _exponent_bound(b: TrigPoly, xi_top: int) -> float:
         return math.inf
 
 
-@dataclass
-class Obstruction:
-    """A certified obstruction with the verdict that licenses it and the
-    choices that shaped it: the per-tube and lift constructions in order
-    (``chain``), the ladder factor ``q``, the top multiplier ``k_max`` and
-    the highest materialized rung ``field_cap``."""
-
-    solution: SingularSolution
-    verdict: Verdict
-    chain: list
-    q: int
-    k_max: int
-    field_cap: int
-
-
-def build_obstruction(
-    spec: SystemSpec, *, xi_max: int, grid: int, field_cap: int
-) -> Obstruction:
-    """Build the slow-decay family of a system certified not regular.
+def build_obstruction(spec: SystemSpec, *, xi_max: int, grid: int) -> tuple:
+    """Build the slow-decay family of a system certified not regular; returns
+    ``(solution, summary)``, the :class:`SingularSolution` and the body of
+    the ``singular`` report.
 
     Raises :class:`RefusedHypoelliptic` unless the verdict is
     NotHypoelliptic.  Refuses with :class:`MalformedInput` a tube whose a_j
@@ -897,10 +883,12 @@ def build_obstruction(
     b) or Prop52 on ``grid``; their product is lifted across the
     identically-real tubes (RationalJ, or ExpLiouvilleJ along the spec's
     rescaled ``vector_witness``).  The materialized rungs are chosen once:
-    the ladder rungs up to ``field_cap`` that fit a fixed sample budget, or
+    the ladder rungs up to ``_FIELD_CAP`` that fit a fixed sample budget, or
     the witness rungs under ExpLiouvilleJ, which keeps only those.  Every
     builder computes coefficient blocks on those rungs alone; the certified
-    bound table always covers the full ladder.
+    bound table always covers the full ladder.  ``summary`` adds the verdict,
+    the constructions in order (``chain``), ``q``, ``k_max``, the highest
+    materialized rung ``field_cap`` and :func:`fit_lower_bound_power`'s fit.
     """
     for i, tube in enumerate(spec.tubes):
         if not tube.a_is_constant:
@@ -949,7 +937,7 @@ def build_obstruction(
     choices = []
     g = grid
     while True:
-        cap = min(field_cap, xi_top)
+        cap = min(_FIELD_CAP, xi_top)
         if rate > 0:
             cap = min(cap, int((g // 2 - max(8, g // 8)) / rate))
         cap = max(cap, 0)
@@ -1015,6 +1003,23 @@ def build_obstruction(
                 spec, analysis, witness, solution, q, grid_size=field_grid
             )
         chain.append({"tubes": J, "construction": solution.construction})
-    return Obstruction(
-        solution=solution, verdict=verdict, chain=chain, q=q, k_max=k_max, field_cap=cap
-    )
+    cert = solution.certificates
+    summary = {
+        "construction": solution.construction,
+        "chain": chain,
+        "q": q,
+        "k_max": k_max,
+        "field_cap": cap,
+        "field_grid": solution.coefficients.grid_size,
+        "dense_rungs": len(solution.coefficients.xi),
+        "m": cert.get("m", 0),
+        "ladder_head": solution.ladder[:8],
+        "ladder_size": len(solution.ladder),
+        "lower_bound_head": cert["lower_bound_table"][:8],
+        "verdict": verdict.to_json(),
+        "runtime": {"rungs": len(solution.ladder), "grid": grid, "tubes": spec.n},
+    }
+    if (fit := fit_lower_bound_power(solution)) is not None:
+        summary["table_power_fit"] = fit
+    summary |= {k: cert[k] for k in ("residual_real_tubes", "row_checks") if k in cert}
+    return solution, summary

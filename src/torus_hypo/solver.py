@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import io
 import itertools
 import json
 import math
@@ -61,6 +62,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from stat import S_ISREG
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -134,6 +136,7 @@ COMPAT_TOL = 1e-8
 
 _BINARY_MAGIC = b"TFF1"
 _BINARY_VERSION = 1
+_BINARY_HEADER = struct.Struct("<4sIqqqqq")
 
 
 # ---------------------------------------------------------------------------
@@ -473,29 +476,14 @@ class FourierField:
         """Header, ξ list and the coefficient stack of :meth:`to_bytes`, the
         stack a chunk of rows at a time."""
         layout = (self.n, self.grid_size, *self._window(), len(self.xi))
-        yield struct.pack("<4sIqqqqq", _BINARY_MAGIC, _BINARY_VERSION, *layout)
+        yield _BINARY_HEADER.pack(_BINARY_MAGIC, _BINARY_VERSION, *layout)
         yield self.xi.astype("<i8").tobytes()
         for c in self._coeff_chunks():
             yield np.ascontiguousarray(c, dtype="<c16")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "FourierField":
-        head = struct.calcsize("<4sIqqqqq")
-        if len(raw) < head:
-            raise MalformedInput("binary field data truncated (short header)")
-        magic, version, n, grid, lo, hi, num = struct.unpack("<4sIqqqqq", raw[:head])
-        if magic != _BINARY_MAGIC:
-            raise MalformedInput(f"bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
-        if version != _BINARY_VERSION:
-            raise MalformedInput(f"unsupported field format version {version}")
-        layout = cls(n=int(n), grid_size=int(grid))
-        shape = (num,) + (layout.grid_size,) * layout.n
-        block = layout.grid_size**layout.n
-        if num < 0 or len(raw) < head + (8 + 16 * block) * num:
-            raise MalformedInput(f"binary field data truncated: the header counts {num} blocks")
-        xi = np.frombuffer(raw, dtype="<i8", count=num, offset=head)
-        coeffs = np.frombuffer(raw, dtype="<c16", count=num * block, offset=head + 8 * num)
-        return cls.from_coeffs(layout.n, layout.grid_size, xi, coeffs.reshape(shape))
+        return cls._read_binary(io.BytesIO(raw), len(raw))
 
     def save_binary(self, path) -> None:
         """Write :meth:`to_bytes` to ``path`` part by part: one chunk of
@@ -507,7 +495,33 @@ class FourierField:
     @classmethod
     def load_binary(cls, path) -> "FourierField":
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            info = os.fstat(fh.fileno())
+            if not S_ISREG(info.st_mode):  # a pipe has no size to check first
+                return cls.from_bytes(fh.read())
+            return cls._read_binary(fh, info.st_size)
+
+    @classmethod
+    def _read_binary(cls, fh, size: int) -> "FourierField":
+        """The field in the :meth:`to_bytes` data of ``size`` bytes that
+        ``fh`` reads.  The coefficient stack is read into one array and
+        inverted in place, so the field is held once."""
+        head = fh.read(_BINARY_HEADER.size)
+        if len(head) < _BINARY_HEADER.size:
+            raise MalformedInput("binary field data truncated (short header)")
+        magic, version, n, grid, lo, hi, num = _BINARY_HEADER.unpack(head)
+        if magic != _BINARY_MAGIC:
+            raise MalformedInput(f"bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
+        if version != _BINARY_VERSION:
+            raise MalformedInput(f"unsupported field format version {version}")
+        layout = cls(n=int(n), grid_size=int(grid))
+        block = layout.grid_size**layout.n
+        if num < 0 or size < _BINARY_HEADER.size + (8 + 16 * block) * num:
+            raise MalformedInput(f"binary field data truncated: the header counts {num} blocks")
+        xi = np.frombuffer(fh.read(8 * num), dtype="<i8")
+        coeffs = np.empty((num,) + (layout.grid_size,) * layout.n, dtype="<c16")
+        if fh.readinto(coeffs) < coeffs.nbytes:  # the file shrank after its size was read
+            raise MalformedInput("binary field data truncated while it was read")
+        return cls.from_coeffs(layout.n, layout.grid_size, xi, coeffs, overwrite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,9 +1045,10 @@ def solve_system(
     ``normalized`` (and the gauge ``primitives``), ``route``, the ``tube``
     solved along, ``residual`` rows of ‖L_j u − f_j‖_∞ (one per tube when one
     field per tube is given, else the solved tube's), the division ``meta``,
-    for a Gevrey order the ``decay_fit`` of u, and on the single-tube route
-    the ``runtime`` counters ``internal_modes_max`` and
-    ``internal_modes_capped`` of :func:`solve_single_tube`.  Both routes
+    for a Gevrey order the ``decay_fit`` of u, and the ``runtime`` counters
+    ``rhs_fields``, ``frequencies`` and ``grid``, with, on the single-tube
+    route, ``internal_modes_max`` and ``internal_modes_capped`` of
+    :func:`solve_single_tube`.  Both routes
     refuse an rhs whose transform, or whose solution, passes the float range
     (:func:`_check_finite`), the ξ = 0 row included.
     """
@@ -1042,7 +1057,8 @@ def solve_system(
         _check_compatible(spec, f_list)
     nf = build_normal_form(spec)
     normalized = not nf.is_trivial()
-    summary = {"normalized": normalized}
+    runtime = {"rhs_fields": len(f_list)}
+    summary = {"normalized": normalized, "runtime": runtime}
     if normalized:
         summary["primitives"] = [p.to_json() for p in nf.A]
 
@@ -1075,11 +1091,12 @@ def solve_system(
         f = f_list[tube - 1 if len(f_list) == n else 0]
         u_n = solve_single_tube(tube, nf.normalized, gauged(f, "forward"))
         counters = ("internal_modes_max", "internal_modes_capped")
-        summary["runtime"] = {k: u_n.meta.pop(k) for k in counters}
+        runtime |= {k: u_n.meta.pop(k) for k in counters}
         summary["route"] = "single-tube"
         summary["tube"] = tube
 
     u = gauged(u_n, "inverse")
+    runtime |= {"frequencies": len(u.xi), "grid": u.grid_size}
     if len(f_list) == n:
         rows = enumerate(residual(spec, u, f_list), start=1)
     else:

@@ -15,6 +15,7 @@ from torus_hypo import singular
 from torus_hypo.diophantine import LiouvilleWitness, RealConstant
 from torus_hypo.errors import IntegralityError, LadderMismatch, MeanNotZero, ProfileError
 from torus_hypo.gevrey import GevreyCutoff, TrigPoly, make_cutoff
+from torus_hypo.report import canonical_json
 from torus_hypo.singular import (
     build_expliouville_J,
     build_obstruction,
@@ -25,7 +26,7 @@ from torus_hypo.singular import (
 from torus_hypo.solver import apply_tube_operator
 from torus_hypo.system import CHANGES_SIGN, SystemSpec, analyze, sign_analysis
 
-from conftest import load_fixture
+from conftest import PKG_ROOT, load_fixture
 
 
 @pytest.mark.parametrize(
@@ -45,6 +46,21 @@ def test_written_certificate_bounds_hold_on_its_stored_coefficients(stem, golden
         c = (np.asarray(block["re"]) + 1j * np.asarray(block["im"])).reshape(shape)
         peak = float(np.abs(np.fft.ifftn(c) * c.size).max())
         assert bounds[block["xi"]] <= peak * (1 + 1e-12), block["xi"]
+
+
+@pytest.mark.parametrize(
+    "stem", ["singular_expL", "singular_rationalJ", "crit9_three_tube", "singular_allsign"]
+)
+def test_pipeline_summary_is_the_golden_report_body(stem):
+    """build_obstruction returns the singular report's body at the CLI
+    defaults: with ``output`` added it is the golden body, and the runtime
+    it carries is the golden runtime."""
+    golden = json.loads((PKG_ROOT / "tests" / "golden" / f"singular-{stem}.json").read_text("utf-8"))
+    spec = SystemSpec.from_json(load_fixture(f"{stem}.json"))
+    _, summary = build_obstruction(spec, xi_max=256, grid=128)
+    runtime = summary.pop("runtime")
+    assert json.loads(canonical_json({**summary, "output": "out.json"})) == golden["body"]
+    assert runtime == golden["runtime"]
 
 
 SINE = {"sin": ["1"]}
@@ -172,10 +188,10 @@ def test_expliouville_lift_of_a_product_receives_only_the_witness_rungs(monkeypa
     expl = load_fixture("singular_expL.json")
     expl["n"] = 2
     expl["tubes"].append({"a": {"cf": "constant:2"}, "b": SINE})
-    ob = build_obstruction(SystemSpec.from_json(expl), xi_max=256, grid=128, field_cap=64)
-    assert [c["construction"] for c in ob.chain] == ["Prop52", "ExpLiouvilleJ"]
+    solution, summary = build_obstruction(SystemSpec.from_json(expl), xi_max=256, grid=128)
+    assert [c["construction"] for c in summary["chain"]] == ["Prop52", "ExpLiouvilleJ"]
     assert received == [[3, 34, 68]]
-    assert ob.solution.coefficients.xi.tolist() == [3, 34, 68]
+    assert solution.coefficients.xi.tolist() == [3, 34, 68]
 
 
 @pytest.fixture
@@ -190,8 +206,8 @@ def test_tubes_with_one_b_share_one_laplace_search(empty_profile_cache):
     """singular_allsign has two Prop52 tubes with b = sin t: the search of
     the kernel exponent's peak runs once for both."""
     spec = SystemSpec.from_json(load_fixture("singular_allsign.json"))
-    ob = build_obstruction(spec, xi_max=64, grid=128, field_cap=16)
-    assert ob.solution.construction == "Product"
+    solution, _ = build_obstruction(spec, xi_max=64, grid=128)
+    assert solution.construction == "Product"
     info = singular._laplace_profile.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
@@ -362,7 +378,7 @@ def test_real_tube_residual_on_the_factor_is_the_block_residual(stem, monkeypatc
     spec = SystemSpec.from_json(load_fixture(f"{stem}.json"))
 
     def both_routes():
-        sol = build_obstruction(spec, xi_max=256, grid=128, field_cap=64).solution
+        sol, _ = build_obstruction(spec, xi_max=256, grid=128)
         block = [apply_tube_operator(spec, j, sol.coefficients).max_abs() for j in sol.certificates["J"]]
         return [r for _, r in sol.certificates["residual_real_tubes"]], block
 

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import struct
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -127,6 +128,29 @@ def test_field_binary_round_trip(tmp_path):
     assert again.to_bytes() == back.to_bytes()
 
 
+def test_binary_load_holds_the_field_once(tmp_path):
+    """load_binary reads the coefficient stack into one array and inverts it
+    there: the traced peak stays under 1.3 times the 4 MB field, and the
+    grid values are bit for bit those of an out-of-place inversion."""
+    rng = np.random.default_rng(7)
+    shape = (64, 64, 64)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    path = tmp_path / "field.tff"
+    FourierField.from_coeffs(2, 64, np.arange(-32, 32), c).save_binary(path)
+    del c
+    tracemalloc.start()
+    try:
+        f = FourierField.load_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * f.data.nbytes
+    raw = path.read_bytes()
+    stored = np.frombuffer(raw, dtype="<c16", offset=48 + 8 * 64).reshape(shape)
+    want = FourierField.from_coeffs(2, 64, np.arange(-32, 32), stored)
+    assert f.xi.tolist() == want.xi.tolist() and f.data.tobytes() == want.data.tobytes()
+
+
 def test_field_binary_rejects_data_shorter_than_its_header_says():
     """A file cut inside the ξ list or a block, or a header whose block count
     is negative, is malformed input, not a numpy error or an empty field."""
@@ -135,6 +159,9 @@ def test_field_binary_rejects_data_shorter_than_its_header_says():
     for bad in (raw[:56], raw[:100], negative):
         with pytest.raises(MalformedInput, match="truncated"):
             FourierField.from_bytes(bad)
+    # a file that shrinks between the size check and the read
+    with pytest.raises(MalformedInput, match="truncated while it was read"):
+        FourierField._read_binary(io.BytesIO(raw[:-16]), len(raw))
 
 
 EPS = np.finfo(float).eps
