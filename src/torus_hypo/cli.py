@@ -12,7 +12,9 @@ singular    build a certified slow-decay solution family for a non-regular syste
 Every command prints one deterministic report (see ``report.py``) to stdout;
 ``--out`` writes the same bytes to a file.  ``solve`` and ``singular``
 additionally write their artifact (solution field / certified family) to a
-positional output path, as compact JSON with sorted keys
+positional output path, as compact JSON with sorted keys whose vector
+floats are orjson's shortest round-trip text, each parsing back to its
+stored bits, and whose other leaves are ``json``'s text
 (:func:`torus_hypo.report.write_json`); ``solve`` writes the binary field
 format instead when the path ends in ``.bin`` or ``.tff``.  Fields are stored
 as trigonometric coefficients, and a stored 0.0 means |c| <= eps * max|c| of

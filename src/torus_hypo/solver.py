@@ -388,7 +388,8 @@ class FourierField:
     def to_json_obj(self) -> dict:
         """The JSON form, each block's ``re`` and ``im`` a float64 vector
         (views of its coefficients), which :func:`~.report.write_json`
-        writes as the list of its floats.
+        writes as the list of its floats in orjson's shortest round-trip
+        text: each parses back to its stored bits.
 
         ``blocks`` is an iterator over the block dicts: the coefficients are
         computed a chunk of rows at a time as it is consumed, so writing

@@ -563,19 +563,21 @@ def _finite_random_bits(count: int) -> list:
     return values[np.isfinite(values)][:count].tolist()
 
 
-#: float64 vectors -> what json.dumps(vector.tolist()) must give
+#: float64 vectors that must be written so that each float parses back to
+#: its bits
 FLOAT_VECTORS = {
     "empty": [],
     "all-plus-zero": [0.0] * 9,
     "all-minus-zero": [-0.0] * 9,
     "zero-runs-everywhere": [0.0, 0.0, 1.5, 0.0, -0.0, 0.0, 0.0, -2.25, 3.0, 0.0, 0.0, 0.0],
+    "leading-zeros": [0.0, 0.0, 0.0, 2.5],
     "single-zero": [0.0],
     "single-value": [-7.0],
     "subnormals": [5e-324, 0.0, -5e-324, 2.2250738585072014e-308 / 3, 0.0],
     "exponent-form": [1e16, 0.0, 1e-5, -2e-300, 1.7976931348623157e308, 0.0, 123456789012345680.0],
     "non-finite": [float("nan"), 0.0, float("inf"), -float("inf"), 0.0],
     "dense-random": np.random.default_rng(20).standard_normal(1000).tolist(),
-    # where orjson's format is moved to repr's: positional 1e-5 <= |x| < 1e-4,
+    # where orjson's layout differs from repr's: positional 1e-5 <= |x| < 1e-4,
     # one-digit negative exponents, positive exponents
     "format-boundaries": [
         sign * x
@@ -598,28 +600,38 @@ def _written(obj) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(FLOAT_VECTORS))
-def test_float_vector_is_written_as_json_dumps_writes_its_list(case):
-    """A float64 vector leaf is written as json.dumps writes its tolist():
-    +0.0 runs as text, -0.0 keeping its sign, also inside a container and
-    when the vector is a strided view (the real part of a complex block)."""
-    values = np.array(FLOAT_VECTORS[case], dtype=float)
-    want = json.dumps(values.tolist(), separators=(",", ":"))
-    assert _written(values) == want
-    assert _written({"b": [{"re": values}], "a": 1}) == f'{{"a":1,"b":[{{"re":{want}}}]}}'
-    block = np.empty(values.size, dtype=complex)
-    block.real, block.imag = values, 1.0
-    assert _written(block.real) == want
-
-
-def test_float_vector_write_falls_back_on_text_it_does_not_recognise(monkeypatch):
-    """An orjson that lays its text out otherwise (here as repr does) is
-    caught at the fix-up sites, and the C encoder writes the vector."""
+def test_float_vector_parses_back_to_its_bits(case):
+    """A float64 vector leaf is written as orjson's text of it, or as the C
+    encoder's if it holds NaN or an infinity, and parses back to its bits,
+    -0.0 keeping its sign, also inside a container and when the vector is a
+    strided view (the real part of a complex block)."""
     import orjson
 
-    values = np.array(FLOAT_VECTORS["format-boundaries"])
-    want = json.dumps(values.tolist(), separators=(",", ":"))
-    monkeypatch.setattr(orjson, "dumps", lambda vector, option: want.encode())
-    assert _written(values) == want
+    values = np.array(FLOAT_VECTORS[case], dtype=float)
+    want = values.tolist()
+    text = _written(values)
+    if np.isfinite(values).all():
+        assert text == orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    else:
+        assert text == json.dumps(want, separators=(",", ":"))
+    assert _same(json.loads(text), want)
+    assert _same(json.loads(_written({"b": [{"re": values}], "a": 1})), {"a": 1, "b": [{"re": want}]})
+    block = np.empty(values.size, dtype=complex)
+    block.real, block.imag = values, 1.0
+    assert _written(block.real) == text
+
+
+def test_orjson_text_of_the_format_boundaries_is_pinned():
+    """orjson 3.8's layout of the floats where it differs from repr's; a
+    release that lays them out otherwise changes every artifact digest, so
+    it fails here first."""
+    assert _written(np.array(FLOAT_VECTORS["format-boundaries"])) == (
+        "[0.00001,-0.00001,0.00009999999999999999,-0.00009999999999999999,0.0001,-0.0001,"
+        "0.0000125,-0.0000125,1e-9,-1e-9,9.999999999999999e-10,-9.999999999999999e-10,"
+        "1e-10,-1e-10,9999999999999998.0,-9999999999999998.0,1e16,-1e16,"
+        "9.999999999999998e99,-9.999999999999998e99,1e100,-1e100,"
+        "1.7976931348623157e308,-1.7976931348623157e308,5e-324,-5e-324]"
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -630,7 +642,9 @@ def test_float_vector_write_falls_back_on_text_it_does_not_recognise(monkeypatch
     )
 )
 def test_float_vector_write_matches_json_dumps_on_mixed_vectors(values):
-    assert _written(np.array(values, dtype=float)) == json.dumps(values, separators=(",", ":"))
+    """The written vector parses to the floats of json.dumps' text, bit for bit."""
+    want = json.loads(json.dumps(values, separators=(",", ":")))
+    assert _same(json.loads(_written(np.array(values, dtype=float))), want)
 
 
 def test_non_float_vector_is_refused():
@@ -649,26 +663,59 @@ def _as_lists(obj):
     return obj
 
 
-@pytest.mark.parametrize("batch", ["default", "small"])
-def test_batched_write_of_every_float_vector_matches_json_dumps(batch, monkeypatch):
-    """Every FLOAT_VECTORS case at once, as sibling leaves and as a list (and
-    an iterator) of blocks: batches of consecutive vectors, a zero run that
-    ends one batch and one that starts the next, and a NaN vector between
-    finite ones, which sends its batch to the C encoder."""
-    from torus_hypo import report
+def _parses_as_json_dumps(text: str, obj) -> bool:
+    """``text`` parses to the object that json.dumps' text of ``obj`` (its
+    vectors and iterators as lists) parses to, each float bit for bit."""
+    want = json.dumps(_as_lists(obj), separators=(",", ":"), sort_keys=True)
+    return _same(json.loads(text), json.loads(want))
 
-    if batch == "small":  # a batch closes after a vector or two
-        monkeypatch.setattr(report, "_BATCH_ENTRIES", 9)
-        monkeypatch.setattr(report, "_BATCH_CHARS", 64)
+
+def test_every_float_vector_in_containers_parses_back_to_its_bits():
+    """Every FLOAT_VECTORS case at once, as sibling leaves and as a list (and
+    an iterator) of blocks (each its first 1000 floats), with zero runs at a
+    vector's ends and a NaN vector, which the C encoder writes, between
+    finite ones."""
     vectors = {case: np.array(values, dtype=float) for case, values in FLOAT_VECTORS.items()}
-    zeros = np.zeros(report._LONG_ZERO_RUN + 3)
+    zeros = np.zeros(19)
     tail = np.concatenate([[1.5, -2.0], zeros])  # a zero run at the end of a vector
     head = np.concatenate([zeros, [3.25]])  # and at the start of the next
-    blocks = [{"re": v, "im": v[::-1].copy(), "xi": k} for k, v in enumerate(vectors.values())]
+    blocks = [{"re": v[:1000], "im": v[999::-1].copy(), "xi": k} for k, v in enumerate(vectors.values())]
     blocks += [{"re": tail, "im": head, "xi": -1}, {"re": np.array([1.0, np.nan]), "im": tail, "xi": -2}]
     obj = {"leaves": vectors, "blocks": blocks, "lazy": iter(blocks[-4:]), "n": 3}
-    want = json.dumps(_as_lists({**obj, "lazy": blocks[-4:]}), separators=(",", ":"), sort_keys=True)
-    assert _written(obj) == want
+    assert _parses_as_json_dumps(_written(obj), {**obj, "lazy": blocks[-4:]})
+
+
+def test_write_holds_one_vector_of_text_at_a_time():
+    """Each vector's text is written before the next is made: writing a
+    field of 48 blocks, made one at a time, peaks under 8x the text of one
+    of its 96 vectors, never near the whole document.  One vector's text
+    costs about 4.3x its length at its peak (orjson's bytes object holds
+    262 KB for these 80 KB of text, and the str is one more copy), beside
+    the block's arrays."""
+    import tracemalloc
+
+    from torus_hypo.report import write_json
+
+    class Sink(io.TextIOBase):
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+            return len(text)
+
+    size = 4096
+    rng = np.random.default_rng(5)
+    vector = len(_written(rng.standard_normal(size)))
+    blocks = ({"xi": k, "re": rng.standard_normal(size), "im": rng.standard_normal(size)} for k in range(48))
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        write_json({"format": "tff", "blocks": blocks}, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 96 * vector * 0.95
+    assert peak < 8 * vector, (peak, vector)
 
 
 def _same(a, b) -> bool:
@@ -1319,6 +1366,45 @@ def test_singular_takes_every_small_xi_max(stem, tmp_path, capsys):
         assert cli.main([*argv, "--xi-max", str(xi_max)]) == 0, (xi_max, capsys.readouterr().err)
         fitted[xi_max] = "table_power_fit" in json.loads(capsys.readouterr().out)["body"]
     assert not any(fitted[xi_max] for xi_max in xi_maxes if xi_max <= 16)
+
+
+def _materialized(obj):
+    """``obj`` with each iterator as a list, so that it can be written twice."""
+    if isinstance(obj, dict):
+        return {k: _materialized(v) for k, v in obj.items()}
+    if isinstance(obj, list) or hasattr(obj, "__next__"):
+        return [_materialized(v) for v in obj]
+    return obj
+
+
+#: the four singular fixtures at the largest --xi-max (and the --grid) that
+#: test_singular_takes_every_small_xi_max builds them at, and a JSON solve field
+SMALL_ARTIFACTS = {
+    f"singular-{stem}": ["--xi-max", str(max(xi_maxes)), *extra]
+    for stem, (xi_maxes, extra) in SMALL_XI_MAX.items()
+}
+SMALL_ARTIFACTS["solve-gauged"] = []
+
+
+@pytest.mark.parametrize("case", list(SMALL_ARTIFACTS))
+def test_artifact_parses_to_what_json_dumps_writes(case, tmp_path, monkeypatch, capsys):
+    """The artifact a command writes parses to what json.dumps' text of the
+    same object parses to, every float bit for bit."""
+    from torus_hypo import report, solver
+
+    written = []
+
+    def write_json(obj, fh):
+        written.append(_materialized(obj))
+        report.write_json(written[-1], fh)
+
+    monkeypatch.setattr(cli, "write_json", write_json)
+    monkeypatch.setattr(solver, "write_json", write_json)  # FourierField.save_json
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*_argv(case), *SMALL_ARTIFACTS[case]]) == 0, capsys.readouterr().err
+    [obj] = written
+    text = (tmp_path / ARTIFACTS[CASES[case][0]]).read_text(encoding="utf-8")
+    assert _parses_as_json_dumps(text, obj)
 
 
 def test_singular_below_the_first_witness_row_names_xi_max(tmp_path, capsys):

@@ -104,7 +104,7 @@ def _json_text(f: FourierField) -> str:
 
 def test_field_json_round_trip_is_stable():
     # A second pass through the format must be byte-identical: the spectral
-    # coefficients themselves round-trip exactly through repr floats.
+    # coefficients themselves round-trip exactly through shortest round-trip float text.
     f = FourierField.from_modes(1, 32, {(1, 2): 1 - 1j, (0, 5): 0.25})
     once = FourierField.from_json_obj(json.loads(_json_text(f)))
     twice = FourierField.from_json_obj(json.loads(_json_text(once)))
