@@ -670,16 +670,20 @@ def _parses_as_json_dumps(text: str, obj) -> bool:
     return _same(json.loads(text), json.loads(want))
 
 
-def test_every_float_vector_in_containers_parses_back_to_its_bits():
+@pytest.mark.parametrize("batch", ["default", "small"])
+def test_batched_write_of_every_float_vector_matches_json_dumps(batch):
     """Every FLOAT_VECTORS case at once, as sibling leaves and as a list (and
-    an iterator) of blocks (each its first 1000 floats), with zero runs at a
-    vector's ends and a NaN vector, which the C encoder writes, between
-    finite ones."""
+    an iterator) of blocks, with zero runs at a vector's ends and a NaN
+    vector, which the C encoder writes, between finite ones, parses to
+    json.dumps' values bit for bit.  Each block holds a vector's first 1000
+    floats ("default") or its first 9 ("small": many short vectors, so
+    most of the text is the separators between them)."""
+    size = 1000 if batch == "default" else 9
     vectors = {case: np.array(values, dtype=float) for case, values in FLOAT_VECTORS.items()}
     zeros = np.zeros(19)
     tail = np.concatenate([[1.5, -2.0], zeros])  # a zero run at the end of a vector
     head = np.concatenate([zeros, [3.25]])  # and at the start of the next
-    blocks = [{"re": v[:1000], "im": v[999::-1].copy(), "xi": k} for k, v in enumerate(vectors.values())]
+    blocks = [{"re": v[:size], "im": v[size - 1 :: -1].copy(), "xi": k} for k, v in enumerate(vectors.values())]
     blocks += [{"re": tail, "im": head, "xi": -1}, {"re": np.array([1.0, np.nan]), "im": tail, "xi": -2}]
     obj = {"leaves": vectors, "blocks": blocks, "lazy": iter(blocks[-4:]), "n": 3}
     assert _parses_as_json_dumps(_written(obj), {**obj, "lazy": blocks[-4:]})
