@@ -16,9 +16,8 @@ _EXPORTS = {
     " exp_liouville_score liouville_exponent_trend scale_witness verify_witness_rows",
     "gevrey": "GevreyCutoff GevreyWitness TrigPoly estimate_decay make_cutoff",
     "normalform": "NormalFormData apply_gauge build_normal_form conjugation_residual",
-    "singular": "LaplaceProfile SingularSolution build_expliouville_J"
-    " build_obstruction build_product build_prop51 build_prop52 build_rational_J"
-    " fit_lower_bound_power locate_laplace_profile",
+    "singular": "LaplaceProfile SingularSolution build_obstruction fit_lower_bound_power"
+    " locate_laplace_profile",
     "solver": "FourierField apply_tube_operator decay_report residual solve_by_division"
     " solve_single_tube solve_system",
     "system": "SystemAnalysis SystemSpec Tube Verdict analyze average classify_system"

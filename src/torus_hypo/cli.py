@@ -67,8 +67,7 @@ A failure prints ``error: <message>`` to stderr and exits with the
      be written
 30   SolvabilityError          31   CompatibilityError
 32   ZeroDivisorError          33   ProfileError / GeometryError / GridMismatch
-34   MeanNotZero               40   RefusedHypoelliptic
-41   WitnessMismatch / LadderMismatch / IntegralityError
+40   RefusedHypoelliptic       41   WitnessMismatch / LadderMismatch
 50   any other domain error
 """
 

@@ -3,8 +3,8 @@
 Every failure mode that callers are expected to branch on gets its own class;
 all of them derive from :class:`TorusHypoError`.  Each class carries the CLI's
 exit status for it as the class attribute ``exit_code`` (2 for unusable input,
-30-41 for the solver and construction failures, 50 for any other domain
-error), so the CLI catches the whole family and returns ``exc.exit_code``.
+30-33, 40 and 41 for the solver and construction failures, 50 for any other
+domain error), so the CLI catches the whole family and returns ``exc.exit_code``.
 The field readers at the end name the input field a failure came from.
 """
 
@@ -98,20 +98,10 @@ class CompatibilityError(TorusHypoError):
     exit_code = 31
 
 
-class MeanNotZero(TorusHypoError):
-    """A coefficient that must have zero average does not."""
-    exit_code = 34
-
-
 # --- singular constructions -------------------------------------------------
 
 class LadderMismatch(TorusHypoError):
     """Factor solutions do not share the required frequency ladder."""
-    exit_code = 41
-
-
-class IntegralityError(TorusHypoError):
-    """q times a tube average is not an integer where it must be."""
     exit_code = 41
 
 

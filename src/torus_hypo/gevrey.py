@@ -574,7 +574,8 @@ class GevreyCutoff:
         after each product, and each magnitude isqrt(re² + im²) / 2**160 / 8192
         is rounded to a float once.  The tail lies far below the float64 FFT
         roundoff floor.  No build reads it: it is the reference that the
-        tests hold :class:`CutoffBound` against.
+        tests hold :class:`CutoffBound` against, and it needs mpmath, which
+        is in the ``test`` extra and not a runtime dependency.
         """
         from mpmath import mp, workdps
 

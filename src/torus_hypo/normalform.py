@@ -64,8 +64,6 @@ def build_normal_form(spec: SystemSpec) -> NormalFormData:
             primitives.append(TrigPoly())
             tubes.append(Tube(a=a, b=tube.b))
             continue
-        if not isinstance(a, TrigPoly):
-            raise MalformedInput("tube real part must be a TrigPoly or RealConstant")
         primitives.append(a.primitive_from_zero())
         tubes.append(Tube(a=average(a), b=tube.b))
     normalized = replace(spec, tubes=tubes)

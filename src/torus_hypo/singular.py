@@ -1,8 +1,14 @@
 """Constructive obstructions: solution families with prescribed slow decay.
 
-Each builder returns a :class:`SingularSolution`: partial Fourier data
-supported on a frequency ladder, together with a machine-checkable
-certificate of the defining lower bounds.  Two single-tube mechanisms exist:
+:func:`build_obstruction` is the API.  It refuses systems that are not
+certified irregular, checks the spec's outside input, chooses q, the ladder,
+the materialized rungs and the field grid, dispatches each tube to Prop51 or
+Prop52, chains the product and the lift over the identically-real tubes, and
+returns a :class:`SingularSolution` and the ``singular`` report body.
+
+The five builders are its steps, and build on the lists it hands them
+without checking them again; they keep their names so that a tracer can
+time each step.  Two single-tube mechanisms exist:
 
 * rational average with one-signed-free ``b`` of zero mean
   (:func:`build_prop51`): the coefficients ``e^{qk(B(t) − B(t_0))}`` ride the
@@ -18,12 +24,7 @@ Products over tubes (:func:`build_product`) and the two lifts to systems with
 identically-real tubes (:func:`build_rational_J`, :func:`build_expliouville_J`)
 assemble the single-tube families into full obstructions.  Every rung is one
 product of per-axis factors (``_embed_factors``); both lifts share one core
-(``_lift``) that checks v and multiplies in the real tubes' integer phases.
-
-:func:`build_obstruction` is the pipeline entry point: it refuses systems
-that are not certified irregular, chooses the ladder and the materialized
-field, dispatches each tube to Prop51 or Prop52, chains the product and the
-lift over the identically-real tubes, and returns the ``singular`` report body.
+(``_lift``) that multiplies in the real tubes' integer phases.
 
 A certificate stores rows, never a fitted number: each entry is a direct
 evaluation of a formula or a closed-form bound, which a checker reading only
@@ -50,12 +51,8 @@ from .diophantine import (
     verify_witness_rows,
 )
 from .errors import (
-    GridMismatch,
-    IntegralityError,
     LadderMismatch,
     MalformedInput,
-    MeanNotZero,
-    OrderError,
     ProfileError,
     RefusedHypoelliptic,
     WitnessMismatch,
@@ -77,12 +74,7 @@ __all__ = [
     "LaplaceProfile",
     "SingularSolution",
     "build_obstruction",
-    "build_prop51",
     "locate_laplace_profile",
-    "build_prop52",
-    "build_product",
-    "build_rational_J",
-    "build_expliouville_J",
     "fit_lower_bound_power",
 ]
 
@@ -195,23 +187,13 @@ def build_prop51(
     so ``t_0`` is the zero of b (:func:`real_zeros`) with the largest float
     B, the smallest such zero on a tie, and 0 when b ≡ 0.
 
-    ``ladder`` lists the rungs ξ; one that q does not divide raises
-    :class:`IntegralityError`.  The bound table covers the ladder, and the
-    coefficient blocks are computed on the ladder rungs that ``dense_rungs``
-    lists.
+    ``ladder`` lists the rungs ξ, each a multiple of q.  The bound table
+    covers the ladder, and the coefficient blocks are computed on the
+    ascending ladder rungs ``dense_rungs``.
     """
-    if not isinstance(b, TrigPoly):
-        raise MalformedInput("b must be a TrigPoly")
-    mean = b.mean()
-    if mean != 0:
-        raise MeanNotZero(f"b must have zero mean, got {mean}")
     frac = Fraction(a0)
     q = frac.denominator
     xis = [int(xi) for xi in ladder]
-    if not xis or any(xi < 1 for xi in xis):
-        raise MalformedInput("ladder rungs must be positive")
-    if any(xi % q for xi in xis):
-        raise IntegralityError(f"every rung must be a multiple of q={q}, as a0={frac}")
 
     B = b.primitive_from_zero()
     t0 = max(real_zeros(b), key=lambda t: (float(B(t)), -t), default=0.0)
@@ -219,7 +201,7 @@ def build_prop51(
 
     t = TWO_PI * np.arange(grid_size) / grid_size
     B_vals = np.asarray(B(t), dtype=float)
-    dense = sorted({int(xi) for xi in dense_rungs} & set(xis))
+    dense = list(dense_rungs)
     phases = _integer_phases([-frac.numerator * (xi // q) for xi in dense], grid_size)  # ξ a0 ∈ ℤ
     blocks = phases * np.exp(np.multiply.outer(dense, B_vals - B_peak))
     out = FourierField(1, grid_size, dense, blocks)
@@ -342,17 +324,16 @@ def _build_prop52_forward(
     profile = locate_laplace_profile(b)
     b0 = float(b.mean())
 
-    # Cutoff centered at the peak foot t0 - r0.  If the foot sits too close
-    # to the seam 0 ~ 2π the whole picture is translated (grid-aligned) so
-    # the bump lives well inside the fundamental interval.
+    # Cutoff centered at the peak foot t0 - r0.  The whole picture is
+    # translated (grid-aligned) to put the foot within h/2 of π, so the bump
+    # lives well inside the fundamental interval: delta = 0.5 on every grid
+    # of 4 or more points.
     center = (profile.t0 - profile.r0) % TWO_PI
     h = TWO_PI / grid_size
     sigma = round(((math.pi - center) % TWO_PI) / h) * h  # t' = t + sigma
     center_sh = (center + sigma) % TWO_PI
     t0_sh = (profile.t0 + sigma) % TWO_PI
     delta = min(0.5, min(center_sh, TWO_PI - center_sh) / 2.0)
-    if delta <= 0:
-        raise ProfileError("cutoff support degenerate after translation")
     cutoff = make_cutoff(
         s,
         (center_sh - delta, center_sh + delta),
@@ -406,7 +387,7 @@ def _build_prop52_forward(
 
     # Dense blocks (and the matching right-hand side) on the listed rungs,
     # rolled to the original frame: u(t) = u'(t + sigma).
-    dense = np.array(sorted({int(xi) for xi in dense_rungs if 1 <= xi <= xi_max}), dtype=np.int64)
+    dense = np.array(dense_rungs, dtype=np.int64)
     shift_steps = int(round(sigma / h)) % grid_size
     phase = np.exp(-1j * np.multiply.outer(dense * a0_value, t_sh_grid - t0_sh))
     pref = 1.0 - np.exp(-2j * math.pi * dense * c0)
@@ -451,10 +432,10 @@ def build_prop52(
     ``C·ξ^{−1/2}`` table), the closed-form |f̂| table (``f_table``), the
     Gevrey-s row of φ (``cutoff_bound``, derived in closed form), the peak
     ``profile`` and the cutoff's ``translation`` and half-width ``delta``;
-    no fitted number.  The peak t_0 is ``profile.t0``.  Any xi_max ≥ 1 is
-    accepted.  Coefficient blocks (and the right-hand side) are materialized
-    only on the rungs of ``dense_rungs`` up to xi_max; each row is the same
-    whatever else the list holds.
+    no fitted number.  The peak t_0 is ``profile.t0``.  Coefficient blocks
+    (and the right-hand side) are materialized only on the ascending rungs
+    ``dense_rungs``, each in 1..xi_max; each row is the same whatever else
+    the list holds.
 
     The solution rows apply the exact periodic solution operator to f̂ (one
     prefix and one suffix sum per rung, see :func:`_build_prop52_forward`), so
@@ -465,10 +446,6 @@ def build_prop52(
     formulas.
     """
     s = float(s)
-    if s <= 1:
-        raise OrderError(f"Gevrey order must exceed 1, got s={s}")
-    if xi_max < 1:
-        raise MalformedInput("xi_max must be at least 1")
     a0_value = float(a0)
     b0 = float(b.mean())
     mirror = b0 > 0
@@ -541,42 +518,25 @@ def build_product(
     The certified lower bound per rung is the product of the stored per-tube
     bounds, exactly as stored and in tube order, for the whole ladder qk
     (k = 1..k_max).  The n-dimensional coefficient blocks are materialized
-    only on the rungs in ``dense_rungs``, one axis factor per tube; the bound
-    table is grid-free and covers the full ladder either way.  Every per-tube
-    solution must carry a coefficient block at each dense rung; missing rungs
-    raise :class:`LadderMismatch`.  ``m`` counts the Laplace-type factors
-    (bounds of order ``ξ^{−m/2}``).  ``per_tube`` keeps each tube's
+    only on the ladder rungs ``dense_rungs``, at each of which every per-tube
+    solution holds a block, one axis factor per tube; the bound table is
+    grid-free and covers the full ladder either way.  ``m`` counts the
+    Laplace-type factors (bounds of order ``ξ^{−m/2}``).  ``per_tube`` keeps each tube's
     construction and certificate rows (for Prop52: ``profile``,
     ``cutoff_bound``, ``f_table``, ``translation``, ``delta``), all but its
     ``lower_bound_table``, which the product table multiplies in.  A tube's
     peak is its Prop51 ``t0`` or its Prop52 ``profile.t0``.
 
     ``field_grid`` materializes the blocks on a grid dividing the per-tube
-    grid: grid data are pointwise samples, so striding them is exact and
-    keeps n-dimensional blocks small.
+    grid that all the tubes share: grid data are pointwise samples, so
+    striding them is exact and keeps n-dimensional blocks small.
     """
     n = len(per_tube)
-    q = int(q)
-    if q < 1:
-        raise MalformedInput("q must be a positive integer")
     rungs = [q * k for k in range(1, k_max + 1)]
-    dense = sorted({int(xi) for xi in dense_rungs} & set(rungs))
-    grid = per_tube[0].coefficients.grid_size
-    out_grid = int(field_grid)
-    if out_grid < 1 or grid % out_grid:
-        raise GridMismatch(f"field grid {out_grid} must divide the per-tube grid {grid}")
-    stride = grid // out_grid
-    for j, sol in enumerate(per_tube, start=1):
-        if sol.coefficients.n != 1:
-            raise LadderMismatch(f"tube solution {j} is not single-variable")
-        if sol.coefficients.grid_size != grid:
-            raise GridMismatch("per-tube solutions use different grid sizes")
-        absent = set(dense).difference(sol.coefficients.xi.tolist())
-        if absent:
-            raise LadderMismatch(f"tube solution {j} has no rung at xi={min(absent)}")
-
+    dense = list(dense_rungs)
+    stride = per_tube[0].coefficients.grid_size // field_grid
     rows = {ax: sol.coefficients.take(dense)[:, ::stride] for ax, sol in enumerate(per_tube)}
-    out = FourierField(n, out_grid, dense, _embed_factors(n, out_grid, len(dense), rows))
+    out = FourierField(n, field_grid, dense, _embed_factors(n, field_grid, len(dense), rows))
 
     cert = {
         "lower_bound_table": [
@@ -598,39 +558,19 @@ def build_product(
     )
 
 
-def _real_set(analysis: SystemAnalysis) -> list:
-    """J, the identically-real tubes; a lift needs at least one."""
-    if not analysis.J:
-        raise MalformedInput("system has no identically-real tubes")
-    return list(analysis.J)
-
-
 def _lift(spec: SystemSpec, v, rungs, phases: dict, grid: int) -> tuple:
     """The lifted blocks at ``rungs``: v's block on the tubes outside J times
     the phase e^{i m t_j} on each real tube j, ``phases`` mapping j to one
     integer m per rung; returns the field and the phase rows, axis j − 1
     mapping to one grid row per rung.
 
-    v must be None exactly when every tube is real, and the blocks then live
-    on a ``grid`` grid; otherwise v must cover the other tubes' variables and
-    hold a block at every rung, and the blocks live on v's grid.  A failed
-    check raises :class:`LadderMismatch`.
+    v is None exactly when every tube is real, and the blocks then live on a
+    ``grid`` grid; otherwise v covers the other tubes' variables and holds a
+    block at every rung, and the blocks live on v's grid.
     """
     rest = [j for j in range(1, spec.n + 1) if j not in phases]
     blocks = None
-    if not rest:
-        if v is not None:
-            raise LadderMismatch("every tube is identically real; v must be None")
-    elif v is None:
-        raise LadderMismatch("v is required when some tubes are not identically real")
-    elif v.coefficients.n != len(rest):
-        raise LadderMismatch(
-            f"v covers {v.coefficients.n} variables but {len(rest)} tubes are not real"
-        )
-    else:
-        absent = set(rungs).difference(v.coefficients.xi.tolist())
-        if absent:
-            raise LadderMismatch(f"v has no rung at xi={min(absent)}")
+    if v is not None:
         grid, blocks = v.coefficients.grid_size, v.coefficients.take(rungs)
     axis_rows = {j - 1: _integer_phases(ms, grid) for j, ms in phases.items()}
     stack = _embed_factors(spec.n, grid, len(rungs), axis_rows, blocks, [j - 1 for j in rest])
@@ -665,52 +605,24 @@ def build_rational_J(
     """Lift a product solution across rational-average real tubes.
 
     For each rung ξ = qk the real tubes contribute pure phases
-    ``e^{−iqk a_{j0} t_j}`` (integral frequencies because q·a_{j0} ∈ ℤ —
-    :class:`IntegralityError` otherwise), so ``L_j u = 0`` exactly for j in
-    the real set; the other tubes keep v's certificates.  When every tube is
-    real (ℓ = n), ``v`` must be None and the rungs are pure phase products
-    with certified bound 1; :class:`LadderMismatch` refuses a v that does
-    not fit (see :func:`_lift`).  ``analysis`` is the spec's
-    :class:`SystemAnalysis`.
+    ``e^{−iqk a_{j0} t_j}`` (integral frequencies, as q·a_{j0} ∈ ℤ), so
+    ``L_j u = 0`` exactly for j in the real set; the other tubes keep v's
+    certificates.  When every tube is real (ℓ = n), ``v`` is None and the
+    rungs are pure phase products with certified bound 1.  ``analysis`` is
+    the spec's :class:`SystemAnalysis`.
 
     The ladder is qk for k = 1..k_max.  Coefficient blocks are materialized
-    on the ladder rungs that ``dense_rungs`` lists, on v's grid (``grid_size``
-    when every tube is real), and v must hold a block at each; the bound
-    table covers the full ladder.  A materialized phase must stay below the
-    grid Nyquist limit so the stored samples determine the mode —
-    :class:`GridMismatch` otherwise.
+    on the ascending ladder rungs ``dense_rungs``, on v's grid (``grid_size``
+    when every tube is real), where v holds a block at each; the bound table
+    covers the full ladder.  Each materialized phase is below the grid
+    Nyquist limit, so the stored samples determine the mode.
     """
-    J = _real_set(analysis)
-    q = int(q)
-    if q < 1:
-        raise MalformedInput("q must be a positive integer")
-
-    fracs = {}
-    for j in J:
-        a = analysis.a0[j - 1]
-        if not a.is_rational:
-            raise IntegralityError(f"tube {j} average is not rational")
-        frac = a.approx_fraction()
-        if (q * frac).denominator != 1:
-            raise IntegralityError(
-                f"q={q} does not clear the denominator of tube {j} average {frac}"
-            )
-        fracs[j] = frac
-
+    J = list(analysis.J)
+    fracs = {j: analysis.a0[j - 1].approx_fraction() for j in J}
     rungs = [q * k for k in range(1, k_max + 1)]
     grid = grid_size if v is None else v.coefficients.grid_size
-    dense = sorted({int(xi) for xi in dense_rungs} & set(rungs))
-    phases = {j: [] for j in J}
-    for xi in dense:
-        for j in J:
-            mjk = int(xi * fracs[j])  # integral by the q-check
-            if 2 * abs(mjk) >= grid:
-                raise GridMismatch(
-                    f"tube {j} phase frequency {mjk} at rung xi={xi} reaches the "
-                    f"grid Nyquist limit {grid // 2}; raise the grid size or "
-                    f"leave xi={xi} out of dense_rungs"
-                )
-            phases[j].append(-mjk)
+    dense = list(dense_rungs)
+    phases = {j: [-int(xi * fracs[j]) for xi in dense] for j in J}
     out, rows = _lift(spec, v, dense, phases, grid)
     # L_j acts on t_j alone: on each rung, max|L_j u| is max|L_j e^{imt_j}|
     # times max|v| and the other real tubes' phase peaks
@@ -751,9 +663,10 @@ def build_expliouville_J(
 ) -> SingularSolution:
     """Lift across irrational real tubes along a fast-approximation ladder.
 
-    ``witness`` must be the q-rescaled simultaneous-approximation witness for
+    ``witness`` is the q-rescaled simultaneous-approximation witness for
     the real-tube averages: rows (p_k, ξ_k) with ξ_k ∈ q·ℕ strictly
-    increasing and ``max_j |p_k^{(j)} + ξ_k a_{j0}| ≤ scale·e^{−δ ξ_k^{1/s}}``.
+    increasing, and ``max_j |p_k^{(j)} + ξ_k a_{j0}| ≤ scale·e^{−δ ξ_k^{1/s}}``
+    on each row, which :class:`WitnessMismatch` refuses otherwise.
     Rungs are resampled to ξ_k with ``û = v̂(t'', ξ_k) e^{i p_k·t'}``; the
     real tubes' right-hand sides ``f̂_j = i(p_k^{(j)} + a_{j0} ξ_k) û`` then
     decay at the witness rate.  The certificate holds rows only, no fitted
@@ -761,33 +674,18 @@ def build_expliouville_J(
     s of each row's ``ln_bound``), ``row_checks`` (ln|p_k^{(j)} + ξ_k a_{j0}|
     against ln(scale) − δ ξ_k^{1/s}, the witness verified in exact
     arithmetic first) and ``f_tables`` (|f̂_j| per rung, the divisor times
-    max|v̂|), plus v's ``per_tube`` rows.  When every tube is
-    real (ℓ = n), ``v`` must be None and the rungs are pure phase products
-    with certified bound 1, on a ``grid_size`` grid; :class:`LadderMismatch`
-    refuses a v that does not fit (see :func:`_lift`).  ``analysis`` is the
-    spec's :class:`SystemAnalysis`.
+    max|v̂|), plus v's ``per_tube`` rows.  When every tube is real (ℓ = n),
+    ``v`` is None and the rungs are pure phase products with certified
+    bound 1, on a ``grid_size`` grid.  ``analysis`` is the spec's
+    :class:`SystemAnalysis`, and ``spec.order`` is a Gevrey order.
 
     Witness frequencies may exceed the grid Nyquist limit: the stored grid
     samples are pointwise-exact values of the phases, but spectral reads of
     such a block (FFT, grid derivatives) need a grid larger than twice the
     largest phase frequency.  The certificate rows are grid-free.
     """
-    J = _real_set(analysis)
-    q = int(q)
-    order = spec.order
-    if not order.is_gevrey:
-        raise OrderError("the exponential-witness lift needs a Gevrey order s > 1")
-    s = float(order.s)
-
-    if not witness.pairs:
-        raise WitnessMismatch("empty witness")
-    if witness.length != len(J):
-        raise WitnessMismatch(
-            f"witness covers {witness.length} components but {len(J)} tubes are real"
-        )
-    if witness.bound_scale % q or any(s_k % q for _, s_k in witness.pairs):
-        raise WitnessMismatch("witness is not rescaled by the ladder factor q")
-
+    J = list(analysis.J)
+    s = float(spec.order.s)
     components = [analysis.a0[j - 1] for j in J]
     checks = verify_witness_rows(witness, components, s)
     if not all(checks):
@@ -882,7 +780,9 @@ def build_obstruction(spec: SystemSpec, *, xi_max: int, grid: int) -> tuple:
     Each tube with nonvanishing b gets Prop51 (rational average, zero-mean
     b) or Prop52 on ``grid``; their product is lifted across the
     identically-real tubes (RationalJ, or ExpLiouvilleJ along the spec's
-    rescaled ``vector_witness``).  The materialized rungs are chosen once:
+    rescaled ``vector_witness``, which :class:`WitnessMismatch` refuses on
+    the smooth scale, when absent, with no row within the ladder, or with
+    rows of the wrong length).  The materialized rungs are chosen once:
     the ladder rungs up to ``_FIELD_CAP`` that fit a fixed sample budget, or
     the witness rungs under ExpLiouvilleJ, which keeps only those.  Every
     builder computes coefficient blocks on those rungs alone; the certified
@@ -969,6 +869,10 @@ def build_obstruction(spec: SystemSpec, *, xi_max: int, grid: int) -> tuple:
         if not rows:
             raise WitnessMismatch(
                 f"no witness row has denominator <= {xi_top}; raise --xi-max"
+            )
+        if scaled.length != len(J):
+            raise WitnessMismatch(
+                f"witness covers {scaled.length} components but {len(J)} tubes are real"
             )
         witness = LiouvilleWitness(
             delta=scaled.delta, pairs=rows, bound_scale=scaled.bound_scale

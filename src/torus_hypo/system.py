@@ -93,8 +93,7 @@ class Tube:
         )
 
     def to_json(self) -> dict:
-        a = self.a.to_json() if isinstance(self.a, (TrigPoly, RealConstant)) else self.a
-        return {"a": a, "b": self.b.to_json()}
+        return {"a": self.a.to_json(), "b": self.b.to_json()}
 
 
 def _coefficient_from_json(obj) -> object:

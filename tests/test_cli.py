@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -154,8 +155,7 @@ EXPORTS = """
     approx_interval condition_B_check convergents digit_stream_from_json exp_liouville_score
     liouville_exponent_trend scale_witness verify_witness_rows GevreyCutoff GevreyWitness
     TrigPoly estimate_decay make_cutoff NormalFormData apply_gauge build_normal_form
-    conjugation_residual LaplaceProfile SingularSolution build_expliouville_J
-    build_obstruction build_product build_prop51 build_prop52 build_rational_J
+    conjugation_residual LaplaceProfile SingularSolution build_obstruction
     fit_lower_bound_power locate_laplace_profile FourierField apply_tube_operator decay_report
     residual solve_by_division solve_single_tube solve_system Order SystemAnalysis SystemSpec
     Tube Verdict analyze average classify_system classify_vector decide sign_analysis
@@ -183,9 +183,10 @@ def _fresh_python(code: str, cwd=TESTS, **env) -> str:
 
 
 def _loaded_after(cases: list, cwd=TESTS, heavy=("numpy", "scipy", "sympy", "mpmath", "orjson")) -> list:
-    """The ``heavy`` modules in sys.modules after the cases ran in-process,
-    one after the other, in a fresh interpreter in ``cwd``; each exits as its
-    golden does."""
+    """The ``heavy`` modules loaded after the cases ran in-process, one after
+    the other, in a fresh interpreter in ``cwd``; each exits as its golden
+    does.  A module counts when it is in sys.modules, and scipy also when
+    the solver loaded its LAPACK binding, which stays out of sys.modules."""
     code = f"""if True:
         import contextlib, io, json, sys
         from torus_hypo import cli
@@ -193,7 +194,9 @@ def _loaded_after(cases: list, cwd=TESTS, heavy=("numpy", "scipy", "sympy", "mpm
         for argv in {[_argv(case) for case in cases]!r}:
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(cli.main(argv))
-        print(json.dumps([codes, [m for m in {heavy!r} if m in sys.modules]]))
+        solver = sys.modules.get("torus_hypo.solver")
+        lapack = solver is not None and solver._flapack.cache_info().currsize > 0
+        print(json.dumps([codes, [m for m in {heavy!r} if m in sys.modules or m == "scipy" and lapack]]))
     """
     codes, loaded = json.loads(_fresh_python(code, cwd))
     assert codes == [_manifest()[case]["exit"] for case in cases]
@@ -325,6 +328,23 @@ def test_division_solve_and_normalform_on_digit_defined_averages_load_no_mpmath(
     """A digit-defined average is read as a float through one exact rational;
     the JSON field write loads orjson."""
     assert _loaded_after(["solve-division", "normalform-ex63"], tmp_path) == ["numpy", "orjson"]
+
+
+def test_runtime_dependencies_are_what_the_commands_load(tmp_path):
+    """The runtime dependencies in pyproject.toml are exactly the packages
+    that the golden commands load, run one after another: numpy, scipy and
+    orjson.  mpmath, which only the tests' reference transform
+    GevreyCutoff.fourier_magnitudes_hiprec reads, is in the test extra."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((TESTS.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return {re.split(r"[<>=!~;\[ ]", req, maxsplit=1)[0] for req in requirements}
+
+    runtime = names(project["dependencies"])
+    assert runtime == {"numpy", "scipy", "orjson"}
+    assert "mpmath" in names(project["optional-dependencies"]["test"])
+    assert set(_loaded_after(list(CASES), tmp_path)) == runtime
 
 
 def test_package_root_exports_resolve():

@@ -19,7 +19,7 @@ from torus_hypo import cli
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 #: the exit codes of the README's table
-DOCUMENTED_EXITS = {0, 10, 20, 2, 30, 31, 32, 33, 34, 40, 41, 50}
+DOCUMENTED_EXITS = {0, 10, 20, 2, 30, 31, 32, 33, 40, 41, 50}
 
 #: values a leaf is replaced with
 BAD_VALUES = [

@@ -13,7 +13,7 @@ import pytest
 
 from torus_hypo import singular
 from torus_hypo.diophantine import LiouvilleWitness, RealConstant
-from torus_hypo.errors import IntegralityError, LadderMismatch, MeanNotZero, ProfileError
+from torus_hypo.errors import ProfileError, WitnessMismatch
 from torus_hypo.gevrey import GevreyCutoff, TrigPoly, make_cutoff
 from torus_hypo.report import canonical_json
 from torus_hypo.singular import (
@@ -21,7 +21,6 @@ from torus_hypo.singular import (
     build_obstruction,
     build_prop51,
     build_prop52,
-    build_rational_J,
 )
 from torus_hypo.solver import apply_tube_operator
 from torus_hypo.system import CHANGES_SIGN, SystemSpec, analyze, sign_analysis
@@ -162,10 +161,10 @@ def test_prop52_mirror_branch_matches_forward_branch(monkeypatch):
 
 def test_prop52_rows_do_not_depend_on_the_other_listed_rungs():
     """Rungs 2, 4 and 6 alone are the rows of a 1..6 build, bit for bit, on
-    both branches; a rung past xi_max is not built."""
+    both branches."""
     for b in ({"const": "-1/2", "sin": ["1"]}, {"const": "1/2", "sin": ["1"]}):
         args = (RealConstant.from_json({"cf": "constant:2"}), TrigPoly.from_json(b), 2.0, 8)
-        some = build_prop52(*args, grid_size=64, dense_rungs=[2, 4, 6, 9])
+        some = build_prop52(*args, grid_size=64, dense_rungs=[2, 4, 6])
         every = build_prop52(*args, grid_size=64, dense_rungs=range(1, 7))
         assert some.coefficients.xi.tolist() == [2, 4, 6]
         for xi in (2, 4, 6):
@@ -402,68 +401,165 @@ def test_laplace_profile_refuses_a_b_that_does_not_change_sign(b, empty_profile_
         singular.locate_laplace_profile(TrigPoly.from_json(b))
 
 
-def test_prop51_reads_a_float_mean_exactly():
-    """A float b with mean 1e-15 has a nonzero mean: its rungs would not
-    solve the tube equation, so Prop51 refuses it."""
-    b = TrigPoly(const=1e-15, cos=(1.0,))
-    with pytest.raises(MeanNotZero, match="1e-15"):
-        build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6], grid_size=32, dense_rungs=[])
-
-
 def test_prop51_ladder_is_in_xi():
     """Prop51's ladder lists rungs ξ, like every other builder's: with
-    a0 = 1/2 the rung 4 is ξ = 4, and the rung 3 is refused, as ξ·a0 is
-    not an integer there."""
+    a0 = 1/2 the rung 4 is ξ = 4."""
     b = TrigPoly.from_json(SINE)
     assert build_prop51(Fraction(1, 2), b, ladder=[2, 4], grid_size=32, dense_rungs=[4]).ladder == [2, 4]
-    with pytest.raises(IntegralityError, match="q=2"):
-        build_prop51(Fraction(1, 2), b, ladder=[3], grid_size=32, dense_rungs=[3])
 
 
 def test_prop51_builds_blocks_on_the_dense_rungs_alone():
-    """The bound table covers the ladder; the blocks are the dense rungs'
-    (those on the ladder), each with the bits of the full-ladder build."""
+    """The bound table covers the ladder; the blocks are the dense rungs',
+    each with the bits of the full-ladder build."""
     b = TrigPoly.from_json(SINE)
     full = build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6, 8], grid_size=32, dense_rungs=[2, 4, 6, 8])
-    some = build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6, 8], grid_size=32, dense_rungs=[8, 4, 5])
+    some = build_prop51(Fraction(1, 2), b, ladder=[2, 4, 6, 8], grid_size=32, dense_rungs=[4, 8])
     assert some.ladder == [2, 4, 6, 8]
     assert some.certificates == full.certificates
     assert some.coefficients.xi.tolist() == [4, 8]
     assert some.coefficients.take([4, 8]).tobytes() == full.coefficients.take([4, 8]).tobytes()
 
 
-#: v condition -> (tubes outside J, v's rungs or None for no v, the refusal).
-#: RationalJ below lifts the rungs 1, 2 (a_J = 0, q = 1, k_max = 2);
-#: ExpLiouvilleJ lifts the singular_expL witness rungs 3, 34, 68.
-LIFT_MISFITS = {
-    "v-missing": (1, None, "v is required"),
-    "v-given-when-every-tube-is-real": (0, [1, 2, 3, 34, 68], "v must be None"),
-    "v-covers-the-wrong-variables": (2, [1, 2, 3, 34, 68], "v covers 1 variables but 2 tubes"),
-    "v-misses-a-rung": (1, [1, 3, 34], r"xi=(2|68)$"),
-}
+def _generated_spec(rng) -> dict:
+    """A seeded NotHypoelliptic spec of 1–3 tubes with constant real parts:
+    each tube is a Prop51 tube (rational a, exact zero-mean sign-changing b),
+    a Prop52 tube (rational, float or quadratic-irrational a; sign-changing
+    b, exact or float) or a J tube (rational a, b = 0).  No b is one-signed
+    and the averages over J are rational, so neither condition holds."""
+    def ratio():
+        return Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+
+    tubes = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("Prop51", "Prop52", "J"))
+        if kind == "J":
+            tubes.append({"a": str(ratio()), "b": "0"})
+            continue
+        exact = kind == "Prop51" or rng.random() < 0.5
+        big = Fraction(rng.randint(2, 12), rng.randint(1, 4))  # |const| + |sin| <= 0.6 big
+        const = 0 if kind == "Prop51" else big * Fraction(rng.randint(-3, 3), 10)
+        k, m = rng.randint(1, 3), rng.randint(1, 3)
+        cos, sin = [0] * (k - 1) + [big], [0] * (m - 1) + [big * Fraction(rng.randint(-3, 3), 10)]
+        b = {key: [str(x) if exact else float(x) for x in v] for key, v in (("cos", cos), ("sin", sin))}
+        b["const"] = str(const) if exact else float(const)
+        a = rng.choice((str(ratio()), rng.uniform(-3, 3), {"cf": f"constant:{rng.randint(1, 9)}"}))
+        tubes.append({"a": str(ratio()) if kind == "Prop51" else a, "b": b})
+    return {"n": len(tubes), "s": rng.choice(("3/2", "2", "3", "smooth")), "tubes": tubes}
 
 
-@pytest.mark.parametrize("case", sorted(LIFT_MISFITS))
-def test_both_lifts_refuse_a_v_that_does_not_fit(case):
-    """Both J-lifts check v through one core, with LadderMismatch."""
-    rest, rungs, refusal = LIFT_MISFITS[case]
-    # v: Prop51 for a = 0, b = sin t, one variable, at the given rungs
-    v = None if rungs is None else build_prop51(
-        Fraction(0), TrigPoly.from_json(SINE), ladder=rungs, grid_size=32, dense_rungs=rungs
-    )
-    others = [{"a": "0", "b": SINE}] * rest
+def _expl_spec(extra: list) -> dict:
+    """singular_expL with ``extra`` tubes appended after its real tube."""
+    spec = load_fixture("singular_expL.json")
+    spec["tubes"] += extra
+    spec["n"] = len(spec["tubes"])
+    return spec
 
-    rational = SystemSpec.from_json({"s": "2", "tubes": [{"a": "0", "b": "0"}, *others]})
-    with pytest.raises(LadderMismatch, match=refusal):
-        build_rational_J(
-            rational, analyze(rational), v, 1, k_max=2, dense_rungs=[1, 2], grid_size=32
-        )
 
-    expl = load_fixture("singular_expL.json")
-    liouville = SystemSpec.from_json({"s": "2", "tubes": [expl["tubes"][0], *others]})
-    witness = LiouvilleWitness.from_json(expl["vector_witness"])
-    with pytest.raises(LadderMismatch, match=refusal):
-        build_expliouville_J(liouville, analyze(liouville), witness, v, 1, grid_size=32)
+#: ExpLiouvilleJ specs: the fixture alone, and with a Prop51 and a Prop52 tube
+EXPL_SPECS = [
+    _expl_spec([]),
+    _expl_spec([{"a": "1/2", "b": SINE}]),
+    _expl_spec([{"a": {"cf": "constant:2"}, "b": {"const": "-1/5", "sin": ["1"]}}]),
+]
+
+
+#: the steps of build_obstruction, each wrapped by name by coldbench's tracer
+BUILDERS = ("build_prop51", "build_prop52", "build_product", "build_rational_J", "build_expliouville_J")
+
+
+def _ascending_on(rungs, ladder) -> bool:
+    return list(rungs) == sorted(set(rungs)) and set(rungs) <= set(ladder)
+
+
+def _lift_fits(v, spec, analysis, rungs) -> bool:
+    """v is None when every tube is real, else it covers the other tubes'
+    variables and holds a block at every rung."""
+    if len(analysis.J) == spec.n:
+        return v is None
+    held = set(v.coefficients.xi.tolist())
+    return v.coefficients.n == spec.n - len(analysis.J) and set(rungs) <= held
+
+
+def test_pipeline_hands_each_builder_what_it_builds_on(monkeypatch):
+    """build_obstruction is the one caller of the five builders, and they
+    check none of its choices again.  On 80 seeded generated specs and the
+    ExpLiouvilleJ specs, at several xi_max and grids, every builder call
+    receives what its construction needs: ascending stored rungs on the
+    ladder, q·a_j0 ∈ ℤ for each J tube, 2·|ξ·a_j0| below the field grid at
+    every stored RationalJ rung, each Prop51 tube a zero-mean b and a ladder
+    in multiples of its q, each Prop52 tube s > 1, and each lift a v that
+    covers the other tubes at every rung, or no v when every tube is real."""
+    calls = []
+    for name in BUILDERS:
+        def record(*args, _name=name, _build=getattr(singular, name), **kw):
+            calls.append((_name, args, kw))
+            return _build(*args, **kw)
+
+        monkeypatch.setattr(singular, name, record)
+
+    rng = random.Random(20261020)
+    cases = [(_generated_spec(rng), rng.choice((1, 7, 64, 128)), rng.choice((4, 32, 64))) for _ in range(80)]
+    cases += [(spec, 256, grid) for spec in EXPL_SPECS for grid in (32, 128)]
+    built = set()
+    for raw, xi_max, grid in cases:
+        calls.clear()
+        solution, summary = build_obstruction(SystemSpec.from_json(raw), xi_max=xi_max, grid=grid)
+        q, k_max = summary["q"], summary["k_max"]
+        ladder = [q * k for k in range(1, k_max + 1)]
+        assert _ascending_on(solution.ladder, ladder), raw
+        assert _ascending_on(solution.coefficients.xi.tolist(), solution.ladder), raw
+        for name, args, kw in calls:
+            built.add(name)
+            if name == "build_prop51":
+                a0, b = args
+                assert isinstance(b, TrigPoly) and b.mean() == 0, raw
+                assert kw["ladder"] == ladder and all(xi % a0.denominator == 0 for xi in ladder), raw
+                assert _ascending_on(kw["dense_rungs"], ladder), raw
+            elif name == "build_prop52":
+                _, _, s, xi_top = args
+                assert s > 1 and xi_top == ladder[-1], raw
+                assert _ascending_on(kw["dense_rungs"], ladder), raw
+            elif name == "build_product":
+                per_tube, *ladder_args = args
+                assert ladder_args == [q, k_max] and _ascending_on(kw["dense_rungs"], ladder), raw
+                assert len({sol.coefficients.grid_size for sol in per_tube}) == 1, raw
+                assert per_tube[0].coefficients.grid_size % kw["field_grid"] == 0, raw
+                for sol in per_tube:
+                    assert sol.coefficients.n == 1, raw
+                    assert set(kw["dense_rungs"]) <= set(sol.coefficients.xi.tolist()), raw
+            elif name == "build_rational_J":
+                spec, analysis, v, _ = args
+                dense = kw["dense_rungs"]
+                assert _ascending_on(dense, ladder) and _lift_fits(v, spec, analysis, dense), raw
+                field_grid = kw["grid_size"] if v is None else v.coefficients.grid_size
+                for j in analysis.J:
+                    a = analysis.a0[j - 1].approx_fraction()
+                    assert (q * a).denominator == 1, raw
+                    assert all(2 * abs(xi * a) < field_grid for xi in dense), raw
+            else:
+                spec, analysis, witness, v, _ = args
+                rungs = [s_k for _, s_k in witness.pairs]
+                assert spec.order.is_gevrey and witness.length == len(analysis.J), raw
+                assert rungs and witness.bound_scale % q == 0 and _ascending_on(rungs, ladder), raw
+                assert _lift_fits(v, spec, analysis, rungs), raw
+    assert built == set(BUILDERS)
+
+
+@pytest.mark.parametrize(
+    "extra, refusal",
+    [([], "covers 2 components but 1 tubes"), ([{"a": "1/3", "b": "0"}], "covers 1 components but 2")],
+    ids=["two-entries-one-real-tube", "one-entry-two-real-tubes"],
+)
+def test_an_asserted_witness_must_cover_the_real_tubes(extra, refusal):
+    """An asserted ExpLiouvilleTrend skips the verdict's witness check, so
+    the pipeline itself refuses a witness whose rows do not hold one entry
+    per identically-real tube."""
+    raw = _expl_spec(extra) | {"vector_assertion": "ExpLiouvilleTrend"}
+    if not extra:
+        for row in raw["vector_witness"]["pairs"]:
+            row["r"] = row["r"] * 2  # two entries for singular_expL's one real tube
+    with pytest.raises(WitnessMismatch, match=refusal):
+        build_obstruction(SystemSpec.from_json(raw), xi_max=256, grid=32)
 
 
 def test_a_row_just_above_its_bound_is_not_within_it(monkeypatch):
