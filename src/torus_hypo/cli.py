@@ -37,15 +37,20 @@ Each command loads its inputs, calls the library and renders the result.
 and :func:`torus_hypo.singular.build_obstruction`; ``solve`` and ``singular``
 take their report body, runtime counters included, from it.
 
+Commands run BLAS on one thread: :func:`main` sets ``OPENBLAS_NUM_THREADS``
+to 1 when it is unset, before any command loads numpy or scipy's LAPACK
+binding.  Set that variable to change it.
+
 A command ends at its last byte.  :func:`main` returns the exit code, so the
 tests and coldbench's tracer call it in-process; the console script and
 ``python -m torus_hypo.cli`` call :func:`run`, which flushes stdout and
 stderr and ends the process with ``os._exit``.  That skips the interpreter's
 teardown (module cleanup, the garbage collector, ``atexit`` handlers and the
-C libraries' destructors, such as OpenBLAS's thread shutdown): on 2 vCPU,
-about 6 ms of a bare interpreter and 25 ms once numpy is loaded, none of it
-work of the command.  So every file a command writes is closed before
-:func:`main` returns, and nothing may rely on teardown.  A report or help
+C libraries' destructors, such as OpenBLAS's shutdown): on 2 vCPU with one
+BLAS thread, about 6 ms of a bare interpreter, 15 ms once numpy is loaded
+and 27 ms once scipy's LAPACK binding is too, none of it work of the
+command.  So every file a command writes is closed before :func:`main`
+returns, and nothing may rely on teardown.  A report or help
 text that cannot be written to stdout (a full device, a pipe whose reader
 has gone) ends with ``error: cannot write stdout: ...`` and exit 2; an error
 whose line cannot be written to stderr still exits with its code.
@@ -405,11 +410,8 @@ def cmd_solve(args) -> int:
 def cmd_singular(args) -> int:
     from .singular import build_obstruction
 
-    if not 4 <= args.grid <= MAX_SINGULAR_GRID or args.grid & (args.grid - 1):
-        raise MalformedInput(
-            f"--grid: {args.grid} is not a power of two in 4..{MAX_SINGULAR_GRID}"
-        )
-    _check_positive("--xi-max", args.xi_max)
+    if args.grid > MAX_SINGULAR_GRID:
+        raise MalformedInput(f"--grid: {args.grid} is above the largest grid, {MAX_SINGULAR_GRID}")
     spec = _load_spec(args)
     solution, body = build_obstruction(spec, xi_max=args.xi_max, grid=args.grid)
     with _writing(args.out_solution), open(args.out_solution, "w", encoding="utf-8") as fh:
@@ -501,6 +503,15 @@ def _fail(exc: TorusHypoError) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Sets the process variable ``OPENBLAS_NUM_THREADS`` to 1 when it is
+    unset, before any command loads numpy or scipy's LAPACK binding: the
+    program's BLAS work (a banded LU, small least-squares fits) never splits
+    across threads, and an idle worker pool spins on the command's CPU.  A
+    value already set is kept.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     commands = {
         "classify": cmd_classify,
         "diagnose": lambda a: cmd_classify(a, verbose=True),

@@ -22,6 +22,7 @@ numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -394,6 +395,7 @@ def _bisect(ok, lo: float, hi: float) -> float:
 _SLACK = 1e-9
 
 
+@functools.lru_cache(maxsize=None)
 def _shoulder_bound(p: float) -> tuple:
     """(h, theta, x_split, radius) with sup|H^(k)| <= 2e*h^k*(k!)^(1+1/p) on
     (0, 1) for every k >= 0, where H = 1/(1 + e^g), g(x) = x^-p - (1-x)^-p,

@@ -769,9 +769,11 @@ def build_obstruction(spec: SystemSpec, *, xi_max: int, grid: int) -> tuple:
     the ``singular`` report.
 
     Raises :class:`RefusedHypoelliptic` unless the verdict is
-    NotHypoelliptic.  Refuses with :class:`MalformedInput` a tube whose a_j
-    is not constant (the constructions use its average alone; ``normalform``
-    prints the normalized spec), and a tube with nonvanishing b whose
+    NotHypoelliptic.  Refuses with :class:`MalformedInput`, before the
+    verdict, a ``grid`` that is not a power of two of at least 4, an
+    ``xi_max`` below 1 and a tube whose a_j is not constant (the
+    constructions use its average alone; ``normalform`` prints the
+    normalized spec); after it, a tube with nonvanishing b whose
     :func:`_exponent_bound` or holonomy phase 2π·ξ·|a0| at the top rung
     passes 1e300, which keeps every sum of the builders' exponents and
     phases far inside the float range.  The ladder is qk for
@@ -790,6 +792,10 @@ def build_obstruction(spec: SystemSpec, *, xi_max: int, grid: int) -> tuple:
     the constructions in order (``chain``), ``q``, ``k_max``, the highest
     materialized rung ``field_cap`` and :func:`fit_lower_bound_power`'s fit.
     """
+    if not (isinstance(grid, int) and grid >= 4 and not grid & (grid - 1)):
+        raise MalformedInput(f"--grid: {grid!r} is not a power of two of at least 4")
+    if not (isinstance(xi_max, int) and xi_max >= 1):
+        raise MalformedInput(f"--xi-max: {xi_max!r} is not a positive integer")
     for i, tube in enumerate(spec.tubes):
         if not tube.a_is_constant:
             raise MalformedInput(

@@ -33,6 +33,8 @@ from hypothesis import strategies as st
 from torus_hypo import cli
 from torus_hypo.solver import FourierField
 
+from conftest import THREAD_VARS
+
 TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS.parent / "fixtures"
 GOLDEN = TESTS / "golden"
@@ -146,8 +148,6 @@ def test_subprocess_smoke():
 # ---------------------------------------------------------------------------
 # Cold start: what a fresh interpreter loads, and the thread count
 # ---------------------------------------------------------------------------
-
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: the names the package root exported when it imported every module eagerly
 EXPORTS = """
@@ -362,13 +362,35 @@ def test_package_root_exports_resolve():
 @pytest.mark.parametrize("case", ["solve-solve_rhs", "singular-singular_expL"])
 def test_reports_do_not_depend_on_the_thread_count(case, tmp_path):
     want = _manifest()[case]
-    for threads in ("1", "2"):
-        env = {"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+    for threads in (None, "1", "2"):  # None: no thread variable, the CLI's own default
+        env = {} if threads is None else {"OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
         proc = _fresh(["-m", "torus_hypo.cli", *_argv(case)], tmp_path, **env)
         assert proc.returncode == want["exit"], proc.stderr
         assert proc.stdout == (GOLDEN / f"{case}.json").read_bytes()
         artifact = tmp_path / ARTIFACTS[CASES[case][0]]
         assert hashlib.sha256(artifact.read_bytes()).hexdigest() == want["artifact_sha256"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("given", [None, "2"], ids=["unset", "two"])
+def test_blas_runs_on_one_thread_unless_the_variable_is_set(given, tmp_path):
+    """A solve loads numpy's OpenBLAS and scipy's own; with no thread
+    variable set, main leaves the process on its one thread, and an
+    OPENBLAS_NUM_THREADS that is set is kept."""
+    if given and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS caps its thread count at the CPU count")
+    code = f"""if True:
+        import contextlib, io, json, os, sys
+        from torus_hypo import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main({_argv("solve-solve_rhs")!r})
+        lapack = sys.modules["torus_hypo.solver"]._flapack.cache_info().currsize
+        print(json.dumps([code, lapack, len(os.listdir("/proc/self/task"))]))
+    """
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    code, lapack, threads = json.loads(_fresh_python(code, tmp_path, **env))
+    assert code == _manifest()["solve-solve_rhs"]["exit"] and lapack == 1
+    assert threads == 1 if given is None else threads > 1
 
 
 # ---------------------------------------------------------------------------

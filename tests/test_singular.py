@@ -13,7 +13,7 @@ import pytest
 
 from torus_hypo import singular
 from torus_hypo.diophantine import LiouvilleWitness, RealConstant
-from torus_hypo.errors import ProfileError, WitnessMismatch
+from torus_hypo.errors import MalformedInput, ProfileError, WitnessMismatch
 from torus_hypo.gevrey import GevreyCutoff, TrigPoly, make_cutoff
 from torus_hypo.report import canonical_json
 from torus_hypo.singular import (
@@ -560,6 +560,29 @@ def test_an_asserted_witness_must_cover_the_real_tubes(extra, refusal):
             row["r"] = row["r"] * 2  # two entries for singular_expL's one real tube
     with pytest.raises(WitnessMismatch, match=refusal):
         build_obstruction(SystemSpec.from_json(raw), xi_max=256, grid=32)
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        ({"grid": 1}, "--grid: 1 "),
+        ({"grid": 2}, "--grid: 2 "),
+        ({"grid": 129}, "--grid: 129 "),
+        ({"xi_max": 0}, "--xi-max: 0 "),
+    ],
+    ids=["grid-1", "grid-2", "grid-129", "xi-max-0"],
+)
+def test_the_pipeline_refuses_its_grid_and_ladder_before_the_verdict(flags, field, monkeypatch):
+    """A grid that is not a power of two of at least 4, or an xi_max below 1,
+    is refused naming the field before the verdict or any builder runs."""
+    called = []
+    for name in ("classify_system", "build_prop52"):
+        monkeypatch.setattr(singular, name, lambda *a, name=name, **kw: called.append(name))
+    spec = SystemSpec.from_json(load_fixture("crit9_three_tube.json"))
+    with pytest.raises(MalformedInput) as exc:
+        build_obstruction(spec, **({"xi_max": 256, "grid": 128} | flags))
+    assert str(exc.value).startswith(field)
+    assert called == []
 
 
 def test_a_row_just_above_its_bound_is_not_within_it(monkeypatch):
